@@ -32,9 +32,7 @@ from .psi import (
 )
 from .inequalities import (
     BetaFunction,
-    InequalityReport,
     PropagatedBetaFamily,
-    analyze_measure,
     bakry_emery,
     beta_transforms,
     capacity_condition_check,

@@ -3,8 +3,7 @@
 Outputs are deterministic: identical configs produce byte-identical CSV/JSON
 (17 significant digits, sorted JSON keys, no wall-clock anywhere).  Exit
 codes: 0 success, 2 configuration error, 3 numeric failure (the failing
-operation is named on stderr).  TVDECAY_THREADS caps the thread pool used to
-evaluate envelopes in parallel.
+operation is named on stderr).
 """
 
 from __future__ import annotations
@@ -12,15 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .config import Scenario, load_scenario, render_config
+from .config import Scenario, get_number, get_str, load_scenario, render_config
 from .envelopes import (
     DecayEnvelope,
     envelope_curvature,
@@ -42,16 +41,13 @@ from .inequalities import (
     capacity_condition_check,
     muckenhoupt_poincare,
 )
-from .measures import integrate
-from .psi import (
-    build_psi_from_eta,
-    eta_entropy,
-    eta_power,
-    eta_quadratic,
-    psi_entropy_classical,
-)
+from .measures import ProbabilityMeasure1D, integrate, tv_distance
+from .psi import EtaProfile, build_psi_from_eta
 from .simulate import evolve
 from ._numerics import fit_log_slope
+
+SERIES_COLUMNS = ("tv", "hellinger", "variance", "entropy", "i_psi",
+                  "v_reverse", "e_reverse")
 
 
 def _fmt(x) -> str:
@@ -70,92 +66,60 @@ def write_csv(path: Path, header: list, columns: list) -> None:
 
 def write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True)
+        # numpy scalars and arrays become plain JSON numbers and lists
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True,
+                  default=lambda x: x.tolist())
         fh.write("\n")
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 # ---------------------------------------------------------------------------
 # analysis assembly
 # ---------------------------------------------------------------------------
 
-def _eta_from_name(name: str):
-    if name == "quadratic":
-        return eta_quadratic()
-    if name == "entropy":
-        return eta_entropy()
-    if name.startswith("power(") and name.endswith(")"):
-        return eta_power(float(name[6:-1]))
-    raise ConfigError(f"unknown psi.eta selection {name!r}")
-
-
-def _psi_from_scenario(scn: Scenario):
-    return build_psi_from_eta(_eta_from_name(scn.psi_name), scn.psi_a)
-
-
 def analyze_scenario(scn: Scenario, mu) -> dict:
-    cfg = scn.config
+    opt = scn.analysis
     bracket = muckenhoupt_poincare(mu)
-    w_osc = float(cfg.get("analysis.w_osc", 0.0) or 0.0)
-    be = bakry_emery(mu, w_osc=w_osc)
-    c_p_override = cfg.get("analysis.c_p_override", "")
-    c_p = float(c_p_override) if c_p_override else bracket.C_P_interval[1]
-    rho_override = cfg.get("analysis.rho_override", "")
-    rho = float(rho_override) if rho_override else be.rho
-    c_ls_override = cfg.get("analysis.c_ls_override", "")
-    c_ls = float(c_ls_override) if c_ls_override else be.C_LS
+    be = bakry_emery(mu, w_osc=opt["w_osc"])
+
+    def pick(key, computed):
+        return computed if opt[key] is None else opt[key]
+
     capacity = None
-    if scn.config.get("analysis.capacity_rho", ""):
-        eta = _eta_from_name(scn.psi_name)
-        rho_cap = float(cfg["analysis.capacity_rho"])
-        a = scn.psi_a if scn.psi_a is not None else max(2.1, eta.b + 0.1)
-        f_const = float(cfg.get("analysis.capacity_f_const", 1.0))
+    if opt["capacity_rho"] is not None:
+        a = scn.psi_a if scn.psi_a is not None else max(2.1, scn.eta.b + 0.1)
+        f_const = opt["capacity_f_const"]
         chk = capacity_condition_check(
             mu, lambda u: np.full_like(np.asarray(u, float), f_const),
-            eta, a, rho_cap)
-        capacity = {
-            "HprimeF_sup_right": chk.HprimeF_sup_right,
-            "HprimeF_sup_left": chk.HprimeF_sup_left,
-            "C_cap": chk.C_cap,
-            "C_eta_bound": chk.C_eta_bound,
-            "alt_remark_ratio_sup": chk.alt_remark_ratio_sup,
-            "alt_remark_flag": chk.alt_remark_flag,
-        }
+            scn.eta, a, opt["capacity_rho"])
+        capacity = {k: getattr(chk, k) for k in (
+            "HprimeF_sup_right", "HprimeF_sup_left", "C_cap", "C_eta_bound",
+            "alt_remark_ratio_sup", "alt_remark_flag")}
     return {
-        "poincare": {
-            "B_plus": bracket.B_plus,
-            "B_minus": bracket.B_minus,
-            "B": bracket.B,
-            "C_P_interval": list(bracket.C_P_interval),
-        },
-        "bakry_emery": {"rho": be.rho, "C_LS": be.C_LS, "w_osc": w_osc},
-        "effective": {"C_P": c_p, "C_LS": c_ls, "rho": rho},
+        "poincare": {"B_plus": bracket.B_plus, "B_minus": bracket.B_minus,
+                     "B": bracket.B, "C_P_interval": list(bracket.C_P_interval)},
+        "bakry_emery": {"rho": be.rho, "C_LS": be.C_LS, "w_osc": opt["w_osc"]},
+        "effective": {"C_P": pick("c_p_override", bracket.C_P_interval[1]),
+                      "C_LS": pick("c_ls_override", be.C_LS),
+                      "rho": pick("rho_override", be.rho)},
         "capacity": capacity,
     }
 
 
 # ---------------------------------------------------------------------------
-# envelope assembly
+# envelope table
 # ---------------------------------------------------------------------------
 
-def _phi_from_config(cfg: dict, name: str, default_family: str, default_param: float):
-    fam = cfg.get(f"envelope.{name}.phi", default_family)
+PHI_KEYS = ("phi", "q", "beta_exp")
+BETA_KEYS = ("beta_form", "beta_c", "beta_q", "beta_d", "beta_r", "beta_s0")
+
+
+def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
+    fam = get_str(cfg, prefix + "phi", default_family)
     if fam == "power":
-        q = float(cfg.get(f"envelope.{name}.q", default_param))
+        q = get_number(cfg, prefix + "q", default_param)
         return (lambda u: np.asarray(u, float) ** (q - 1.0)), {"phi": "power", "q": q}
     if fam == "logbeta":
-        b = float(cfg.get(f"envelope.{name}.beta_exp", default_param))
+        b = get_number(cfg, prefix + "beta_exp", default_param)
         return (lambda u: np.maximum(np.log(np.maximum(np.asarray(u, float), 1e-300)),
                                      0.0) ** b), {"phi": "logbeta", "beta_exp": b}
     if fam == "linear":
@@ -163,122 +127,169 @@ def _phi_from_config(cfg: dict, name: str, default_family: str, default_param: f
     if fam == "loglog":
         return (lambda u: np.log1p(np.maximum(np.log(np.maximum(
             np.asarray(u, float), 1.0)), 0.0))), {"phi": "loglog"}
-    raise ConfigError(f"unknown phi family {fam!r} for envelope {name!r}")
+    raise ConfigError(f"key {prefix + 'phi'!r}: unknown phi family {fam!r} "
+                      "(power | logbeta | linear | loglog)")
 
 
-def _beta_from_config(cfg: dict, name: str, default: BetaFunction) -> BetaFunction:
-    form = cfg.get(f"envelope.{name}.beta_form", "")
-    if not form:
-        return default
+def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
+    """The configured beta, or None when beta_form is unset (family default)."""
+    form = get_str(cfg, prefix + "beta_form")
+    if form is None:
+        return None
+
+    def num(key, default):
+        return get_number(cfg, prefix + key, default)
+
     if form == "constant":
-        return BetaFunction.constant(float(cfg.get(f"envelope.{name}.beta_c", 1.0)))
+        return BetaFunction.constant(num("beta_c", 1.0))
     if form == "power":
-        return BetaFunction.power(float(cfg.get(f"envelope.{name}.beta_c", 1.0)),
-                                  float(cfg.get(f"envelope.{name}.beta_q", 1.0)))
+        return BetaFunction.power(num("beta_c", 1.0), num("beta_q", 1.0))
     if form == "logpower":
-        return BetaFunction.logpower(float(cfg.get(f"envelope.{name}.beta_d", 1.0)),
-                                     float(cfg.get(f"envelope.{name}.beta_r", 1.0)),
-                                     float(cfg.get(f"envelope.{name}.beta_s0", 2.0)))
-    raise ConfigError(f"unknown beta_form {form!r} for envelope {name!r}")
+        return BetaFunction.logpower(num("beta_d", 1.0), num("beta_r", 1.0),
+                                     num("beta_s0", 2.0))
+    raise ConfigError(f"key {prefix + 'beta_form'!r}: unknown beta_form {form!r} "
+                      "(constant | power | logpower)")
 
 
-def build_envelope(name: str, scn: Scenario, mu, h0, constants: dict) -> DecayEnvelope:
-    cfg = scn.config
-    c_p = constants["effective"]["C_P"]
-    c_ls = constants["effective"]["C_LS"]
-    rho = constants["effective"]["rho"]
+@dataclass(frozen=True)
+class _Inputs:
+    """What the envelope builders read: mu, h0, eta and the analysed constants."""
 
-    def moment_of(phi):
-        return integrate(mu, h0 * phi(h0))
+    mu: ProbabilityMeasure1D
+    h0: np.ndarray
+    eta: EtaProfile
+    C_P: float
+    C_LS: Optional[float]
+    rho: float
+    capacity: Optional[dict]
 
-    if name == "poincare_l2":
-        l2 = math.sqrt(integrate(mu, (h0 - 1.0) ** 2))
-        return envelope_poincare_l2(c_p, l2)
-    if name == "truncation_poincare":
-        phi, meta = _phi_from_config(cfg, name, "power", 1.5)
-        env = envelope_truncation_poincare(c_p, phi, moment_of(phi))
-        env.params.update(meta)
-        return env
-    if name == "weak_poincare":
-        phi, meta = _phi_from_config(cfg, name, "power", 1.5)
-        beta = _beta_from_config(cfg, name, BetaFunction.constant(c_p))
-        env = envelope_weak_poincare(beta, phi, moment_of(phi))
-        env.params.update(meta)
-        return env
-    if name == "orlicz":
-        phi, meta = _phi_from_config(cfg, name, "power", 3.0)
-        beta = _beta_from_config(cfg, name, BetaFunction.constant(c_p))
-        env = envelope_orlicz(beta, phi, moment_of(phi),
-                              C=float(cfg.get("envelope.orlicz.C", 1.0)))
-        env.params.update(meta)
-        return env
-    if name == "logsob":
-        if c_ls is None:
-            raise TvDecayError("logsob envelope needs a positive C_LS "
+    def moment(self, phi) -> float:
+        return integrate(self.mu, self.h0 * phi(self.h0))
+
+    def c_ls(self, name: str) -> float:
+        if self.C_LS is None:
+            raise TvDecayError(f"{name} envelope needs a positive C_LS "
                                "(rho <= 0 and no override)")
-        ent = integrate(mu, np.where(h0 > 0, h0 * np.log(np.maximum(h0, 1e-300)), 0.0))
-        return envelope_logsob(c_ls, ent)
-    if name == "truncation_logsob":
-        if c_ls is None:
-            raise TvDecayError("truncation_logsob envelope needs a positive C_LS")
-        phi, meta = _phi_from_config(cfg, name, "logbeta", 1.0)
-        env = envelope_truncation_logsob(c_ls, phi, moment_of(phi))
-        env.params.update(meta)
-        return env
-    if name == "weak_logsob":
-        phi, meta = _phi_from_config(cfg, name, "power", 1.5)
-        default = BetaFunction.constant(c_ls if c_ls else 1.0)
-        beta = _beta_from_config(cfg, name, default)
-        env = envelope_weak_logsob(beta, phi, moment_of(phi),
-                                   eps=float(cfg.get("envelope.weak_logsob.eps",
-                                                     1.0 / math.e)))
-        env.params.update(meta)
-        return env
-    if name == "restricted_logsob":
-        phi, meta = _phi_from_config(cfg, name, "power", 1.5)
-        default = BetaFunction.power(c_ls if c_ls else 1.0, 1.0)
-        beta = _beta_from_config(cfg, name, default)
-        env = envelope_restricted_logsob(c_p, beta, phi, moment_of(phi))
-        env.params.update(meta)
-        return env
-    if name == "ipsi":
-        c_eta = float(cfg.get("envelope.ipsi.C_eta", 0.0) or 0.0)
-        if c_eta <= 0 and constants.get("capacity"):
-            c_eta = constants["capacity"]["C_eta_bound"]
-        if c_eta <= 0:
-            raise TvDecayError("ipsi envelope needs C_eta (config or capacity check)")
-        eta = _eta_from_name(scn.psi_name)
-        eta_moment = integrate(mu, np.asarray(eta.eta(h0), float))
-        return envelope_ipsi(c_eta, float(cfg.get("envelope.ipsi.M_eta", 1.0)),
-                             eta_moment)
-    if name == "hellinger":
-        phi, meta = _phi_from_config(cfg, name, "linear", 0.0)
-        beta = _beta_from_config(cfg, name, BetaFunction.power(c_p, 1.0))
-        env = envelope_hellinger(beta, phi, moment_of(phi), h_sup=float(h0.max()))
-        env.params.update(meta)
-        return env
-    if name == "curvature":
-        if rho is None or rho < 0:
-            raise TvDecayError("curvature envelope needs rho >= 0")
-        beta = _beta_from_config(cfg, name, BetaFunction.constant(c_p))
-        return envelope_curvature(rho, beta)
-    raise ConfigError(f"unknown envelope name {name!r}")
+        return self.C_LS
 
 
-def _eval_envelopes(envelopes: dict, times: np.ndarray) -> dict:
-    threads = int(os.environ.get("TVDECAY_THREADS", "1") or "1")
-    names = list(envelopes)
+@dataclass(frozen=True)
+class EnvelopeFamily:
+    """One row of the envelope table: `build(x, phi, beta, extras)` with the
+    default phi (family, parameter), the default beta as a function of the
+    _Inputs x, and the family's own keys with defaults.  The allowed
+    envelope.<name>.* keys follow from these entries."""
 
-    def one(name):
-        env = envelopes[name]
-        return name, np.array([env.eval(t) for t in times])
+    build: Callable
+    phi: Optional[tuple] = None
+    beta: Optional[Callable] = None
+    extras: dict = field(default_factory=dict)
 
-    if threads > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(names))) as pool:
-            results = dict(pool.map(one, names))
-    else:
-        results = dict(one(n) for n in names)
-    return {n: results[n] for n in names}  # request order preserved
+    @property
+    def keys(self) -> tuple:
+        return ((PHI_KEYS if self.phi else ()) + (BETA_KEYS if self.beta else ())
+                + tuple(self.extras))
+
+    def parse(self, cfg: dict, name: str) -> Callable:
+        """Parse the envelope.<name>.* values; returns build(_Inputs)."""
+        prefix = f"envelope.{name}."
+        phi, meta = _phi_from_config(cfg, prefix, *self.phi) if self.phi else (None, {})
+        beta = _beta_from_config(cfg, prefix) if self.beta else None
+        extras = {k: get_number(cfg, prefix + k, d) for k, d in self.extras.items()}
+
+        def build(x: _Inputs) -> DecayEnvelope:
+            env = self.build(x, phi, self.beta(x) if beta is None and self.beta
+                             else beta, extras)
+            env.params.update(meta)
+            return env
+        return build
+
+
+def _ipsi(x: _Inputs, phi, beta, extras) -> DecayEnvelope:
+    c_eta = extras["C_eta"]
+    if c_eta <= 0 and x.capacity:
+        c_eta = x.capacity["C_eta_bound"]
+    if c_eta <= 0:
+        raise TvDecayError("ipsi envelope needs C_eta (config or capacity check)")
+    eta_moment = integrate(x.mu, np.asarray(x.eta.eta(x.h0), float))
+    return envelope_ipsi(c_eta, extras["M_eta"], eta_moment)
+
+
+def _curvature(x: _Inputs, phi, beta, extras) -> DecayEnvelope:
+    if x.rho is None or x.rho < 0:
+        raise TvDecayError("curvature envelope needs rho >= 0")
+    return envelope_curvature(x.rho, beta)
+
+
+# The builders look each envelope_<family> up by its module-level name when
+# they run, so rebinding that name (e.g. to wrap it) takes effect.
+ENVELOPES = {
+    "poincare_l2": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_poincare_l2(
+            x.C_P, math.sqrt(integrate(x.mu, (x.h0 - 1.0) ** 2)))),
+    "truncation_poincare": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_truncation_poincare(x.C_P, phi, x.moment(phi)),
+        phi=("power", 1.5)),
+    "weak_poincare": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_weak_poincare(beta, phi, x.moment(phi)),
+        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.C_P)),
+    "orlicz": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_orlicz(beta, phi, x.moment(phi), C=o["C"]),
+        phi=("power", 3.0), beta=lambda x: BetaFunction.constant(x.C_P),
+        extras={"C": 1.0}),
+    "logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), integrate(
+            x.mu, np.where(x.h0 > 0, x.h0 * np.log(np.maximum(x.h0, 1e-300)), 0.0)))),
+    "truncation_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_truncation_logsob(
+            x.c_ls("truncation_logsob"), phi, x.moment(phi)),
+        phi=("logbeta", 1.0)),
+    "weak_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
+                                                     eps=o["eps"]),
+        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.C_LS or 1.0),
+        extras={"eps": 1.0 / math.e}),
+    "restricted_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
+                                                           x.moment(phi)),
+        phi=("power", 1.5), beta=lambda x: BetaFunction.power(x.C_LS or 1.0, 1.0)),
+    "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": 0.0, "M_eta": 1.0}),
+    "hellinger": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi),
+                                                   h_sup=float(x.h0.max())),
+        phi=("linear", 0.0), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
+    "curvature": EnvelopeFamily(_curvature, beta=lambda x: BetaFunction.constant(x.C_P)),
+}
+
+
+def plan_envelopes(scn: Scenario) -> dict:
+    """name -> build(_Inputs) for every requested envelope, after checking the
+    names and all envelope.<name>.* keys against ENVELOPES and parsing their
+    values.  Does no numeric work."""
+    for key in scn.config:
+        if key.startswith("envelope."):
+            name, _, opt = key[len("envelope."):].partition(".")
+            if name not in ENVELOPES or opt not in ENVELOPES[name].keys:
+                raise ConfigError(f"unknown key {key!r}")
+    for name in scn.envelope_names:
+        if name not in ENVELOPES:
+            raise ConfigError(f"key 'envelopes': unknown envelope {name!r} "
+                              f"(known: {', '.join(ENVELOPES)})")
+    return {name: ENVELOPES[name].parse(scn.config, name) for name in scn.envelope_names}
+
+
+def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict,
+                  times: np.ndarray, tv0: float):
+    """Build every planned envelope, calibrate it to tv0 when the scenario
+    asks, and evaluate it at each t; returns (envelopes, curves)."""
+    x = _Inputs(mu, h0, scn.eta, capacity=constants["capacity"],
+                **constants["effective"])
+    envs = {}
+    for name, build in plan.items():
+        env = build(x)
+        envs[name] = env.calibrate(tv0) if scn.calibrate else env
+    curves = {n: np.array([e.eval(t) for t in times]) for n, e in envs.items()}
+    return envs, curves
 
 
 def _provenance(scn: Scenario, mu) -> dict:
@@ -302,66 +313,48 @@ def _provenance(scn: Scenario, mu) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(scn: Scenario, out: Path, t_grid: int) -> None:
+def cmd_analyze(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     constants = analyze_scenario(scn, mu)
-    payload = {"constants": _jsonable(constants), "provenance": _provenance(scn, mu)}
+    payload = {"constants": constants, "provenance": _provenance(scn, mu)}
     write_json(out / "constants.json", payload)
 
 
-def _t_grid(scn: Scenario, n: int) -> np.ndarray:
-    return np.geomspace(max(scn.sim.dt, 1e-3), scn.sim.t_end, n)
-
-
-def cmd_bounds(scn: Scenario, out: Path, t_grid: int) -> None:
+def cmd_bounds(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     h0 = scn.build_initial(mu)
     constants = analyze_scenario(scn, mu)
-    ts = _t_grid(scn, t_grid)
-    envs = {name: build_envelope(name, scn, mu, h0, constants)
-            for name in scn.envelope_names}
-    if scn.calibrate:
-        from .measures import tv_distance
-        tv0 = tv_distance(mu, h0)
-        envs = {n: e.calibrate(tv0) for n, e in envs.items()}
-    curves = _eval_envelopes(envs, ts)
-    header = ["t"] + [f"bound_{n}" for n in curves]
-    write_csv(out / "curves.csv", header, [ts] + list(curves.values()))
+    ts = np.geomspace(max(scn.sim.dt, 1e-3), scn.sim.t_end, t_grid)
+    _, curves = _bound_curves(scn, plan, mu, h0, constants, ts, tv_distance(mu, h0))
+    write_csv(out / "curves.csv", ["t"] + [f"bound_{n}" for n in curves],
+              [ts, *curves.values()])
 
 
 def _simulate(scn: Scenario, mu, h0):
-    psi = _psi_from_scenario(scn)
-    return evolve(mu, h0, scn.sim, psi=psi)
+    return evolve(mu, h0, scn.sim, psi=build_psi_from_eta(scn.eta, scn.psi_a))
 
 
-def cmd_simulate(scn: Scenario, out: Path, t_grid: int) -> None:
+def _series_columns(series) -> tuple:
+    return ["t", *SERIES_COLUMNS], [series.times, *(getattr(series, c)
+                                                    for c in SERIES_COLUMNS)]
+
+
+def cmd_simulate(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
-    h0 = scn.build_initial(mu)
-    series = _simulate(scn, mu, h0)
-    header = ["t", "tv", "hellinger", "variance", "entropy", "i_psi",
-              "v_reverse", "e_reverse"]
-    cols = [series.times, series.tv, series.hellinger, series.variance,
-            series.entropy, series.i_psi, series.v_reverse, series.e_reverse]
-    write_csv(out / "curves.csv", header, cols)
+    series = _simulate(scn, mu, scn.build_initial(mu))
+    write_csv(out / "curves.csv", *_series_columns(series))
 
 
-def cmd_compare(scn: Scenario, out: Path, t_grid: int) -> None:
+def cmd_compare(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     h0 = scn.build_initial(mu)
     constants = analyze_scenario(scn, mu)
     series = _simulate(scn, mu, h0)
-    envs = {name: build_envelope(name, scn, mu, h0, constants)
-            for name in scn.envelope_names}
-    if scn.calibrate:
-        envs = {n: e.calibrate(series.tv[0]) for n, e in envs.items()}
-    curves = _eval_envelopes(envs, series.times)
-    header = (["t", "tv", "hellinger", "variance", "entropy", "i_psi",
-               "v_reverse", "e_reverse"]
-              + [f"bound_{n}" for n in curves])
-    cols = [series.times, series.tv, series.hellinger, series.variance,
-            series.entropy, series.i_psi, series.v_reverse, series.e_reverse]
-    cols += list(curves.values())
-    write_csv(out / "curves.csv", header, cols)
+    envs, curves = _bound_curves(scn, plan, mu, h0, constants, series.times,
+                                 series.tv[0])
+    header, cols = _series_columns(series)
+    write_csv(out / "curves.csv", header + [f"bound_{n}" for n in curves],
+              cols + list(curves.values()))
 
     half = series.times >= 0.5 * series.times[-1]
     tv_slope = fit_log_slope(series.times[half],
@@ -377,12 +370,19 @@ def cmd_compare(scn: Scenario, out: Path, t_grid: int) -> None:
             "calibration_scale": envs[name].scale,
         }
     summary["provenance"] = _provenance(scn, mu)
-    write_json(out / "summary.json", _jsonable(summary))
+    write_json(out / "summary.json", summary)
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -393,7 +393,7 @@ def main(argv=None) -> int:
                         choices=["analyze", "bounds", "simulate", "compare"])
     parser.add_argument("config", help="scenario configuration file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--t-grid", type=int, default=200,
+    parser.add_argument("--t-grid", type=_positive_int, default=200,
                         help="number of t samples for bounds")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed echoed into provenance (commands are "
@@ -403,11 +403,12 @@ def main(argv=None) -> int:
     try:
         scn = load_scenario(args.config)
         scn.seed = args.seed
+        plan = plan_envelopes(scn)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         dispatch = {"analyze": cmd_analyze, "bounds": cmd_bounds,
                     "simulate": cmd_simulate, "compare": cmd_compare}
-        dispatch[args.command](scn, out, args.t_grid)
+        dispatch[args.command](scn, plan, out, args.t_grid)
         return 0
     except ConfigError as exc:
         print(f"tvdecay: config error: {exc}", file=sys.stderr)

@@ -2,8 +2,10 @@
 
 Format: one `section.key = value` per line, `#` starts a comment.  Values are
 parsed as float/int/bool/string; comma-separated lists are allowed for the
-`envelopes` key.  The same text round-trips through `render_config`, which is
-what the provenance echo in reports uses.
+`envelopes` key.  An unknown key is a ConfigError; the `envelope.<name>.*`
+keys are checked against the envelope table in `cli.py`.  The same text
+round-trips through `render_config`, which is what the provenance echo in
+reports uses.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InadmissibleEta
 from .measures import (
     PotentialSpec,
     ProbabilityMeasure1D,
@@ -25,10 +27,17 @@ from .measures import (
     tabulated_density,
     tail_ratio_density,
 )
+from .psi import EtaProfile, eta_entropy, eta_power, eta_quadratic
 from .simulate import SimConfig
 
-_KNOWN_SECTIONS = ("potential", "grid", "initial", "sim", "psi",
-                   "envelope", "envelopes", "analysis", "compare")
+_ANALYSIS_DEFAULTS = {"w_osc": 0.0, "c_p_override": None, "rho_override": None,
+                      "c_ls_override": None, "capacity_rho": None,
+                      "capacity_f_const": 1.0}
+_KEYS = frozenset("""potential.family potential.sigma potential.alpha potential.scale
+    potential.path grid.n_points grid.tail_tol initial.family initial.epsilon
+    initial.shift initial.p initial.cap initial.path sim.dt sim.t_end sim.scheme
+    sim.save_every sim.positivity_floor psi.eta psi.a envelopes envelopes.calibrate
+    """.split()) | {f"analysis.{k}" for k in _ANALYSIS_DEFAULTS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -44,9 +53,8 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        section = key.split(".", 1)[0]
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"line {lineno}: unknown section {section!r} in key {key!r}")
+        if key not in _KEYS and not key.startswith("envelope."):
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = value.strip()
     return out
 
@@ -63,7 +71,7 @@ def render_config(cfg: dict) -> str:
     return "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items())) + "\n"
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False) -> Optional[str]:
+def get_str(cfg: dict, key: str, default=None, required: bool = False) -> Optional[str]:
     if key in cfg and cfg[key] != "":
         return cfg[key]
     if required:
@@ -71,28 +79,21 @@ def _get(cfg: dict, key: str, default=None, required: bool = False) -> Optional[
     return default
 
 
-def _get_float(cfg, key, default=None, required=False) -> Optional[float]:
-    raw = _get(cfg, key, None, required)
-    if raw is None:
-        return default
+def _number(raw: str, key: str, kind=float):
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected a number, got {raw!r}") from exc
+        raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {raw!r}") from exc
 
 
-def _get_int(cfg, key, default=None, required=False) -> Optional[int]:
-    raw = _get(cfg, key, None, required)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r}: expected an integer, got {raw!r}") from exc
+def get_number(cfg, key, default=None, required=False, kind=float):
+    """The value of `key` converted by `kind` (float or int); `default` when unset."""
+    raw = get_str(cfg, key, None, required)
+    return default if raw is None else _number(raw, key, kind)
 
 
 def _get_bool(cfg, key, default=False) -> bool:
-    raw = _get(cfg, key, None)
+    raw = get_str(cfg, key, None)
     if raw is None:
         return default
     if raw.lower() in ("true", "1", "yes", "on"):
@@ -100,6 +101,30 @@ def _get_bool(cfg, key, default=False) -> bool:
     if raw.lower() in ("false", "0", "no", "off"):
         return False
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
+
+
+def _get_eta(cfg) -> EtaProfile:
+    name = get_str(cfg, "psi.eta", "quadratic")
+    try:
+        if name == "quadratic":
+            return eta_quadratic()
+        if name == "entropy":
+            return eta_entropy()
+        if name.startswith("power(") and name.endswith(")"):
+            return eta_power(_number(name[6:-1], "psi.eta"))
+    except InadmissibleEta as exc:
+        raise ConfigError(f"key 'psi.eta': {exc}") from exc
+    raise ConfigError(f"key 'psi.eta': unknown profile {name!r} "
+                      "(quadratic | entropy | power(p))")
+
+
+def _read_table(cfg, key) -> np.ndarray:
+    """The two-column CSV (with a header line) named by `key`."""
+    path = get_str(cfg, key, required=True)
+    try:
+        return np.loadtxt(path, delimiter=",", skiprows=1)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
 
 
 @dataclass
@@ -113,10 +138,11 @@ class Scenario:
     initial_family: str
     initial_params: dict
     sim: SimConfig
-    psi_name: str
+    eta: EtaProfile
     psi_a: Optional[float]
     envelope_names: list
     calibrate: bool
+    analysis: dict
     clipped_mass: float = 0.0
     seed: int = 0
 
@@ -137,57 +163,62 @@ class Scenario:
             self.clipped_mass = clipped
             return h
         if fam == "tabulated":
-            data = np.loadtxt(p["path"], delimiter=",", skiprows=1)
-            return tabulated_density(mu, data[:, 0], data[:, 1])
+            return tabulated_density(mu, p["table"][:, 0], p["table"][:, 1])
         raise ConfigError(f"unknown initial density family {fam!r}")
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    fam = _get(cfg, "potential.family", required=True)
+    fam = get_str(cfg, "potential.family", required=True)
     if fam == "gaussian":
-        potential = PotentialSpec.gaussian(_get_float(cfg, "potential.sigma",
-                                                      math.sqrt(0.5)))
+        potential = PotentialSpec.gaussian(get_number(cfg, "potential.sigma",
+                                                     math.sqrt(0.5)))
     elif fam == "power":
-        potential = PotentialSpec.power(_get_float(cfg, "potential.alpha", required=True),
-                                        _get_float(cfg, "potential.scale", 1.0))
+        potential = PotentialSpec.power(get_number(cfg, "potential.alpha", required=True),
+                                        get_number(cfg, "potential.scale", 1.0))
     elif fam == "power_log":
-        potential = PotentialSpec.power_log(_get_float(cfg, "potential.alpha", required=True))
+        potential = PotentialSpec.power_log(get_number(cfg, "potential.alpha", required=True))
     elif fam == "tabulated":
-        data = np.loadtxt(_get(cfg, "potential.path", required=True),
-                          delimiter=",", skiprows=1)
+        data = _read_table(cfg, "potential.path")
         potential = PotentialSpec.tabulated(data[:, 0], data[:, 1])
     else:
         raise ConfigError(f"unknown potential family {fam!r}")
 
-    init_fam = _get(cfg, "initial.family", "eigen_perturbation")
+    init_fam = get_str(cfg, "initial.family", "eigen_perturbation")
     init_params = {
-        "epsilon": _get_float(cfg, "initial.epsilon", 0.2),
-        "shift": _get_float(cfg, "initial.shift", 0.5),
-        "p": _get_float(cfg, "initial.p", 1.0),
-        "cap": _get_float(cfg, "initial.cap", 50.0),
-        "path": _get(cfg, "initial.path", ""),
+        "epsilon": get_number(cfg, "initial.epsilon", 0.2),
+        "shift": get_number(cfg, "initial.shift", 0.5),
+        "p": get_number(cfg, "initial.p", 1.0),
+        "cap": get_number(cfg, "initial.cap", 50.0),
+        "table": _read_table(cfg, "initial.path") if init_fam == "tabulated" else None,
     }
-    sim = SimConfig(
-        dt=_get_float(cfg, "sim.dt", 1e-3),
-        t_end=_get_float(cfg, "sim.t_end", 3.0),
-        scheme=_get(cfg, "sim.scheme", "implicit_euler"),
-        save_every=_get_int(cfg, "sim.save_every", 50),
-        positivity_floor=_get_float(cfg, "sim.positivity_floor", 0.0),
-    )
-    env_raw = _get(cfg, "envelopes", "")
-    names = [e.strip() for e in env_raw.split(",") if e.strip()]
+    try:
+        sim = SimConfig(
+            dt=get_number(cfg, "sim.dt", 1e-3),
+            t_end=get_number(cfg, "sim.t_end", 3.0),
+            scheme=get_str(cfg, "sim.scheme", "implicit_euler"),
+            save_every=get_number(cfg, "sim.save_every", 50, kind=int),
+            positivity_floor=get_number(cfg, "sim.positivity_floor", 0.0),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"sim: {exc}") from exc
+    names = [e.strip() for e in get_str(cfg, "envelopes", "").split(",") if e.strip()]
+    for name in names:
+        if names.count(name) > 1:
+            raise ConfigError(f"key 'envelopes': {name!r} is listed twice")
     return Scenario(
         config=dict(cfg),
         potential=potential,
-        n_points=_get_int(cfg, "grid.n_points", 4001),
-        tail_tol=_get_float(cfg, "grid.tail_tol", 1e-16),
+        n_points=get_number(cfg, "grid.n_points", 4001, kind=int),
+        tail_tol=get_number(cfg, "grid.tail_tol", 1e-16),
         initial_family=init_fam,
         initial_params=init_params,
         sim=sim,
-        psi_name=_get(cfg, "psi.eta", "quadratic"),
-        psi_a=_get_float(cfg, "psi.a", None),
+        eta=_get_eta(cfg),
+        psi_a=get_number(cfg, "psi.a", None),
         envelope_names=names,
         calibrate=_get_bool(cfg, "envelopes.calibrate", True),
+        analysis={k: get_number(cfg, f"analysis.{k}", d)
+                  for k, d in _ANALYSIS_DEFAULTS.items()},
     )
 
 

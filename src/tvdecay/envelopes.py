@@ -245,7 +245,7 @@ def envelope_logsob(C_LS: float, entropy: float) -> DecayEnvelope:
 
 
 def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> DecayEnvelope:
-    """4m / (phi o phibar^{-1})(m e^{t/C_LS}), phibar(u) = phi(u) sqrt(log u).
+    """4m / (phi o phibar^{-1})(m e^{t/C_LS}), phibar(u) = phi(u) sqrt(log+ u).
 
     params carry `k_optimized(t)`: inf over K > 2 of
     sqrt(2) e^{-t/C_LS} sqrt(log K + 1/e) + 2m/phi(K), from
@@ -254,7 +254,8 @@ def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> Dec
     m = _moment_guard(moment)
 
     def phibar(u):
-        return float(phi(u)) * math.sqrt(math.log(u))
+        # log+ keeps phibar defined where the inversion bracket reaches u < 1
+        return float(phi(u)) * math.sqrt(max(math.log(u), 0.0))
 
     def ev(t):
         arg = m * math.exp(t / C_LS)

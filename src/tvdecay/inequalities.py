@@ -533,33 +533,3 @@ def beta_transforms(beta_in: BetaFunction, kind: str, *, phi=None,
         return BetaFunction.tabulated(s, vals)
 
     raise ValueError(f"unknown transform kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# Inequality report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InequalityReport:
-    poincare: PoincareBracket
-    bakry_emery_rho: float
-    C_LS: Optional[float]
-    beta_wp: Optional[BetaFunction]
-    beta_wls: Optional[BetaFunction]
-    capacity: Optional[CapacityCheck]
-
-
-def analyze_measure(mu: ProbabilityMeasure1D, w_osc: float = 0.0,
-                    capacity_args: Optional[dict] = None) -> InequalityReport:
-    """Assemble the full constants report for a measure."""
-    bracket = muckenhoupt_poincare(mu)
-    be = bakry_emery(mu, w_osc=w_osc)
-    c_p_upper = bracket.C_P_interval[1]
-    beta_wp = BetaFunction.constant(c_p_upper)
-    beta_wls = BetaFunction.constant(be.C_LS) if be.C_LS is not None else None
-    cap = None
-    if capacity_args:
-        cap = capacity_condition_check(mu, **capacity_args)
-    return InequalityReport(poincare=bracket, bakry_emery_rho=be.rho,
-                            C_LS=be.C_LS, beta_wp=beta_wp, beta_wls=beta_wls,
-                            capacity=cap)

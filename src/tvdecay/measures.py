@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -147,9 +147,6 @@ class ProbabilityMeasure1D:
     @property
     def dx(self) -> float:
         return float(self.grid[1] - self.grid[0])
-
-    def as_grid_function(self, fn: Callable[[np.ndarray], np.ndarray]) -> GridFunction:
-        return np.asarray(fn(self.grid), dtype=float)
 
 
 def _truncation_bounds(spec: PotentialSpec, tail_tol: float):

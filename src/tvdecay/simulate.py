@@ -41,8 +41,8 @@ class SimConfig:
     def __post_init__(self):
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.t_end < self.dt:
-            raise ValueError("t_end must be at least dt")
+        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
+            raise ValueError("t_end must be finite and at least dt")
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
         if self.scheme not in ("implicit_euler", "crank_nicolson"):

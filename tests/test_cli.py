@@ -1,10 +1,11 @@
 import json
-import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvdecay.cli import main
+from tvdecay.cli import main, plan_envelopes
 from tvdecay.config import (
     load_scenario,
     parse_config_text,
@@ -200,13 +201,18 @@ class TestCompare:
         assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
         assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
 
-    def test_threaded_matches_serial(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, GAUSS_CFG)
-        out1, out2 = tmp_path / "serial", tmp_path / "threaded"
-        assert main(["compare", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setenv("TVDECAY_THREADS", "4")
-        assert main(["compare", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "curves.csv").read_bytes() == (out2 / "curves.csv").read_bytes()
+    def test_truncation_logsob_small_moment(self, tmp_path):
+        # int h log+ h dmu is small here, so the inversion bracket reaches u < 1
+        text = GAUSS_CFG.replace("initial.family = step",
+                                 "initial.family = eigen_perturbation\n"
+                                 "initial.epsilon = 0.1").replace(
+            "envelopes = poincare_l2, logsob", "envelopes = truncation_logsob")
+        assert main(["bounds", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
+        raw = write_cfg(tmp_path, text.replace("envelopes.calibrate = true",
+                                               "envelopes.calibrate = false"), "raw.cfg")
+        assert main(["compare", raw, "--out", str(tmp_path / "raw")]) == 0
+        summary = json.loads((tmp_path / "raw" / "summary.json").read_text())
+        assert summary["envelopes"]["truncation_logsob"]["domination_fraction"] == 1.0
 
     def test_tail_ratio_clipped_mass_in_provenance(self, tmp_path):
         text = GAUSS_CFG.replace("initial.family = step",
@@ -226,3 +232,72 @@ class TestCompare:
         assert scn.potential == ref.potential
         assert scn.sim == ref.sim
         assert scn.envelope_names == ref.envelope_names
+
+
+SMALL_CFG = """
+potential.family = gaussian
+grid.n_points = 201
+initial.family = step
+sim.dt = 0.01
+sim.t_end = 0.1
+sim.save_every = 5
+envelopes = poincare_l2
+"""
+
+# (verb, config lines replacing or extending SMALL_CFG, extra argv, text stderr must name)
+BAD_INPUTS = {
+    "unknown-key": ("analyze", "grid.npoints = 101", (), "grid.npoints"),
+    "unknown-envelope-key": ("analyze", "envelope.poincare_l2.typo_key = 1", (),
+                             "envelope.poincare_l2.typo_key"),
+    "unread-section": ("compare", "compare.tolerance = 0.1", (), "compare.tolerance"),
+    "unknown-envelope-analyze": ("analyze", "envelopes = bogus", (), "bogus"),
+    "unknown-envelope-simulate": ("simulate", "envelopes = bogus", (), "bogus"),
+    "duplicate-envelope": ("bounds", "envelopes = poincare_l2, poincare_l2", (),
+                           "poincare_l2"),
+    "non-numeric-envelope": ("bounds", "envelopes = truncation_poincare\n"
+                                       "envelope.truncation_poincare.q = abc", (),
+                             "envelope.truncation_poincare.q"),
+    "non-numeric-analysis": ("analyze", "analysis.c_p_override = abc", (),
+                             "analysis.c_p_override"),
+    "non-numeric-eta": ("simulate", "psi.eta = power(abc)", (), "psi.eta"),
+    "dt-zero": ("analyze", "sim.dt = 0", (), "dt"),
+    "dt-nan": ("analyze", "sim.dt = nan", (), "dt"),
+    "dt-inf": ("analyze", "sim.dt = inf", (), "dt"),
+    "t-end-inf": ("analyze", "sim.t_end = inf", (), "t_end"),
+    "t-end-nan": ("analyze", "sim.t_end = nan", (), "t_end"),
+    "save-every-zero": ("analyze", "sim.save_every = 0", (), "save_every"),
+    "unknown-scheme": ("analyze", "sim.scheme = foo", (), "foo"),
+    "missing-potential-table": ("analyze", "potential.family = tabulated\n"
+                                           "potential.path = {tmp}/none.csv", (),
+                                "potential.path"),
+    "missing-initial-table": ("simulate", "initial.family = tabulated\n"
+                                          "initial.path = {tmp}/none.csv", (),
+                              "initial.path"),
+    "t-grid-zero": ("bounds", "", ("--t-grid", "0"), "--t-grid"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, tmp_path, capsys):
+    verb, lines, argv, needle = BAD_INPUTS[case]
+    cfg = dict(line.split(" = ") for line in
+               (SMALL_CFG + lines.format(tmp=tmp_path)).splitlines() if line)
+    path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    try:
+        code = main([verb, path, "--out", str(tmp_path / "out"), *argv])
+    except SystemExit as exc:        # argparse rejects bad flags this way
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert needle in err
+
+
+def test_readme_example_validates():
+    # the example's commented-out optional keys must be valid keys too
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    example = re.sub(r"^# (\S+ *=)", r"\1", example, flags=re.M)
+    assert "analysis.capacity_rho" in parse_config_text(example)
+    scn = scenario_from_config(parse_config_text(example))
+    assert list(plan_envelopes(scn)) == scn.envelope_names
