@@ -25,26 +25,25 @@ def cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9,
-                      expand=True, max_expand=400):
+def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9):
     """Solve fn(u) = y for an increasing fn by bisection in log-u space.
 
-    The bracket [lo, hi] (both > 0) is geometrically expanded first when
-    `expand` is set and y falls outside [fn(lo), fn(hi)].  Terminates when the
-    relative residual |fn(u) - y| <= resid_tol * max(|y|, tiny) or the bracket
-    width drops below rel_tol relatively.
+    The bracket [lo, hi] (both > 0) is first expanded by factors of 8, at most
+    400 times each way, when y falls outside [fn(lo), fn(hi)].  Terminates
+    when the relative residual |fn(u) - y| <= resid_tol * max(|y|, tiny) or
+    the bracket width drops below rel_tol relatively.
     """
     if not (lo > 0 and hi > lo):
         raise ValueError("need 0 < lo < hi")
     flo, fhi = fn(lo), fn(hi)
     n = 0
-    while expand and flo > y and n < max_expand and lo > 1e-280:
+    while flo > y and n < 400 and lo > 1e-280:
         hi, fhi = lo, flo
         lo = lo / 8.0
         flo = fn(lo)
         n += 1
     n = 0
-    while expand and fhi < y and n < max_expand and hi < 1e280:
+    while fhi < y and n < 400 and hi < 1e280:
         lo, flo = hi, fhi
         hi = hi * 8.0
         fhi = fn(hi)
@@ -68,7 +67,7 @@ def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9,
     return float(np.exp(0.5 * (a + b)))
 
 
-def golden_min_log(fn, lo, hi, *, tol=1e-10):
+def golden_min_log(fn, lo, hi):
     """Golden-section minimum of fn over [lo, hi] searched in log-argument.
 
     Returns (argmin, min).  fn is assumed unimodal-ish on the log scale; use
@@ -79,7 +78,7 @@ def golden_min_log(fn, lo, hi, *, tol=1e-10):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(np.exp(c)), fn(np.exp(d))
-    while (b - a) > tol:
+    while (b - a) > 1e-10:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -92,7 +91,7 @@ def golden_min_log(fn, lo, hi, *, tol=1e-10):
     return float(x), float(fn(x))
 
 
-def scan_min_log(fn, lo, hi, *, n_scan=64, tol=1e-10):
+def scan_min_log(fn, lo, hi, *, n_scan=64):
     """Coarse log-spaced scan followed by golden refinement in the best cells."""
     xs = np.geomspace(lo, hi, n_scan)
     vals = np.array([fn(x) for x in xs])
@@ -103,29 +102,21 @@ def scan_min_log(fn, lo, hi, *, n_scan=64, tol=1e-10):
         b = xs[min(i + 1, n_scan - 1)]
         if b <= a:
             continue
-        x, v = golden_min_log(fn, a, b, tol=tol)
+        x, v = golden_min_log(fn, a, b)
         if v < best_v:
             best_x, best_v = x, v
     return float(best_x), float(best_v)
 
 
-def scan_sup_refine(xs: np.ndarray, vals: np.ndarray, fn=None):
-    """Sup of sampled values with local 3-point parabolic/golden refinement.
-
-    xs/vals are the coarse samples; fn, when given, is the continuous function
-    used to refine inside the bracketing cell.  Returns (sup, argmax).
-    """
+def scan_sup(xs: np.ndarray, vals: np.ndarray):
+    """(sup, argmax) of sampled values, ignoring non-finite ones; (nan, nan)
+    when none is finite."""
     vals = np.asarray(vals, dtype=float)
     finite = np.isfinite(vals)
     if not finite.any():
         return float("nan"), float("nan")
     i = int(np.nanargmax(np.where(finite, vals, -np.inf)))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    if fn is not None and 0 < i < len(xs) - 1 and xs[i - 1] > 0:
-        x, v = golden_min_log(lambda u: -fn(u), xs[i - 1], xs[i + 1], tol=1e-12)
-        if -v > best_v:
-            best_x, best_v = x, -v
-    return best_v, best_x
+    return float(vals[i]), float(xs[i])
 
 
 def fit_log_slope(t: np.ndarray, y: np.ndarray) -> float:

@@ -34,7 +34,7 @@ from .envelopes import (
     envelope_weak_logsob,
     envelope_weak_poincare,
 )
-from .errors import ConfigError, TvDecayError
+from .errors import BadExponent, ConfigError, TvDecayError
 from .inequalities import (
     BetaFunction,
     bakry_emery,
@@ -110,23 +110,29 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 # ---------------------------------------------------------------------------
 
 PHI_KEYS = ("phi", "q", "beta_exp")
-BETA_KEYS = ("beta_form", "beta_c", "beta_q", "beta_d", "beta_r", "beta_s0")
+# beta_form -> (constructor, the envelope.<name>.* keys it takes, in order)
+BETA_FORMS = {"constant": (BetaFunction.constant, ("beta_c",)),
+              "power": (BetaFunction.power, ("beta_c", "beta_q")),
+              "logpower": (BetaFunction.logpower, ("beta_d", "beta_r", "beta_s0"))}
+BETA_DEFAULTS = {"beta_c": 1.0, "beta_q": 1.0, "beta_d": 1.0, "beta_r": 1.0,
+                 "beta_s0": 2.0}
+BETA_KEYS = ("beta_form", *BETA_DEFAULTS)
 
 
 def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
     fam = get_str(cfg, prefix + "phi", default_family)
     if fam == "power":
         q = get_number(cfg, prefix + "q", default_param)
-        return (lambda u: np.asarray(u, float) ** (q - 1.0)), {"phi": "power", "q": q}
+        return lambda u: np.asarray(u, float) ** (q - 1.0)
     if fam == "logbeta":
         b = get_number(cfg, prefix + "beta_exp", default_param)
-        return (lambda u: np.maximum(np.log(np.maximum(np.asarray(u, float), 1e-300)),
-                                     0.0) ** b), {"phi": "logbeta", "beta_exp": b}
+        return lambda u: np.maximum(np.log(np.maximum(np.asarray(u, float), 1e-300)),
+                                    0.0) ** b
     if fam == "linear":
-        return (lambda u: np.asarray(u, float)), {"phi": "linear"}
+        return lambda u: np.asarray(u, float)
     if fam == "loglog":
-        return (lambda u: np.log1p(np.maximum(np.log(np.maximum(
-            np.asarray(u, float), 1.0)), 0.0))), {"phi": "loglog"}
+        return lambda u: np.log1p(np.maximum(np.log(np.maximum(
+            np.asarray(u, float), 1.0)), 0.0))
     raise ConfigError(f"key {prefix + 'phi'!r}: unknown phi family {fam!r} "
                       "(power | logbeta | linear | loglog)")
 
@@ -136,19 +142,16 @@ def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
     form = get_str(cfg, prefix + "beta_form")
     if form is None:
         return None
-
-    def num(key, default):
-        return get_number(cfg, prefix + key, default)
-
-    if form == "constant":
-        return BetaFunction.constant(num("beta_c", 1.0))
-    if form == "power":
-        return BetaFunction.power(num("beta_c", 1.0), num("beta_q", 1.0))
-    if form == "logpower":
-        return BetaFunction.logpower(num("beta_d", 1.0), num("beta_r", 1.0),
-                                     num("beta_s0", 2.0))
-    raise ConfigError(f"key {prefix + 'beta_form'!r}: unknown beta_form {form!r} "
-                      "(constant | power | logpower)")
+    if form not in BETA_FORMS:
+        raise ConfigError(f"key {prefix + 'beta_form'!r}: unknown beta_form {form!r} "
+                          f"({' | '.join(BETA_FORMS)})")
+    make, keys = BETA_FORMS[form]
+    args = [get_number(cfg, prefix + k, BETA_DEFAULTS[k]) for k in keys]
+    try:
+        return make(*args)
+    except BadExponent as exc:
+        given = ", ".join(f"{prefix}{k} = {a:g}" for k, a in zip(keys, args))
+        raise ConfigError(f"{given}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -193,15 +196,13 @@ class EnvelopeFamily:
     def parse(self, cfg: dict, name: str) -> Callable:
         """Parse the envelope.<name>.* values; returns build(_Inputs)."""
         prefix = f"envelope.{name}."
-        phi, meta = _phi_from_config(cfg, prefix, *self.phi) if self.phi else (None, {})
+        phi = _phi_from_config(cfg, prefix, *self.phi) if self.phi else None
         beta = _beta_from_config(cfg, prefix) if self.beta else None
         extras = {k: get_number(cfg, prefix + k, d) for k, d in self.extras.items()}
 
         def build(x: _Inputs) -> DecayEnvelope:
-            env = self.build(x, phi, self.beta(x) if beta is None and self.beta
-                             else beta, extras)
-            env.params.update(meta)
-            return env
+            return self.build(x, phi, self.beta(x) if beta is None and self.beta
+                              else beta, extras)
         return build
 
 

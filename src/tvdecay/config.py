@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, InadmissibleEta
+from .errors import ConfigError, InadmissibleEta, InvalidSpec
 from .measures import (
     PotentialSpec,
     ProbabilityMeasure1D,
@@ -30,13 +30,23 @@ from .measures import (
 from .psi import EtaProfile, eta_entropy, eta_power, eta_quadratic
 from .simulate import SimConfig
 
+# initial.family -> (h0, clipped mass).  Entries call each density function by
+# its module-level name when they run, so rebinding that name takes effect.
+INITIAL = {
+    "eigen_perturbation": lambda mu, p: (eigen_perturbation(mu, p["epsilon"]), 0.0),
+    "step": lambda mu, p: (step_density(mu), 0.0),
+    "shifted_gaussian": lambda mu, p: (shifted_gaussian_density(mu, p["shift"]), 0.0),
+    "tail_ratio": lambda mu, p: tail_ratio_density(mu, p["p"], cap=p["cap"]),
+    "tabulated": lambda mu, p: (tabulated_density(mu, p["table"][:, 0],
+                                                  p["table"][:, 1]), 0.0),
+}
 _ANALYSIS_DEFAULTS = {"w_osc": 0.0, "c_p_override": None, "rho_override": None,
                       "c_ls_override": None, "capacity_rho": None,
                       "capacity_f_const": 1.0}
 _KEYS = frozenset("""potential.family potential.sigma potential.alpha potential.scale
     potential.path grid.n_points grid.tail_tol initial.family initial.epsilon
     initial.shift initial.p initial.cap initial.path sim.dt sim.t_end sim.scheme
-    sim.save_every sim.positivity_floor psi.eta psi.a envelopes envelopes.calibrate
+    sim.save_every psi.eta psi.a envelopes envelopes.calibrate
     """.split()) | {f"analysis.{k}" for k in _ANALYSIS_DEFAULTS}
 
 
@@ -150,40 +160,35 @@ class Scenario:
         return build_measure(self.potential, self.n_points, self.tail_tol)
 
     def build_initial(self, mu: ProbabilityMeasure1D) -> np.ndarray:
-        fam = self.initial_family
-        p = self.initial_params
-        if fam == "eigen_perturbation":
-            return eigen_perturbation(mu, p["epsilon"])
-        if fam == "step":
-            return step_density(mu)
-        if fam == "shifted_gaussian":
-            return shifted_gaussian_density(mu, p["shift"])
-        if fam == "tail_ratio":
-            h, clipped = tail_ratio_density(mu, p["p"], cap=p.get("cap", 50.0))
-            self.clipped_mass = clipped
-            return h
-        if fam == "tabulated":
-            return tabulated_density(mu, p["table"][:, 0], p["table"][:, 1])
-        raise ConfigError(f"unknown initial density family {fam!r}")
+        h, self.clipped_mass = INITIAL[self.initial_family](mu, self.initial_params)
+        return h
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
     fam = get_str(cfg, "potential.family", required=True)
-    if fam == "gaussian":
-        potential = PotentialSpec.gaussian(get_number(cfg, "potential.sigma",
-                                                     math.sqrt(0.5)))
-    elif fam == "power":
-        potential = PotentialSpec.power(get_number(cfg, "potential.alpha", required=True),
-                                        get_number(cfg, "potential.scale", 1.0))
-    elif fam == "power_log":
-        potential = PotentialSpec.power_log(get_number(cfg, "potential.alpha", required=True))
-    elif fam == "tabulated":
-        data = _read_table(cfg, "potential.path")
-        potential = PotentialSpec.tabulated(data[:, 0], data[:, 1])
-    else:
-        raise ConfigError(f"unknown potential family {fam!r}")
+    try:
+        if fam == "gaussian":
+            potential = PotentialSpec.gaussian(get_number(cfg, "potential.sigma",
+                                                         math.sqrt(0.5)))
+        elif fam == "power":
+            potential = PotentialSpec.power(get_number(cfg, "potential.alpha",
+                                                       required=True),
+                                            get_number(cfg, "potential.scale", 1.0))
+        elif fam == "power_log":
+            potential = PotentialSpec.power_log(get_number(cfg, "potential.alpha",
+                                                           required=True))
+        elif fam == "tabulated":
+            data = _read_table(cfg, "potential.path")
+            potential = PotentialSpec.tabulated(data[:, 0], data[:, 1])
+        else:
+            raise ConfigError(f"unknown potential family {fam!r}")
+    except InvalidSpec as exc:
+        raise ConfigError(f"potential: {exc}") from exc
 
     init_fam = get_str(cfg, "initial.family", "eigen_perturbation")
+    if init_fam not in INITIAL:
+        raise ConfigError(f"key 'initial.family': unknown initial density family "
+                          f"{init_fam!r} ({' | '.join(INITIAL)})")
     init_params = {
         "epsilon": get_number(cfg, "initial.epsilon", 0.2),
         "shift": get_number(cfg, "initial.shift", 0.5),
@@ -197,7 +202,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             t_end=get_number(cfg, "sim.t_end", 3.0),
             scheme=get_str(cfg, "sim.scheme", "implicit_euler"),
             save_every=get_number(cfg, "sim.save_every", 50, kind=int),
-            positivity_floor=get_number(cfg, "sim.positivity_floor", 0.0),
         )
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GammaNotInvertible, MomentMissing
-from .inequalities import BetaFunction
+from .inequalities import BetaFunction, beta_transforms
 from ._numerics import invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
@@ -99,14 +99,8 @@ class DecayEnvelope:
     valid_from: float = 0.0
     scale: float = 1.0
 
-    def eval(self, t):
-        if np.ndim(t) == 0:
-            return min(self.scale * float(self.raw_eval(float(t))), TV_MAX)
-        return np.minimum([self.scale * float(self.raw_eval(float(s))) for s in t],
-                          TV_MAX)
-
-    def __call__(self, t):
-        return self.eval(t)
+    def eval(self, t: float) -> float:
+        return min(self.scale * float(self.raw_eval(float(t))), TV_MAX)
 
     def calibrate(self, measured_at_zero: float) -> "DecayEnvelope":
         """Rescale so the bound equals min(2, measured value) at t = 0."""
@@ -118,7 +112,7 @@ class DecayEnvelope:
                        params={**self.params, "calibrated_to": target})
 
 
-def _finalize(name, params, raw_eval, t_probe_hi=1e4) -> DecayEnvelope:
+def _finalize(name, params, raw_eval) -> DecayEnvelope:
     """Attach valid_from = inf{t : raw(t) <= 2} (raw assumed non-increasing).
 
     Probed at t = 1e-8 rather than 0 so that envelopes whose small-t guard
@@ -129,7 +123,7 @@ def _finalize(name, params, raw_eval, t_probe_hi=1e4) -> DecayEnvelope:
     else:
         try:
             vf = invert_increasing(lambda t: -raw_eval(t), -TV_MAX,
-                                   1e-8, t_probe_hi, resid_tol=1e-6)
+                                   1e-8, 1e4, resid_tol=1e-6)
         except Exception:
             vf = 0.0
     return DecayEnvelope(name=name, params=params, raw_eval=raw_eval,
@@ -140,6 +134,20 @@ def _moment_guard(moment):
     if moment is None or not np.isfinite(moment) or moment <= 0:
         raise MomentMissing("int h phi(h) dmu must be a positive finite number")
     return float(moment)
+
+
+def _truncation(name, params, phi, m, g, arg, lo=1e-6) -> DecayEnvelope:
+    """The truncation route TV <= 4m / (phi o g^{-1})(arg(t)) for an
+    increasing g(u) = w(u) phi(u); arg(t) is None where the route gives no
+    bound (t <= 0 on an xi clock), and eval is then the maximal TV."""
+
+    def ev(t):
+        y = arg(t)
+        if y is None:
+            return TV_MAX
+        return 4.0 * m / float(phi(invert_increasing(g, y, lo, 1e6)))
+
+    return _finalize(name, params, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -159,34 +167,25 @@ def envelope_poincare_l2(C_P: float, l2_norm: float) -> DecayEnvelope:
 
 def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> DecayEnvelope:
     """Truncation bound 4m / (phi o phitilde^{-1})(2 m e^{t/2C_P}),
-    phitilde(u) = sqrt(u) phi(u).
-
-    The envelope also exposes `k_optimized(t)`: the direct two-term infimum
-    inf_K [ sqrt(K) e^{-t/2C_P} + 2m/phi(K) ] over log K in [log 2, 700]
-    (using Var(h ^ K) <= K), stored in params.
-    """
+    phitilde(u) = sqrt(u) phi(u); `truncation_poincare_k_optimized` is the
+    direct infimum over the truncation level K."""
     m = _moment_guard(moment)
+    return _truncation("truncation_poincare", {"C_P": C_P, "moment": m}, phi, m,
+                       lambda u: math.sqrt(u) * float(phi(u)),
+                       lambda t: 2.0 * m * math.exp(t / (2.0 * C_P)))
 
-    def phitilde(u):
-        return math.sqrt(u) * float(phi(u))
 
-    def ev(t):
-        arg = 2.0 * m * math.exp(t / (2.0 * C_P))
-        K = invert_increasing(phitilde, arg, 1e-6, 1e6)
-        return 4.0 * m / float(phi(K))
+def truncation_poincare_k_optimized(C_P: float, phi: Callable, moment: float,
+                                    t: float) -> float:
+    """The two-term infimum inf_K [ sqrt(K) e^{-t/2C_P} + 2m/phi(K) ] over
+    log K in [log 2, 700] (using Var(h ^ K) <= K)."""
+    m = _moment_guard(moment)
+    decay = math.exp(-t / (2.0 * C_P))
 
-    def k_optimized(t):
-        decay = math.exp(-t / (2.0 * C_P))
+    def two_term(K):
+        return math.sqrt(K) * decay + 2.0 * m / float(phi(K))
 
-        def two_term(K):
-            return math.sqrt(K) * decay + 2.0 * m / float(phi(K))
-
-        _, val = scan_min_log(two_term, 2.0, math.exp(700.0), n_scan=200)
-        return val
-
-    env = _finalize("truncation_poincare", {"C_P": C_P, "moment": m}, ev)
-    env.params["k_optimized"] = k_optimized
-    return env
+    return scan_min_log(two_term, 2.0, math.exp(700.0), n_scan=200)[1]
 
 
 def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
@@ -194,19 +193,10 @@ def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
     """4m / (phi o theta^{-1})(sqrt2 m / sqrt(xi_WP(t))), theta(u) = u phi(u)."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_wp, log_numerator=1.0, t_scale=1.0)
-
-    def theta(u):
-        return u * float(phi(u))
-
-    def ev(t):
-        if t <= 0:
-            return TV_MAX
-        x = xi(spec, t)
-        arg = math.sqrt(2.0) * m / math.sqrt(x)
-        K = invert_increasing(theta, arg, 1e-6, 1e6)
-        return 4.0 * m / float(phi(K))
-
-    return _finalize("weak_poincare", {"moment": m, "beta": beta_wp.form}, ev)
+    return _truncation("weak_poincare", {"moment": m, "beta": beta_wp.form}, phi, m,
+                       lambda u: u * float(phi(u)),
+                       lambda t: None if t <= 0 else
+                       math.sqrt(2.0) * m / math.sqrt(xi(spec, t)))
 
 
 def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
@@ -215,8 +205,6 @@ def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
 
     The constant C is unspecified by the theory (default 1; calibrate to pin).
     """
-    from .inequalities import beta_transforms
-
     m = _moment_guard(moment)
     beta_zeta = beta_transforms(beta_wp, "orlicz", phi=phi)
     spec = XiSpec(beta=beta_zeta, log_numerator=1.0, t_scale=1.0)
@@ -245,36 +233,27 @@ def envelope_logsob(C_LS: float, entropy: float) -> DecayEnvelope:
 
 
 def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> DecayEnvelope:
-    """4m / (phi o phibar^{-1})(m e^{t/C_LS}), phibar(u) = phi(u) sqrt(log+ u).
-
-    params carry `k_optimized(t)`: inf over K > 2 of
-    sqrt(2) e^{-t/C_LS} sqrt(log K + 1/e) + 2m/phi(K), from
-    Ent(h ^ K) <= log K + 1/e.
-    """
+    """4m / (phi o phibar^{-1})(m e^{t/C_LS}), phibar(u) = phi(u) sqrt(log+ u);
+    `truncation_logsob_k_optimized` is the direct infimum over K."""
     m = _moment_guard(moment)
+    # log+ keeps phibar defined where the inversion bracket reaches u < 1
+    return _truncation("truncation_logsob", {"C_LS": C_LS, "moment": m}, phi, m,
+                       lambda u: float(phi(u)) * math.sqrt(max(math.log(u), 0.0)),
+                       lambda t: m * math.exp(t / C_LS), lo=1.2)
 
-    def phibar(u):
-        # log+ keeps phibar defined where the inversion bracket reaches u < 1
-        return float(phi(u)) * math.sqrt(max(math.log(u), 0.0))
 
-    def ev(t):
-        arg = m * math.exp(t / C_LS)
-        K = invert_increasing(phibar, arg, 1.2, 1e6)
-        return 4.0 * m / float(phi(K))
+def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
+                                  t: float) -> float:
+    """inf over K > 2 of sqrt(2) e^{-t/C_LS} sqrt(log K + 1/e) + 2m/phi(K),
+    from Ent(h ^ K) <= log K + 1/e."""
+    m = _moment_guard(moment)
+    decay = math.exp(-t / C_LS)
 
-    def k_optimized(t):
-        decay = math.exp(-t / C_LS)
+    def two_term(K):
+        return (math.sqrt(2.0) * decay * math.sqrt(math.log(K) + 1.0 / math.e)
+                + 2.0 * m / float(phi(K)))
 
-        def two_term(K):
-            return (math.sqrt(2.0) * decay * math.sqrt(math.log(K) + 1.0 / math.e)
-                    + 2.0 * m / float(phi(K)))
-
-        _, val = scan_min_log(two_term, 2.0, 1e300, n_scan=200)
-        return val
-
-    env = _finalize("truncation_logsob", {"C_LS": C_LS, "moment": m}, ev)
-    env.params["k_optimized"] = k_optimized
-    return env
+    return scan_min_log(two_term, 2.0, 1e300, n_scan=200)[1]
 
 
 def envelope_weak_logsob(beta_wls: BetaFunction, phi: Callable, moment: float,
@@ -283,43 +262,18 @@ def envelope_weak_logsob(beta_wls: BetaFunction, phi: Callable, moment: float,
     phitilde(u) = sqrt(u) phi(u), xi on the 2t clock with numerator eps."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_wls, log_numerator=eps, t_scale=2.0)
-
-    def phitilde(u):
-        return math.sqrt(u) * float(phi(u))
-
-    def ev(t):
-        if t <= 0:
-            return TV_MAX
-        x = xi(spec, t)
-        arg = math.sqrt(2.0) * m / ((1.0 / math.e + eps) * math.sqrt(x))
-        K = invert_increasing(phitilde, arg, 1e-6, 1e6)
-        return 4.0 * m / float(phi(K))
-
-    env = _finalize("weak_logsob", {"moment": m, "eps": eps}, ev)
-    env.params["xi"] = lambda t: xi(spec, t)
-    return env
+    return _truncation("weak_logsob", {"moment": m, "eps": eps}, phi, m,
+                       lambda u: math.sqrt(u) * float(phi(u)),
+                       lambda t: None if t <= 0 else
+                       math.sqrt(2.0) * m / ((1.0 / math.e + eps) * math.sqrt(xi(spec, t))))
 
 
-def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable,
-                               moment: float, c_phi: float = 1.0,
-                               probe_hi: float = 1e6) -> DecayEnvelope:
-    """Restricted log-Sobolev route via gamma(u) = beta_WLS(u)/u.
-
-    Branch 1 (phi(u) >= c log u at infinity):
-        bound = c_phi m / (phi o zeta^{-1})(t),
-        zeta(u) = 2 log(phi(u)) gamma^{-1}(sqrt(3 C_P) u).
-    Branch 2 (phi(u) << log u):
-        bound = c_phi (1 + m) / (phi o theta^{-1})(t),
-        theta(u) = 2 log(phi(u) log u) gamma^{-1}(sqrt(3 C_P) u).
-
-    gamma^{-1} is the functional inverse of the strictly decreasing gamma.
-    zeta is inverted on its maximal increasing prefix; past its peak the
-    bound continues flat (still a valid non-increasing bound), recorded in
-    params["zeta_saturated"].
-    """
-    m = _moment_guard(moment)
-    u_probe = np.geomspace(1e-10, beta_wls.s_max, 3000)
-    gamma_vals = beta_wls(u_probe) / u_probe
+def gamma_inverse(beta: BetaFunction) -> Callable[[float], float]:
+    """gamma^{-1} for gamma(u) = beta(u)/u, interpolated on a log probe grid of
+    (1e-10, s_max] and constant beyond it; raises GammaNotInvertible unless
+    gamma strictly decreases on the grid."""
+    u_probe = np.geomspace(1e-10, beta.s_max, 3000)
+    gamma_vals = beta(u_probe) / u_probe
     if np.any(np.diff(gamma_vals) >= 0):
         raise GammaNotInvertible("beta_WLS(u)/u must be strictly decreasing")
     log_u = np.log(u_probe)
@@ -332,6 +286,29 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
         if lv <= log_g[-1]:
             return float(u_probe[-1])
         return float(np.exp(np.interp(-lv, -log_g, log_u)))
+
+    return gamma_inv
+
+
+def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable,
+                               moment: float) -> DecayEnvelope:
+    """Restricted log-Sobolev route via gamma(u) = beta_WLS(u)/u.
+
+    Branch 1 (phi(u) >= c log u at infinity):
+        bound = m / (phi o zeta^{-1})(t),
+        zeta(u) = 2 log(phi(u)) gamma^{-1}(sqrt(3 C_P) u).
+    Branch 2 (phi(u) << log u):
+        bound = (1 + m) / (phi o theta^{-1})(t),
+        theta(u) = 2 log(phi(u) log u) gamma^{-1}(sqrt(3 C_P) u).
+
+    The universal constant in front is unspecified by the theory (taken as 1;
+    calibrate to pin).  gamma^{-1} is `gamma_inverse(beta_wls)`.
+    zeta is inverted on its maximal increasing prefix; past its peak the
+    bound continues flat (still a valid non-increasing bound), recorded in
+    params["zeta_saturated_at"].
+    """
+    m = _moment_guard(moment)
+    gamma_inv = gamma_inverse(beta_wls)
 
     # branch selection: phi(u^2)/phi(u) -> 2^beta for phi ~ log^beta, so the
     # doubling ratio separates phi >= c log (>= 2) from phi << log (< 2)
@@ -346,7 +323,7 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
             lead = 2.0 * math.log(max(float(phi(u)) * math.log(u), 1e-300))
         return lead * gamma_inv(math.sqrt(3.0 * C_P) * u)
 
-    ug = np.geomspace(3.0, probe_hi, 1200)
+    ug = np.geomspace(3.0, 1e6, 1200)
     zvals = np.array([zeta(u) for u in ug])
     peak = int(np.argmax(zvals))
     ug, zvals = ug[:peak + 1], zvals[:peak + 1]
@@ -357,18 +334,15 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
     if len(ug) < 8:
         raise GammaNotInvertible("zeta has no usable increasing range")
     z_max = float(zvals[-1])
-    prefactor = c_phi * (m if branch == 1 else (1.0 + m))
+    prefactor = m if branch == 1 else 1.0 + m
 
     def ev(t):
         tt = min(t, z_max)
         u = float(np.exp(np.interp(tt, zvals, np.log(ug))))
         return prefactor / max(float(phi(u)), 1e-300)
 
-    env = _finalize("restricted_logsob", {"C_P": C_P, "moment": m,
-                                          "branch": branch, "c_phi": c_phi}, ev)
-    env.params["zeta_saturated_at"] = z_max
-    env.params["gamma_inv"] = gamma_inv
-    return env
+    return _finalize("restricted_logsob", {"C_P": C_P, "moment": m, "branch": branch,
+                                           "zeta_saturated_at": z_max}, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -390,29 +364,19 @@ def envelope_ipsi(C_eta: float, M_eta: float, eta_moment: float) -> DecayEnvelop
 def envelope_hellinger(beta_h: BetaFunction, phi: Callable, moment: float,
                        h_sup: float) -> DecayEnvelope:
     """TV form 4m / (phi o etatilde^{-1})(2m / sqrt(3 xi_H(t))),
-    etatilde(u) = u^{1/4} phi(u); xi_H runs on the 4t clock.
-
-    params carry `hellinger_eval(t)` = min(2, 3 xi_H(t) sqrt(h_sup)), the
-    direct Hellinger-distance bound.
-    """
+    etatilde(u) = u^{1/4} phi(u); xi_H runs on the 4t clock.  The direct
+    Hellinger-distance bound is `hellinger_eval`."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_h, log_numerator=1.0, t_scale=4.0)
+    return _truncation("hellinger", {"moment": m, "h_sup": h_sup}, phi, m,
+                       lambda u: u**0.25 * float(phi(u)),
+                       lambda t: None if t <= 0 else 2.0 * m / math.sqrt(3.0 * xi(spec, t)))
 
-    def etatilde(u):
-        return u**0.25 * float(phi(u))
 
-    def ev(t):
-        if t <= 0:
-            return TV_MAX
-        x = xi(spec, t)
-        arg = 2.0 * m / math.sqrt(3.0 * x)
-        K = invert_increasing(etatilde, arg, 1e-6, 1e6)
-        return 4.0 * m / float(phi(K))
-
-    env = _finalize("hellinger", {"moment": m, "h_sup": h_sup}, ev)
-    env.params["hellinger_eval"] = (
-        lambda t: min(TV_MAX, 3.0 * xi(spec, t) * math.sqrt(h_sup)))
-    return env
+def hellinger_eval(beta_h: BetaFunction, h_sup: float, t: float) -> float:
+    """The direct Hellinger-distance bound min(2, 3 xi_H(t) sqrt(h_sup))."""
+    spec = XiSpec(beta=beta_h, log_numerator=1.0, t_scale=4.0)
+    return min(TV_MAX, 3.0 * xi(spec, t) * math.sqrt(h_sup))
 
 
 def theta_inverse_rate(beta_wp: BetaFunction, rho: float, u: float) -> float:
@@ -430,9 +394,7 @@ def theta_inverse_rate(beta_wp: BetaFunction, rho: float, u: float) -> float:
 def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     """sqrt( inf_s [ rho beta(s) / (e^{rho t} + rho beta(s) - 1) + 4 s ] ).
 
-    rho = 0 degenerates via r(t, s) = log(1 + t/beta(s)) (flagged in params);
-    params also carry `theta_closed_form(t)` = sqrt(theta(e^{rho t})) when
-    beta(s)/s is non-increasing, the closed-form rate of the propagated bound.
+    rho = 0 degenerates via r(t, s) = log(1 + t/beta(s)) (flagged in params).
     """
     if rho < 0:
         raise ValueError("rho must be non-negative")
@@ -449,14 +411,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
         return math.sqrt(max(val, 0.0))
 
     params = {"rho": rho, "beta": beta_wp.form, "rho_zero_limit": rho == 0.0}
-    env = _finalize("curvature", params, ev)
-    s_chk = np.geomspace(1e-10, min(0.5, beta_wp.s_max), 64)
-    ratio = beta_wp(s_chk) / s_chk
-    if rho > 0 and np.all(np.diff(ratio) <= 1e-9 * ratio[:-1]):
-        env.params["theta_closed_form"] = (
-            lambda t, C=1.0: C * math.sqrt(
-                theta_inverse_rate(beta_wp, rho, math.exp(min(rho * t, 700.0)))))
-    return env
+    return _finalize("curvature", params, ev)
 
 
 def r_curve(rho: float, beta_wp: BetaFunction, t: float, s: float) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     VanishingDensity,
 )
 from .measures import ProbabilityMeasure1D, integrate
-from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup_refine
+from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
 
 # constant (sqrt2 - 1)/(2 sqrt2) from the Hellinger capacity bound
 HELLINGER_CAP_CONST = (math.sqrt(2.0) - 1.0) / (2.0 * math.sqrt(2.0))
@@ -208,8 +208,8 @@ def muckenhoupt_poincare(mu: ProbabilityMeasure1D,
 
     prod_r = weighted(right_tail[m_idx:]) * hardy_right
     prod_l = weighted(left_tail[:m_idx + 1]) * hardy_left
-    B_plus, xr = scan_sup_refine(x[m_idx:], prod_r)
-    B_minus, xl = scan_sup_refine(x[:m_idx + 1], prod_l)
+    B_plus, xr = scan_sup(x[m_idx:], prod_r)
+    B_minus, xl = scan_sup(x[:m_idx + 1], prod_l)
     B = max(B_plus, B_minus)
     if not np.isfinite(B) or B <= 0:
         raise MissingPoincare("Muckenhoupt sup is not finite and positive")
@@ -328,16 +328,14 @@ class BakryEmery:
     w_osc: float
 
 
-def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0,
-                v_spec=None) -> BakryEmery:
-    """rho = inf v'' on the grid; C_LS = exp(osc w)/rho when rho > 0, else None.
+def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0) -> BakryEmery:
+    """rho = inf V'' on the grid; C_LS = exp(w_osc)/rho when rho > 0, else None.
 
-    The decomposition V = v + w is supplied by the caller as (spec for v,
-    oscillation bound for w).  In the canonical convention the curvature
+    w_osc is the caller's oscillation bound for a bounded perturbation w of
+    the potential (Holley-Stroock).  In the canonical convention the curvature
     identity Gamma_2(f) = (1/2) f''^2 + V'' f'^2 makes rho = inf V'' exact.
     """
-    spec = v_spec if v_spec is not None else mu.spec
-    v2 = np.asarray(spec.V2(mu.grid), dtype=float)
+    v2 = np.asarray(mu.spec.V2(mu.grid), dtype=float)
     rho = float(np.min(v2[np.isfinite(v2)]))
     c_ls = math.exp(w_osc) / rho if rho > 0 else None
     return BakryEmery(rho=rho, C_LS=c_ls, w_osc=float(w_osc))
@@ -391,12 +389,12 @@ class CapacityCheck:
 
 
 def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
-                             eta, a: float, rho: float,
-                             u_hi: float = 1e8) -> CapacityCheck:
+                             eta, a: float, rho: float) -> CapacityCheck:
     """The two tail sups with weight F, the capacity ratio C_cap and the
     resulting I_psi constant bound.
 
-    C_cap = sup_{u > a} eta(rho u) / (u^2 eta''(u) F(u)) on a log probe grid;
+    C_cap = sup_{u > a} eta(rho u) / (u^2 eta''(u) F(u)) on a log probe grid
+    up to u = 1e8;
     C_eta_bound = max(eta''(a)(1 + (rho-1)^2) C_P_upper / eta''(rho a),
                       rho^2 C_cap / (rho - 1)^2)
     with C_P_upper the 4B end of the Muckenhoupt bracket.  The alternative
@@ -412,16 +410,16 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
     except (VanishingDensity, MissingPoincare) as exc:
         raise MissingPoincare(str(exc)) from exc
     wf = muckenhoupt_poincare(mu, F=F)
-    u = np.geomspace(a * (1.0 + 1e-9), u_hi, 3000)
+    u = np.geomspace(a * (1.0 + 1e-9), 1e8, 3000)
     with np.errstate(over="ignore"):
         ratio = (np.asarray(eta.eta(rho * u), float)
                  / (u**2 * np.asarray(eta.eta_second(u), float)
                     * np.asarray(F(u), float)))
-    tail = u > u_hi / 10.0
+    tail = u > 1e7
     slope = fit_loglog_slope(u[tail], np.maximum(ratio[tail], 1e-300))
     if slope > 0.05 and ratio[tail].max() >= 0.99 * np.nanmax(ratio):
         raise DivergentCcap(f"capacity ratio grows along the probe grid (slope {slope:.3f})")
-    c_cap, arg = scan_sup_refine(u, ratio)
+    c_cap, arg = scan_sup(u, ratio)
     d2a = float(eta.eta_second(a))
     d2ra = float(eta.eta_second(rho * a))
     c_p_upper = bracket.C_P_interval[1]
@@ -457,8 +455,7 @@ def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
 
 def beta_transforms(beta_in: BetaFunction, kind: str, *, phi=None,
                     rho: Optional[float] = None, c: float = 1.0,
-                    F: Optional[Callable] = None,
-                    s_grid: Optional[np.ndarray] = None):
+                    F: Optional[Callable] = None):
     """Transform beta_in between the inequality families.
 
     kinds
@@ -480,8 +477,7 @@ def beta_transforms(beta_in: BetaFunction, kind: str, *, phi=None,
     sp_from_F
         beta_SP(s) = c / F(s) for s large (c is a caller parameter).
     """
-    if s_grid is None:
-        s_grid = np.geomspace(1e-12, beta_in.s_max if beta_in.s_max > 0 else 1.0, 2000)
+    s_grid = np.geomspace(1e-12, beta_in.s_max if beta_in.s_max > 0 else 1.0, 2000)
 
     if kind == "orlicz":
         if phi is None:

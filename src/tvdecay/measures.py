@@ -54,8 +54,10 @@ class PotentialSpec:
 
     @staticmethod
     def gaussian(sigma: float = math.sqrt(0.5)) -> "PotentialSpec":
-        if not (sigma > 0):
-            raise InvalidSpec("gaussian sigma must be positive")
+        # V divides by sigma^2, which must be a positive finite float
+        if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
+            raise InvalidSpec(f"gaussian sigma must be positive with a positive "
+                              f"finite square, got sigma = {sigma!r}")
         return PotentialSpec("gaussian", {"sigma": float(sigma)})
 
     @staticmethod
@@ -198,6 +200,11 @@ def build_measure(spec: PotentialSpec, n_points: int = 4001,
     v = np.asarray(spec.V(grid), dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidSpec("potential is not finite on the truncation domain")
+    # neighbours are coupled through exp(-2 dV), which overflows past |2 dV| ~ 709
+    jump = float(np.max(np.abs(np.diff(v))))
+    if 2.0 * jump > 700.0:
+        raise InvalidSpec(f"grid.n_points = {n_points} does not resolve mu: V changes "
+                          f"by {jump:.3g} between neighbouring points (at most 350)")
     v_min = float(v.min())
     raw = np.exp(-2.0 * (v - v_min))
     w = trapezoid_weights(grid)
@@ -229,13 +236,13 @@ def integrate(mu: ProbabilityMeasure1D, g) -> float:
     return float(np.sum(mu.weights * mu.pdf * g))
 
 
-def _check_density(mu: ProbabilityMeasure1D, h, mass_tol=_MASS_TOL) -> np.ndarray:
+def _check_density(mu: ProbabilityMeasure1D, h) -> np.ndarray:
     h = _check_aligned(mu, h)
     if h.min() < -1e-12:
         raise NotADensity(f"h has negative values (min {h.min():.3e})")
     mass = integrate(mu, np.maximum(h, 0.0))
-    if abs(mass - 1.0) > mass_tol:
-        raise NotADensity(f"int h dmu = {mass:.8f}, expected 1 +- {mass_tol:g}")
+    if abs(mass - 1.0) > _MASS_TOL:
+        raise NotADensity(f"int h dmu = {mass:.8f}, expected 1 +- {_MASS_TOL:g}")
     return np.maximum(h, 0.0)
 
 

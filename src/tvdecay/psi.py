@@ -134,12 +134,13 @@ def eta_slowlog() -> EtaProfile:
         b=0.0, name="slowlog")
 
 
-def eta_fsobolev(alpha: float, u0: float = math.e**2) -> EtaProfile:
+def eta_fsobolev(alpha: float) -> EtaProfile:
     """eta(u) = u log^m(u) exp(log^kappa u), m = 2(1-1/alpha), kappa = 2/alpha - 1.
 
-    Defined for u >= u0 with a C^1 quadratic continuation below; this is the
-    profile matched to the |x|^alpha potential family for 1 < alpha < 2.
+    Defined for u >= u0 = e^2 with a C^1 quadratic continuation below; this is
+    the profile matched to the |x|^alpha potential family for 1 < alpha < 2.
     """
+    u0 = math.e**2
     m = 2.0 * (1.0 - 1.0 / alpha)
     kap = 2.0 / alpha - 1.0
 
@@ -207,13 +208,13 @@ class PsiProfile:
                           H_inverse=self.H_inverse, c_pinsker=c, name=self.name)
 
 
-def _tabulate_H(psi_second, hi: float = 1e9):
-    """H(u) = int_0^u sqrt(psi'') tabulated on a log grid, plus inverse.
+def _tabulate_H(psi_second):
+    """H(u) = int_0^u sqrt(psi'') tabulated on a log grid up to 1e9, plus inverse.
 
     An integrable singularity of psi'' at 0 (e.g. psi'' ~ 1/u) is handled by
     a power-law head estimate over the first segment.
     """
-    gp = np.geomspace(1e-10, hi, 6000)
+    gp = np.geomspace(1e-10, 1e9, 6000)
     g = np.sqrt(np.maximum(np.asarray(psi_second(gp), float), 0.0))
     if not np.all(np.isfinite(g)):
         raise HCollapse("sqrt(psi'') is not finite on the probe grid")
@@ -282,12 +283,12 @@ def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile
 
 
 def psi_from_functions(psi, psi_prime, psi_second, name="psi[custom]",
-                       a: float = 2.1, compute_pinsker: bool = True) -> PsiProfile:
+                       a: float = 2.1) -> PsiProfile:
     """Wrap user-supplied callables; admissibility is only probed numerically."""
     H, H_inv = _tabulate_H(psi_second)
     prof = PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
                       H=H, H_inverse=H_inv, name=name)
-    return prof.with_pinsker_constant() if compute_pinsker else prof
+    return prof.with_pinsker_constant()
 
 
 def psi_quadratic_centered() -> PsiProfile:
@@ -402,14 +403,16 @@ def orlicz_gauge_N(f, mu, psi: PsiProfile) -> float:
     return 1.0 / lam
 
 
-def f_bar(psi: PsiProfile, probe_lo: float = 4.0, probe_hi: float = 1e8):
+def f_bar(psi: PsiProfile):
     """F-bar(u) = psi(u)/H(u)^2, with the convexity-theorem hypothesis flags.
 
-    Returns (fbar_callable, checks) where checks reports, on the probe grid:
+    Returns (fbar_callable, checks) where checks reports, on the probe grid
+    [4, 1e8]:
     nondecreasing, the doubling condition F(lam u) <= lam F(u)/4 for some
     lam > 4, F(u)/u non-increasing, the lower-bound ratio against
     psi/(u^2 psi'') and the asymptotic H(u) ~ u sqrt(psi''(u)) diagnostic.
     """
+    probe_lo, probe_hi = 4.0, 1e8
     if float(psi.H(probe_hi)) < 10.0 * float(psi.H(probe_lo)):
         raise HCollapse("H grows too slowly; psi/H^2 is degenerate")
 
@@ -452,23 +455,21 @@ def f_bar(psi: PsiProfile, probe_lo: float = 4.0, probe_hi: float = 1e8):
 
 # -- almost-linear eta from a prescribed F ----------------------------------------
 
-def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float,
-                            tau_inv_at_a: Optional[float] = None,
-                            u_max: float = 1e8) -> dict:
+def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float) -> dict:
     """Construct theta with theta' = -1/tau from tau'/tau^2 = 1/(u F(u)).
 
-    1/tau(u) = 1/tau(a) - int_a^u ds/(s F(s)).  When the Wang integral
-    int_a^inf du/(u F(u)) converges the seed 1/tau(a) defaults to the tail
-    integral itself (so theta' -> 0 cleanly); for a divergent integral the
-    seed defaults to 1.25x the integral over the working domain so that tau
-    stays positive up to u_max.
+    1/tau(u) = 1/tau(a) - int_a^u ds/(s F(s)) on the working domain
+    [a, 1e12].  When the Wang integral int_a^inf du/(u F(u)) converges the
+    seed 1/tau(a) is the tail integral itself (so theta' -> 0 cleanly); for a
+    divergent integral the seed is 1.25x the integral over the working
+    domain so that tau stays positive on it.
 
     Returns a dict with theta, eta (= u + theta), theta_prime,
     wang_integral (value over the working domain) and wang_finite flag;
     a finite Wang integral is the paper's ultracontractivity regime and is
     surfaced as a warning flag rather than an error.
     """
-    grid = np.geomspace(a, max(u_max, 1e12), 8000)
+    grid = np.geomspace(a, 1e12, 8000)
     Fv = np.asarray(F(grid), dtype=float)
     if np.any(Fv <= 0):
         raise NonPositiveTau("F must be positive beyond a")
@@ -483,14 +484,13 @@ def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float,
     tail = v > v[-1] - 3.0
     alpha = -float(np.polyfit(np.log(v[tail]), np.log(gtilde[tail]), 1)[0])
     wang_finite = bool(alpha > 1.02)
-    if tau_inv_at_a is None:
-        if wang_finite:
-            # add the estimated tail beyond the working domain so that
-            # 1/tau(u) = int_u^inf ds/(s F(s)) and theta' -> 0 cleanly
-            tail_mass = gtilde[-1] * v[-1] / max(alpha - 1.0, 1e-6)
-            tau_inv_at_a = total + tail_mass
-        else:
-            tau_inv_at_a = 1.25 * total
+    if wang_finite:
+        # add the estimated tail beyond the working domain so that
+        # 1/tau(u) = int_u^inf ds/(s F(s)) and theta' -> 0 cleanly
+        tail_mass = gtilde[-1] * v[-1] / max(alpha - 1.0, 1e-6)
+        tau_inv_at_a = total + tail_mass
+    else:
+        tau_inv_at_a = 1.25 * total
     inv_tau = tau_inv_at_a - cum
     if np.any(inv_tau <= 0):
         raise NonPositiveTau("1/tau hits zero before the domain end")

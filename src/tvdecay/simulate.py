@@ -36,7 +36,6 @@ class SimConfig:
     t_end: float
     scheme: str = "implicit_euler"
     save_every: int = 1
-    positivity_floor: float = 0.0
 
     def __post_init__(self):
         if not (self.dt > 0):
@@ -192,9 +191,6 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
                     f"crank_nicolson produced negative mass fraction "
                     f"{neg_mass:.2e} at step {k}; reduce dt", CFLWarning)
                 warned = True
-            if config.positivity_floor > 0.0:
-                h = np.maximum(h, config.positivity_floor)
-                h = h / integrate(mu, h)
         if k % config.save_every == 0 or k == n_steps:
             record(k * dt, h)
 
@@ -268,9 +264,8 @@ class ReverseDiagnostics:
     e_monotone: bool
 
 
-def reverse_diagnostics(series: DiagnosticsSeries,
-                        slack: float = 1e-6) -> ReverseDiagnostics:
-    """V(t), E(t) with monotonicity flags (non-increase within slack).
+def reverse_diagnostics(series: DiagnosticsSeries) -> ReverseDiagnostics:
+    """V(t), E(t) with monotonicity flags (non-increase within slack 1e-6).
 
     Raises LowerBoundViolated when the effective flow dropped below 1/2,
     which cannot happen analytically and signals a solver defect.
@@ -281,8 +276,8 @@ def reverse_diagnostics(series: DiagnosticsSeries,
         raise LowerBoundViolated(
             f"min h_t = {np.min(min_eff):.12f} dropped below 1/2")
     V, E = series.v_reverse, series.e_reverse
-    v_mono = bool(np.all(np.diff(V) <= slack))
-    e_mono = bool(np.all(np.diff(E) <= slack))
+    v_mono = bool(np.all(np.diff(V) <= 1e-6))
+    e_mono = bool(np.all(np.diff(E) <= 1e-6))
     return ReverseDiagnostics(times=series.times, V=V, E=E,
                               v_monotone=v_mono, e_monotone=e_mono)
 

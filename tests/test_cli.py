@@ -1,11 +1,13 @@
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tvdecay.cli import main, plan_envelopes
+from tvdecay import envelopes, measures
+from tvdecay.cli import ENVELOPES, _bound_curves, analyze_scenario, main, plan_envelopes
 from tvdecay.config import (
     load_scenario,
     parse_config_text,
@@ -13,6 +15,7 @@ from tvdecay.config import (
     scenario_from_config,
 )
 from tvdecay.errors import ConfigError
+from tvdecay.measures import tv_distance
 from tvdecay._numerics import fit_log_slope
 
 GAUSS_CFG = """
@@ -274,6 +277,16 @@ BAD_INPUTS = {
                                           "initial.path = {tmp}/none.csv", (),
                               "initial.path"),
     "t-grid-zero": ("bounds", "", ("--t-grid", "0"), "--t-grid"),
+    "initial-typo-analyze": ("analyze", "initial.family = shifted_gausian", (),
+                             "shifted_gausian"),
+    "initial-typo-simulate": ("simulate", "initial.family = shifted_gausian", (),
+                              "shifted_gausian"),
+    "bad-beta-value": ("bounds", "envelopes = curvature\n"
+                                 "envelope.curvature.beta_form = constant\n"
+                                 "envelope.curvature.beta_c = -1", (),
+                       "envelope.curvature.beta_c"),
+    "positivity-floor-removed": ("simulate", "sim.positivity_floor = 1e-9", (),
+                                 "sim.positivity_floor"),
 }
 
 
@@ -291,6 +304,77 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert needle in err
+
+
+# potential.sigma -> (exit code, text stderr must name)
+EXTREME_SIGMA = {
+    "1e-3": (3, "grid.n_points"),    # mu narrower than the grid spacing
+    "1e300": (2, "sigma"),           # sigma^2 overflows
+}
+
+
+@pytest.mark.parametrize("sigma", sorted(EXTREME_SIGMA))
+def test_extreme_sigma_named(sigma, tmp_path, capsys):
+    code, needle = EXTREME_SIGMA[sigma]
+    path = write_cfg(tmp_path, SMALL_CFG + f"potential.sigma = {sigma}\n")
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert needle in err
+
+
+ALL_FAMILIES_CFG = SMALL_CFG + f"""
+initial.family = shifted_gaussian
+envelopes = {", ".join(ENVELOPES)}
+psi.eta = power(1.5)
+analysis.capacity_rho = 2.0
+analysis.capacity_f_const = 2.0
+"""
+
+
+def test_envelope_params_are_json():
+    scn = scenario_from_config(parse_config_text(ALL_FAMILIES_CFG))
+    mu = scn.build_measure()
+    h0 = scn.build_initial(mu)
+    envs, _ = _bound_curves(scn, plan_envelopes(scn), mu, h0, analyze_scenario(scn, mu),
+                            np.array([0.5]), tv_distance(mu, h0))
+    assert list(envs) == list(ENVELOPES)
+    for env in envs.values():
+        json.dumps(env.params)      # a callable in params raises TypeError
+
+
+DENSITIES = ("eigen_perturbation", "step_density", "shifted_gaussian_density",
+             "tail_ratio_density", "tabulated_density")
+INITIAL_CFG = {"eigen_perturbation": "", "step": "", "shifted_gaussian": "",
+               "tail_ratio": "initial.p = 1.0", "tabulated": "initial.path = {tmp}/h.csv"}
+
+
+def test_rebound_names_are_called(tmp_path, monkeypatch):
+    # a profiler wraps envelope_<family> and the density functions by
+    # rebinding each name in every tvdecay module; the commands must then
+    # call the wrappers
+    modules = [m for n, m in sys.modules.items()
+               if n == "tvdecay" or n.startswith("tvdecay.")]
+    targets = ([(envelopes, f"envelope_{f}") for f in ENVELOPES]
+               + [(measures, f) for f in DENSITIES])
+    called = set()
+    for owner, attr in targets:
+        orig = getattr(owner, attr)
+
+        def wrapper(*args, _orig=orig, _attr=attr, **kwargs):
+            called.add(_attr)
+            return _orig(*args, **kwargs)
+        for m in modules:
+            for key in [k for k, v in vars(m).items() if v is orig]:
+                monkeypatch.setattr(m, key, wrapper)
+    (tmp_path / "h.csv").write_text("x,h\n-4,1\n-1,2\n1,1\n4,2\n")
+    out = str(tmp_path / "out")
+    assert main(["bounds", write_cfg(tmp_path, ALL_FAMILIES_CFG), "--out", out,
+                 "--t-grid", "3"]) == 0
+    for family, lines in INITIAL_CFG.items():
+        text = SMALL_CFG + f"initial.family = {family}\n" + lines.format(tmp=tmp_path)
+        assert main(["simulate", write_cfg(tmp_path, text), "--out", out]) == 0, family
+    assert called == {attr for _, attr in targets}
 
 
 def test_readme_example_validates():

@@ -19,8 +19,12 @@ from tvdecay.envelopes import (
     envelope_truncation_poincare,
     envelope_weak_logsob,
     envelope_weak_poincare,
+    gamma_inverse,
+    hellinger_eval,
     r_curve,
     theta_inverse_rate,
+    truncation_logsob_k_optimized,
+    truncation_poincare_k_optimized,
     xi,
 )
 from tvdecay.errors import MomentMissing
@@ -120,7 +124,8 @@ class TestTruncationPoincare:
         env = envelope_truncation_poincare(0.5, _phi_power(q), 2.0 ** (q - 1.0))
         for t in np.linspace(1.0, 12.0, 20):
             closed = env.raw_eval(t)
-            numeric = env.params["k_optimized"](t)
+            numeric = truncation_poincare_k_optimized(0.5, _phi_power(q),
+                                                      2.0 ** (q - 1.0), t)
             assert 0.5 * closed - 1e-12 <= numeric <= 1.05 * closed
 
     def test_moment_missing(self):
@@ -231,7 +236,8 @@ class TestLogSobolev:
         # closed form (within the 1.05 slack)
         env = envelope_truncation_logsob(1.0, _phi_logbeta(b), 1.0)
         for t in np.linspace(*t_window, 12):
-            assert env.params["k_optimized"](t) <= 1.05 * env.raw_eval(t)
+            assert (truncation_logsob_k_optimized(1.0, _phi_logbeta(b), 1.0, t)
+                    <= 1.05 * env.raw_eval(t))
 
     def test_power_phi_comparison_emitted(self):
         # pure evaluation: both envelopes exist for phi = u^{q-1}; no
@@ -244,11 +250,12 @@ class TestLogSobolev:
 
 class TestWeakLogSobolev:
     def test_constant_beta_exact_xi(self):
+        # the weak log-Sobolev clock: numerator eps, time scale 2
         b0, eps = 3.0, 1.0 / math.e
-        env = envelope_weak_logsob(tv.BetaFunction.constant(b0),
-                                   _phi_power(2.0), 1.0, eps=eps)
+        spec = XiSpec(beta=tv.BetaFunction.constant(b0), log_numerator=eps,
+                      t_scale=2.0)
         for t in (1.0, 2.0, 4.0):
-            assert env.params["xi"](t) == pytest.approx(
+            assert xi(spec, t) == pytest.approx(
                 eps * math.exp(-2.0 * t / b0), rel=1e-9)
 
     def test_default_epsilon(self):
@@ -275,9 +282,7 @@ class TestRestrictedLogSobolev:
     def test_gamma_round_trip(self):
         # beta = c/s: gamma(u) = c/u^2, gamma^{-1}(v) = sqrt(c/v)
         c = 2.0
-        env = envelope_restricted_logsob(0.5, tv.BetaFunction.power(c, 1.0),
-                                         _phi_power(1.5), 1.0)
-        gamma_inv = env.params["gamma_inv"]
+        gamma_inv = gamma_inverse(tv.BetaFunction.power(c, 1.0))
         for v in (10.0, 100.0, 1e4):
             u = gamma_inv(v)
             assert c / u ** 2 == pytest.approx(v, rel=1e-10)
@@ -339,10 +344,8 @@ class TestHellinger:
     def test_constant_beta_rate(self):
         # beta_H constant: xi_H = e^{-4t/beta}
         b0 = 2.0
-        env = envelope_hellinger(tv.BetaFunction.constant(b0),
-                                 lambda u: np.asarray(u, float), 1.0, 2.0)
         ts = np.linspace(2.0, 8.0, 12)
-        hv = [env.params["hellinger_eval"](t) for t in ts]
+        hv = [hellinger_eval(tv.BetaFunction.constant(b0), 2.0, t) for t in ts]
         assert fit_log_slope(ts, hv) == pytest.approx(-4.0 / b0, rel=1e-6)
 
     def test_poincare_equivalent_polynomial_decay(self):
