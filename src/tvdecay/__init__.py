@@ -34,7 +34,12 @@ from .inequalities import (
     BetaFunction,
     PropagatedBetaFamily,
     bakry_emery,
-    beta_transforms,
+    beta_curvature_propagated,
+    beta_hellinger_converse,
+    beta_hellinger_forward,
+    beta_hellinger_to_wp,
+    beta_orlicz,
+    beta_sp_from_F,
     capacity_condition_check,
     drift_tail_beta,
     muckenhoupt_poincare,

@@ -19,7 +19,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .config import Scenario, get_number, get_str, load_scenario, render_config
+from .config import (ANY, POSITIVE, Scenario, choose, get_number, get_str, load_scenario,
+                     render_config)
 from .envelopes import (
     DecayEnvelope,
     envelope_curvature,
@@ -109,7 +110,16 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 # envelope table
 # ---------------------------------------------------------------------------
 
-PHI_KEYS = ("phi", "q", "beta_exp")
+# envelope.<name>.phi -> (phi from its parameter, the key of that parameter or None)
+PHIS = {
+    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0), "q"),
+    "logbeta": (lambda b: lambda u: np.maximum(
+        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b, "beta_exp"),
+    "linear": (lambda _: lambda u: np.asarray(u, float), None),
+    "loglog": (lambda _: lambda u: np.log1p(np.maximum(np.log(np.maximum(
+        np.asarray(u, float), 1.0)), 0.0)), None),
+}
+PHI_KEYS = ("phi", *(key for _, key in PHIS.values() if key))
 # beta_form -> (constructor, the envelope.<name>.* keys it takes, in order)
 BETA_FORMS = {"constant": (BetaFunction.constant, ("beta_c",)),
               "power": (BetaFunction.power, ("beta_c", "beta_q")),
@@ -120,21 +130,8 @@ BETA_KEYS = ("beta_form", *BETA_DEFAULTS)
 
 
 def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
-    fam = get_str(cfg, prefix + "phi", default_family)
-    if fam == "power":
-        q = get_number(cfg, prefix + "q", default_param)
-        return lambda u: np.asarray(u, float) ** (q - 1.0)
-    if fam == "logbeta":
-        b = get_number(cfg, prefix + "beta_exp", default_param)
-        return lambda u: np.maximum(np.log(np.maximum(np.asarray(u, float), 1e-300)),
-                                    0.0) ** b
-    if fam == "linear":
-        return lambda u: np.asarray(u, float)
-    if fam == "loglog":
-        return lambda u: np.log1p(np.maximum(np.log(np.maximum(
-            np.asarray(u, float), 1.0)), 0.0))
-    raise ConfigError(f"key {prefix + 'phi'!r}: unknown phi family {fam!r} "
-                      "(power | logbeta | linear | loglog)")
+    make, key = choose(PHIS, prefix + "phi", get_str(cfg, prefix + "phi", default_family))
+    return make(get_number(cfg, prefix + key, default_param) if key else None)
 
 
 def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
@@ -142,10 +139,7 @@ def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
     form = get_str(cfg, prefix + "beta_form")
     if form is None:
         return None
-    if form not in BETA_FORMS:
-        raise ConfigError(f"key {prefix + 'beta_form'!r}: unknown beta_form {form!r} "
-                          f"({' | '.join(BETA_FORMS)})")
-    make, keys = BETA_FORMS[form]
+    make, keys = choose(BETA_FORMS, prefix + "beta_form", form)
     args = [get_number(cfg, prefix + k, BETA_DEFAULTS[k]) for k in keys]
     try:
         return make(*args)
@@ -180,8 +174,9 @@ class _Inputs:
 class EnvelopeFamily:
     """One row of the envelope table: `build(x, phi, beta, extras)` with the
     default phi (family, parameter), the default beta as a function of the
-    _Inputs x, and the family's own keys with defaults.  The allowed
-    envelope.<name>.* keys follow from these entries."""
+    _Inputs x, and the family's own keys with (default, the open interval a
+    set value must lie in).  The allowed envelope.<name>.* keys follow from
+    these entries."""
 
     build: Callable
     phi: Optional[tuple] = None
@@ -198,7 +193,8 @@ class EnvelopeFamily:
         prefix = f"envelope.{name}."
         phi = _phi_from_config(cfg, prefix, *self.phi) if self.phi else None
         beta = _beta_from_config(cfg, prefix) if self.beta else None
-        extras = {k: get_number(cfg, prefix + k, d) for k, d in self.extras.items()}
+        extras = {k: get_number(cfg, prefix + k, d, within=w)
+                  for k, (d, w) in self.extras.items()}
 
         def build(x: _Inputs) -> DecayEnvelope:
             return self.build(x, phi, self.beta(x) if beta is None and self.beta
@@ -237,7 +233,7 @@ ENVELOPES = {
     "orlicz": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_orlicz(beta, phi, x.moment(phi), C=o["C"]),
         phi=("power", 3.0), beta=lambda x: BetaFunction.constant(x.C_P),
-        extras={"C": 1.0}),
+        extras={"C": (1.0, POSITIVE)}),
     "logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), integrate(
             x.mu, np.where(x.h0 > 0, x.h0 * np.log(np.maximum(x.h0, 1e-300)), 0.0)))),
@@ -249,12 +245,12 @@ ENVELOPES = {
         lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
                                                      eps=o["eps"]),
         phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.C_LS or 1.0),
-        extras={"eps": 1.0 / math.e}),
+        extras={"eps": (1.0 / math.e, POSITIVE)}),
     "restricted_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
                                                            x.moment(phi)),
         phi=("power", 1.5), beta=lambda x: BetaFunction.power(x.C_LS or 1.0, 1.0)),
-    "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": 0.0, "M_eta": 1.0}),
+    "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": (0.0, ANY), "M_eta": (1.0, POSITIVE)}),
     "hellinger": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi),
                                                    h_sup=float(x.h0.max())),
@@ -273,9 +269,7 @@ def plan_envelopes(scn: Scenario) -> dict:
             if name not in ENVELOPES or opt not in ENVELOPES[name].keys:
                 raise ConfigError(f"unknown key {key!r}")
     for name in scn.envelope_names:
-        if name not in ENVELOPES:
-            raise ConfigError(f"key 'envelopes': unknown envelope {name!r} "
-                              f"(known: {', '.join(ENVELOPES)})")
+        choose(ENVELOPES, "envelopes", name)
     return {name: ENVELOPES[name].parse(scn.config, name) for name in scn.envelope_names}
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -30,6 +31,9 @@ from .measures import (
 from .psi import EtaProfile, eta_entropy, eta_power, eta_quadratic
 from .simulate import SimConfig
 
+# open intervals a number read by get_number must lie in
+ANY = (-math.inf, math.inf)
+POSITIVE = (0.0, math.inf)
 # initial.family -> (h0, clipped mass).  Entries call each density function by
 # its module-level name when they run, so rebinding that name takes effect.
 INITIAL = {
@@ -40,14 +44,6 @@ INITIAL = {
     "tabulated": lambda mu, p: (tabulated_density(mu, p["table"][:, 0],
                                                   p["table"][:, 1]), 0.0),
 }
-_ANALYSIS_DEFAULTS = {"w_osc": 0.0, "c_p_override": None, "rho_override": None,
-                      "c_ls_override": None, "capacity_rho": None,
-                      "capacity_f_const": 1.0}
-_KEYS = frozenset("""potential.family potential.sigma potential.alpha potential.scale
-    potential.path grid.n_points grid.tail_tol initial.family initial.epsilon
-    initial.shift initial.p initial.cap initial.path sim.dt sim.t_end sim.scheme
-    sim.save_every psi.eta psi.a envelopes envelopes.calibrate
-    """.split()) | {f"analysis.{k}" for k in _ANALYSIS_DEFAULTS}
 
 
 def parse_config_text(text: str) -> dict:
@@ -89,17 +85,29 @@ def get_str(cfg: dict, key: str, default=None, required: bool = False) -> Option
     return default
 
 
-def _number(raw: str, key: str, kind=float):
+def _number(raw: str, key: str, kind=float, within=ANY):
     try:
-        return kind(raw)
+        value = kind(raw)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: expected {kind.__name__}, got {raw!r}") from exc
+    if not within[0] < value < within[1]:     # also false for nan and +-inf
+        raise ConfigError(f"key {key!r}: expected a finite {kind.__name__} in "
+                          f"({within[0]:g}, {within[1]:g}), got {raw!r}")
+    return value
 
 
-def get_number(cfg, key, default=None, required=False, kind=float):
-    """The value of `key` converted by `kind` (float or int); `default` when unset."""
+def get_number(cfg, key, default=None, required=False, kind=float, within=ANY):
+    """The value of `key` converted by `kind` (float or int); `default` when
+    unset.  A set value must lie in the open interval `within`."""
     raw = get_str(cfg, key, None, required)
-    return default if raw is None else _number(raw, key, kind)
+    return default if raw is None else _number(raw, key, kind, within)
+
+
+def choose(table: dict, key: str, name: str):
+    """table[name]; a name the table lacks is a ConfigError naming `key`."""
+    if name not in table:
+        raise ConfigError(f"key {key!r}: unknown {name!r} ({' | '.join(table)})")
+    return table[name]
 
 
 def _get_bool(cfg, key, default=False) -> bool:
@@ -113,19 +121,20 @@ def _get_bool(cfg, key, default=False) -> bool:
     raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
 
 
+# psi.eta -> constructor; a profile listed as name(p) is written name(value)
+ETAS = {"quadratic": eta_quadratic, "entropy": eta_entropy, "power(p)": eta_power}
+
+
 def _get_eta(cfg) -> EtaProfile:
-    name = get_str(cfg, "psi.eta", "quadratic")
+    text = get_str(cfg, "psi.eta", "quadratic")
+    name, paren, arg = text.partition("(")
+    make = ETAS.get(f"{name}(p)" if paren and arg.endswith(")") else text)
+    if make is None:
+        raise ConfigError(f"key 'psi.eta': unknown profile {text!r} ({' | '.join(ETAS)})")
     try:
-        if name == "quadratic":
-            return eta_quadratic()
-        if name == "entropy":
-            return eta_entropy()
-        if name.startswith("power(") and name.endswith(")"):
-            return eta_power(_number(name[6:-1], "psi.eta"))
+        return make(_number(arg[:-1], "psi.eta")) if paren else make()
     except InadmissibleEta as exc:
         raise ConfigError(f"key 'psi.eta': {exc}") from exc
-    raise ConfigError(f"key 'psi.eta': unknown profile {name!r} "
-                      "(quadratic | entropy | power(p))")
 
 
 def _read_table(cfg, key) -> np.ndarray:
@@ -135,6 +144,30 @@ def _read_table(cfg, key) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
+
+
+# potential.family -> (constructor, {its potential.* key: the reader of that
+# key}).  The constructor takes the keys the config sets by name, so an unset
+# key keeps the constructor's default; potential.path is read as its x,V table.
+POTENTIALS = {
+    "gaussian": (PotentialSpec.gaussian, {"sigma": get_number}),
+    "power": (PotentialSpec.power, {"alpha": partial(get_number, required=True),
+                                     "scale": get_number}),
+    "power_log": (PotentialSpec.power_log, {"alpha": partial(get_number, required=True)}),
+    "tabulated": (lambda path: PotentialSpec.tabulated(path[:, 0], path[:, 1]),
+                  {"path": _read_table}),
+}
+# analysis.<key> -> (default, the open interval a set value must lie in)
+_ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),      # exp(w_osc) must be finite
+             "c_p_override": (None, POSITIVE), "rho_override": (None, ANY),
+             "c_ls_override": (None, POSITIVE),
+             "capacity_rho": (None, (1.0, 1e150)),    # rho^2 must be finite
+             "capacity_f_const": (1.0, ANY)}
+_KEYS = frozenset("""potential.family grid.n_points grid.tail_tol initial.family
+    initial.epsilon initial.shift initial.p initial.cap initial.path sim.dt sim.t_end
+    sim.scheme sim.save_every psi.eta psi.a envelopes envelopes.calibrate
+    """.split()) | {f"analysis.{k}" for k in _ANALYSIS} | {
+    f"potential.{k}" for _, keys in POTENTIALS.values() for k in keys}
 
 
 @dataclass
@@ -165,35 +198,21 @@ class Scenario:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
-    fam = get_str(cfg, "potential.family", required=True)
+    make, readers = choose(POTENTIALS, "potential.family",
+                           get_str(cfg, "potential.family", required=True))
+    args = {k: read(cfg, f"potential.{k}") for k, read in readers.items()}
     try:
-        if fam == "gaussian":
-            potential = PotentialSpec.gaussian(get_number(cfg, "potential.sigma",
-                                                         math.sqrt(0.5)))
-        elif fam == "power":
-            potential = PotentialSpec.power(get_number(cfg, "potential.alpha",
-                                                       required=True),
-                                            get_number(cfg, "potential.scale", 1.0))
-        elif fam == "power_log":
-            potential = PotentialSpec.power_log(get_number(cfg, "potential.alpha",
-                                                           required=True))
-        elif fam == "tabulated":
-            data = _read_table(cfg, "potential.path")
-            potential = PotentialSpec.tabulated(data[:, 0], data[:, 1])
-        else:
-            raise ConfigError(f"unknown potential family {fam!r}")
+        potential = make(**{k: v for k, v in args.items() if v is not None})
     except InvalidSpec as exc:
         raise ConfigError(f"potential: {exc}") from exc
 
     init_fam = get_str(cfg, "initial.family", "eigen_perturbation")
-    if init_fam not in INITIAL:
-        raise ConfigError(f"key 'initial.family': unknown initial density family "
-                          f"{init_fam!r} ({' | '.join(INITIAL)})")
+    choose(INITIAL, "initial.family", init_fam)
     init_params = {
         "epsilon": get_number(cfg, "initial.epsilon", 0.2),
         "shift": get_number(cfg, "initial.shift", 0.5),
         "p": get_number(cfg, "initial.p", 1.0),
-        "cap": get_number(cfg, "initial.cap", 50.0),
+        "cap": get_number(cfg, "initial.cap", 50.0, within=POSITIVE),
         "table": _read_table(cfg, "initial.path") if init_fam == "tabulated" else None,
     }
     try:
@@ -221,8 +240,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         psi_a=get_number(cfg, "psi.a", None),
         envelope_names=names,
         calibrate=_get_bool(cfg, "envelopes.calibrate", True),
-        analysis={k: get_number(cfg, f"analysis.{k}", d)
-                  for k, d in _ANALYSIS_DEFAULTS.items()},
+        analysis={k: get_number(cfg, f"analysis.{k}", d, within=w)
+                  for k, (d, w) in _ANALYSIS.items()},
     )
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import GammaNotInvertible, MomentMissing
-from .inequalities import BetaFunction, beta_transforms
+from .inequalities import BetaFunction, beta_orlicz
 from ._numerics import invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
@@ -206,7 +206,7 @@ def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
     The constant C is unspecified by the theory (default 1; calibrate to pin).
     """
     m = _moment_guard(moment)
-    beta_zeta = beta_transforms(beta_wp, "orlicz", phi=phi)
+    beta_zeta = beta_orlicz(beta_wp, phi)
     spec = XiSpec(beta=beta_zeta, log_numerator=1.0, t_scale=1.0)
 
     def ev(t):

@@ -43,10 +43,14 @@ class BetaFunction:
            constant  beta(s) = c
            tabulated  log-log interpolation of sampled values, monotonized by
            a running maximum from the right (the violation count is kept).
+           affine  scale * base(s) + offset
+    Each constructor binds `evaluate` (float array -> beta values); `form`
+    and `params` are plain data describing it.
     """
 
     form: str
-    params: dict = field(default_factory=dict)
+    params: dict
+    evaluate: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
     s_min: float = 0.0
     s_max: float = 1.0
     monotonicity_violations: int = 0
@@ -55,20 +59,27 @@ class BetaFunction:
     def power(c: float, q: float, s_max: float = 1.0) -> "BetaFunction":
         if c <= 0 or q < 0:
             raise BadExponent("power beta needs c > 0 and q >= 0")
-        return BetaFunction("power", {"c": float(c), "q": float(q)}, s_max=s_max)
+        c, q = float(c), float(q)
+        return BetaFunction("power", {"c": c, "q": q}, lambda s: c * s ** (-q),
+                            s_max=s_max)
 
     @staticmethod
     def logpower(d: float, r: float, s0: float = 2.0) -> "BetaFunction":
         if d <= 0 or r < 0 or s0 <= 0:
             raise BadExponent("logpower beta needs d > 0, r >= 0, s0 > 0")
-        return BetaFunction("logpower", {"d": float(d), "r": float(r), "s0": float(s0)},
-                            s_max=s0 * (1.0 - 1e-12))
+        d, r, s0 = float(d), float(r), float(s0)
+        s_max = s0 * (1.0 - 1e-12)
+        return BetaFunction("logpower", {"d": d, "r": r, "s0": s0},
+                            lambda s: d * np.log(s0 / np.minimum(s, s_max)) ** r,
+                            s_max=s_max)
 
     @staticmethod
     def constant(c: float, s_max: float = 1.0) -> "BetaFunction":
         if c <= 0:
             raise BadExponent("constant beta must be positive")
-        return BetaFunction("constant", {"c": float(c)}, s_max=s_max)
+        c = float(c)
+        return BetaFunction("constant", {"c": c}, lambda s: np.full_like(s, c),
+                            s_max=s_max)
 
     @staticmethod
     def tabulated(s, beta) -> "BetaFunction":
@@ -80,9 +91,21 @@ class BetaFunction:
             raise BadExponent("tabulated beta needs positive values on an increasing s grid")
         mono = np.maximum.accumulate(b[::-1])[::-1]
         violations = int(np.sum(b < mono - 1e-12 * mono))
-        return BetaFunction("tabulated",
-                            {"s": s, "beta": mono,
-                             "log_s": np.log(s), "log_beta": np.log(mono)},
+        log_s, log_beta = np.log(s), np.log(mono)
+
+        def evaluate(s):
+            ls = np.log(np.clip(s, 1e-300, None))
+            lo, hi = log_s[0], log_s[-1]
+            out = np.exp(np.interp(np.clip(ls, lo, hi), log_s, log_beta))
+            # extrapolate left with the first log-log slope (conservative:
+            # beta keeps growing as s -> 0), constant to the right
+            below = ls < lo
+            if np.any(below):
+                slope = min((log_beta[1] - log_beta[0]) / (log_s[1] - lo), 0.0)
+                expo = np.minimum(log_beta[0] + slope * (ls - lo), 700.0)
+                out = np.where(below, np.exp(expo), out)
+            return out
+        return BetaFunction("tabulated", {"s": s, "beta": mono}, evaluate,
                             s_min=float(s[0]), s_max=float(s[-1]),
                             monotonicity_violations=violations)
 
@@ -95,38 +118,13 @@ class BetaFunction:
     @staticmethod
     def affine(base: "BetaFunction", scale: float, offset: float) -> "BetaFunction":
         """scale * beta(s) + offset; stays positive and non-increasing."""
-        return BetaFunction("affine", {"base": base, "scale": float(scale),
-                                       "offset": float(offset)},
+        scale, offset = float(scale), float(offset)
+        return BetaFunction("affine", {"base": base.form, "scale": scale, "offset": offset},
+                            lambda s: scale * base(s) + offset,
                             s_min=base.s_min, s_max=base.s_max)
 
     def __call__(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.form == "power":
-            return self.params["c"] * s ** (-self.params["q"])
-        if self.form == "logpower":
-            d, r, s0 = self.params["d"], self.params["r"], self.params["s0"]
-            return d * np.log(s0 / np.minimum(s, self.s_max)) ** r
-        if self.form == "constant":
-            return np.full_like(s, self.params["c"])
-        if self.form == "affine":
-            return self.params["scale"] * self.params["base"](s) + self.params["offset"]
-        if self.form == "tabulated":
-            ls = np.log(np.clip(s, 1e-300, None))
-            lo, hi = self.params["log_s"][0], self.params["log_s"][-1]
-            lb = np.interp(np.clip(ls, lo, hi), self.params["log_s"],
-                           self.params["log_beta"])
-            out = np.exp(lb)
-            # extrapolate left with the first log-log slope (conservative:
-            # beta keeps growing as s -> 0), constant to the right
-            below = ls < lo
-            if np.any(below):
-                k = self.params["log_beta"]
-                slope = (k[1] - k[0]) / (self.params["log_s"][1] - lo)
-                slope = min(slope, 0.0)
-                expo = np.minimum(k[0] + slope * (ls - lo), 700.0)
-                out = np.where(below, np.exp(expo), out)
-            return out
-        raise ValueError(f"unknown beta form {self.form!r}")
+        return self.evaluate(np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -138,7 +136,6 @@ class PropagatedBetaFamily:
 
     rho: float
     base: BetaFunction
-    kind: str = "curvature_propagated"
 
     def at_time(self, t: float) -> BetaFunction:
         if self.rho == 0.0:
@@ -425,6 +422,8 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
     c_p_upper = bracket.C_P_interval[1]
     c_eta = max(d2a * (1.0 + (rho - 1.0) ** 2) * c_p_upper / d2ra,
                 rho**2 * c_cap / (rho - 1.0) ** 2)
+    if not math.isfinite(c_eta):
+        raise DivergentCcap(f"the C_eta bound overflows at rho = {rho:g}")
     # Remark-style alternative condition along tail sets A = [x, inf):
     # eta''(1/mu(A)) / (mu(A) eta(rho/mu(A))) <= C_c * Cap_mu(A),
     # Cap_mu([x,inf)) = 1 / int_m^x (1/pdf).
@@ -453,79 +452,71 @@ def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
     return np.max(u[None, :] * y[:, None] - gamma_vals[None, :], axis=1)
 
 
-def beta_transforms(beta_in: BetaFunction, kind: str, *, phi=None,
-                    rho: Optional[float] = None, c: float = 1.0,
-                    F: Optional[Callable] = None):
-    """Transform beta_in between the inequality families.
+def _s_grid(beta: BetaFunction) -> np.ndarray:
+    return np.geomspace(1e-12, beta.s_max if beta.s_max > 0 else 1.0, 2000)
 
-    kinds
-    -----
-    orlicz
-        beta_zeta(s) = 6 beta_WP((1/4) zeta-bar(s/2)) with
-        zeta-bar(u) = 1/gamma*(1/u), gamma(u) = zeta(sqrt u), zeta(u) = u phi(u).
-        gamma* is computed numerically on a log grid; a non-convex gamma
-        triggers NonYoungWarning (the sup is automatically the convex hull).
-    hellinger_forward
-        gamma_H(s) = s^{1/2} beta_H(k s^{1/2}), k = (sqrt2-1)/(2 sqrt2).
-    hellinger_converse
-        beta_H(s) = 24 gamma(s^2)/s from a capacity weight gamma = beta_in.
-    hellinger_to_wp
-        beta_WP = 12 gamma_H (requires gamma_H non-increasing; tabulated
-        output monotonizes and records violations).
-    curvature_propagated / sp_propagated
-        the two-argument family (1 - e^{-rho t})/rho + e^{-rho t} beta(s).
-    sp_from_F
-        beta_SP(s) = c / F(s) for s large (c is a caller parameter).
+
+def beta_orlicz(beta_wp: BetaFunction, phi: Callable) -> BetaFunction:
+    """beta_zeta(s) = 6 beta_WP((1/4) zeta-bar(s/2)) with
+    zeta-bar(u) = 1/gamma*(1/u), gamma(u) = zeta(sqrt u), zeta(u) = u phi(u).
+
+    gamma* is computed numerically on a log grid; a non-convex gamma triggers
+    NonYoungWarning (the sup is automatically the convex hull).
     """
-    s_grid = np.geomspace(1e-12, beta_in.s_max if beta_in.s_max > 0 else 1.0, 2000)
+    s_grid = _s_grid(beta_wp)
+    u = np.geomspace(1e-8, 1e8, 2000)
+    gamma_vals = np.sqrt(u) * np.asarray(phi(np.sqrt(u)), dtype=float)
+    d2 = np.diff(np.diff(gamma_vals) / np.diff(u))
+    if np.any(d2 < -1e-9 * np.abs(gamma_vals[1:-1]).max()):
+        warnings.warn("gamma(u) = zeta(sqrt u) is not convex on the probe "
+                      "grid; proceeding with its convex hull",
+                      NonYoungWarning)
+    y = 1.0 / s_grid[::-1]  # increasing y grid
+    gstar = _legendre_conjugate(gamma_vals, u, y)
 
-    if kind == "orlicz":
-        if phi is None:
-            raise ValueError("orlicz transform needs phi")
-        u = np.geomspace(1e-8, 1e8, 2000)
-        gamma_vals = np.sqrt(u) * np.asarray(phi(np.sqrt(u)), dtype=float)
-        d2 = np.diff(np.diff(gamma_vals) / np.diff(u))
-        if np.any(d2 < -1e-9 * np.abs(gamma_vals[1:-1]).max()):
-            warnings.warn("gamma(u) = zeta(sqrt u) is not convex on the probe "
-                          "grid; proceeding with its convex hull",
-                          NonYoungWarning)
-        y = 1.0 / s_grid[::-1]  # increasing y grid
-        gstar = _legendre_conjugate(gamma_vals, u, y)
+    def zeta_bar(v):
+        v = np.asarray(v, dtype=float)
+        gs = np.interp(1.0 / v, y, gstar)
+        return 1.0 / np.maximum(gs, 1e-300)
 
-        def zeta_bar(v):
-            v = np.asarray(v, dtype=float)
-            gs = np.interp(1.0 / v, y, gstar)
-            return 1.0 / np.maximum(gs, 1e-300)
+    vals = 6.0 * beta_wp(np.maximum(0.25 * zeta_bar(s_grid / 2.0), 1e-300))
+    return BetaFunction.tabulated(s_grid, vals)
 
-        vals = 6.0 * beta_in(np.maximum(0.25 * zeta_bar(s_grid / 2.0), 1e-300))
-        return BetaFunction.tabulated(s_grid, vals)
 
-    if kind == "hellinger_forward":
-        k = HELLINGER_CAP_CONST
-        vals = np.sqrt(s_grid) * beta_in(np.minimum(k * np.sqrt(s_grid),
-                                                    beta_in.s_max))
-        return BetaFunction.tabulated(s_grid, vals)
+def beta_hellinger_forward(beta_h: BetaFunction) -> BetaFunction:
+    """gamma_H(s) = s^{1/2} beta_H(k s^{1/2}), k = (sqrt2-1)/(2 sqrt2)."""
+    s_grid = _s_grid(beta_h)
+    vals = np.sqrt(s_grid) * beta_h(np.minimum(HELLINGER_CAP_CONST * np.sqrt(s_grid),
+                                               beta_h.s_max))
+    return BetaFunction.tabulated(s_grid, vals)
 
-    if kind == "hellinger_converse":
-        vals = 24.0 * beta_in(np.minimum(s_grid**2, beta_in.s_max)) / s_grid
-        return BetaFunction.tabulated(s_grid, vals)
 
-    if kind == "hellinger_to_wp":
-        k = HELLINGER_CAP_CONST
-        vals = 12.0 * np.sqrt(s_grid) * beta_in(np.minimum(k * np.sqrt(s_grid),
-                                                           beta_in.s_max))
-        return BetaFunction.tabulated(s_grid, vals)
+def beta_hellinger_converse(gamma: BetaFunction) -> BetaFunction:
+    """beta_H(s) = 24 gamma(s^2)/s from a capacity weight gamma."""
+    s_grid = _s_grid(gamma)
+    vals = 24.0 * gamma(np.minimum(s_grid**2, gamma.s_max)) / s_grid
+    return BetaFunction.tabulated(s_grid, vals)
 
-    if kind in ("curvature_propagated", "sp_propagated"):
-        if rho is None or rho < 0:
-            raise ValueError("propagated transforms need rho >= 0")
-        return PropagatedBetaFamily(rho=float(rho), base=beta_in, kind=kind)
 
-    if kind == "sp_from_F":
-        if F is None:
-            raise ValueError("sp_from_F needs the F-Sobolev weight F")
-        s = np.geomspace(1.0, 1e8, 2000)
-        vals = c / np.maximum(np.asarray(F(s), dtype=float), 1e-300)
-        return BetaFunction.tabulated(s, vals)
+def beta_hellinger_to_wp(beta_h: BetaFunction) -> BetaFunction:
+    """beta_WP = 12 gamma_H (requires gamma_H non-increasing; the tabulated
+    output monotonizes and records violations)."""
+    s_grid = _s_grid(beta_h)
+    vals = 12.0 * np.sqrt(s_grid) * beta_h(np.minimum(HELLINGER_CAP_CONST * np.sqrt(s_grid),
+                                                      beta_h.s_max))
+    return BetaFunction.tabulated(s_grid, vals)
 
-    raise ValueError(f"unknown transform kind {kind!r}")
+
+def beta_curvature_propagated(beta: BetaFunction, rho: float) -> PropagatedBetaFamily:
+    """The two-argument family (1 - e^{-rho t})/rho + e^{-rho t} beta(s), rho >= 0;
+    the super-Poincare propagation has the same shape."""
+    if not rho >= 0:
+        raise BadExponent("propagated transforms need rho >= 0")
+    return PropagatedBetaFamily(rho=float(rho), base=beta)
+
+
+def beta_sp_from_F(F: Callable, c: float = 1.0) -> BetaFunction:
+    """beta_SP(s) = c / F(s) for s large (c is a caller parameter)."""
+    s = np.geomspace(1.0, 1e8, 2000)
+    vals = c / np.maximum(np.asarray(F(s), dtype=float), 1e-300)
+    return BetaFunction.tabulated(s, vals)

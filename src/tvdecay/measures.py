@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -35,6 +35,10 @@ _MASS_TOL = 1e-6
 class PotentialSpec:
     """Potential V defining mu ~ exp(-2V) dx.
 
+    Each constructor binds V, its second derivative V2 (of the smooth part,
+    used by the curvature check) and, where the family fixes one, the
+    truncation domain.
+
     Families
     --------
     gaussian(sigma)
@@ -50,7 +54,10 @@ class PotentialSpec:
     """
 
     family: str
-    params: dict = field(default_factory=dict)
+    params: dict
+    V: Callable = field(compare=False, repr=False)
+    V2: Callable = field(compare=False, repr=False)
+    domain: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def gaussian(sigma: float = math.sqrt(0.5)) -> "PotentialSpec":
@@ -58,19 +65,44 @@ class PotentialSpec:
         if not (sigma > 0 and 0.0 < sigma * sigma < math.inf):
             raise InvalidSpec(f"gaussian sigma must be positive with a positive "
                               f"finite square, got sigma = {sigma!r}")
-        return PotentialSpec("gaussian", {"sigma": float(sigma)})
+        sigma = float(sigma)
+        return PotentialSpec(
+            "gaussian", {"sigma": sigma},
+            V=lambda x: np.square(np.asarray(x, float)) / (4.0 * sigma**2),
+            V2=lambda x: np.full_like(np.asarray(x, float), 1.0 / (2.0 * sigma**2)))
 
     @staticmethod
     def power(alpha: float, scale: float = 1.0) -> "PotentialSpec":
         if not (alpha > 0 and scale > 0):
             raise InvalidSpec("power family needs alpha > 0 and scale > 0")
-        return PotentialSpec("power", {"alpha": float(alpha), "scale": float(scale)})
+        alpha, scale = float(alpha), float(scale)
+
+        def V2(x):
+            x = np.asarray(x, dtype=float)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = alpha * (alpha - 1.0) * np.abs(x / scale) ** (alpha - 2.0) / scale**2
+            if alpha == 2.0:
+                return np.full_like(x, 2.0 / scale**2)
+            return np.where(x == 0.0, 0.0 if alpha > 2.0 else np.inf, out)
+        return PotentialSpec("power", {"alpha": alpha, "scale": scale},
+                             V=lambda x: np.abs(np.asarray(x, float) / scale) ** alpha, V2=V2)
 
     @staticmethod
     def power_log(alpha: float) -> "PotentialSpec":
         if not (1.0 < alpha < 2.0):
             raise InvalidSpec("power_log is used with 1 < alpha < 2")
-        return PotentialSpec("power_log", {"alpha": float(alpha)})
+        alpha = float(alpha)
+
+        def V(x):
+            x = np.asarray(x, dtype=float)
+            return np.abs(x) ** alpha + np.log1p(np.abs(x) * np.sin(x) ** 2)
+
+        def V2(x):
+            # finite differences on the full (non-convex) potential
+            x = np.asarray(x, dtype=float)
+            h = 1e-5 * (1.0 + np.abs(x))
+            return (V(x + h) - 2.0 * V(x) + V(x - h)) / h**2
+        return PotentialSpec("power_log", {"alpha": alpha}, V=V, V2=V2)
 
     @staticmethod
     def tabulated(x, v) -> "PotentialSpec":
@@ -82,48 +114,9 @@ class PotentialSpec:
             raise InvalidSpec("tabulated x must be strictly increasing")
         if not np.all(np.isfinite(v)):
             raise InvalidSpec("tabulated V must be finite")
-        return PotentialSpec("tabulated", {"x": x, "v": v})
-
-    def V(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if self.family == "gaussian":
-            return x * x / (4.0 * self.params["sigma"] ** 2)
-        if self.family == "power":
-            return np.abs(x / self.params["scale"]) ** self.params["alpha"]
-        if self.family == "power_log":
-            a = self.params["alpha"]
-            return np.abs(x) ** a + np.log1p(np.abs(x) * np.sin(x) ** 2)
-        if self.family == "tabulated":
-            interp = PchipInterpolator(self.params["x"], self.params["v"],
-                                       extrapolate=True)
-            return interp(x)
-        raise InvalidSpec(f"unknown potential family {self.family!r}")
-
-    def V2(self, x) -> np.ndarray:
-        """Second derivative of the smooth part, used by the curvature check."""
-        x = np.asarray(x, dtype=float)
-        if self.family == "gaussian":
-            return np.full_like(x, 1.0 / (2.0 * self.params["sigma"] ** 2))
-        if self.family == "power":
-            a = self.params["alpha"]
-            s = self.params["scale"]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = a * (a - 1.0) * np.abs(x / s) ** (a - 2.0) / s**2
-            if a == 2.0:
-                out = np.full_like(x, 2.0 / s**2)
-            elif a > 2.0:
-                out = np.where(x == 0.0, 0.0, out)
-            else:
-                out = np.where(x == 0.0, np.inf, out)
-            return out
-        if self.family == "tabulated":
-            interp = PchipInterpolator(self.params["x"], self.params["v"])
-            return interp.derivative(2)(x)
-        if self.family == "power_log":
-            # finite differences on the full (non-convex) potential
-            h = 1e-5 * (1.0 + np.abs(x))
-            return (self.V(x + h) - 2.0 * self.V(x) + self.V(x - h)) / h**2
-        raise InvalidSpec(f"unknown potential family {self.family!r}")
+        interp = PchipInterpolator(x, v, extrapolate=True)
+        return PotentialSpec("tabulated", {"x": x, "v": v}, V=interp,
+                             V2=interp.derivative(2), domain=(float(x[0]), float(x[-1])))
 
 
 @dataclass(frozen=True)
@@ -152,9 +145,8 @@ class ProbabilityMeasure1D:
 
 
 def _truncation_bounds(spec: PotentialSpec, tail_tol: float):
-    if spec.family == "tabulated":
-        x = spec.params["x"]
-        return float(x[0]), float(x[-1])
+    if spec.domain is not None:
+        return spec.domain
     scan = np.linspace(-8.0, 8.0, 2001)
     vs = spec.V(scan)
     if not np.all(np.isfinite(vs)):
@@ -238,6 +230,8 @@ def integrate(mu: ProbabilityMeasure1D, g) -> float:
 
 def _check_density(mu: ProbabilityMeasure1D, h) -> np.ndarray:
     h = _check_aligned(mu, h)
+    if not np.all(np.isfinite(h)):
+        raise NotADensity("h has non-finite values")
     if h.min() < -1e-12:
         raise NotADensity(f"h has negative values (min {h.min():.3e})")
     mass = integrate(mu, np.maximum(h, 0.0))

@@ -24,6 +24,7 @@ from .errors import CFLWarning, LowerBoundViolated, NotADensity, WrongMeasure
 from .measures import (
     Functionals,
     ProbabilityMeasure1D,
+    _check_density,
     functionals,
     integrate,
 )
@@ -127,14 +128,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     mixture flow (1 + h_t)/2, which is itself the exact flow of (1 + h0)/2;
     the series flag `reverse_transformed` records this.
     """
-    h = np.asarray(h0, dtype=float).copy()
-    if h.shape != mu.grid.shape:
-        raise NotADensity("h0 is not aligned with the measure grid")
-    if h.min() < -1e-12:
-        raise NotADensity("h0 has negative values")
-    mass0 = integrate(mu, h)
-    if abs(mass0 - 1.0) > 1e-6:
-        raise NotADensity(f"int h0 dmu = {mass0:.8f}")
+    h = _check_density(mu, h0)
     lower, diag, upper = _operator_coefficients(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))

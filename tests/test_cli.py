@@ -9,6 +9,7 @@ import pytest
 from tvdecay import envelopes, measures
 from tvdecay.cli import ENVELOPES, _bound_curves, analyze_scenario, main, plan_envelopes
 from tvdecay.config import (
+    _KEYS,
     load_scenario,
     parse_config_text,
     render_config,
@@ -287,6 +288,34 @@ BAD_INPUTS = {
                        "envelope.curvature.beta_c"),
     "positivity-floor-removed": ("simulate", "sim.positivity_floor = 1e-9", (),
                                  "sim.positivity_floor"),
+    "c-p-override-negative": ("bounds", "analysis.c_p_override = -1", (),
+                              "analysis.c_p_override"),
+    "c-ls-override-zero": ("bounds", "envelopes = logsob\nanalysis.c_ls_override = 0", (),
+                           "analysis.c_ls_override"),
+    "weak-logsob-eps-zero": ("bounds", "envelopes = weak_logsob\n"
+                                       "envelope.weak_logsob.eps = 0", (),
+                             "envelope.weak_logsob.eps"),
+    "weak-logsob-eps-negative": ("bounds", "envelopes = weak_logsob\n"
+                                           "envelope.weak_logsob.eps = -1", (),
+                                 "envelope.weak_logsob.eps"),
+    "initial-cap-zero": ("simulate", "initial.family = tail_ratio\ninitial.cap = 0", (),
+                         "initial.cap"),
+    "w-osc-huge": ("analyze", "analysis.w_osc = 1e300", (), "analysis.w_osc"),
+    "capacity-rho-huge": ("analyze", "analysis.capacity_rho = 1e300", (),
+                          "analysis.capacity_rho"),
+    "c-p-override-nan": ("bounds", "analysis.c_p_override = nan", (),
+                         "analysis.c_p_override"),
+    "m-eta-nan": ("bounds", "envelopes = ipsi\nenvelope.ipsi.C_eta = 1\n"
+                            "envelope.ipsi.M_eta = nan", (), "envelope.ipsi.M_eta"),
+    "epsilon-nan": ("simulate", "initial.family = eigen_perturbation\n"
+                                "initial.epsilon = nan", (), "initial.epsilon"),
+    "epsilon-inf": ("simulate", "initial.family = eigen_perturbation\n"
+                                "initial.epsilon = inf", (), "initial.epsilon"),
+    "p-nan": ("simulate", "initial.family = tail_ratio\ninitial.p = nan", (), "initial.p"),
+    "shift-nan": ("simulate", "initial.family = shifted_gaussian\n"
+                              "initial.shift = nan", (), "initial.shift"),
+    "shift-inf": ("simulate", "initial.family = shifted_gaussian\n"
+                              "initial.shift = inf", (), "initial.shift"),
 }
 
 
@@ -321,6 +350,72 @@ def test_extreme_sigma_named(sigma, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert needle in err
+
+
+@pytest.mark.parametrize("verb", ["bounds", "simulate"])
+def test_non_finite_start_exits_3(verb, tmp_path, capsys):
+    # exp(2 (V(x) - V(x - shift))) overflows, so h0 is inf/nan, not a density
+    path = write_cfg(tmp_path, SMALL_CFG + "initial.family = shifted_gaussian\n"
+                                           "initial.shift = 1e300\n")
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "NotADensity" in err and "Traceback" not in err
+
+
+FUZZ_CFG = """
+potential.family = gaussian
+grid.n_points = 101
+initial.family = step
+sim.dt = 0.01
+sim.t_end = 0.05
+sim.save_every = 1
+"""
+# numeric key -> (a verb that reads it, the config lines it needs on top of FUZZ_CFG)
+FUZZ_KEYS = {
+    "potential.sigma": ("simulate", ""),
+    "potential.alpha": ("simulate", "potential.family = power"),
+    "potential.scale": ("simulate", "potential.family = power\npotential.alpha = 2"),
+    "grid.n_points": ("simulate", ""),
+    "grid.tail_tol": ("simulate", ""),
+    "initial.epsilon": ("simulate", "initial.family = eigen_perturbation"),
+    "initial.shift": ("simulate", "initial.family = shifted_gaussian"),
+    "initial.p": ("simulate", "initial.family = tail_ratio"),
+    "initial.cap": ("simulate", "initial.family = tail_ratio"),
+    "sim.dt": ("simulate", ""),
+    "sim.t_end": ("simulate", ""),
+    "sim.save_every": ("simulate", ""),
+    "psi.a": ("simulate", ""),
+    "analysis.w_osc": ("bounds", "envelopes = logsob"),
+    "analysis.c_p_override": ("bounds", "envelopes = poincare_l2"),
+    "analysis.rho_override": ("bounds", "envelopes = curvature"),
+    "analysis.c_ls_override": ("bounds", "envelopes = logsob"),
+    "analysis.capacity_rho": ("analyze", ""),
+    "analysis.capacity_f_const": ("analyze", "analysis.capacity_rho = 2"),
+}
+FUZZ_KEYS.update({f"envelope.{name}.{extra}": (
+    "bounds", f"envelopes = {name}" + ("\nenvelope.ipsi.C_eta = 1" if name == "ipsi" else ""))
+    for name, family in ENVELOPES.items() for extra in family.extras})
+FUZZ_VALUES = ("-1", "0", "nan", "inf", "1e300")
+# sim.t_end = 1e300 asks for about 1e302 solver steps: unbounded work, not a bad input
+FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES
+              if (k, v) != ("sim.t_end", "1e300")]
+
+
+def test_fuzz_keys_cover_every_numeric_key():
+    text_keys = {"potential.family", "potential.path", "initial.family", "initial.path",
+                 "sim.scheme", "psi.eta", "envelopes", "envelopes.calibrate"}
+    assert set(FUZZ_KEYS) >= _KEYS - text_keys
+
+
+@pytest.mark.parametrize("key, value", FUZZ_CASES)
+def test_config_fuzz(key, value, tmp_path, capsys):
+    verb, lines = FUZZ_KEYS[key]
+    path = write_cfg(tmp_path, f"{FUZZ_CFG}{lines}\n{key} = {value}\n")
+    argv = ("--t-grid", "5") if verb == "bounds" else ()
+    code = main([verb, path, "--out", str(tmp_path / "out"), *argv])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
 
 
 ALL_FAMILIES_CFG = SMALL_CFG + f"""

@@ -28,7 +28,7 @@ from tvdecay.envelopes import (
     xi,
 )
 from tvdecay.errors import MomentMissing
-from tvdecay.inequalities import beta_transforms
+from tvdecay.inequalities import beta_orlicz
 from tvdecay._numerics import fit_log_slope, fit_loglog_slope
 
 
@@ -183,7 +183,7 @@ class TestOrlicz:
         # xi_zeta(t) = (xi_WP(p t/(p-2)))^{(p-2)/p} up to constants
         p = 4.0
         bwp = tv.BetaFunction.power(1.0, 1.0)
-        bz = beta_transforms(bwp, "orlicz", phi=_phi_power(p))
+        bz = beta_orlicz(bwp, _phi_power(p))
         ts = np.geomspace(1e2, 1e7, 25)
         xz = np.array([xi(XiSpec(beta=bz), t) for t in ts])
         xw = np.array([xi(XiSpec(beta=bwp), p * t / (p - 2.0)) for t in ts])
@@ -204,7 +204,7 @@ class TestOrlicz:
     def test_constant_beta_same_rate(self):
         # for constant beta the transform degenerates to another constant
         bwp = tv.BetaFunction.constant(0.5)
-        bz = beta_transforms(bwp, "orlicz", phi=_phi_power(3.0))
+        bz = beta_orlicz(bwp, _phi_power(3.0))
         s = np.geomspace(1e-8, 0.5, 20)
         vals = bz(s)
         assert vals.max() / vals.min() < 1.0 + 1e-9

@@ -14,7 +14,12 @@ from tvdecay.inequalities import (
     BetaFunction,
     HELLINGER_CAP_CONST,
     bakry_emery,
-    beta_transforms,
+    beta_curvature_propagated,
+    beta_hellinger_converse,
+    beta_hellinger_forward,
+    beta_hellinger_to_wp,
+    beta_orlicz,
+    beta_sp_from_F,
     capacity_condition_check,
     drift_tail_beta,
     gamma2_identity_residual,
@@ -255,22 +260,19 @@ class TestCapacityCondition:
 class TestBetaTransforms:
     def test_curvature_propagated_identity_at_zero(self):
         base = tv.BetaFunction.power(1.0, 1.0)
-        fam = beta_transforms(base, "curvature_propagated", rho=2.0)
+        fam = beta_curvature_propagated(base, rho=2.0)
         assert float(fam(0.0, 0.01)) == pytest.approx(float(base(0.01)), rel=1e-12)
 
     def test_curvature_propagated_limit(self):
-        fam = beta_transforms(tv.BetaFunction.power(1.0, 1.0),
-                              "curvature_propagated", rho=2.0)
+        fam = beta_curvature_propagated(tv.BetaFunction.power(1.0, 1.0), rho=2.0)
         assert float(fam(60.0, 0.01)) == pytest.approx(0.5, rel=1e-9)
 
     def test_rho_zero_limit(self):
-        fam = beta_transforms(tv.BetaFunction.constant(3.0),
-                              "curvature_propagated", rho=0.0)
+        fam = beta_curvature_propagated(tv.BetaFunction.constant(3.0), rho=0.0)
         assert float(fam(2.0, 0.1)) == pytest.approx(5.0)
 
     def test_sp_propagated_same_shape(self):
-        fam = beta_transforms(tv.BetaFunction.constant(1.0), "sp_propagated",
-                              rho=1.0)
+        fam = beta_curvature_propagated(tv.BetaFunction.constant(1.0), rho=1.0)
         t = 0.7
         assert float(fam(t, 0.3)) == pytest.approx(
             (1 - math.exp(-t)) + math.exp(-t))
@@ -279,8 +281,7 @@ class TestBetaTransforms:
         # phi = u^{p-1}, p = 4: zeta-bar ~ u^{p/(p-2)} = u^2, so the
         # transformed beta scales like s^{-q p/(p-2)}
         base = tv.BetaFunction.power(1.0, 1.0)
-        bz = beta_transforms(base, "orlicz",
-                             phi=lambda u: np.asarray(u, float) ** 3.0)
+        bz = beta_orlicz(base, phi=lambda u: np.asarray(u, float) ** 3.0)
         s = np.geomspace(1e-8, 1e-2, 40)
         slope = fit_loglog_slope(s, bz(s))
         assert slope == pytest.approx(-2.0, abs=0.02)
@@ -289,13 +290,12 @@ class TestBetaTransforms:
         # concave phi makes gamma(u) = zeta(sqrt u) non-convex
         base = tv.BetaFunction.power(1.0, 1.0)
         with pytest.warns(NonYoungWarning):
-            beta_transforms(base, "orlicz",
-                            phi=lambda u: np.asarray(u, float) ** -0.8)
+            beta_orlicz(base, phi=lambda u: np.asarray(u, float) ** -0.8)
 
     def test_hellinger_to_wp_poincare_equivalence(self):
         # beta_H(s) = c/s makes 12 gamma_H constant: the Poincare regime
         bh = tv.BetaFunction.power(3.0, 1.0)
-        wp = beta_transforms(bh, "hellinger_to_wp")
+        wp = beta_hellinger_to_wp(bh)
         s = np.geomspace(1e-8, 0.5, 30)
         vals = wp(s)
         assert vals.max() / vals.min() < 1.0 + 1e-9
@@ -303,18 +303,17 @@ class TestBetaTransforms:
 
     def test_hellinger_converse_power(self):
         # gamma = c/s: beta_H(s) = 24 gamma(s^2)/s = 24 c / s^3
-        bh = beta_transforms(tv.BetaFunction.power(1.0, 1.0), "hellinger_converse")
+        bh = beta_hellinger_converse(tv.BetaFunction.power(1.0, 1.0))
         s = np.geomspace(1e-4, 0.5, 30)
         assert fit_loglog_slope(s, bh(s)) == pytest.approx(-3.0, abs=1e-6)
 
     def test_hellinger_forward_shape(self):
         bh = tv.BetaFunction.constant(2.0)
-        gam = beta_transforms(bh, "hellinger_forward")
+        gam = beta_hellinger_forward(bh)
         # gamma_H(s) = sqrt(s) beta_H(k sqrt s) = 2 sqrt(s): increasing input
         # is monotonized, violations recorded
         assert gam.monotonicity_violations > 0
 
     def test_sp_from_F(self):
-        bsp = beta_transforms(tv.BetaFunction.constant(1.0), "sp_from_F",
-                              F=lambda s: np.log1p(np.asarray(s, float)), c=2.0)
+        bsp = beta_sp_from_F(F=lambda s: np.log1p(np.asarray(s, float)), c=2.0)
         assert float(bsp(100.0)) == pytest.approx(2.0 / math.log(101.0), rel=1e-4)
