@@ -42,7 +42,7 @@ from .inequalities import (
     capacity_condition_check,
     muckenhoupt_poincare,
 )
-from .measures import ProbabilityMeasure1D, integrate, tv_distance
+from .measures import Functionals, ProbabilityMeasure1D, functionals, integrate
 from .psi import EtaProfile, build_psi_from_eta
 from .simulate import evolve
 from ._numerics import fit_log_slope
@@ -150,10 +150,12 @@ def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """What the envelope builders read: mu, h0, eta and the analysed constants."""
+    """What the envelope builders read: mu, h0, its functionals f0, eta and the
+    analysed constants."""
 
     mu: ProbabilityMeasure1D
     h0: np.ndarray
+    f0: Functionals
     eta: EtaProfile
     C_P: float
     C_LS: Optional[float]
@@ -222,8 +224,7 @@ def _curvature(x: _Inputs, phi, beta, extras) -> DecayEnvelope:
 # they run, so rebinding that name (e.g. to wrap it) takes effect.
 ENVELOPES = {
     "poincare_l2": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_poincare_l2(
-            x.C_P, math.sqrt(integrate(x.mu, (x.h0 - 1.0) ** 2)))),
+        lambda x, phi, beta, o: envelope_poincare_l2(x.C_P, math.sqrt(x.f0.variance))),
     "truncation_poincare": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_truncation_poincare(x.C_P, phi, x.moment(phi)),
         phi=("power", 1.5)),
@@ -235,8 +236,7 @@ ENVELOPES = {
         phi=("power", 3.0), beta=lambda x: BetaFunction.constant(x.C_P),
         extras={"C": (1.0, POSITIVE)}),
     "logsob": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), integrate(
-            x.mu, np.where(x.h0 > 0, x.h0 * np.log(np.maximum(x.h0, 1e-300)), 0.0)))),
+        lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), x.f0.entropy)),
     "truncation_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_truncation_logsob(
             x.c_ls("truncation_logsob"), phi, x.moment(phi)),
@@ -273,17 +273,21 @@ def plan_envelopes(scn: Scenario) -> dict:
     return {name: ENVELOPES[name].parse(scn.config, name) for name in scn.envelope_names}
 
 
-def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict,
-                  times: np.ndarray, tv0: float):
-    """Build every planned envelope, calibrate it to tv0 when the scenario
-    asks, and evaluate it at each t; returns (envelopes, curves)."""
-    x = _Inputs(mu, h0, scn.eta, capacity=constants["capacity"],
+def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):
+    """Build every planned envelope, calibrate it to the TV of h0 when the
+    scenario asks, and evaluate it at each t; returns (envelopes, curves).
+    A bound that is not finite at some t is a numeric failure."""
+    x = _Inputs(mu, h0, functionals(mu, h0), scn.eta, capacity=constants["capacity"],
                 **constants["effective"])
-    envs = {}
+    envs, curves = {}, {}
     for name, build in plan.items():
         env = build(x)
-        envs[name] = env.calibrate(tv0) if scn.calibrate else env
-    curves = {n: np.array([e.eval(t) for t in times]) for n, e in envs.items()}
+        envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
+        curves[name] = bound = np.array([envs[name].eval(t) for t in times])
+        bad = ~np.isfinite(bound)
+        if bad.any():
+            raise TvDecayError(f"envelope {name!r}: the bound is {bound[bad][0]} "
+                               f"at t = {times[bad][0]:g}")
     return envs, curves
 
 
@@ -320,7 +324,7 @@ def cmd_bounds(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     h0 = scn.build_initial(mu)
     constants = analyze_scenario(scn, mu)
     ts = np.geomspace(max(scn.sim.dt, 1e-3), scn.sim.t_end, t_grid)
-    _, curves = _bound_curves(scn, plan, mu, h0, constants, ts, tv_distance(mu, h0))
+    _, curves = _bound_curves(scn, plan, mu, h0, constants, ts)
     write_csv(out / "curves.csv", ["t"] + [f"bound_{n}" for n in curves],
               [ts, *curves.values()])
 
@@ -345,8 +349,7 @@ def cmd_compare(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     h0 = scn.build_initial(mu)
     constants = analyze_scenario(scn, mu)
     series = _simulate(scn, mu, h0)
-    envs, curves = _bound_curves(scn, plan, mu, h0, constants, series.times,
-                                 series.tv[0])
+    envs, curves = _bound_curves(scn, plan, mu, h0, constants, series.times)
     header, cols = _series_columns(series)
     write_csv(out / "curves.csv", header + [f"bound_{n}" for n in curves],
               cols + list(curves.values()))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -500,11 +500,10 @@ def beta_hellinger_converse(gamma: BetaFunction) -> BetaFunction:
 
 def beta_hellinger_to_wp(beta_h: BetaFunction) -> BetaFunction:
     """beta_WP = 12 gamma_H (requires gamma_H non-increasing; the tabulated
-    output monotonizes and records violations)."""
-    s_grid = _s_grid(beta_h)
-    vals = 12.0 * np.sqrt(s_grid) * beta_h(np.minimum(HELLINGER_CAP_CONST * np.sqrt(s_grid),
-                                                      beta_h.s_max))
-    return BetaFunction.tabulated(s_grid, vals)
+    gamma_H is monotonized and its violation count is kept)."""
+    gamma = beta_hellinger_forward(beta_h)
+    return replace(BetaFunction.tabulated(gamma.params["s"], 12.0 * gamma.params["beta"]),
+                   monotonicity_violations=gamma.monotonicity_violations)
 
 
 def beta_curvature_propagated(beta: BetaFunction, rho: float) -> PropagatedBetaFamily:

@@ -121,7 +121,11 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class ProbabilityMeasure1D:
-    """Truncated-grid representation of mu with quadrature, CDF and median."""
+    """Truncated-grid representation of mu with quadrature, CDF and median.
+
+    quadrature holds the trapezoid weights times pdf, so int g dmu is
+    sum(quadrature * g).
+    """
 
     grid: np.ndarray
     pdf: np.ndarray
@@ -129,15 +133,12 @@ class ProbabilityMeasure1D:
     cdf: np.ndarray
     median: float
     v_values: np.ndarray
+    quadrature: np.ndarray
     spec: Optional[PotentialSpec] = None
 
     def __post_init__(self):
-        for arr in (self.grid, self.pdf, self.cdf, self.v_values):
+        for arr in (self.grid, self.pdf, self.cdf, self.v_values, self.quadrature):
             arr.setflags(write=False)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.grid)
 
     @property
     def dx(self) -> float:
@@ -211,8 +212,8 @@ def build_measure(spec: PotentialSpec, n_points: int = 4001,
     k = min(max(k, 1), len(grid) - 1)
     c0, c1 = cdf[k - 1], cdf[k]
     median = float(grid[k - 1] + (0.5 - c0) / max(c1 - c0, 1e-300) * (grid[k] - grid[k - 1]))
-    return ProbabilityMeasure1D(grid=grid, pdf=pdf, log_partition=log_z,
-                                cdf=cdf, median=median, v_values=v, spec=spec)
+    return ProbabilityMeasure1D(grid=grid, pdf=pdf, log_partition=log_z, cdf=cdf,
+                                median=median, v_values=v, quadrature=w * pdf, spec=spec)
 
 
 def _check_aligned(mu: ProbabilityMeasure1D, g) -> np.ndarray:
@@ -225,38 +226,22 @@ def _check_aligned(mu: ProbabilityMeasure1D, g) -> np.ndarray:
 def integrate(mu: ProbabilityMeasure1D, g) -> float:
     """Trapezoid value of int g dmu."""
     g = _check_aligned(mu, g)
-    return float(np.sum(mu.weights * mu.pdf * g))
+    return float(np.sum(mu.quadrature * g))
 
 
-def _check_density(mu: ProbabilityMeasure1D, h) -> np.ndarray:
+def _check_density(mu: ProbabilityMeasure1D, h):
+    """(h clipped at 0, int h dmu, min h) after checking that h is a density."""
     h = _check_aligned(mu, h)
     if not np.all(np.isfinite(h)):
         raise NotADensity("h has non-finite values")
-    if h.min() < -1e-12:
-        raise NotADensity(f"h has negative values (min {h.min():.3e})")
-    mass = integrate(mu, np.maximum(h, 0.0))
+    h_min = float(h.min())
+    if h_min < -1e-12:
+        raise NotADensity(f"h has negative values (min {h_min:.3e})")
+    h = np.maximum(h, 0.0)
+    mass = integrate(mu, h)
     if abs(mass - 1.0) > _MASS_TOL:
         raise NotADensity(f"int h dmu = {mass:.8f}, expected 1 +- {_MASS_TOL:g}")
-    return np.maximum(h, 0.0)
-
-
-def tv_distance(mu: ProbabilityMeasure1D, h) -> float:
-    """Total variation ||h mu - mu||_TV = int |h - 1| dmu, in [0, 2]."""
-    h = _check_density(mu, h)
-    return integrate(mu, np.abs(h - 1.0))
-
-
-def hellinger_distance(mu: ProbabilityMeasure1D, h) -> float:
-    """Hellinger distance d_H(h mu, mu) = 2 int (1 - sqrt h) dmu."""
-    h = _check_density(mu, h)
-    return 2.0 * integrate(mu, 1.0 - np.sqrt(h))
-
-
-def _entropy_integrand(h: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(h)
-    pos = h > 0
-    out[pos] = h[pos] * np.log(h[pos])
-    return out
+    return h, mass, h_min
 
 
 @dataclass(frozen=True)
@@ -264,8 +249,10 @@ class Functionals:
     """Static functionals of a density h against mu.
 
     v_reverse and e_reverse are the reversed-role diagnostics
-    Var_{h mu}(1/h) = int (1/h) dmu - 1 and int log(1/h) dmu; they are only
-    defined when h >= 1/2 everywhere and are None otherwise.
+    Var_{g mu}(1/g) = int (1/g) dmu - 1 and int log(1/g) dmu of g = h, or of
+    the mixture g = (1 + h)/2; they are only defined when g >= 1/2
+    everywhere and are None otherwise.  mass and min_h are int h dmu and
+    min h as the density check found them.
     """
 
     tv: float
@@ -275,25 +262,39 @@ class Functionals:
     i_psi: Optional[float]
     v_reverse: Optional[float]
     e_reverse: Optional[float]
+    mass: float
+    min_h: float
 
 
-def functionals(mu: ProbabilityMeasure1D, h, psi=None) -> Functionals:
+def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) -> Functionals:
     """Evaluate tv, hellinger, variance, entropy, I_psi and the reversed pair.
 
-    psi is a PsiProfile (or None, which nulls i_psi only).
+    psi is a PsiProfile (or None, which nulls i_psi only); mixture=True takes
+    the reversed pair of (1 + h)/2 instead of h.
     """
-    h = _check_density(mu, h)
+    h, mass, h_min = _check_density(mu, h)
     tv = integrate(mu, np.abs(h - 1.0))
     hel = 2.0 * integrate(mu, 1.0 - np.sqrt(h))
     var = integrate(mu, (h - 1.0) ** 2)
-    ent = integrate(mu, _entropy_integrand(h))
+    ent = integrate(mu, h * np.log(np.where(h > 0, h, 1.0)))
     i_psi = None if psi is None else integrate(mu, psi.psi(h))
+    g = 0.5 * (1.0 + h) if mixture else h
     v_rev = e_rev = None
-    if h.min() >= 0.5 - 1e-12:
-        v_rev = integrate(mu, 1.0 / h) - 1.0
-        e_rev = integrate(mu, -np.log(h))
-    return Functionals(tv=tv, hellinger=hel, variance=var, entropy=ent,
-                       i_psi=i_psi, v_reverse=v_rev, e_reverse=e_rev)
+    if g.min() >= 0.5 - 1e-12:
+        v_rev = integrate(mu, 1.0 / g) - 1.0
+        e_rev = integrate(mu, -np.log(g))
+    return Functionals(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
+                       v_reverse=v_rev, e_reverse=e_rev, mass=mass, min_h=h_min)
+
+
+def tv_distance(mu: ProbabilityMeasure1D, h) -> float:
+    """Total variation ||h mu - mu||_TV = int |h - 1| dmu, in [0, 2]."""
+    return functionals(mu, h).tv
+
+
+def hellinger_distance(mu: ProbabilityMeasure1D, h) -> float:
+    """Hellinger distance d_H(h mu, mu) = 2 int (1 - sqrt h) dmu."""
+    return functionals(mu, h).hellinger
 
 
 @dataclass(frozen=True)
@@ -305,11 +306,9 @@ class PinskerCheck:
 
 def pinsker_check(mu: ProbabilityMeasure1D, h, psi, c_psi: float) -> PinskerCheck:
     """Check the generalized Pinsker bound tv <= c_psi * sqrt(I_psi)."""
-    h = _check_density(mu, h)
-    tv = integrate(mu, np.abs(h - 1.0))
-    i_psi = max(integrate(mu, psi.psi(h)), 0.0)
-    rhs = c_psi * math.sqrt(i_psi)
-    return PinskerCheck(tv=tv, rhs=rhs, holds=bool(tv <= rhs + 1e-9))
+    f = functionals(mu, h, psi)
+    rhs = c_psi * math.sqrt(max(f.i_psi, 0.0))
+    return PinskerCheck(tv=f.tv, rhs=rhs, holds=bool(f.tv <= rhs + 1e-9))
 
 
 # -- initial density shapes for the simulator ----------------------------------

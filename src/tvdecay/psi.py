@@ -17,7 +17,8 @@ so profiles built from an eta with analytic derivatives are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,9 +77,6 @@ class EtaProfile:
             "second_deriv_nonincreasing_beyond_b": bool(
                 np.all(np.diff(d2) <= 1e-12 * np.abs(d2[:-1]) + 1e-300)),
         }
-
-    def is_admissible(self) -> bool:
-        return all(self.admissibility_flags().values())
 
 
 # -- standard eta families ------------------------------------------------------
@@ -185,27 +183,36 @@ def eta_fsobolev(alpha: float) -> EtaProfile:
 
 @dataclass(frozen=True)
 class PsiProfile:
-    """psi with derivatives, the H integral and its monotone inverse.
+    """psi with derivatives; the H integral, its inverse and c_psi on first read.
 
     psi(1) = 0 exactly; psi''(u) = 1 below the splice point a, so
     psi(u) = (u^2 - u)/2 there.  H(u) = int_0^u sqrt(psi'') and H_inverse is
-    a monotone piecewise-cubic interpolant with linear tail extrapolation.
+    a monotone piecewise-cubic interpolant with linear tail extrapolation;
+    both are tabulated, and c_pinsker = pinsker_constant(self) is computed,
+    the first time they are read.
     """
 
     a: float
     psi: Callable[[np.ndarray], np.ndarray]
     psi_prime: Callable[[np.ndarray], np.ndarray]
     psi_second: Callable[[np.ndarray], np.ndarray]
-    H: Callable[[np.ndarray], np.ndarray]
-    H_inverse: Callable[[np.ndarray], np.ndarray]
-    c_pinsker: float = field(default=float("nan"))
     name: str = "psi"
 
-    def with_pinsker_constant(self) -> "PsiProfile":
-        c = pinsker_constant(self)
-        return PsiProfile(a=self.a, psi=self.psi, psi_prime=self.psi_prime,
-                          psi_second=self.psi_second, H=self.H,
-                          H_inverse=self.H_inverse, c_pinsker=c, name=self.name)
+    @cached_property
+    def _H_tables(self) -> tuple:
+        return _tabulate_H(self.psi_second)
+
+    @cached_property
+    def H(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._H_tables[0]
+
+    @cached_property
+    def H_inverse(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self._H_tables[1]
+
+    @cached_property
+    def c_pinsker(self) -> float:
+        return pinsker_constant(self)
 
 
 def _tabulate_H(psi_second):
@@ -276,19 +283,17 @@ def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile
                  + (eta.eta(uc) - ea - d1a * (uc - a)) / d2a)
         return np.where(u >= a, above, 0.5 * (u * u - u))
 
-    H, H_inv = _tabulate_H(psi_second)
-    prof = PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
-                      H=H, H_inverse=H_inv, name=f"psi[{eta.name}]")
-    return prof.with_pinsker_constant()
+    return PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
+                      name=f"psi[{eta.name}]")
 
 
 def psi_from_functions(psi, psi_prime, psi_second, name="psi[custom]",
                        a: float = 2.1) -> PsiProfile:
-    """Wrap user-supplied callables; admissibility is only probed numerically."""
-    H, H_inv = _tabulate_H(psi_second)
-    prof = PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
-                      H=H, H_inverse=H_inv, name=name)
-    return prof.with_pinsker_constant()
+    """Wrap user-supplied callables; admissibility is only probed numerically,
+    by computing c_pinsker here (it raises NotPinskerAdmissible)."""
+    prof = PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second, name=name)
+    prof.c_pinsker
+    return prof
 
 
 def psi_quadratic_centered() -> PsiProfile:

@@ -21,13 +21,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import CFLWarning, LowerBoundViolated, NotADensity, WrongMeasure
-from .measures import (
-    Functionals,
-    ProbabilityMeasure1D,
-    _check_density,
-    functionals,
-    integrate,
-)
+from .measures import ProbabilityMeasure1D, _check_density, functionals, integrate
 from ._numerics import trapezoid_weights
 
 
@@ -128,7 +122,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     mixture flow (1 + h_t)/2, which is itself the exact flow of (1 + h0)/2;
     the series flag `reverse_transformed` records this.
     """
-    h = _check_density(mu, h0)
+    h = _check_density(mu, h0)[0]
     lower, diag, upper = _operator_coefficients(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -139,7 +133,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         ab = _banded(lower, diag, upper, 0.5 * dt)
         explicit_half = 0.5 * dt
     transformed = bool(h.min() < 0.5 - 1e-12)
-    times, rows, masses, minima, rhs_list = [], [], [], [], []
+    times, rows, rhs_list = [], [], []
     states = [] if keep_states else None
     warned = False
 
@@ -149,19 +143,11 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
             # raw state for the evolution itself
             h_t = np.maximum(h_t, 0.0)
             h_t = h_t / integrate(mu, h_t)
-        f = functionals(mu, h_t, psi=psi)
-        if transformed:
-            mix = 0.5 * (1.0 + h_t)
-            v_rev = integrate(mu, 1.0 / mix) - 1.0
-            e_rev = integrate(mu, -np.log(mix))
-        else:
-            v_rev = f.v_reverse
-            e_rev = f.e_reverse
+        f = functionals(mu, h_t, psi=psi, mixture=transformed)
         times.append(t)
         rows.append((f.tv, f.hellinger, f.variance, f.entropy,
-                     np.nan if f.i_psi is None else f.i_psi, v_rev, e_rev))
-        masses.append(integrate(mu, h_t))
-        minima.append(float(h_t.min()))
+                     np.nan if f.i_psi is None else f.i_psi, f.v_reverse, f.e_reverse,
+                     f.mass, f.min_h))
         if psi is not None:
             grad = _grad(mu, h_t)
             rhs_list.append(0.5 * integrate(mu, np.asarray(psi.psi_second(h_t), float)
@@ -178,8 +164,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         else:
             rhs = h + explicit_half * _apply_L(lower, diag, upper, h)
             h = solve_banded((1, 1), ab, rhs)
-            neg = np.minimum(h, 0.0)
-            neg_mass = -float(np.sum(mu.weights * mu.pdf * neg))
+            neg_mass = -integrate(mu, np.minimum(h, 0.0))
             if neg_mass > 1e-6 and not warned:
                 warnings.warn(
                     f"crank_nicolson produced negative mass fraction "
@@ -199,7 +184,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         entropy=cols[:, 3], i_psi=i_psi_col,
         v_reverse=cols[:, 5], e_reverse=cols[:, 6],
         dissipation_lhs=lhs, dissipation_rhs=np.asarray(rhs_list, dtype=float),
-        mass=np.asarray(masses), min_h=np.asarray(minima),
+        mass=cols[:, 7], min_h=cols[:, 8],
         reverse_transformed=transformed, states=states)
 
 

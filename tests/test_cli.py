@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdecay import envelopes, measures
-from tvdecay.cli import ENVELOPES, _bound_curves, analyze_scenario, main, plan_envelopes
+from tvdecay import envelopes, measures, psi
+from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
+                         plan_envelopes)
 from tvdecay.config import (
     _KEYS,
     load_scenario,
@@ -16,7 +17,6 @@ from tvdecay.config import (
     scenario_from_config,
 )
 from tvdecay.errors import ConfigError
-from tvdecay.measures import tv_distance
 from tvdecay._numerics import fit_log_slope
 
 GAUSS_CFG = """
@@ -352,6 +352,23 @@ def test_extreme_sigma_named(sigma, tmp_path, capsys):
     assert needle in err
 
 
+# envelope.curvature.* lines whose bound overflows to nan at every t
+NON_FINITE_BOUNDS = {
+    "power-q-huge": "beta_form = power\nenvelope.curvature.beta_q = 1e300",
+    "logpower-r-huge": "beta_form = logpower\nenvelope.curvature.beta_r = 1e300",
+}
+
+
+@pytest.mark.parametrize("verb", ["bounds", "compare"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_BOUNDS))
+def test_non_finite_bound_exits_3(case, verb, tmp_path, capsys):
+    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = curvature\n"
+                                           f"envelope.curvature.{NON_FINITE_BOUNDS[case]}\n")
+    assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "'curvature'" in err and "at t = " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["bounds", "simulate"])
 def test_non_finite_start_exits_3(verb, tmp_path, capsys):
     # exp(2 (V(x) - V(x - shift))) overflows, so h0 is inf/nan, not a density
@@ -395,6 +412,15 @@ FUZZ_KEYS = {
 FUZZ_KEYS.update({f"envelope.{name}.{extra}": (
     "bounds", f"envelopes = {name}" + ("\nenvelope.ipsi.C_eta = 1" if name == "ipsi" else ""))
     for name, family in ENVELOPES.items() for extra in family.extras})
+# each phi and beta key under every phi / beta_form that reads it, as "<key>@<form>"
+PHI_FORM_KEYS = {form: (key,) for form, (_, key) in PHIS.items() if key}
+BETA_FORM_KEYS = {form: keys for form, (_, keys) in BETA_FORMS.items()}
+FUZZ_KEYS.update({f"envelope.{name}.{key}@{form}": (
+    "bounds", f"envelopes = {name}\nenvelope.{name}.{selector} = {form}")
+    for name, family in ENVELOPES.items()
+    for selector, table in (("phi", PHI_FORM_KEYS if family.phi else {}),
+                            ("beta_form", BETA_FORM_KEYS if family.beta else {}))
+    for form, keys in table.items() for key in keys})
 FUZZ_VALUES = ("-1", "0", "nan", "inf", "1e300")
 # sim.t_end = 1e300 asks for about 1e302 solver steps: unbounded work, not a bad input
 FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES
@@ -405,17 +431,23 @@ def test_fuzz_keys_cover_every_numeric_key():
     text_keys = {"potential.family", "potential.path", "initial.family", "initial.path",
                  "sim.scheme", "psi.eta", "envelopes", "envelopes.calibrate"}
     assert set(FUZZ_KEYS) >= _KEYS - text_keys
+    envelope_keys = {f"envelope.{name}.{key}" for name, family in ENVELOPES.items()
+                     for key in family.keys if key not in ("phi", "beta_form")}
+    assert {case.partition("@")[0] for case in FUZZ_KEYS} >= envelope_keys
 
 
 @pytest.mark.parametrize("key, value", FUZZ_CASES)
 def test_config_fuzz(key, value, tmp_path, capsys):
     verb, lines = FUZZ_KEYS[key]
-    path = write_cfg(tmp_path, f"{FUZZ_CFG}{lines}\n{key} = {value}\n")
+    path = write_cfg(tmp_path, f"{FUZZ_CFG}{lines}\n{key.partition('@')[0]} = {value}\n")
     argv = ("--t-grid", "5") if verb == "bounds" else ()
     code = main([verb, path, "--out", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
     assert code in (0, 2, 3), err
     assert "Traceback" not in err
+    if code == 0 and verb != "analyze":
+        curves = np.loadtxt(tmp_path / "out" / "curves.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(curves))
 
 
 ALL_FAMILIES_CFG = SMALL_CFG + f"""
@@ -432,7 +464,7 @@ def test_envelope_params_are_json():
     mu = scn.build_measure()
     h0 = scn.build_initial(mu)
     envs, _ = _bound_curves(scn, plan_envelopes(scn), mu, h0, analyze_scenario(scn, mu),
-                            np.array([0.5]), tv_distance(mu, h0))
+                            np.array([0.5]))
     assert list(envs) == list(ENVELOPES)
     for env in envs.values():
         json.dumps(env.params)      # a callable in params raises TypeError
@@ -445,13 +477,14 @@ INITIAL_CFG = {"eigen_perturbation": "", "step": "", "shifted_gaussian": "",
 
 
 def test_rebound_names_are_called(tmp_path, monkeypatch):
-    # a profiler wraps envelope_<family> and the density functions by
-    # rebinding each name in every tvdecay module; the commands must then
-    # call the wrappers
+    # a profiler wraps envelope_<family>, the density functions, functionals
+    # and build_psi_from_eta by rebinding each name in every tvdecay module;
+    # the commands must then call the wrappers
     modules = [m for n, m in sys.modules.items()
                if n == "tvdecay" or n.startswith("tvdecay.")]
     targets = ([(envelopes, f"envelope_{f}") for f in ENVELOPES]
-               + [(measures, f) for f in DENSITIES])
+               + [(measures, f) for f in (*DENSITIES, "functionals")]
+               + [(psi, "build_psi_from_eta")])
     called = set()
     for owner, attr in targets:
         orig = getattr(owner, attr)
@@ -470,6 +503,18 @@ def test_rebound_names_are_called(tmp_path, monkeypatch):
         text = SMALL_CFG + f"initial.family = {family}\n" + lines.format(tmp=tmp_path)
         assert main(["simulate", write_cfg(tmp_path, text), "--out", out]) == 0, family
     assert called == {attr for _, attr in targets}
+
+
+def test_commands_compute_no_psi_tables(tmp_path, monkeypatch):
+    # H, H^{-1} and the Pinsker constant are computed on first read, and no
+    # output reads them
+    def refuse(*args, **kwargs):
+        raise AssertionError("a psi table was computed")
+    monkeypatch.setattr(psi, "_tabulate_H", refuse)
+    monkeypatch.setattr(psi, "pinsker_constant", refuse)
+    cfg = write_cfg(tmp_path, ALL_FAMILIES_CFG)
+    for verb in ("simulate", "compare"):
+        assert main([verb, cfg, "--out", str(tmp_path / verb)]) == 0, verb
 
 
 def test_readme_example_validates():

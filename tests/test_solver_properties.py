@@ -1,7 +1,8 @@
 """Property tests of the discrete Fokker-Planck solver.
 
-Random |x/scale|^alpha potentials (1 <= alpha <= 4) on grids of at most 401
-points, started from random mixtures of the config's initial densities.
+Random |x/scale|^alpha potentials (1 <= alpha <= 4), given in closed form or
+as a tabulated sample, on grids of at most 401 points, started from random
+mixtures of the config's initial densities.
 Implicit Euler is an M-matrix scheme that conserves the mu-weighted mass, so
 these hold up to round-off for every such input, not just on average.
 """
@@ -29,9 +30,25 @@ MAX_H0 = 1e12
 
 
 @st.composite
-def scenarios(draw):
-    spec = tv.PotentialSpec.power(draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0)))
-    mu = tv.build_measure(spec, draw(st.integers(101, 401)))
+def power_potentials(draw):
+    return tv.PotentialSpec.power(draw(st.floats(1.0, 4.0)), draw(st.floats(0.5, 2.0)))
+
+
+@st.composite
+def tabulated_potentials(draw):
+    """A drawn power potential sampled out to V = 25.  The sampled range is the
+    truncation domain, and its ends pass build_measure's tail test: with 8
+    or more samples the interpolant's minimum is below 25/7, so the pdf at
+    the ends is below exp(-2 (25 - 25/7)) ~ 2e-19 times its peak."""
+    power = draw(power_potentials())
+    x_max = power.params["scale"] * 25.0 ** (1.0 / power.params["alpha"])
+    x = np.linspace(-x_max, x_max, draw(st.integers(8, 400)))
+    return tv.PotentialSpec.tabulated(x, power.V(x))
+
+
+@st.composite
+def scenarios(draw, potentials):
+    mu = tv.build_measure(draw(potentials), draw(st.integers(101, 401)))
     params = {"epsilon": draw(st.floats(-1.0, 1.0)), "shift": draw(st.floats(-1.0, 1.0)),
               "p": draw(st.floats(0.5, 3.0)), "cap": draw(st.floats(2.0, 100.0)),
               "table": TABLE}
@@ -45,9 +62,7 @@ def scenarios(draw):
     return mu, h0, config
 
 
-@PROPERTY_SETTINGS
-@given(scenarios())
-def test_mass_positivity_and_monotone_functionals(scenario):
+def check_mass_positivity_and_monotone_functionals(scenario):
     mu, h0, config = scenario
     s = tv.evolve(mu, h0, config)
     steps = round(config.t_end / config.dt)
@@ -58,13 +73,35 @@ def test_mass_positivity_and_monotone_functionals(scenario):
         assert np.all(np.diff(series) <= 1e-12 * (1.0 + abs(series[0])))
 
 
-@PROPERTY_SETTINGS
-@given(scenarios(), st.integers(0, 2**32 - 1))
-def test_l1_contraction(scenario, seed):
+def check_l1_contraction(scenario, seed):
     mu, h0, config = scenario
     g0 = np.random.default_rng(seed).uniform(0.1, 2.0, mu.grid.shape)
     g0 = g0 / tv.integrate(mu, g0)
     assert contraction_check(mu, h0, g0, config)["violations"] == 0
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(power_potentials()))
+def test_mass_positivity_and_monotone_functionals(scenario):
+    check_mass_positivity_and_monotone_functionals(scenario)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(power_potentials()), st.integers(0, 2**32 - 1))
+def test_l1_contraction(scenario, seed):
+    check_l1_contraction(scenario, seed)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(tabulated_potentials()))
+def test_tabulated_mass_positivity_and_monotone_functionals(scenario):
+    check_mass_positivity_and_monotone_functionals(scenario)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(tabulated_potentials()), st.integers(0, 2**32 - 1))
+def test_tabulated_l1_contraction(scenario, seed):
+    check_l1_contraction(scenario, seed)
 
 
 @pytest.mark.xfail(raises=NotADensity, strict=True,
