@@ -110,16 +110,16 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 # envelope table
 # ---------------------------------------------------------------------------
 
-# envelope.<name>.phi -> (phi from its parameter, the key of that parameter or None)
+# envelope.<name>.phi -> (phi of its parameter, its key or None, where phi rises to infinity)
 PHIS = {
-    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0), "q"),
+    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0), "q", (1.0, math.inf)),
     "logbeta": (lambda b: lambda u: np.maximum(
-        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b, "beta_exp"),
-    "linear": (lambda _: lambda u: np.asarray(u, float), None),
+        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b, "beta_exp", POSITIVE),
+    "linear": (lambda _: lambda u: np.asarray(u, float), None, None),
     "loglog": (lambda _: lambda u: np.log1p(np.maximum(np.log(np.maximum(
-        np.asarray(u, float), 1.0)), 0.0)), None),
+        np.asarray(u, float), 1.0)), 0.0)), None, None),
 }
-PHI_KEYS = ("phi", *(key for _, key in PHIS.values() if key))
+PHI_KEYS = ("phi", *(key for _, key, _ in PHIS.values() if key))
 # beta_form -> (constructor, the envelope.<name>.* keys it takes, in order)
 BETA_FORMS = {"constant": (BetaFunction.constant, ("beta_c",)),
               "power": (BetaFunction.power, ("beta_c", "beta_q")),
@@ -130,8 +130,9 @@ BETA_KEYS = ("beta_form", *BETA_DEFAULTS)
 
 
 def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
-    make, key = choose(PHIS, prefix + "phi", get_str(cfg, prefix + "phi", default_family))
-    return make(get_number(cfg, prefix + key, default_param) if key else None)
+    make, key, within = choose(PHIS, prefix + "phi",
+                               get_str(cfg, prefix + "phi", default_family))
+    return make(get_number(cfg, prefix + key, default_param, within=within) if key else None)
 
 
 def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:

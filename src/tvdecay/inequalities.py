@@ -23,7 +23,7 @@ from .errors import (
     NonYoungWarning,
     VanishingDensity,
 )
-from .measures import ProbabilityMeasure1D, integrate
+from .measures import ProbabilityMeasure1D, generator, integrate
 from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
 
 # constant (sqrt2 - 1)/(2 sqrt2) from the Hellinger capacity bound
@@ -161,16 +161,18 @@ class PoincareBracket:
     argmax_minus: float
 
 
+def _right_tail(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """int_{x_i}^{x_end} g by reversed cumulative trapezoid."""
+    return cumtrapz0(g[::-1], -x[::-1] + x[-1])[::-1]
+
+
 def _tail_and_hardy(mu: ProbabilityMeasure1D):
     """Right/left tail masses and int_m^x (1/pdf) from the median outward."""
     x = mu.grid
-    w = np.diff(x)
     pdf = mu.pdf
     m_idx = int(np.searchsorted(x, mu.median))
     m_idx = min(max(m_idx, 1), len(x) - 2)
-    # right tail mu([x_i, inf)) by reversed cumulative trapezoid
-    right_tail = np.concatenate([
-        (cumtrapz0(pdf[::-1], -x[::-1] + x[-1]))[::-1]])
+    right_tail = _right_tail(x, pdf)
     left_tail = cumtrapz0(pdf, x)
     inv = 1.0 / np.maximum(pdf, 1e-300)
     hardy_right = cumtrapz0(inv[m_idx:], x[m_idx:])
@@ -215,29 +217,35 @@ def muckenhoupt_poincare(mu: ProbabilityMeasure1D,
                            argmax_plus=float(xr), argmax_minus=float(xl))
 
 
-def rayleigh_quotient_scan(mu: ProbabilityMeasure1D, n_trials: int = 50,
-                           seed: int = 0) -> float:
-    """max Var(f)/Dirichlet(f) over random piecewise-linear trials plus f = x.
+@dataclass(frozen=True)
+class SpectralGap:
+    """The gap of -L for the discrete generator, C_P = 1/(2 gap), the top
+    eigenfunction f and its Rayleigh quotient Var(f)/int |f'|^2 dmu."""
 
-    Every trial certifies C_P >= Var/int|f'|^2; the best one is returned.
-    """
-    rng = np.random.default_rng(seed)
-    x = mu.grid
-    best = 0.0
-    trials = [x.copy()]
-    for _ in range(n_trials - 1):
-        k = rng.integers(2, 6)
-        knots = np.sort(rng.uniform(x[0], x[-1], size=k))
-        vals = rng.normal(size=k)
-        trials.append(np.interp(x, knots, vals))
-    for f in trials:
-        mean = integrate(mu, f)
-        var = integrate(mu, (f - mean) ** 2)
-        fp = np.gradient(f, x)
-        dir_energy = integrate(mu, fp * fp)
-        if dir_energy > 1e-14 and var > 0:
-            best = max(best, var / dir_energy)
-    return float(best)
+    gap: float
+    C_P: float
+    f: np.ndarray
+    rayleigh: float
+
+
+def spectral_gap(mu: ProbabilityMeasure1D) -> SpectralGap:
+    """The exact Poincare optimum over grid functions for `measures.generator`.
+
+    L is self-adjoint in l^2(q), q = mu.quadrature, so -q^{1/2} L q^{-1/2} is
+    symmetric with off-diagonals -sqrt(upper_i lower_{i+1}); its second
+    eigenvalue is the gap, with eigenvector v and f = v/sqrt(q).
+    Var(f)/int |f'|^2 dmu, taken with np.gradient, certifies C_P >= rayleigh."""
+    from scipy.linalg import eigh_tridiagonal
+
+    lower, diag, upper = generator(mu)
+    off = np.sqrt(upper[:-1] * lower[1:])
+    vals, vecs = eigh_tridiagonal(-diag, -off, select="i", select_range=(1, 1))
+    gap = float(vals[0])
+    # where q underflows to 0 the weight drops out of every integral; f is 0 there
+    f = vecs[:, 0] / np.sqrt(np.where(mu.quadrature > 0, mu.quadrature, np.inf))
+    fp = np.gradient(f, mu.grid)
+    rayleigh = integrate(mu, (f - integrate(mu, f)) ** 2) / integrate(mu, fp * fp)
+    return SpectralGap(gap=gap, C_P=1.0 / (2.0 * gap), f=f, rayleigh=rayleigh)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +282,7 @@ def weak_poincare_beta_from_tails(mu: ProbabilityMeasure1D, g,
         raise AsymmetricInput("the tail criterion requires a symmetric density g")
     pos = x > 0
     xp = x[pos]
-    tail = cumtrapz0(g[::-1], -x[::-1] + x[-1])[::-1][pos]
+    tail = _right_tail(x, g)[pos]
     # extend the tail beyond the truncated grid with a power-law fit of g,
     # otherwise the grid-end collapse of nu([x, inf)) masks the asymptotics
     fit_win = xp >= xp[-1] / 10.0

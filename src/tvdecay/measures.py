@@ -229,6 +229,33 @@ def integrate(mu: ProbabilityMeasure1D, g) -> float:
     return float(np.sum(mu.quadrature * g))
 
 
+def generator(mu: ProbabilityMeasure1D):
+    """Sub/diag/super coefficients of the discrete generator L, self-adjoint
+    in l^2(q), q = mu.quadrature: q_i upper_i = q_{i+1} lower_{i+1}.
+    Built from the potential increments only (w_face/rho_i = 2r/(1+r) with
+    r = exp(-2 dV)), so tail underflow of exp(-2V) never enters."""
+    v = mu.v_values
+    dx = mu.dx
+    n = len(v)
+    r_plus = np.exp(-2.0 * (v[1:] - v[:-1]))      # rho_{i+1}/rho_i
+    a_plus = 2.0 * r_plus / (1.0 + r_plus)        # w_{i+1/2}/rho_i
+    a_minus = 2.0 * (1.0 / r_plus) / (1.0 + 1.0 / r_plus)  # w_{i+1/2}/rho_{i+1}
+    lower = np.zeros(n)
+    diag = np.zeros(n)
+    upper = np.zeros(n)
+    inv2dx2 = 1.0 / (2.0 * dx * dx)
+    # interior rows
+    upper[1:-1] = a_plus[1:] * inv2dx2
+    lower[1:-1] = a_minus[:-1] * inv2dx2
+    diag[1:-1] = -(a_plus[1:] + a_minus[:-1]) * inv2dx2
+    # half-cell boundary rows (zero flux): factor 2 from the dx/2 cell
+    upper[0] = a_plus[0] * 2.0 * inv2dx2
+    diag[0] = -upper[0]
+    lower[-1] = a_minus[-1] * 2.0 * inv2dx2
+    diag[-1] = -lower[-1]
+    return lower, diag, upper
+
+
 def _check_density(mu: ProbabilityMeasure1D, h):
     """(h clipped at 0, int h dmu, min h) after checking that h is a density."""
     h = _check_aligned(mu, h)

@@ -23,7 +23,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     BadSplice,
@@ -33,7 +32,7 @@ from .errors import (
     NotPinskerAdmissible,
     ZeroFunction,
 )
-from ._numerics import cumtrapz0, invert_increasing
+from ._numerics import cumtrapz0, golden_min_log, invert_increasing
 
 _PROBE_LO, _PROBE_HI, _PROBE_N = 1e-6, 1e8, 2000
 
@@ -373,10 +372,7 @@ def pinsker_constant(psi: PsiProfile) -> float:
     lo_b = us[i - 1] if i >= 1 and us[i - 1] > 0 else 1e-10
     hi_b = us[i + 1] if i + 1 < len(us) else hi
     if hi_b > lo_b:
-        res = minimize_scalar(lambda u: -ratio(u), bounds=(lo_b, hi_b),
-                              method="bounded",
-                              options={"xatol": 1e-12 * max(1.0, lo_b)})
-        c = max(c, float(-res.fun))
+        c = max(c, -golden_min_log(lambda u: -ratio(u), lo_b, hi_b)[1])
     c = max(c, tail_limit)
     if not np.isfinite(c):
         raise NotPinskerAdmissible("Pinsker ratio sup diverges")

@@ -1,13 +1,13 @@
 """Fokker-Planck evolution of densities h relative to mu, plus the exact
 Ornstein-Uhlenbeck kernel oracle.
 
-The flow is d/dt h = L h with L h = (1/2) e^{2V} (e^{-2V} h')' discretized in
-divergence form with harmonic-mean face weights and zero-flux boundaries, so
-the discrete generator annihilates constants identically, conserves the
-mu-weighted mass exactly and is self-adjoint in l^2(mu).  Implicit Euler is
-an M-matrix scheme: positivity and every Jensen-type monotone functional
-(TV, Var, Ent, I_psi, d_H, V, E) are preserved step by step, not just in the
-continuum limit.
+The flow is d/dt h = L h with L the discrete generator `measures.generator`:
+L h = (1/2) e^{2V} (e^{-2V} h')' in divergence form with harmonic-mean face
+weights and zero-flux boundaries, so it annihilates constants identically,
+conserves the mu-weighted mass exactly and is self-adjoint in l^2(mu).
+Implicit Euler is an M-matrix scheme: positivity and every Jensen-type
+monotone functional (TV, Var, Ent, I_psi, d_H, V, E) are preserved step by
+step, not just in the continuum limit.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import CFLWarning, LowerBoundViolated, NotADensity, WrongMeasure
-from .measures import ProbabilityMeasure1D, _check_density, functionals, integrate
+from .measures import ProbabilityMeasure1D, _check_density, functionals, generator, integrate
 from ._numerics import trapezoid_weights
 
 
@@ -65,34 +65,6 @@ class DiagnosticsSeries:
     states: Optional[list] = None
 
 
-def _operator_coefficients(mu: ProbabilityMeasure1D):
-    """Sub/diag/super coefficients of the discrete generator L.
-
-    Built from the potential increments only (w_face/rho_i = 2r/(1+r) with
-    r = exp(-2 dV)), so tail underflow of exp(-2V) never enters.
-    """
-    v = mu.v_values
-    dx = mu.dx
-    n = len(v)
-    r_plus = np.exp(-2.0 * (v[1:] - v[:-1]))      # rho_{i+1}/rho_i
-    a_plus = 2.0 * r_plus / (1.0 + r_plus)        # w_{i+1/2}/rho_i
-    a_minus = 2.0 * (1.0 / r_plus) / (1.0 + 1.0 / r_plus)  # w_{i+1/2}/rho_{i+1}
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    inv2dx2 = 1.0 / (2.0 * dx * dx)
-    # interior rows
-    upper[1:-1] = a_plus[1:] * inv2dx2
-    lower[1:-1] = a_minus[:-1] * inv2dx2
-    diag[1:-1] = -(a_plus[1:] + a_minus[:-1]) * inv2dx2
-    # half-cell boundary rows (zero flux): factor 2 from the dx/2 cell
-    upper[0] = a_plus[0] * 2.0 * inv2dx2
-    diag[0] = -upper[0]
-    lower[-1] = a_minus[-1] * 2.0 * inv2dx2
-    diag[-1] = -lower[-1]
-    return lower, diag, upper
-
-
 def _banded(lower, diag, upper, alpha):
     """Banded matrix I - alpha*L in solve_banded layout."""
     n = len(diag)
@@ -110,10 +82,6 @@ def _apply_L(lower, diag, upper, h):
     return out
 
 
-def _grad(mu: ProbabilityMeasure1D, h: np.ndarray) -> np.ndarray:
-    return np.gradient(h, mu.grid)
-
-
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record diagnostics every save_every steps.
@@ -123,7 +91,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     the series flag `reverse_transformed` records this.
     """
     h = _check_density(mu, h0)[0]
-    lower, diag, upper = _operator_coefficients(mu)
+    lower, diag, upper = generator(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     if config.scheme == "implicit_euler":
@@ -149,7 +117,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
                      np.nan if f.i_psi is None else f.i_psi, f.v_reverse, f.e_reverse,
                      f.mass, f.min_h))
         if psi is not None:
-            grad = _grad(mu, h_t)
+            grad = np.gradient(h_t, mu.grid)
             rhs_list.append(0.5 * integrate(mu, np.asarray(psi.psi_second(h_t), float)
                                             * grad * grad))
         else:

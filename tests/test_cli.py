@@ -316,6 +316,24 @@ BAD_INPUTS = {
                               "initial.shift = nan", (), "initial.shift"),
     "shift-inf": ("simulate", "initial.family = shifted_gaussian\n"
                               "initial.shift = inf", (), "initial.shift"),
+    # phi must increase to infinity: u^(q-1) needs q > 1, log+(u)^beta_exp needs beta_exp > 0
+    "phi-power-q-one": ("bounds", "envelopes = truncation_poincare\n"
+                                  "envelope.truncation_poincare.q = 1", (),
+                        "envelope.truncation_poincare.q"),
+    "phi-power-q-half": ("bounds", "envelopes = weak_poincare\n"
+                                   "envelope.weak_poincare.q = 0.5", (),
+                         "envelope.weak_poincare.q"),
+    "phi-logbeta-exp-zero": ("bounds", "envelopes = truncation_logsob\n"
+                                       "envelope.truncation_logsob.beta_exp = 0", (),
+                             "envelope.truncation_logsob.beta_exp"),
+    "phi-logbeta-exp-zero-compare": ("compare", "envelopes = truncation_poincare\n"
+                                                "envelope.truncation_poincare.phi = logbeta\n"
+                                                "envelope.truncation_poincare.beta_exp = 0",
+                                     (), "envelope.truncation_poincare.beta_exp"),
+    "phi-logbeta-exp-negative": ("bounds", "envelopes = orlicz\n"
+                                           "envelope.orlicz.phi = logbeta\n"
+                                           "envelope.orlicz.beta_exp = -0.5", (),
+                                 "envelope.orlicz.beta_exp"),
 }
 
 
@@ -413,7 +431,7 @@ FUZZ_KEYS.update({f"envelope.{name}.{extra}": (
     "bounds", f"envelopes = {name}" + ("\nenvelope.ipsi.C_eta = 1" if name == "ipsi" else ""))
     for name, family in ENVELOPES.items() for extra in family.extras})
 # each phi and beta key under every phi / beta_form that reads it, as "<key>@<form>"
-PHI_FORM_KEYS = {form: (key,) for form, (_, key) in PHIS.items() if key}
+PHI_FORM_KEYS = {form: (key,) for form, (_, key, _) in PHIS.items() if key}
 BETA_FORM_KEYS = {form: keys for form, (_, keys) in BETA_FORMS.items()}
 FUZZ_KEYS.update({f"envelope.{name}.{key}@{form}": (
     "bounds", f"envelopes = {name}\nenvelope.{name}.{selector} = {form}")

@@ -24,9 +24,10 @@ from tvdecay.inequalities import (
     drift_tail_beta,
     gamma2_identity_residual,
     muckenhoupt_poincare,
-    rayleigh_quotient_scan,
+    spectral_gap,
     weak_poincare_beta_from_tails,
 )
+from tvdecay.measures import generator
 from tvdecay.psi import EtaProfile, eta_power
 from tvdecay._numerics import fit_loglog_slope, trapezoid_weights
 
@@ -89,12 +90,61 @@ class TestMuckenhoupt:
 
     def test_rayleigh_cross_check(self, gaussian_measure, exponential_measure):
         # every trial function certifies C_P >= Var/Dirichlet; none may
-        # certify beyond 4B, and the linear mode reaches at least 0.9 B
+        # certify beyond 4B, and the top eigenfunction reaches at least 0.9 B
         for mu in (gaussian_measure, exponential_measure):
             br = muckenhoupt_poincare(mu)
-            best = rayleigh_quotient_scan(mu, n_trials=50, seed=0)
+            best = spectral_gap(mu).rayleigh
             assert best <= br.C_P_interval[1] * (1.0 + 1e-9)
             assert best >= 0.9 * br.B
+
+
+class TestSpectralGap:
+    @pytest.mark.parametrize("spec", [
+        tv.PotentialSpec.gaussian(), tv.PotentialSpec.power(1.0),
+        tv.PotentialSpec.power(4.0), tv.PotentialSpec.power_log(1.5)],
+        ids=["gaussian", "exp1", "quartic", "power_log1.5"])
+    def test_inside_muckenhoupt_bracket(self, spec):
+        mu = tv.build_measure(spec, 4001)
+        lo, hi = muckenhoupt_poincare(mu).C_P_interval
+        sg = spectral_gap(mu)
+        assert lo <= sg.C_P <= hi
+        # the eigenfunction's np.gradient quotient, a certified lower bound on
+        # C_P, agrees with the discrete Dirichlet form's 1/(2 gap)
+        assert sg.rayleigh >= 0.9 * lo
+        assert sg.rayleigh == pytest.approx(sg.C_P, rel=1e-3)
+
+    def test_gaussian_exact(self, gaussian_measure):
+        sg = spectral_gap(gaussian_measure)
+        assert len(gaussian_measure.grid) == 4001
+        assert sg.C_P == pytest.approx(0.5, abs=1e-5)
+        assert sg.rayleigh == pytest.approx(0.5, abs=1e-5)
+
+    def test_eigenfunction_is_centered_mode(self, exponential_measure):
+        mu = exponential_measure
+        sg = spectral_gap(mu)
+        lower, diag, upper = generator(mu)
+        lf = diag * sg.f
+        lf[:-1] += upper[:-1] * sg.f[1:]
+        lf[1:] += lower[1:] * sg.f[:-1]
+        # L f = -gap f, and f is orthogonal to constants in l^2(mu)
+        scale = np.sqrt(tv.integrate(mu, sg.f ** 2))
+        assert np.sqrt(tv.integrate(mu, (lf + sg.gap * sg.f) ** 2)) <= 1e-8 * scale
+        assert abs(tv.integrate(mu, sg.f)) <= 1e-8 * scale
+
+    def test_underflowing_tails(self):
+        # V = x^2/2 tabulated on [-30, 30]: the pdf underflows to 0 in both tails
+        x = np.linspace(-30.0, 30.0, 200)
+        mu = tv.build_measure(tv.PotentialSpec.tabulated(x, 0.5 * x**2), 4001)
+        assert np.any(mu.quadrature == 0)
+        sg = spectral_gap(mu)
+        assert np.all(np.isfinite(sg.f))
+        assert sg.C_P == pytest.approx(0.5, rel=2e-3)
+        assert sg.rayleigh == pytest.approx(sg.C_P, rel=1e-3)
+
+    def test_deterministic(self, exponential_measure):
+        a, b = spectral_gap(exponential_measure), spectral_gap(exponential_measure)
+        assert (a.gap, a.C_P, a.rayleigh) == (b.gap, b.C_P, b.rayleigh)
+        assert np.array_equal(a.f, b.f)
 
 
 class TestBakryEmery:
