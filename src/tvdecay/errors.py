@@ -91,6 +91,11 @@ class LowerBoundViolated(TvDecayError):
     """min h_t dropped below 1/2; signals a solver defect, not analysis."""
 
 
+class SolverBreakdown(TvDecayError):
+    """The implicit step I - dt*L is not finite or singular, or a right-hand
+    side is not finite."""
+
+
 class ConfigError(TvDecayError):
     """Scenario configuration is missing a key or has a malformed value."""
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     GridMismatch,
@@ -106,6 +105,8 @@ class PotentialSpec:
 
     @staticmethod
     def tabulated(x, v) -> "PotentialSpec":
+        from scipy.interpolate import PchipInterpolator
+
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if x.ndim != 1 or x.shape != v.shape or len(x) < 4:
@@ -378,6 +379,8 @@ def tail_ratio_density(mu: ProbabilityMeasure1D, p: float,
 
 def tabulated_density(mu: ProbabilityMeasure1D, x, h) -> GridFunction:
     """Interpolate sampled (x, h) onto the grid and renormalize."""
+    from scipy.interpolate import PchipInterpolator
+
     interp = PchipInterpolator(np.asarray(x, float), np.asarray(h, float),
                                extrapolate=True)
     vals = np.maximum(interp(mu.grid), 0.0)

@@ -22,7 +22,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import (
     BadSplice,
@@ -118,6 +117,8 @@ def eta_entropy() -> EtaProfile:
 
 def eta_slowlog() -> EtaProfile:
     """eta with eta''(u) = 1/log(e + u); used for the slowly-varying checks."""
+    from scipy.interpolate import PchipInterpolator
+
     grid = np.concatenate([[0.0], _probe_grid(1e-8, 1e9, 4000)])
     d2 = 1.0 / np.log(np.e + grid)
     d1 = cumtrapz0(d2, grid)
@@ -220,6 +221,8 @@ def _tabulate_H(psi_second):
     An integrable singularity of psi'' at 0 (e.g. psi'' ~ 1/u) is handled by
     a power-law head estimate over the first segment.
     """
+    from scipy.interpolate import PchipInterpolator
+
     gp = np.geomspace(1e-10, 1e9, 6000)
     g = np.sqrt(np.maximum(np.asarray(psi_second(gp), float), 0.0))
     if not np.all(np.isfinite(g)):
@@ -470,6 +473,8 @@ def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float) -> 
     a finite Wang integral is the paper's ultracontractivity regime and is
     surfaced as a warning flag rather than an error.
     """
+    from scipy.interpolate import PchipInterpolator
+
     grid = np.geomspace(a, 1e12, 8000)
     Fv = np.asarray(F(grid), dtype=float)
     if np.any(Fv <= 0):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import CFLWarning, LowerBoundViolated, NotADensity, WrongMeasure
+from .errors import (CFLWarning, LowerBoundViolated, NotADensity, SolverBreakdown,
+                     WrongMeasure)
 from .measures import ProbabilityMeasure1D, _check_density, functionals, generator, integrate
 from ._numerics import trapezoid_weights
 
@@ -65,14 +65,27 @@ class DiagnosticsSeries:
     states: Optional[list] = None
 
 
-def _banded(lower, diag, upper, alpha):
-    """Banded matrix I - alpha*L in solve_banded layout."""
-    n = len(diag)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -alpha * upper[:-1]
-    ab[1, :] = 1.0 - alpha * diag
-    ab[2, :-1] = -alpha * lower[1:]
-    return ab
+def _step_solver(lower, diag, upper, alpha):
+    """Factor the tridiagonal I - alpha*L once (LAPACK dgttrf) and return
+    rhs -> (I - alpha*L)^{-1} rhs, one dgttrs call per step."""
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
+    dl, d, du = -alpha * lower[1:], 1.0 - alpha * diag, -alpha * upper[:-1]
+    if not all(np.isfinite(a).all() for a in (dl, d, du)):
+        raise SolverBreakdown("the implicit step matrix I - dt*L is not finite")
+    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    if info != 0:
+        raise SolverBreakdown(f"the implicit step matrix I - dt*L is singular "
+                              f"(dgttrf info = {info})")
+
+    def solve(rhs):
+        if not np.isfinite(rhs).all():
+            raise SolverBreakdown("the implicit step right-hand side is not finite")
+        x, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        if info != 0:
+            raise SolverBreakdown(f"the implicit step solve failed (dgttrs info = {info})")
+        return x
+    return solve
 
 
 def _apply_L(lower, diag, upper, h):
@@ -94,12 +107,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     lower, diag, upper = generator(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
-    if config.scheme == "implicit_euler":
-        ab = _banded(lower, diag, upper, dt)
-        explicit_half = None
-    else:
-        ab = _banded(lower, diag, upper, 0.5 * dt)
-        explicit_half = 0.5 * dt
+    explicit_half = None if config.scheme == "implicit_euler" else 0.5 * dt
+    solve = _step_solver(lower, diag, upper, dt if explicit_half is None else explicit_half)
     transformed = bool(h.min() < 0.5 - 1e-12)
     times, rows, rhs_list = [], [], []
     states = [] if keep_states else None
@@ -128,10 +137,9 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     record(0.0, h)
     for k in range(1, n_steps + 1):
         if explicit_half is None:
-            h = solve_banded((1, 1), ab, h)
+            h = solve(h)
         else:
-            rhs = h + explicit_half * _apply_L(lower, diag, upper, h)
-            h = solve_banded((1, 1), ab, rhs)
+            h = solve(h + explicit_half * _apply_L(lower, diag, upper, h))
             neg_mass = -integrate(mu, np.minimum(h, 0.0))
             if neg_mass > 1e-6 and not warned:
                 warnings.warn(

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdecay import envelopes, measures, psi
+from tvdecay import envelopes, measures, psi, simulate
 from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
                          plan_envelopes)
 from tvdecay.config import (
@@ -395,6 +395,21 @@ def test_non_finite_start_exits_3(verb, tmp_path, capsys):
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "NotADensity" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "compare"])
+def test_solver_breakdown_exits_3(verb, tmp_path, capsys, monkeypatch):
+    # a generator with a non-finite diagonal gives a step matrix LAPACK cannot factor
+    real = simulate.generator
+
+    def broken(mu):
+        lower, diag, upper = real(mu)
+        return lower, np.full_like(diag, np.inf), upper
+    monkeypatch.setattr(simulate, "generator", broken)
+    path = write_cfg(tmp_path, SMALL_CFG)
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "SolverBreakdown" in err and "Traceback" not in err
 
 
 FUZZ_CFG = """

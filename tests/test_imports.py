@@ -1,0 +1,76 @@
+"""Which scipy modules the CLI loads.
+
+`scipy.interpolate` (which loads `scipy.optimize`) and `scipy.linalg` take
+about a quarter second to import, several times the rest of the package.  The
+package imports them only inside the functions that run them: `evolve`
+(LAPACK), tabulated inputs, `eta_slowlog`, `build_almost_linear_eta` and the
+psi `H` tables (PCHIP), and `spectral_gap`.  So `import tvdecay.cli`,
+`analyze` and `bounds` load no scipy at all, and `simulate` loads LAPACK but
+no PCHIP.  Each check runs in a fresh interpreter, since the test process
+itself has imported scipy long before.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.interpolate", "scipy.linalg", "scipy.optimize")
+
+SCENARIO = """
+grid.n_points = 201
+initial.family = shifted_gaussian
+sim.dt = 0.01
+sim.t_end = 0.1
+sim.save_every = 5
+psi.eta = power(1.5)
+analysis.c_ls_override = 1.0
+analysis.capacity_rho = 2.0
+analysis.capacity_f_const = 2.0
+envelopes = {envelopes}
+"""
+POTENTIALS = {"gaussian": "potential.family = gaussian",
+              "power": "potential.family = power\npotential.alpha = 1"}
+
+# Prints the heavy scipy modules loaded after the import, after analyze and
+# bounds on every scenario, and after simulate, as one JSON object.
+CHILD = """
+import json, sys
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith({heavy!r}))
+import tvdecay.cli as cli
+seen = {{"import": heavy()}}
+for verbs in (("analyze", "bounds"), ("simulate",)):
+    for path in sys.argv[1:]:
+        for verb in verbs:
+            assert cli.main([verb, path, "--out", path + "-" + verb]) == 0, (verb, path)
+    seen["+".join(verbs)] = heavy()
+print(json.dumps(seen))
+"""
+
+
+def _loaded(tmp_path) -> dict:
+    from tvdecay.cli import ENVELOPES
+
+    paths = []
+    for name, lines in POTENTIALS.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(lines + SCENARIO.format(envelopes=", ".join(ENVELOPES)))
+        paths.append(str(path))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", CHILD.format(heavy=HEAVY), *paths],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_cli_loads_scipy_only_where_it_runs(tmp_path):
+    seen = _loaded(tmp_path)
+    assert seen["import"] == []
+    assert seen["analyze+bounds"] == []
+    assert "scipy.linalg" in seen["simulate"]
+    assert not any(m.startswith("scipy.interpolate") for m in seen["simulate"])

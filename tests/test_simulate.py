@@ -8,6 +8,7 @@ from tvdecay.errors import (
     CFLWarning,
     LowerBoundViolated,
     NotADensity,
+    SolverBreakdown,
     WrongMeasure,
 )
 from tvdecay.measures import (
@@ -16,7 +17,8 @@ from tvdecay.measures import (
     step_density,
     tail_ratio_density,
 )
-from tvdecay.simulate import contraction_check, reverse_diagnostics
+from tvdecay import simulate
+from tvdecay.simulate import _step_solver, contraction_check, reverse_diagnostics
 from tvdecay._numerics import fit_log_slope
 from conftest import random_density
 
@@ -251,3 +253,42 @@ class TestContraction:
         res = contraction_check(gaussian_measure, h0, np.ones(4001), cfg)
         s = tv.evolve(gaussian_measure, h0, cfg)
         assert np.allclose(res["l1_distance"], s.tv, atol=1e-12)
+
+
+class TestStepSolver:
+    """A step the factored solve cannot take raises SolverBreakdown, which the
+    CLI reports as exit 3, not a scipy LinAlgError or ValueError."""
+
+    @pytest.mark.parametrize("lower, diag, upper", [
+        # alpha * diag = 1 zeroes the whole diagonal of I - alpha*L
+        (np.zeros(5), np.full(5, 2.0), np.zeros(5)),
+        # I - alpha*L = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+        (np.array([0.0, -2.0, 0.0]), np.zeros(3), np.array([-2.0, 0.0, 0.0]))])
+    def test_singular_matrix(self, lower, diag, upper):
+        with pytest.raises(SolverBreakdown, match="singular"):
+            _step_solver(lower, diag, upper, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix(self, bad):
+        diag = np.full(5, -1.0)
+        diag[2] = bad
+        with pytest.raises(SolverBreakdown, match="not finite"):
+            _step_solver(np.ones(5), diag, np.ones(5), 0.1)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_rhs(self, bad):
+        solve = _step_solver(np.ones(5), np.full(5, -2.0), np.ones(5), 0.1)
+        rhs = np.ones(5)
+        assert np.all(np.isfinite(solve(rhs)))
+        rhs[3] = bad
+        with pytest.raises(SolverBreakdown, match="right-hand side"):
+            solve(rhs)
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    def test_evolve_raises(self, scheme, monkeypatch):
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
+        lower, diag, upper = simulate.generator(mu)
+        monkeypatch.setattr(simulate, "generator",
+                            lambda _: (lower, np.full_like(diag, np.nan), upper))
+        with pytest.raises(SolverBreakdown):
+            tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme))

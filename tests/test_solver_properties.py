@@ -5,7 +5,13 @@ as a tabulated sample, on grids of at most 401 points, started from random
 mixtures of the config's initial densities.
 Implicit Euler is an M-matrix scheme that conserves the mu-weighted mass, so
 these hold up to round-off for every such input, not just on average.
+The step factored once (LAPACK dgttrf/dgttrs) gives bit for bit the states of
+scipy's `solve_banded`, which factors the same matrix again on every step.
 """
+
+import dataclasses
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +21,7 @@ import tvdecay as tv
 from tvdecay.config import INITIAL
 from tvdecay.errors import NotADensity
 from tvdecay.measures import shifted_gaussian_density
+from tvdecay import simulate
 from tvdecay.simulate import contraction_check
 
 # derandomized and without a per-example deadline: the same examples on every
@@ -22,7 +29,7 @@ from tvdecay.simulate import contraction_check
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
 TABLE = np.array([[-3.0, 0.5], [-1.0, 2.0], [1.0, 0.2], [3.0, 1.0]])
 # Measuring the mass sums n terms, so it carries up to about n eps of round-off.
-# The banded solve's round-off scales with max h0, not with the mass: the mass
+# The tridiagonal solve's round-off scales with max h0, not with the mass: the mass
 # drifts by up to about 5 eps per step per unit of max(1, max h0).  Beyond
 # max h0 ~ 1e12 that can pass the 1e-6 the density check allows, and evolve
 # raises: see test_mass_drift_at_extreme_dynamic_range.
@@ -112,3 +119,57 @@ def test_mass_drift_at_extreme_dynamic_range():
     h0 = shifted_gaussian_density(mu, 0.7)
     s = tv.evolve(mu, h0, tv.SimConfig(dt=0.01, t_end=0.3))
     assert np.max(np.abs(s.mass - 1.0)) < 1e-12
+
+
+def banded_reference_solver(lower, diag, upper, alpha):
+    """rhs -> (I - alpha*L)^{-1} rhs by scipy's solve_banded on the (3, n)
+    banded layout, which factors the matrix again on every call."""
+    from scipy.linalg import solve_banded
+
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -alpha * upper[:-1]
+    ab[1, :] = 1.0 - alpha * diag
+    ab[2, :-1] = -alpha * lower[1:]
+    return lambda rhs: solve_banded((1, 1), ab, rhs)
+
+
+def check_matches_banded_reference(mu, h0, config):
+    with warnings.catch_warnings():
+        # large Crank-Nicolson steps oscillate, the same way in both runs
+        warnings.simplefilter("ignore")
+        got = tv.evolve(mu, h0, config, keep_states=True)
+        with mock.patch.object(simulate, "_step_solver", banded_reference_solver):
+            want = tv.evolve(mu, h0, config, keep_states=True)
+    for field in dataclasses.fields(got):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "states":
+            a, b = np.array(a), np.array(b)
+        # max |diff| == 0.0: the same pivots and the same arithmetic
+        np.testing.assert_array_equal(a, b, err_msg=field.name)
+
+
+SCHEMES = ("implicit_euler", "crank_nicolson")
+FIXED_POTENTIALS = {
+    "gaussian": tv.PotentialSpec.gaussian(),
+    "power4": tv.PotentialSpec.power(4.0),
+    "tabulated": tv.PotentialSpec.tabulated(
+        np.linspace(-25.0 ** 0.25, 25.0 ** 0.25, 40),
+        np.linspace(-25.0 ** 0.25, 25.0 ** 0.25, 40) ** 4),
+}
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("name", FIXED_POTENTIALS)
+def test_factored_step_matches_solve_banded(name, scheme):
+    mu = tv.build_measure(FIXED_POTENTIALS[name], 401)
+    config = tv.SimConfig(dt=0.01, t_end=0.5, scheme=scheme)
+    check_matches_banded_reference(mu, shifted_gaussian_density(mu, 0.5), config)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=10)
+@given(scenarios(st.one_of(st.sampled_from(list(FIXED_POTENTIALS.values())),
+                           power_potentials(), tabulated_potentials())),
+       st.sampled_from(SCHEMES))
+def test_factored_step_matches_solve_banded_drawn(scenario, scheme):
+    mu, h0, config = scenario
+    check_matches_banded_reference(mu, h0, dataclasses.replace(config, scheme=scheme))

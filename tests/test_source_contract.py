@@ -3,6 +3,9 @@
 The package is deterministic: identical configs give byte-identical
 outputs, so no module may draw random numbers.  It also keeps one 1-D
 minimizer (`_numerics.golden_min_log`), so no module imports scipy.optimize.
+scipy itself is imported only inside the functions that use it: at module
+level it would add about a quarter second to every command, `import
+tvdecay.cli` included.
 """
 
 import ast
@@ -53,3 +56,46 @@ def test_no_randomness_or_scipy_optimize(path):
     "x = np.random.normal()", "rng = default_rng(0)"])
 def test_checker_catches(snippet):
     assert _violations(ast.parse(snippet))
+
+
+def _import_time_scipy(tree) -> list:
+    """scipy imports that run when the module is imported: every one outside
+    a function body (class bodies and module-level if/try blocks included)."""
+    found, todo = [], list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        names = []
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name == "scipy" or name.startswith("scipy.")]
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_scipy_imported_only_inside_functions(path):
+    assert _import_time_scipy(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "import scipy", "import scipy.linalg", "import numpy, scipy.linalg as sl",
+    "from scipy.interpolate import PchipInterpolator", "from scipy import linalg",
+    "class A:\n    from scipy.linalg import solve_banded",
+    "if True:\n    import scipy.interpolate",
+    "try:\n    from scipy.linalg import lapack\nexcept ImportError:\n    pass"])
+def test_scipy_checker_catches(snippet):
+    assert _import_time_scipy(ast.parse(snippet))
+
+
+@pytest.mark.parametrize("snippet", [
+    "def f():\n    from scipy.linalg import eigh_tridiagonal",
+    "class A:\n    def f(self):\n        import scipy.interpolate",
+    "f = lambda: __import__('scipy')", "import numpy as np", "import scipyx",
+    "from . import measures"])
+def test_scipy_checker_allows(snippet):
+    assert _import_time_scipy(ast.parse(snippet)) == []
