@@ -43,7 +43,7 @@ from .inequalities import (
     muckenhoupt_poincare,
 )
 from .measures import Functionals, ProbabilityMeasure1D, functionals, integrate
-from .psi import EtaProfile, build_psi_from_eta
+from .psi import EtaProfile, build_psi_from_eta, splice_point
 from .simulate import evolve
 from ._numerics import fit_log_slope
 
@@ -87,11 +87,10 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 
     capacity = None
     if opt["capacity_rho"] is not None:
-        a = scn.psi_a if scn.psi_a is not None else max(2.1, scn.eta.b + 0.1)
         f_const = opt["capacity_f_const"]
         chk = capacity_condition_check(
             mu, lambda u: np.full_like(np.asarray(u, float), f_const),
-            scn.eta, a, opt["capacity_rho"])
+            scn.eta, splice_point(scn.eta, scn.psi_a), opt["capacity_rho"])
         capacity = {k: getattr(chk, k) for k in (
             "HprimeF_sup_right", "HprimeF_sup_left", "C_cap", "C_eta_bound",
             "alt_remark_ratio_sup", "alt_remark_flag")}

@@ -175,17 +175,19 @@ def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> De
                        lambda t: 2.0 * m * math.exp(t / (2.0 * C_P)))
 
 
+def _k_infimum(first_term: Callable, phi: Callable, m: float, hi: float) -> float:
+    """inf over log K in [log 2, log hi] of first_term(K) + 2m/phi(K)."""
+    return scan_min_log(lambda K: first_term(K) + 2.0 * m / float(phi(K)), 2.0, hi,
+                        n_scan=200)[1]
+
+
 def truncation_poincare_k_optimized(C_P: float, phi: Callable, moment: float,
                                     t: float) -> float:
     """The two-term infimum inf_K [ sqrt(K) e^{-t/2C_P} + 2m/phi(K) ] over
     log K in [log 2, 700] (using Var(h ^ K) <= K)."""
     m = _moment_guard(moment)
     decay = math.exp(-t / (2.0 * C_P))
-
-    def two_term(K):
-        return math.sqrt(K) * decay + 2.0 * m / float(phi(K))
-
-    return scan_min_log(two_term, 2.0, math.exp(700.0), n_scan=200)[1]
+    return _k_infimum(lambda K: math.sqrt(K) * decay, phi, m, math.exp(700.0))
 
 
 def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
@@ -248,12 +250,9 @@ def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
     from Ent(h ^ K) <= log K + 1/e."""
     m = _moment_guard(moment)
     decay = math.exp(-t / C_LS)
-
-    def two_term(K):
-        return (math.sqrt(2.0) * decay * math.sqrt(math.log(K) + 1.0 / math.e)
-                + 2.0 * m / float(phi(K)))
-
-    return scan_min_log(two_term, 2.0, 1e300, n_scan=200)[1]
+    return _k_infimum(
+        lambda K: math.sqrt(2.0) * decay * math.sqrt(math.log(K) + 1.0 / math.e),
+        phi, m, 1e300)
 
 
 def envelope_weak_logsob(beta_wls: BetaFunction, phi: Callable, moment: float,

@@ -456,8 +456,8 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
 # ---------------------------------------------------------------------------
 
 def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
-    """gamma*(y) = sup_u (u y - gamma(u)) over a log grid (upper envelope)."""
-    return np.max(u[None, :] * y[:, None] - gamma_vals[None, :], axis=1)
+    """gamma*(y) = sup_u (u y - gamma(u)) over a log grid, one y at a time."""
+    return np.array([np.max(u * yi - gamma_vals) for yi in y])
 
 
 def _s_grid(beta: BetaFunction) -> np.ndarray:

@@ -276,6 +276,8 @@ def _check_density(mu: ProbabilityMeasure1D, h):
 class Functionals:
     """Static functionals of a density h against mu.
 
+    i_psi = int psi(h) dmu and its dissipation (1/2) int psi''(h) |h'|^2 dmu
+    (h' by np.gradient on the grid) are None when no psi is given.
     v_reverse and e_reverse are the reversed-role diagnostics
     Var_{g mu}(1/g) = int (1/g) dmu - 1 and int log(1/g) dmu of g = h, or of
     the mixture g = (1 + h)/2; they are only defined when g >= 1/2
@@ -288,6 +290,7 @@ class Functionals:
     variance: float
     entropy: float
     i_psi: Optional[float]
+    dissipation: Optional[float]
     v_reverse: Optional[float]
     e_reverse: Optional[float]
     mass: float
@@ -295,24 +298,30 @@ class Functionals:
 
 
 def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) -> Functionals:
-    """Evaluate tv, hellinger, variance, entropy, I_psi and the reversed pair.
+    """Evaluate tv, hellinger, variance, entropy, I_psi, its dissipation and
+    the reversed pair.
 
-    psi is a PsiProfile (or None, which nulls i_psi only); mixture=True takes
-    the reversed pair of (1 + h)/2 instead of h.
+    psi is a PsiProfile (or None, which nulls i_psi and dissipation only);
+    mixture=True takes the reversed pair of (1 + h)/2 instead of h.
     """
     h, mass, h_min = _check_density(mu, h)
     tv = integrate(mu, np.abs(h - 1.0))
     hel = 2.0 * integrate(mu, 1.0 - np.sqrt(h))
     var = integrate(mu, (h - 1.0) ** 2)
     ent = integrate(mu, h * np.log(np.where(h > 0, h, 1.0)))
-    i_psi = None if psi is None else integrate(mu, psi.psi(h))
+    i_psi = dissipation = None
+    if psi is not None:
+        i_psi = integrate(mu, psi.psi(h))
+        grad = np.gradient(h, mu.grid)
+        dissipation = 0.5 * integrate(mu, np.asarray(psi.psi_second(h), float) * grad * grad)
     g = 0.5 * (1.0 + h) if mixture else h
     v_rev = e_rev = None
     if g.min() >= 0.5 - 1e-12:
         v_rev = integrate(mu, 1.0 / g) - 1.0
         e_rev = integrate(mu, -np.log(g))
     return Functionals(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
-                       v_reverse=v_rev, e_reverse=e_rev, mass=mass, min_h=h_min)
+                       dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
+                       mass=mass, min_h=h_min)
 
 
 def tv_distance(mu: ProbabilityMeasure1D, h) -> float:

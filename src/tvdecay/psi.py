@@ -253,14 +253,18 @@ def _tabulate_H(psi_second):
     return H, H_inv
 
 
+def splice_point(eta: EtaProfile, a: Optional[float] = None) -> float:
+    """The splice point a, or by default max(2.1, b + 0.1)."""
+    return max(2.1, eta.b + 0.1) if a is None else a
+
+
 def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile:
-    """Splice psi from eta at a > max(2, b); default a = max(2.1, b + 0.1)."""
+    """Splice psi from eta at a > max(2, b); default a = splice_point(eta)."""
     flags = eta.admissibility_flags()
     if not all(flags.values()):
         bad = [k for k, v in flags.items() if not v]
         raise InadmissibleEta(f"eta {eta.name!r} fails flags: {bad}")
-    if a is None:
-        a = max(2.1, eta.b + 0.1)
+    a = splice_point(eta, a)
     if a <= max(2.0, eta.b):
         raise BadSplice(f"a = {a:g} must exceed max(2, b) = {max(2.0, eta.b):g}")
     a = float(a)
@@ -459,7 +463,23 @@ def f_bar(psi: PsiProfile):
 
 # -- almost-linear eta from a prescribed F ----------------------------------------
 
-def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float) -> dict:
+@dataclass(frozen=True)
+class AlmostLinearEta:
+    """theta and theta' = -1/tau on [a, 1e12], eta(u) = u + theta(u), the
+    Wang integral int_a^1e12 du/(u F(u)), whether it converges (the paper's
+    ultracontractivity regime, a warning flag rather than an error), and the
+    seed 1/tau(a)."""
+
+    theta: Callable[[np.ndarray], np.ndarray]
+    theta_prime: Callable[[np.ndarray], np.ndarray]
+    eta: Callable[[np.ndarray], np.ndarray]
+    wang_integral: float
+    wang_finite: bool
+    tau_inv_at_a: float
+
+
+def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray],
+                            a: float) -> AlmostLinearEta:
     """Construct theta with theta' = -1/tau from tau'/tau^2 = 1/(u F(u)).
 
     1/tau(u) = 1/tau(a) - int_a^u ds/(s F(s)) on the working domain
@@ -467,11 +487,6 @@ def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float) -> 
     seed 1/tau(a) is the tail integral itself (so theta' -> 0 cleanly); for a
     divergent integral the seed is 1.25x the integral over the working
     domain so that tau stays positive on it.
-
-    Returns a dict with theta, eta (= u + theta), theta_prime,
-    wang_integral (value over the working domain) and wang_finite flag;
-    a finite Wang integral is the paper's ultracontractivity regime and is
-    surfaced as a warning flag rather than an error.
     """
     from scipy.interpolate import PchipInterpolator
 
@@ -502,23 +517,8 @@ def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray], a: float) -> 
         raise NonPositiveTau("1/tau hits zero before the domain end")
     theta_vals = -cumtrapz0(inv_tau, grid)
     th = PchipInterpolator(grid, theta_vals, extrapolate=True)
-    th1 = PchipInterpolator(grid, -inv_tau, extrapolate=True)
-
-    def theta(u):
-        return th(np.asarray(u, float))
-
-    def theta_prime(u):
-        return th1(np.asarray(u, float))
-
-    def eta(u):
-        u = np.asarray(u, float)
-        return u + th(u)
-
-    return {
-        "theta": theta,
-        "theta_prime": theta_prime,
-        "eta": eta,
-        "wang_integral": total,
-        "wang_finite": wang_finite,
-        "tau_inv_at_a": float(tau_inv_at_a),
-    }
+    return AlmostLinearEta(theta=th,
+                           theta_prime=PchipInterpolator(grid, -inv_tau, extrapolate=True),
+                           eta=lambda u: np.asarray(u, float) + th(u),
+                           wang_integral=total, wang_finite=wang_finite,
+                           tau_inv_at_a=float(tau_inv_at_a))

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .errors import (CFLWarning, LowerBoundViolated, NotADensity, SolverBreakdown,
                      WrongMeasure)
-from .measures import ProbabilityMeasure1D, _check_density, functionals, generator, integrate
+from .measures import (Functionals, ProbabilityMeasure1D, _check_density, functionals,
+                       generator, integrate)
 from ._numerics import trapezoid_weights
 
 
@@ -45,9 +46,9 @@ class SimConfig:
 
 @dataclass
 class DiagnosticsSeries:
-    """Per-save functionals along a run; dissipation_lhs is the centered time
-    difference of I_psi and dissipation_rhs is (1/2) int psi''(h) |h'|^2 dmu,
-    so the flow identity reads lhs = -rhs."""
+    """Per-save functionals along a run: one array per `Functionals` field,
+    with nan where a save's value is None.  dissipation_lhs is the centered
+    time difference of I_psi; the flow identity reads lhs = -dissipation."""
 
     times: np.ndarray
     tv: np.ndarray
@@ -55,12 +56,12 @@ class DiagnosticsSeries:
     variance: np.ndarray
     entropy: np.ndarray
     i_psi: np.ndarray
+    dissipation: np.ndarray
     v_reverse: np.ndarray
     e_reverse: np.ndarray
-    dissipation_lhs: np.ndarray
-    dissipation_rhs: np.ndarray
     mass: np.ndarray
     min_h: np.ndarray
+    dissipation_lhs: np.ndarray
     reverse_transformed: bool = False
     states: Optional[list] = None
 
@@ -97,7 +98,7 @@ def _apply_L(lower, diag, upper, h):
 
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
-    """Run the flow from h0 and record diagnostics every save_every steps.
+    """Run the flow from h0 and record one `Functionals` every save_every steps.
 
     When min h0 < 1/2 the reversed functionals V, E are recorded for the
     mixture flow (1 + h_t)/2, which is itself the exact flow of (1 + h0)/2;
@@ -110,7 +111,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     explicit_half = None if config.scheme == "implicit_euler" else 0.5 * dt
     solve = _step_solver(lower, diag, upper, dt if explicit_half is None else explicit_half)
     transformed = bool(h.min() < 0.5 - 1e-12)
-    times, rows, rhs_list = [], [], []
+    times, saves = [], []
     states = [] if keep_states else None
     warned = False
 
@@ -120,17 +121,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
             # raw state for the evolution itself
             h_t = np.maximum(h_t, 0.0)
             h_t = h_t / integrate(mu, h_t)
-        f = functionals(mu, h_t, psi=psi, mixture=transformed)
         times.append(t)
-        rows.append((f.tv, f.hellinger, f.variance, f.entropy,
-                     np.nan if f.i_psi is None else f.i_psi, f.v_reverse, f.e_reverse,
-                     f.mass, f.min_h))
-        if psi is not None:
-            grad = np.gradient(h_t, mu.grid)
-            rhs_list.append(0.5 * integrate(mu, np.asarray(psi.psi_second(h_t), float)
-                                            * grad * grad))
-        else:
-            rhs_list.append(np.nan)
+        saves.append(functionals(mu, h_t, psi=psi, mixture=transformed))
         if keep_states:
             states.append(h_t.copy())
 
@@ -150,18 +142,14 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
             record(k * dt, h)
 
     times = np.asarray(times)
-    cols = np.asarray(rows, dtype=float)
-    i_psi_col = cols[:, 4]
+    series = {f.name: np.array([getattr(s, f.name) for s in saves], dtype=float)
+              for f in fields(Functionals)}
+    i_psi = series["i_psi"]
     lhs = np.full_like(times, np.nan, dtype=float)
     if len(times) >= 3 and psi is not None:
-        lhs[1:-1] = (i_psi_col[2:] - i_psi_col[:-2]) / (times[2:] - times[:-2])
-    return DiagnosticsSeries(
-        times=times, tv=cols[:, 0], hellinger=cols[:, 1], variance=cols[:, 2],
-        entropy=cols[:, 3], i_psi=i_psi_col,
-        v_reverse=cols[:, 5], e_reverse=cols[:, 6],
-        dissipation_lhs=lhs, dissipation_rhs=np.asarray(rhs_list, dtype=float),
-        mass=cols[:, 7], min_h=cols[:, 8],
-        reverse_transformed=transformed, states=states)
+        lhs[1:-1] = (i_psi[2:] - i_psi[:-2]) / (times[2:] - times[:-2])
+    return DiagnosticsSeries(times=times, **series, dissipation_lhs=lhs,
+                             reverse_transformed=transformed, states=states)
 
 
 # ---------------------------------------------------------------------------

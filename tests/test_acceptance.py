@@ -225,7 +225,7 @@ def test_a8_sandwich_monotonicity_dissipation(mu):
     # dissipation identity on the smooth shape at interior saves
     s = tv.evolve(mu, shapes["eigen"], cfg, psi=psi)
     inner = slice(2, -2)
-    lhs, rhs = s.dissipation_lhs[inner], s.dissipation_rhs[inner]
+    lhs, rhs = s.dissipation_lhs[inner], s.dissipation[inner]
     rel = np.max(np.abs(lhs + rhs) / (np.abs(rhs) + 1e-8))
     assert np.all(np.abs(lhs + rhs) <= 0.02 * np.abs(rhs) + 1e-8)
     _report("A8", f"sandwich + monotone on 3 shapes; dissipation max rel "

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,20 @@ class TestBetaTransforms:
         s = np.geomspace(1e-8, 1e-2, 40)
         slope = fit_loglog_slope(s, bz(s))
         assert slope == pytest.approx(-2.0, abs=0.02)
+
+    def test_orlicz_peak_memory(self):
+        # the Legendre conjugate takes one y-row at a time: no 2000 x 2000
+        # (32 MB) temporary
+        base = tv.BetaFunction.power(1.0, 1.0)
+        phi = lambda u: np.asarray(u, float) ** 3.0
+        beta_orlicz(base, phi)
+        tracemalloc.start()
+        try:
+            beta_orlicz(base, phi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_orlicz_non_young_warning(self):
         # concave phi makes gamma(u) = zeta(sqrt u) non-convex

@@ -205,20 +205,20 @@ class TestAlmostLinearEta:
     def test_constant_F_divergent(self):
         res = build_almost_linear_eta(
             lambda u: np.full_like(np.asarray(u, float), 3.0), 3.0)
-        assert res["wang_finite"] is False
+        assert res.wang_finite is False
 
     def test_log_squared_F_convergent(self):
         res = build_almost_linear_eta(
             lambda u: np.log(np.asarray(u, float)) ** 2, 3.0)
-        assert res["wang_finite"] is True
+        assert res.wang_finite is True
         # 1/tau(u) = int_u^inf ds/(s log^2 s) = 1/log(u)
-        assert float(res["theta_prime"](1e8)) == pytest.approx(-1.0 / math.log(1e8),
-                                                               rel=1e-3)
+        assert float(res.theta_prime(1e8)) == pytest.approx(-1.0 / math.log(1e8),
+                                                            rel=1e-3)
 
     def test_theta_prime_vanishes_when_finite(self):
         res = build_almost_linear_eta(
             lambda u: np.log(np.asarray(u, float)) ** 2, 3.0)
-        tp = np.array([float(res["theta_prime"](u)) for u in
+        tp = np.array([float(res.theta_prime(u)) for u in
                        [10.0, 1e2, 1e4, 1e6, 1e8]])
         assert np.all(np.diff(tp) > 0)  # increasing towards 0
         assert np.all(tp < 0)
@@ -227,7 +227,7 @@ class TestAlmostLinearEta:
         res = build_almost_linear_eta(
             lambda u: np.log(np.asarray(u, float)) ** 2, 3.0)
         u = np.geomspace(4.0, 1e7, 100)
-        eta_vals = np.asarray(res["eta"](u), float)
+        eta_vals = np.asarray(res.eta(u), float)
         # discrete convexity in the log-spaced sense via secant slopes
         slopes = np.diff(eta_vals) / np.diff(u)
         assert np.all(np.diff(slopes) >= -1e-8)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,9 @@ from tvdecay.errors import (
     WrongMeasure,
 )
 from tvdecay.measures import (
+    Functionals,
     eigen_perturbation,
+    functionals,
     shifted_gaussian_density,
     step_density,
     tail_ratio_density,
@@ -85,8 +88,47 @@ class TestDissipation:
         s = tv.evolve(gaussian_measure, h0, cfg, psi=psi_centered)
         inner = slice(2, -2)
         lhs = s.dissipation_lhs[inner]
-        rhs = s.dissipation_rhs[inner]
+        rhs = s.dissipation[inner]
         assert np.all(np.abs(lhs + rhs) <= 0.02 * np.abs(rhs) + 1e-8)
+
+
+class TestSeriesFromFunctionals:
+    """Each DiagnosticsSeries column is the matching Functionals field at each
+    save, with None read as nan."""
+
+    @pytest.fixture(scope="class")
+    def small_measure(self):
+        return tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("with_psi", [False, True])
+    @pytest.mark.parametrize("start", ["step", "above_half"])
+    def test_columns_match_functionals(self, small_measure, psi_quad_spliced,
+                                       scheme, with_psi, start):
+        mu = small_measure
+        if start == "step":
+            h0 = step_density(mu)
+        else:
+            h0 = 1.0 + 0.3 * np.tanh(mu.grid)
+            h0 = h0 / tv.integrate(mu, h0)
+        psi = psi_quad_spliced if with_psi else None
+        cfg = tv.SimConfig(dt=0.02, t_end=0.4, scheme=scheme, save_every=3)
+        series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
+        assert series.reverse_transformed == (start == "step")
+        assert len(series.states) == len(series.times) == 8
+        for k, h_k in enumerate(series.states):
+            f = functionals(mu, h_k, psi, mixture=series.reverse_transformed)
+            for field in dataclasses.fields(Functionals):
+                want, got = getattr(f, field.name), getattr(series, field.name)[k]
+                if want is None:
+                    assert math.isnan(got), (field.name, k)
+                else:
+                    assert got == want, (field.name, k)
+        assert np.isnan(series.dissipation).all() == (psi is None)
+
+    def test_functionals_fields_are_series_fields(self):
+        series_names = {f.name for f in dataclasses.fields(tv.DiagnosticsSeries)}
+        assert {f.name for f in dataclasses.fields(Functionals)} <= series_names
 
 
 class TestMonotoneFunctionals:
