@@ -128,18 +128,28 @@ BETA_DEFAULTS = {"beta_c": 1.0, "beta_q": 1.0, "beta_d": 1.0, "beta_r": 1.0,
 BETA_KEYS = ("beta_form", *BETA_DEFAULTS)
 
 
+def _reject_unread(cfg: dict, prefix: str, keys, read, form: str) -> None:
+    """A set key of `keys` that `form` does not read (not in `read`) is a ConfigError."""
+    for k in keys:
+        if k not in read and get_str(cfg, prefix + k) is not None:
+            raise ConfigError(f"key {prefix + k!r} is not read with {form}")
+
+
 def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
-    make, key, within = choose(PHIS, prefix + "phi",
-                               get_str(cfg, prefix + "phi", default_family))
+    family = get_str(cfg, prefix + "phi", default_family)
+    make, key, within = choose(PHIS, prefix + "phi", family)
+    _reject_unread(cfg, prefix, PHI_KEYS[1:], (key,), f"{prefix}phi = {family}")
     return make(get_number(cfg, prefix + key, default_param, within=within) if key else None)
 
 
 def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
     """The configured beta, or None when beta_form is unset (family default)."""
     form = get_str(cfg, prefix + "beta_form")
+    make, keys = choose(BETA_FORMS, prefix + "beta_form", form) if form else (None, ())
+    _reject_unread(cfg, prefix, BETA_DEFAULTS, keys,
+                   f"{prefix}beta_form " + (f"= {form}" if form else "unset"))
     if form is None:
         return None
-    make, keys = choose(BETA_FORMS, prefix + "beta_form", form)
     args = [get_number(cfg, prefix + k, BETA_DEFAULTS[k]) for k in keys]
     try:
         return make(*args)
@@ -244,16 +254,16 @@ ENVELOPES = {
     "weak_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
                                                      eps=o["eps"]),
-        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.C_LS or 1.0),
+        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.c_ls("weak_logsob")),
         extras={"eps": (1.0 / math.e, POSITIVE)}),
     "restricted_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
                                                            x.moment(phi)),
-        phi=("power", 1.5), beta=lambda x: BetaFunction.power(x.C_LS or 1.0, 1.0)),
+        phi=("power", 1.5),
+        beta=lambda x: BetaFunction.power(x.c_ls("restricted_logsob"), 1.0)),
     "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": (0.0, ANY), "M_eta": (1.0, POSITIVE)}),
     "hellinger": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi),
-                                                   h_sup=float(x.h0.max())),
+        lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi)),
         phi=("linear", 0.0), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
     "curvature": EnvelopeFamily(_curvature, beta=lambda x: BetaFunction.constant(x.C_P)),
 }

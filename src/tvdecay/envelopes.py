@@ -2,7 +2,8 @@
 
 Every envelope is an upper bound on ||P_t^* h mu - mu||_TV (or on one of the
 auxiliary functionals noted in its docstring), clipped at the maximal total
-variation 2, with `valid_from` the first time the raw bound drops below 2.
+variation 2.  Its `valid_from`, the first t at which the uncalibrated raw
+bound is <= 2, is searched for on first read; only `compare` reads it.
 The universal constants the theory leaves unspecified are exposed as explicit
 parameters (default 1); `calibrate` rescales an envelope so that it equals a
 measured value at t = 0, preserving the rate content.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -96,7 +98,6 @@ class DecayEnvelope:
     name: str
     params: dict
     raw_eval: Callable[[float], float]
-    valid_from: float = 0.0
     scale: float = 1.0
 
     def eval(self, t: float) -> float:
@@ -111,23 +112,23 @@ class DecayEnvelope:
         return replace(self, scale=self.scale * target / base,
                        params={**self.params, "calibrated_to": target})
 
-
-def _finalize(name, params, raw_eval) -> DecayEnvelope:
-    """Attach valid_from = inf{t : raw(t) <= 2} (raw assumed non-increasing).
-
-    Probed at t = 1e-8 rather than 0 so that envelopes whose small-t guard
-    exceeds the maximal TV report a positive valid_from.
-    """
-    if raw_eval(1e-8) <= TV_MAX:
-        vf = 0.0
-    else:
+    @cached_property
+    def valid_from(self) -> float:
+        """inf{t : raw(t) <= 2} (raw assumed non-increasing), 0 where the
+        search fails.  Probed at t = 1e-8 rather than 0 so that envelopes whose
+        small-t guard exceeds the maximal TV report a positive valid_from."""
+        if self.raw_eval(1e-8) <= TV_MAX:
+            return 0.0
         try:
-            vf = invert_increasing(lambda t: -raw_eval(t), -TV_MAX,
-                                   1e-8, 1e4, resid_tol=1e-6)
+            return float(invert_increasing(lambda t: -self.raw_eval(t), -TV_MAX,
+                                           1e-8, 1e4, resid_tol=1e-6))
         except Exception:
-            vf = 0.0
-    return DecayEnvelope(name=name, params=params, raw_eval=raw_eval,
-                         valid_from=float(vf))
+            return 0.0
+
+
+def _exponential(name, params, a, c, b=1.0) -> DecayEnvelope:
+    """The bound a e^{-t/c} b, multiplied in that order."""
+    return DecayEnvelope(name, params, lambda t: a * math.exp(-t / c) * b)
 
 
 def _moment_guard(moment):
@@ -147,7 +148,7 @@ def _truncation(name, params, phi, m, g, arg, lo=1e-6) -> DecayEnvelope:
             return TV_MAX
         return 4.0 * m / float(phi(invert_increasing(g, y, lo, 1e6)))
 
-    return _finalize(name, params, ev)
+    return DecayEnvelope(name, params, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +159,8 @@ def envelope_poincare_l2(C_P: float, l2_norm: float) -> DecayEnvelope:
     """TV <= e^{-t/2C_P} ||h - 1||_L2(mu)."""
     if C_P <= 0:
         raise ValueError("C_P must be positive")
-
-    def ev(t):
-        return l2_norm * math.exp(-t / (2.0 * C_P))
-
-    return _finalize("poincare_l2", {"C_P": C_P, "l2_norm": l2_norm}, ev)
+    return _exponential("poincare_l2", {"C_P": C_P, "l2_norm": l2_norm},
+                        l2_norm, 2.0 * C_P)
 
 
 def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> DecayEnvelope:
@@ -210,13 +208,8 @@ def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
     m = _moment_guard(moment)
     beta_zeta = beta_orlicz(beta_wp, phi)
     spec = XiSpec(beta=beta_zeta, log_numerator=1.0, t_scale=1.0)
-
-    def ev(t):
-        if t <= 0:
-            return TV_MAX
-        return C * math.sqrt(xi(spec, t)) * m
-
-    return _finalize("orlicz", {"moment": m, "C": C}, ev)
+    return DecayEnvelope("orlicz", {"moment": m, "C": C}, lambda t: TV_MAX if t <= 0
+                         else C * math.sqrt(xi(spec, t)) * m)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +220,8 @@ def envelope_logsob(C_LS: float, entropy: float) -> DecayEnvelope:
     """TV <= e^{-t/C_LS} sqrt(2 Ent(h))."""
     if C_LS is None or C_LS <= 0:
         raise ValueError("C_LS must be positive")
-
-    def ev(t):
-        return math.sqrt(2.0 * max(entropy, 0.0)) * math.exp(-t / C_LS)
-
-    return _finalize("logsob", {"C_LS": C_LS, "entropy": entropy}, ev)
+    return _exponential("logsob", {"C_LS": C_LS, "entropy": entropy},
+                        math.sqrt(2.0 * max(entropy, 0.0)), C_LS)
 
 
 def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> DecayEnvelope:
@@ -340,8 +330,8 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
         u = float(np.exp(np.interp(tt, zvals, np.log(ug))))
         return prefactor / max(float(phi(u)), 1e-300)
 
-    return _finalize("restricted_logsob", {"C_P": C_P, "moment": m, "branch": branch,
-                                           "zeta_saturated_at": z_max}, ev)
+    return DecayEnvelope("restricted_logsob", {"C_P": C_P, "moment": m, "branch": branch,
+                                               "zeta_saturated_at": z_max}, ev)
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +342,17 @@ def envelope_ipsi(C_eta: float, M_eta: float, eta_moment: float) -> DecayEnvelop
     """TV <= M_eta e^{-t/4C_eta} (1 + int eta(h) dmu)."""
     if C_eta <= 0:
         raise ValueError("C_eta must be positive")
-
-    def ev(t):
-        return M_eta * math.exp(-t / (4.0 * C_eta)) * (1.0 + eta_moment)
-
-    return _finalize("ipsi", {"C_eta": C_eta, "M_eta": M_eta,
-                              "eta_moment": eta_moment}, ev)
+    return _exponential("ipsi", {"C_eta": C_eta, "M_eta": M_eta, "eta_moment": eta_moment},
+                        M_eta, 4.0 * C_eta, 1.0 + eta_moment)
 
 
-def envelope_hellinger(beta_h: BetaFunction, phi: Callable, moment: float,
-                       h_sup: float) -> DecayEnvelope:
+def envelope_hellinger(beta_h: BetaFunction, phi: Callable, moment: float) -> DecayEnvelope:
     """TV form 4m / (phi o etatilde^{-1})(2m / sqrt(3 xi_H(t))),
     etatilde(u) = u^{1/4} phi(u); xi_H runs on the 4t clock.  The direct
     Hellinger-distance bound is `hellinger_eval`."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_h, log_numerator=1.0, t_scale=4.0)
-    return _truncation("hellinger", {"moment": m, "h_sup": h_sup}, phi, m,
+    return _truncation("hellinger", {"moment": m}, phi, m,
                        lambda u: u**0.25 * float(phi(u)),
                        lambda t: None if t <= 0 else 2.0 * m / math.sqrt(3.0 * xi(spec, t)))
 
@@ -410,7 +395,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
         return math.sqrt(max(val, 0.0))
 
     params = {"rho": rho, "beta": beta_wp.form, "rho_zero_limit": rho == 0.0}
-    return _finalize("curvature", params, ev)
+    return DecayEnvelope("curvature", params, ev)
 
 
 def r_curve(rho: float, beta_wp: BetaFunction, t: float, s: float) -> float:

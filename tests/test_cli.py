@@ -334,6 +334,23 @@ BAD_INPUTS = {
                                            "envelope.orlicz.phi = logbeta\n"
                                            "envelope.orlicz.beta_exp = -0.5", (),
                                  "envelope.orlicz.beta_exp"),
+    # a phi or beta key the selected form does not read would be silently ignored
+    "unread-beta-no-form": ("bounds", "envelopes = curvature\n"
+                                      "envelope.curvature.beta_c = 5", (),
+                            "'envelope.curvature.beta_c' is not read with "
+                            "envelope.curvature.beta_form unset"),
+    "unread-beta-other-form": ("compare", "envelopes = weak_poincare\n"
+                                          "envelope.weak_poincare.beta_form = constant\n"
+                                          "envelope.weak_poincare.beta_q = 2", (),
+                               "'envelope.weak_poincare.beta_q' is not read with "
+                               "envelope.weak_poincare.beta_form = constant"),
+    "unread-phi-linear": ("bounds", "envelopes = hellinger\nenvelope.hellinger.q = 3", (),
+                          "'envelope.hellinger.q' is not read with "
+                          "envelope.hellinger.phi = linear"),
+    "unread-phi-other-form": ("bounds", "envelopes = truncation_logsob\n"
+                                        "envelope.truncation_logsob.q = 2", (),
+                              "'envelope.truncation_logsob.q' is not read with "
+                              "envelope.truncation_logsob.phi = logbeta"),
 }
 
 
@@ -351,6 +368,26 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert needle in err
+
+
+# power alpha = 1 has rho <= 0, so no C_LS: the log-Sobolev default betas have no constant
+NO_C_LS_CFG = SMALL_CFG + "potential.family = power\npotential.alpha = 1\n"
+
+
+@pytest.mark.parametrize("verb", ["bounds", "compare"])
+@pytest.mark.parametrize("name", ["weak_logsob", "restricted_logsob"])
+def test_default_beta_without_c_ls_exits_3(name, verb, tmp_path, capsys):
+    path = write_cfg(tmp_path, NO_C_LS_CFG + f"envelopes = {name}\n")
+    assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
+    err = capsys.readouterr().err
+    assert f"{name} envelope needs a positive C_LS" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["weak_logsob", "restricted_logsob"])
+def test_explicit_beta_without_c_ls_builds(name, tmp_path):
+    path = write_cfg(tmp_path, NO_C_LS_CFG + f"envelopes = {name}\n"
+                                             f"envelope.{name}.beta_form = power\n")
+    assert main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 0
 
 
 # potential.sigma -> (exit code, text stderr must name)
@@ -501,6 +538,15 @@ def test_envelope_params_are_json():
     assert list(envs) == list(ENVELOPES)
     for env in envs.values():
         json.dumps(env.params)      # a callable in params raises TypeError
+
+
+def test_bounds_searches_no_valid_from():
+    # valid_from is computed on first read, and only compare reads it
+    scn = scenario_from_config(parse_config_text(ALL_FAMILIES_CFG))
+    mu = scn.build_measure()
+    envs, _ = _bound_curves(scn, plan_envelopes(scn), mu, scn.build_initial(mu),
+                            analyze_scenario(scn, mu), np.array([0.5]))
+    assert [name for name, env in envs.items() if "valid_from" in vars(env)] == []
 
 
 DENSITIES = ("eigen_perturbation", "step_density", "shifted_gaussian_density",

@@ -277,6 +277,15 @@ class TestWeakLogSobolev:
         assert env.valid_from > 0.0
         assert env.raw_eval(env.valid_from * 1.01) <= 2.0 + 1e-5
 
+    def test_valid_from_searched_on_first_read(self):
+        env = envelope_weak_logsob(tv.BetaFunction.constant(1.0),
+                                   _phi_power(2.0), 5.0)
+        assert "valid_from" not in vars(env)
+        vf = env.valid_from
+        assert vars(env)["valid_from"] == vf > 0.0
+        # calibration rescales eval but not the raw bound valid_from is taken of
+        assert env.calibrate(0.5).valid_from == vf
+
 
 class TestRestrictedLogSobolev:
     def test_gamma_round_trip(self):
@@ -351,14 +360,14 @@ class TestHellinger:
     def test_poincare_equivalent_polynomial_decay(self):
         # beta_H = c/s: TV form decays like t^{-2/5} (log-corrected)
         env = envelope_hellinger(tv.BetaFunction.power(1.0, 1.0),
-                                 lambda u: np.asarray(u, float), 1.0, 2.0)
+                                 lambda u: np.asarray(u, float), 1.0)
         ts = np.geomspace(1e4, 1e8, 20)
         slope = fit_loglog_slope(ts, [env.raw_eval(t) for t in ts])
         assert -0.42 <= slope <= -0.34
 
     def test_t_zero_clipped(self):
         env = envelope_hellinger(tv.BetaFunction.power(1.0, 1.0),
-                                 lambda u: np.asarray(u, float), 1.0, 2.0)
+                                 lambda u: np.asarray(u, float), 1.0)
         assert env.eval(0.0) <= 2.0
 
 

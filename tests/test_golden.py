@@ -1,7 +1,8 @@
 """Golden outputs: a small CLI matrix must reproduce tests/golden/ byte for byte.
 
 The matrix covers every envelope family (ipsi both from the capacity check
-and from explicit constants), both calibration modes, every phi family and
+and from explicit constants), each in at least one compare case so that its
+summary.json verdict is pinned, both calibration modes, every phi family and
 beta_form, the envelope extras and every analysis.* override, on grids of at
 most 401 points so the whole module runs in about a second.
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from tvdecay.cli import main
+from tvdecay.cli import ENVELOPES, main
 
 GOLDEN = Path(__file__).parent / "golden"
 OUTPUTS = {"analyze": ("constants.json",), "bounds": ("curves.csv",),
@@ -128,6 +129,9 @@ CASES = {
                                       "envelopes": "restricted_logsob, weak_logsob, "
                                                    "truncation_logsob",
                                       "envelopes.calibrate": "false"}, ()),
+    "compare-orlicz": ("compare", {"envelopes": "orlicz, poincare_l2",
+                                   "initial.family": "step",
+                                   "envelopes.calibrate": "false"}, ()),
 }
 
 
@@ -148,6 +152,13 @@ def test_golden_outputs(name, tmp_path):
     assert run_case(name, tmp_path) == 0
     for fname in OUTPUTS[CASES[name][0]]:
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes(), fname
+
+
+def test_every_family_has_a_compare_case():
+    # valid_from and the domination verdict reach an output only through compare
+    compared = {name.strip() for verb, extra, _ in CASES.values() if verb == "compare"
+                for name in extra.get("envelopes", "").split(",")}
+    assert sorted(set(ENVELOPES) - compared) == []
 
 
 if __name__ == "__main__":
