@@ -285,7 +285,7 @@ def plan_envelopes(scn: Scenario) -> dict:
 
 def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):
     """Build every planned envelope, calibrate it to the TV of h0 when the
-    scenario asks, and evaluate it at each t; returns (envelopes, curves).
+    scenario asks, and evaluate it over the t array; returns (envelopes, curves).
     A bound that is not finite at some t is a numeric failure."""
     x = _Inputs(mu, h0, functionals(mu, h0), scn.eta, capacity=constants["capacity"],
                 **constants["effective"])
@@ -293,7 +293,7 @@ def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.
     for name, build in plan.items():
         env = build(x)
         envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
-        curves[name] = bound = np.array([envs[name].eval(t) for t in times])
+        curves[name] = bound = np.array(envs[name].eval(times))
         bad = ~np.isfinite(bound)
         if bad.any():
             raise TvDecayError(f"envelope {name!r}: the bound is {bound[bad][0]} "

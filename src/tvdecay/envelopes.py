@@ -2,7 +2,13 @@
 
 Every envelope is an upper bound on ||P_t^* h mu - mu||_TV (or on one of the
 auxiliary functionals noted in its docstring), clipped at the maximal total
-variation 2.  Its `valid_from`, the first t at which the uncalibrated raw
+variation 2.  `eval` and `raw_eval` take a whole array of t and evaluate the
+bound over it in one pass (`raw_eval` returns an array, `eval` a list of
+floats): the xi bisection, the truncation-route inversion and the curvature
+infimum over s run elementwise under masks, and a scalar t gives a float.
+Where the bound at one t calls a math-module function, `_libm` calls it on
+every entry, so an array evaluation is bit-identical to evaluating the bound
+one t at a time.  Its `valid_from`, the first t at which the uncalibrated raw
 bound is <= 2, is searched for on first read; only `compare` reads it.
 The universal constants the theory leaves unspecified are exposed as explicit
 parameters (default 1); `calibrate` rescales an envelope so that it equals a
@@ -24,6 +30,16 @@ from ._numerics import invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
 TV_MAX = 2.0
+_CURVATURE_BLOCK = 256  # t values per curvature scan: (256, 80) temporaries
+
+
+def _libm(f, x):
+    """The math-module function f of every entry of x.  numpy's exp, log and
+    ** round differently from libm on some inputs (exp on about 5%), and one
+    ulp can flip a bisection step; calling libm wherever the formula at one t
+    does keeps each bound bit-identical to that formula."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -50,41 +66,49 @@ class XiSpec:
             raise ValueError("beta(s) log(c/s) must be non-increasing on (0, c)")
 
 
-def xi(spec: XiSpec, t: float, return_flag: bool = False):
-    """Evaluate xi(t) by bisection; returns the upper bracket end (safe side).
+def xi(spec: XiSpec, t, return_flag: bool = False):
+    """Evaluate xi(t) by bisection, elementwise over an array of t (a float
+    for a scalar t); returns the upper bracket end (safe side).
 
-    When even the top of the bracket fails the inequality, the domain max is
+    Where even the top of the bracket fails the inequality, the domain max is
     returned with the `unreached` flag set (no exception).
     """
-    if t <= 0:
+    ts = np.asarray(t, dtype=float)
+    if np.any(ts <= 0):
         raise ValueError("xi needs t > 0")
     c, k = spec.log_numerator, spec.t_scale
     s_hi = min(c, 1.0, spec.beta.s_max) - 1e-12
-    target = k * t
+    target = k * ts.reshape(-1)
 
     def G(s):
-        return float(spec.beta(np.asarray(s)) * math.log(c / s))
+        return spec.beta(s) * _libm(math.log, c / s)
 
-    if G(s_hi) > target:
-        return (s_hi, True) if return_flag else s_hi
-    if G(_XI_S_FLOOR) <= target:
-        return (_XI_S_FLOOR, False) if return_flag else _XI_S_FLOOR
-    a, b = math.log(_XI_S_FLOOR), math.log(s_hi)
-    scale = max(1.0, abs(target))
+    unreached = G(np.array([s_hi])) > target
+    floor = ~unreached & (G(np.array([_XI_S_FLOOR])) <= target)
+    val = np.where(unreached, s_hi, _XI_S_FLOOR)
+    # bisect in log s the entries neither end settles, dropping each as it stops
+    i = np.flatnonzero(~unreached & ~floor)
+    y = target[i]
+    tol = 1e-12 * np.maximum(1.0, np.abs(y))
+    a, b = np.full(i.size, math.log(_XI_S_FLOOR)), np.full(i.size, math.log(s_hi))
     for _ in range(300):
+        if not i.size:
+            break
         m = 0.5 * (a + b)
-        gm = G(math.exp(m))
-        if abs(gm - target) <= 1e-12 * scale:
-            b = m
-            break
-        if gm > target:
-            a = m
-        else:
-            b = m
-        if b - a <= 5e-14:
-            break
-    val = math.exp(b)  # upper end: larger xi, conservative bound
-    return (val, False) if return_flag else val
+        gm = G(_libm(math.exp, m))
+        hit = np.abs(gm - y) <= tol
+        up = ~hit & (gm > y)
+        a, b = np.where(up, m, a), np.where(up, b, m)
+        done = hit | (b - a <= 5e-14)
+        if done.any():
+            val[i[done]] = _libm(math.exp, b[done])  # upper end: larger xi, conservative
+            i, a, b, y, tol = (v[~done] for v in (i, a, b, y, tol))
+    val[i] = _libm(math.exp, b)
+    if ts.ndim == 0:
+        val, unreached = float(val[0]), bool(unreached[0])
+    else:
+        val, unreached = val.reshape(ts.shape), unreached.reshape(ts.shape)
+    return (val, unreached) if return_flag else val
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +117,26 @@ def xi(spec: XiSpec, t: float, return_flag: bool = False):
 
 @dataclass(frozen=True)
 class DecayEnvelope:
-    """A named bound t -> eval(t), non-increasing beyond valid_from."""
+    """A named bound t -> eval(t), non-increasing beyond valid_from.  `bound`
+    maps a 1-D array of t to the raw (unscaled, unclipped) bound at each."""
 
     name: str
     params: dict
-    raw_eval: Callable[[float], float]
+    bound: Callable[[np.ndarray], np.ndarray]
     scale: float = 1.0
 
-    def eval(self, t: float) -> float:
-        return min(self.scale * float(self.raw_eval(float(t))), TV_MAX)
+    def raw_eval(self, t):
+        """The raw bound: an array for an array of t, a float for a scalar t."""
+        ts = np.asarray(t, dtype=float)
+        out = self.bound(ts.reshape(-1)).reshape(ts.shape)
+        return float(out) if out.ndim == 0 else out
+
+    def eval(self, t):
+        """min(scale * raw bound, 2): a float for a scalar t, and for an array
+        of t a list of floats, plain numbers like `params`, so that counts
+        taken from them (how many are below 2) are plain ints too."""
+        out = np.minimum(self.scale * self.raw_eval(t), TV_MAX)
+        return float(out) if out.ndim == 0 else out.tolist()
 
     def calibrate(self, measured_at_zero: float) -> "DecayEnvelope":
         """Rescale so the bound equals min(2, measured value) at t = 0."""
@@ -128,7 +163,7 @@ class DecayEnvelope:
 
 def _exponential(name, params, a, c, b=1.0) -> DecayEnvelope:
     """The bound a e^{-t/c} b, multiplied in that order."""
-    return DecayEnvelope(name, params, lambda t: a * math.exp(-t / c) * b)
+    return DecayEnvelope(name, params, lambda t: a * _libm(math.exp, -t / c) * b)
 
 
 def _moment_guard(moment):
@@ -137,18 +172,24 @@ def _moment_guard(moment):
     return float(moment)
 
 
-def _truncation(name, params, phi, m, g, arg, lo=1e-6) -> DecayEnvelope:
-    """The truncation route TV <= 4m / (phi o g^{-1})(arg(t)) for an
-    increasing g(u) = w(u) phi(u); arg(t) is None where the route gives no
-    bound (t <= 0 on an xi clock), and eval is then the maximal TV."""
+def _truncation(phi, m, g, arg, lo=1e-6):
+    """The truncation route t -> 4m / (phi o g^{-1})(arg(t)) for an increasing
+    g(u) = w(u) phi(u), inverted elementwise over the t array."""
+    return lambda t: 4.0 * m / phi(invert_increasing(g, arg(t), lo, 1e6))
 
-    def ev(t):
-        y = arg(t)
-        if y is None:
-            return TV_MAX
-        return 4.0 * m / float(phi(invert_increasing(g, y, lo, 1e6)))
 
-    return DecayEnvelope(name, params, ev)
+def _from_t0(route):
+    """An xi clock starts at t = 0+: the route where t > 0, the maximal TV
+    elsewhere."""
+
+    def bound(t):
+        out = np.full(t.shape, TV_MAX)
+        pos = t > 0
+        if pos.any():
+            out[pos] = route(t[pos])
+        return out
+
+    return bound
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +209,14 @@ def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> De
     phitilde(u) = sqrt(u) phi(u); `truncation_poincare_k_optimized` is the
     direct infimum over the truncation level K."""
     m = _moment_guard(moment)
-    return _truncation("truncation_poincare", {"C_P": C_P, "moment": m}, phi, m,
-                       lambda u: math.sqrt(u) * float(phi(u)),
-                       lambda t: 2.0 * m * math.exp(t / (2.0 * C_P)))
+    return DecayEnvelope("truncation_poincare", {"C_P": C_P, "moment": m}, _truncation(
+        phi, m, lambda u: np.sqrt(u) * phi(u),
+        lambda t: 2.0 * m * _libm(math.exp, t / (2.0 * C_P))))
 
 
 def _k_infimum(first_term: Callable, phi: Callable, m: float, hi: float) -> float:
     """inf over log K in [log 2, log hi] of first_term(K) + 2m/phi(K)."""
-    return scan_min_log(lambda K: first_term(K) + 2.0 * m / float(phi(K)), 2.0, hi,
+    return scan_min_log(lambda K: first_term(K) + 2.0 * m / phi(K), 2.0, hi,
                         n_scan=200)[1]
 
 
@@ -185,7 +226,7 @@ def truncation_poincare_k_optimized(C_P: float, phi: Callable, moment: float,
     log K in [log 2, 700] (using Var(h ^ K) <= K)."""
     m = _moment_guard(moment)
     decay = math.exp(-t / (2.0 * C_P))
-    return _k_infimum(lambda K: math.sqrt(K) * decay, phi, m, math.exp(700.0))
+    return _k_infimum(lambda K: np.sqrt(K) * decay, phi, m, math.exp(700.0))
 
 
 def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
@@ -193,10 +234,10 @@ def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
     """4m / (phi o theta^{-1})(sqrt2 m / sqrt(xi_WP(t))), theta(u) = u phi(u)."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_wp, log_numerator=1.0, t_scale=1.0)
-    return _truncation("weak_poincare", {"moment": m, "beta": beta_wp.form}, phi, m,
-                       lambda u: u * float(phi(u)),
-                       lambda t: None if t <= 0 else
-                       math.sqrt(2.0) * m / math.sqrt(xi(spec, t)))
+    return DecayEnvelope("weak_poincare", {"moment": m, "beta": beta_wp.form},
+                         _from_t0(_truncation(
+                             phi, m, lambda u: u * phi(u),
+                             lambda t: math.sqrt(2.0) * m / np.sqrt(xi(spec, t)))))
 
 
 def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
@@ -208,8 +249,8 @@ def envelope_orlicz(beta_wp: BetaFunction, phi: Callable, moment: float,
     m = _moment_guard(moment)
     beta_zeta = beta_orlicz(beta_wp, phi)
     spec = XiSpec(beta=beta_zeta, log_numerator=1.0, t_scale=1.0)
-    return DecayEnvelope("orlicz", {"moment": m, "C": C}, lambda t: TV_MAX if t <= 0
-                         else C * math.sqrt(xi(spec, t)) * m)
+    return DecayEnvelope("orlicz", {"moment": m, "C": C},
+                         _from_t0(lambda t: C * np.sqrt(xi(spec, t)) * m))
 
 
 # ---------------------------------------------------------------------------
@@ -229,9 +270,9 @@ def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> Dec
     `truncation_logsob_k_optimized` is the direct infimum over K."""
     m = _moment_guard(moment)
     # log+ keeps phibar defined where the inversion bracket reaches u < 1
-    return _truncation("truncation_logsob", {"C_LS": C_LS, "moment": m}, phi, m,
-                       lambda u: float(phi(u)) * math.sqrt(max(math.log(u), 0.0)),
-                       lambda t: m * math.exp(t / C_LS), lo=1.2)
+    return DecayEnvelope("truncation_logsob", {"C_LS": C_LS, "moment": m}, _truncation(
+        phi, m, lambda u: phi(u) * np.sqrt(np.maximum(_libm(math.log, u), 0.0)),
+        lambda t: m * _libm(math.exp, t / C_LS), lo=1.2))
 
 
 def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
@@ -241,7 +282,7 @@ def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
     m = _moment_guard(moment)
     decay = math.exp(-t / C_LS)
     return _k_infimum(
-        lambda K: math.sqrt(2.0) * decay * math.sqrt(math.log(K) + 1.0 / math.e),
+        lambda K: math.sqrt(2.0) * decay * np.sqrt(_libm(math.log, K) + 1.0 / math.e),
         phi, m, 1e300)
 
 
@@ -251,16 +292,16 @@ def envelope_weak_logsob(beta_wls: BetaFunction, phi: Callable, moment: float,
     phitilde(u) = sqrt(u) phi(u), xi on the 2t clock with numerator eps."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_wls, log_numerator=eps, t_scale=2.0)
-    return _truncation("weak_logsob", {"moment": m, "eps": eps}, phi, m,
-                       lambda u: math.sqrt(u) * float(phi(u)),
-                       lambda t: None if t <= 0 else
-                       math.sqrt(2.0) * m / ((1.0 / math.e + eps) * math.sqrt(xi(spec, t))))
+    return DecayEnvelope("weak_logsob", {"moment": m, "eps": eps}, _from_t0(_truncation(
+        phi, m, lambda u: np.sqrt(u) * phi(u),
+        lambda t: math.sqrt(2.0) * m / ((1.0 / math.e + eps) * np.sqrt(xi(spec, t))))))
 
 
-def gamma_inverse(beta: BetaFunction) -> Callable[[float], float]:
+def gamma_inverse(beta: BetaFunction) -> Callable:
     """gamma^{-1} for gamma(u) = beta(u)/u, interpolated on a log probe grid of
-    (1e-10, s_max] and constant beyond it; raises GammaNotInvertible unless
-    gamma strictly decreases on the grid."""
+    (1e-10, s_max] and constant beyond it, elementwise over an array (a float
+    for a scalar); raises GammaNotInvertible unless gamma strictly decreases
+    on the grid."""
     u_probe = np.geomspace(1e-10, beta.s_max, 3000)
     gamma_vals = beta(u_probe) / u_probe
     if np.any(np.diff(gamma_vals) >= 0):
@@ -269,12 +310,10 @@ def gamma_inverse(beta: BetaFunction) -> Callable[[float], float]:
     log_g = np.log(gamma_vals)
 
     def gamma_inv(v):
-        lv = math.log(max(v, 1e-300))
-        if lv >= log_g[0]:
-            return float(u_probe[0])
-        if lv <= log_g[-1]:
-            return float(u_probe[-1])
-        return float(np.exp(np.interp(-lv, -log_g, log_u)))
+        lv = _libm(math.log, np.maximum(v, 1e-300))
+        u = np.where(lv >= log_g[0], u_probe[0], np.where(
+            lv <= log_g[-1], u_probe[-1], np.exp(np.interp(-lv, -log_g, log_u))))
+        return float(u) if u.ndim == 0 else u
 
     return gamma_inv
 
@@ -305,15 +344,10 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
     doubling = float(phi(u_test**2)) / max(float(phi(u_test)), 1e-300)
     branch = 1 if doubling >= 1.95 else 2
 
-    def zeta(u):
-        if branch == 1:
-            lead = 2.0 * math.log(max(float(phi(u)), 1e-300))
-        else:
-            lead = 2.0 * math.log(max(float(phi(u)) * math.log(u), 1e-300))
-        return lead * gamma_inv(math.sqrt(3.0 * C_P) * u)
-
     ug = np.geomspace(3.0, 1e6, 1200)
-    zvals = np.array([zeta(u) for u in ug])
+    phis = phi(ug) if branch == 1 else phi(ug) * _libm(math.log, ug)
+    zvals = 2.0 * _libm(math.log, np.maximum(phis, 1e-300)) * gamma_inv(
+        math.sqrt(3.0 * C_P) * ug)
     peak = int(np.argmax(zvals))
     ug, zvals = ug[:peak + 1], zvals[:peak + 1]
     on_max = zvals >= np.maximum.accumulate(zvals) - 1e-15
@@ -325,13 +359,14 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
     z_max = float(zvals[-1])
     prefactor = m if branch == 1 else 1.0 + m
 
-    def ev(t):
-        tt = min(t, z_max)
-        u = float(np.exp(np.interp(tt, zvals, np.log(ug))))
-        return prefactor / max(float(phi(u)), 1e-300)
+    log_ug = np.log(ug)
+
+    def bound(t):
+        u = np.exp(np.interp(np.minimum(t, z_max), zvals, log_ug))
+        return prefactor / np.maximum(phi(u), 1e-300)
 
     return DecayEnvelope("restricted_logsob", {"C_P": C_P, "moment": m, "branch": branch,
-                                               "zeta_saturated_at": z_max}, ev)
+                                               "zeta_saturated_at": z_max}, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +387,9 @@ def envelope_hellinger(beta_h: BetaFunction, phi: Callable, moment: float) -> De
     Hellinger-distance bound is `hellinger_eval`."""
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_h, log_numerator=1.0, t_scale=4.0)
-    return _truncation("hellinger", {"moment": m}, phi, m,
-                       lambda u: u**0.25 * float(phi(u)),
-                       lambda t: None if t <= 0 else 2.0 * m / math.sqrt(3.0 * xi(spec, t)))
+    return DecayEnvelope("hellinger", {"moment": m}, _from_t0(_truncation(
+        phi, m, lambda u: _libm(lambda v: v ** 0.25, u) * phi(u),
+        lambda t: 2.0 * m / np.sqrt(3.0 * xi(spec, t)))))
 
 
 def hellinger_eval(beta_h: BetaFunction, h_sup: float, t: float) -> float:
@@ -383,19 +418,27 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     if rho < 0:
         raise ValueError("rho must be non-negative")
 
-    def bracket(t, s):
-        b = float(beta_wp(np.asarray(s)))
-        if rho == 0.0:
-            return b / (b + t) + 4.0 * s
-        return rho * b / (math.exp(min(rho * t, 700.0)) + rho * b - 1.0) + 4.0 * s
+    def infimum(t):
+        """inf over s of the bracket for a block of t, one scan row per t."""
+        t = t[:, None]
+        growth = _libm(math.exp, np.minimum(rho * t, 700.0))
 
-    def ev(t):
-        _, val = scan_min_log(lambda s: bracket(t, s), 1e-12,
-                              min(0.5, beta_wp.s_max), n_scan=80)
-        return math.sqrt(max(val, 0.0))
+        def bracket(s):
+            b = beta_wp(s)
+            if rho == 0.0:
+                return b / (b + t) + 4.0 * s
+            return rho * b / (growth + rho * b - 1.0) + 4.0 * s
+
+        return scan_min_log(bracket, 1e-12, min(0.5, beta_wp.s_max), n_scan=80)[1]
+
+    def bound(t):
+        val = np.empty(t.shape)
+        for k in range(0, t.size, _CURVATURE_BLOCK):
+            val[k:k + _CURVATURE_BLOCK] = infimum(t[k:k + _CURVATURE_BLOCK])
+        return np.sqrt(np.maximum(val, 0.0))
 
     params = {"rho": rho, "beta": beta_wp.form, "rho_zero_limit": rho == 0.0}
-    return DecayEnvelope("curvature", params, ev)
+    return DecayEnvelope("curvature", params, bound)
 
 
 def r_curve(rho: float, beta_wp: BetaFunction, t: float, s: float) -> float:

@@ -456,8 +456,15 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
 # ---------------------------------------------------------------------------
 
 def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
-    """gamma*(y) = sup_u (u y - gamma(u)) over a log grid, one y at a time."""
-    return np.array([np.max(u * yi - gamma_vals) for yi in y])
+    """gamma*(y) = sup_u (u y - gamma(u)) over a log grid, in blocks of y rows
+    whose (rows x u) temporary stays near 1 MB."""
+    rows = max(1, (1 << 20) // (8 * len(u)))
+    out = np.empty(len(y))
+    for k in range(0, len(y), rows):
+        block = np.multiply.outer(y[k:k + rows], u)
+        block -= gamma_vals
+        out[k:k + rows] = block.max(axis=1)
+    return out
 
 
 def _s_grid(beta: BetaFunction) -> np.ndarray:

@@ -549,6 +549,26 @@ def test_bounds_searches_no_valid_from():
     assert [name for name, env in envs.items() if "valid_from" in vars(env)] == []
 
 
+@pytest.mark.parametrize("verb", ["bounds", "compare"])
+def test_one_eval_call_per_envelope(verb, tmp_path, monkeypatch):
+    # each envelope is evaluated over the whole t array in one call: a per-t
+    # loop would multiply the calls, and a profiler that wraps eval counts
+    # the t points of each call
+    calls = []
+    orig = envelopes.DecayEnvelope.eval
+
+    def spy(env, t):
+        calls.append((env.name, np.shape(t)))
+        return orig(env, t)
+    monkeypatch.setattr(envelopes.DecayEnvelope, "eval", spy)
+    out = tmp_path / "out"
+    assert main([verb, write_cfg(tmp_path, ALL_FAMILIES_CFG), "--out", str(out),
+                 "--t-grid", "7"]) == 0
+    n_t = len((out / "curves.csv").read_text().splitlines()) - 1
+    assert n_t == (7 if verb == "bounds" else 3)
+    assert sorted(calls) == sorted((name, (n_t,)) for name in ENVELOPES)
+
+
 DENSITIES = ("eigen_perturbation", "step_density", "shifted_gaussian_density",
              "tail_ratio_density", "tabulated_density")
 INITIAL_CFG = {"eigen_perturbation": "", "step": "", "shifted_gaussian": "",

@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 import tvdecay as tv
 from tvdecay.envelopes import (
+    _CURVATURE_BLOCK,
+    _XI_S_FLOOR,
+    TV_MAX,
     DecayEnvelope,
     XiSpec,
     envelope_curvature,
@@ -29,7 +32,8 @@ from tvdecay.envelopes import (
 )
 from tvdecay.errors import MomentMissing
 from tvdecay.inequalities import beta_orlicz
-from tvdecay._numerics import fit_log_slope, fit_loglog_slope
+from tvdecay._numerics import (fit_log_slope, fit_loglog_slope, golden_min_log,
+                               invert_increasing, scan_min_log)
 
 
 def _phi_power(q):
@@ -531,3 +535,224 @@ class TestInverseResiduals:
             s = xi(spec, t)
             resid = float(beta(np.asarray(s))) * math.log(1.0 / s) - t
             assert abs(resid) <= 1e-8 * max(1.0, t)
+
+
+# ---------------------------------------------------------------------------
+# array evaluation: one call over a t array equals the calls at each t
+# ---------------------------------------------------------------------------
+
+def _one_of_each_family() -> dict:
+    """An envelope of every family (curvature also at rho = 0), with clocks and
+    phis whose bounds are vacuous at small t and decay over ARRAY_TS; the
+    orlicz clock reaches the xi floor there."""
+    power = tv.BetaFunction.power
+    return {
+        "poincare_l2": envelope_poincare_l2(0.5, 1.3),
+        "truncation_poincare": envelope_truncation_poincare(0.5, _phi_power(2.0), 1.5),
+        "weak_poincare": envelope_weak_poincare(power(1.0, 0.5), _phi_power(2.0), 1.5),
+        "orlicz": envelope_orlicz(tv.BetaFunction.constant(1.0), _phi_power(2.0), 1.5),
+        "logsob": envelope_logsob(1.0, 0.7),
+        "truncation_logsob": envelope_truncation_logsob(1.0, _phi_logbeta(2.0), 1.5),
+        "weak_logsob": envelope_weak_logsob(power(1.0, 1.0), _phi_power(2.0), 1.5),
+        "restricted_logsob": envelope_restricted_logsob(1.0, power(1.0, 1.0),
+                                                        _phi_power(1.5), 1.5),
+        "ipsi": envelope_ipsi(0.8, 1.5, 0.3),
+        "hellinger": envelope_hellinger(power(1.0, 1.0), _phi_power(2.0), 1.5),
+        "curvature": envelope_curvature(1.0, tv.BetaFunction.constant(1.0)),
+        "curvature_rho0": envelope_curvature(0.0, power(1.0, 0.5)),
+    }
+
+
+# t = 0 and more points than one curvature block
+ARRAY_TS = np.concatenate([[0.0], np.geomspace(1e-6, 500.0, _CURVATURE_BLOCK + 3)])
+XI_CLOCKS = ("weak_poincare", "orlicz", "weak_logsob", "hellinger")
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("name", sorted(_one_of_each_family()))
+    def test_array_equals_each_scalar(self, name):
+        env = _one_of_each_family()[name]
+        vals, raw = env.eval(ARRAY_TS), env.raw_eval(ARRAY_TS)
+        assert isinstance(raw, np.ndarray) and raw.shape == ARRAY_TS.shape
+        # eval gives plain floats, so a count of them below 2 is a plain int
+        assert type(vals) is list and len(vals) == len(ARRAY_TS)
+        assert all(type(v) is float for v in vals)
+        assert type(sum(v < TV_MAX for v in vals)) is int
+        for t, v in zip(ARRAY_TS.tolist(), vals):
+            one = env.eval(t)
+            assert type(one) is float and one == v, t
+        for t, r in zip(ARRAY_TS[::16].tolist(), raw[::16].tolist()):
+            one = env.raw_eval(t)
+            assert type(one) is float and one == r, t
+        # any shape in, the same shape out
+        grid = ARRAY_TS.reshape(2, -1)
+        assert np.array_equal(env.eval(grid), np.reshape(vals, grid.shape))
+        assert np.array_equal(env.raw_eval(grid), raw.reshape(grid.shape))
+
+    def test_ranges_reach_vacuous_and_decayed_bounds(self):
+        # the parity test above covers both sides of the maximal TV
+        envs = _one_of_each_family()
+        for name in ("truncation_poincare", "truncation_logsob", *XI_CLOCKS):
+            vals = np.array(envs[name].eval(ARRAY_TS))
+            assert (vals == TV_MAX).any() and (vals < 1.0).any(), name
+        assert envs["orlicz"].raw_eval(500.0) == 1.5 * math.sqrt(_XI_S_FLOOR)
+
+    @pytest.mark.parametrize("name", XI_CLOCKS)
+    def test_xi_clock_is_max_tv_at_t_le_0(self, name):
+        env = _one_of_each_family()[name]
+        raw = env.raw_eval(np.array([-1.0, 0.0, 30.0]))
+        assert raw[:2].tolist() == [TV_MAX, TV_MAX] and raw[2] < TV_MAX
+        assert env.eval(-1.0) == env.eval(0.0) == TV_MAX
+
+    @pytest.mark.parametrize("spec", [
+        XiSpec(beta=tv.BetaFunction.constant(1.0)),
+        XiSpec(beta=tv.BetaFunction.power(0.7, 1.0), log_numerator=1.0 / math.e,
+               t_scale=2.0)])
+    def test_xi_flags_match_scalar_calls(self, spec):
+        ts = np.geomspace(1e-15, 100.0, 120)
+        s, flags = xi(spec, ts, return_flag=True)
+        one = [xi(spec, t, return_flag=True) for t in ts.tolist()]
+        assert s.tolist() == [v for v, _ in one]
+        assert flags.tolist() == [f for _, f in one]
+        assert flags.any() and not flags.all()
+        assert ((s > _XI_S_FLOOR) & ~flags).any()
+        if spec.beta.form == "constant":
+            # beta = 1: xi reaches the floor once t >= log(1e16)
+            assert (s == _XI_S_FLOOR).any()
+
+    def test_xi_rejects_t_le_0_anywhere_in_the_array(self):
+        with pytest.raises(ValueError):
+            xi(XiSpec(beta=tv.BetaFunction.constant(1.0)), np.array([0.5, 0.0]))
+
+    def test_gamma_inverse_array_equals_scalar(self):
+        gamma_inv = gamma_inverse(tv.BetaFunction.power(2.0, 1.0))
+        vs = np.geomspace(1e-3, 1e25, 60)  # both constant ends and the interior
+        got = gamma_inv(vs)
+        assert got.tolist() == [gamma_inv(v) for v in vs.tolist()]
+        assert type(gamma_inv(10.0)) is float
+
+
+def _xi_reference(spec, t):
+    """(xi(t), unreached) at one t by the scalar bisection, with math.exp and
+    math.log: the loop the array version must reproduce bit for bit."""
+    c, k = spec.log_numerator, spec.t_scale
+    s_hi = min(c, 1.0, spec.beta.s_max) - 1e-12
+    target = k * t
+
+    def G(s):
+        return float(spec.beta(np.asarray(s)) * math.log(c / s))
+
+    if G(s_hi) > target:
+        return s_hi, True
+    if G(_XI_S_FLOOR) <= target:
+        return _XI_S_FLOOR, False
+    a, b = math.log(_XI_S_FLOOR), math.log(s_hi)
+    scale = max(1.0, abs(target))
+    for _ in range(300):
+        m = 0.5 * (a + b)
+        gm = G(math.exp(m))
+        if abs(gm - target) <= 1e-12 * scale:
+            b = m
+            break
+        if gm > target:
+            a = m
+        else:
+            b = m
+        if b - a <= 5e-14:
+            break
+    return math.exp(b), False
+
+
+def _invert_reference(fn, y, lo, hi, rel_tol=1e-13, resid_tol=1e-9):
+    """invert_increasing at one y by the scalar loop."""
+    flo, fhi = fn(lo), fn(hi)
+    n = 0
+    while flo > y and n < 400 and lo > 1e-280:
+        hi, fhi, lo = lo, flo, lo / 8.0
+        flo = fn(lo)
+        n += 1
+    n = 0
+    while fhi < y and n < 400 and hi < 1e280:
+        lo, flo, hi = hi, fhi, hi * 8.0
+        fhi = fn(hi)
+        n += 1
+    if flo > y or fhi < y:
+        return lo if abs(flo - y) < abs(fhi - y) else hi
+    scale = max(abs(y), 1e-300)
+    a, b = np.log(lo), np.log(hi)
+    for _ in range(300):
+        m = 0.5 * (a + b)
+        fm = fn(np.exp(m))
+        if abs(fm - y) <= resid_tol * scale:
+            return float(np.exp(m))
+        if fm < y:
+            a = m
+        else:
+            b = m
+        if (b - a) <= rel_tol:
+            break
+    return float(np.exp(0.5 * (a + b)))
+
+
+# t at which numpy's exp and log in place of math's move the bisection of the
+# orlicz clock below (found on a host whose numpy uses AVX-512 exp and log)
+ORLICZ_FLIP_TS = (0.0014194028993184656, 0.0025396356498672682, 0.006304460178455639,
+                  0.03878917515779615, 0.3136983742125422, 6.314530348828657,
+                  17.87664201201561)
+
+
+class TestArrayHelpers:
+    def test_xi_equals_the_scalar_loop(self):
+        power = tv.BetaFunction.power
+        clocks = (XiSpec(beta=beta_orlicz(power(1.0, 0.5), _phi_power(2.0))),
+                  XiSpec(beta=power(1.0, 0.5), log_numerator=1.0 / math.e, t_scale=2.0),
+                  XiSpec(beta=tv.BetaFunction.constant(1.0)))
+        ts = np.concatenate([np.geomspace(1e-15, 100.0, 300), ORLICZ_FLIP_TS])
+        for spec in clocks:
+            s, flags = xi(spec, ts, return_flag=True)
+            assert (list(zip(s.tolist(), flags.tolist()))
+                    == [_xi_reference(spec, t) for t in ts.tolist()])
+
+    def test_invert_increasing_equals_the_scalar_loop(self):
+        ys = np.concatenate([np.geomspace(1e-9, 1e9, 200), [-1.0, 0.0, 1e300]])
+        for fn, ref in ((lambda u: np.sqrt(u) * u, lambda u: math.sqrt(u) * u),
+                        (lambda u: u / (1.0 + u), lambda u: u / (1.0 + u)),
+                        (lambda u: u * u + 3.0 * u, lambda u: u * u + 3.0 * u)):
+            got = invert_increasing(fn, ys, 1e-2, 10.0)
+            assert got.tolist() == [_invert_reference(ref, y, 1e-2, 10.0)
+                                    for y in ys.tolist()]
+
+    def test_invert_increasing_array_equals_scalar_calls(self):
+        fn = lambda u: u / (1.0 + u)  # increasing, with values in (0, 1)
+        lo, hi = 1e-2, 10.0           # fn(lo) ~ 0.0099, fn(hi) ~ 0.909
+        ys = np.array([1e-5, 0.3, 0.5, 0.99, 1.5, -0.2, 0.0])
+        got = invert_increasing(fn, ys, lo, hi)
+        assert got.tolist() == [invert_increasing(fn, y, lo, hi) for y in ys.tolist()]
+        assert type(invert_increasing(fn, 0.5, lo, hi)) is float
+        assert got[0] < lo                   # bracket expanded downward
+        assert got[3] > hi                   # bracket expanded upward
+        assert got[4] > 1e280                # out of reach above: the upper end
+        assert got[5] < 1e-279 and got[6] < 1e-279  # out of reach below: an end near 1e-280
+        assert np.allclose(fn(got[:4]), ys[:4], rtol=1e-9)
+        grid = ys[:6].reshape(2, 3)
+        assert np.array_equal(invert_increasing(fn, grid, lo, hi), got[:6].reshape(2, 3))
+
+    def test_golden_min_log_array_equals_scalar_calls(self):
+        centers = np.array([1e-3, 0.2, 1.0, 7.0])
+        fn = lambda x: (np.log(x) - np.log(centers)) ** 2 + centers
+        lo, hi = centers / 50.0, centers * 9.0
+        x, v = golden_min_log(fn, lo, hi)
+        for k, c in enumerate(centers.tolist()):
+            one = golden_min_log(lambda z: (np.log(z) - np.log(c)) ** 2 + c, lo[k], hi[k])
+            assert (x[k], v[k]) == one
+            assert type(one[0]) is float
+
+    def test_scan_min_log_rows_equal_scalar_scans(self):
+        cs = np.array([1e-6, 1e-3, 0.2, 1.0, 7.0])
+        # one row per c: the scan grid (40,) and the refinement cells (5, 3)
+        # both broadcast against cs[:, None]
+        x, v = scan_min_log(lambda z: cs[:, None] / z + z, 1e-8, 1e3, n_scan=40)
+        for k, c in enumerate(cs.tolist()):
+            one = scan_min_log(lambda z: c / z + z, 1e-8, 1e3, n_scan=40)
+            assert (x[k], v[k]) == one
+            assert one[1] == pytest.approx(2.0 * math.sqrt(c), rel=1e-9)

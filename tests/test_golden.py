@@ -74,6 +74,9 @@ CASES = {
     "bounds-ten-calibrated": ("bounds", {"envelopes": TEN}, T12),
     "bounds-exp1-ten": ("bounds", {**EXP1, "initial.family": "step", "envelopes": TEN,
                                    "envelopes.calibrate": "false"}, T12),
+    "bounds-exp1-ten-dense": ("bounds", {**EXP1, "initial.family": "step", "envelopes": TEN,
+                                         "envelopes.calibrate": "false"},
+                              ("--t-grid", "400")),
     "bounds-one-point": ("bounds", {"envelopes": "poincare_l2, logsob"}, ("--t-grid", "1")),
     "bounds-ipsi-capacity": ("bounds", {**CAPACITY, "envelopes": "ipsi"}, T12),
     "bounds-ipsi-explicit": ("bounds", {"psi.eta": "entropy",

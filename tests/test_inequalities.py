@@ -14,6 +14,7 @@ from tvdecay.errors import (
 from tvdecay.inequalities import (
     BetaFunction,
     HELLINGER_CAP_CONST,
+    _legendre_conjugate,
     bakry_emery,
     beta_curvature_propagated,
     beta_hellinger_converse,
@@ -337,9 +338,19 @@ class TestBetaTransforms:
         slope = fit_loglog_slope(s, bz(s))
         assert slope == pytest.approx(-2.0, abs=0.02)
 
+    def test_legendre_conjugate_matches_row_by_row(self):
+        # the blocked sup is over the same elementwise values as one row at a
+        # time, so the conjugate is bit-identical
+        u = np.geomspace(1e-8, 1e8, 2000)
+        for phi in (lambda v: v ** 2.0, lambda v: np.log1p(v), lambda v: v):
+            gamma_vals = np.sqrt(u) * phi(np.sqrt(u))
+            y = 1.0 / np.geomspace(1e-12, 1.0, 2000)[::-1]
+            want = np.array([np.max(u * yi - gamma_vals) for yi in y])
+            assert np.array_equal(_legendre_conjugate(gamma_vals, u, y), want)
+
     def test_orlicz_peak_memory(self):
-        # the Legendre conjugate takes one y-row at a time: no 2000 x 2000
-        # (32 MB) temporary
+        # the Legendre conjugate takes blocks of y-rows of about 1 MB: no
+        # 2000 x 2000 (32 MB) temporary
         base = tv.BetaFunction.power(1.0, 1.0)
         phi = lambda u: np.asarray(u, float) ** 3.0
         beta_orlicz(base, phi)
