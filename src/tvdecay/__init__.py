@@ -64,7 +64,6 @@ from .envelopes import (
 from .simulate import (
     DiagnosticsSeries,
     SimConfig,
-    contraction_check,
     evolve,
     ou_exact_evolve,
     reverse_diagnostics,

@@ -226,8 +226,13 @@ def _check_aligned(mu: ProbabilityMeasure1D, g) -> np.ndarray:
 
 def integrate(mu: ProbabilityMeasure1D, g) -> float:
     """Trapezoid value of int g dmu."""
-    g = _check_aligned(mu, g)
-    return float(np.sum(mu.quadrature * g))
+    return float(_integrate_rows(mu, _check_aligned(mu, g)))
+
+
+def _integrate_rows(mu: ProbabilityMeasure1D, g) -> np.ndarray:
+    """int g dmu of each row of g, (n,) or (rows, n); a row's value is the
+    same sum as `integrate` of that row, bit for bit."""
+    return np.sum(mu.quadrature * g, axis=-1)
 
 
 def generator(mu: ProbabilityMeasure1D):
@@ -258,17 +263,29 @@ def generator(mu: ProbabilityMeasure1D):
 
 
 def _check_density(mu: ProbabilityMeasure1D, h):
-    """(h clipped at 0, int h dmu, min h) after checking that h is a density."""
-    h = _check_aligned(mu, h)
+    """(h clipped at 0, int h dmu, min h) after checking that h is a density.
+
+    h is one density (n,) or a (rows, n) block of them, with one mass and one
+    min h per row.  Every row is checked, in the order a single density is
+    (finite, then min h >= -1e-12, then the mass); the first row that fails
+    a check gives its message.
+    """
+    h = np.asarray(h, dtype=float)
+    if h.ndim != 2:
+        h = _check_aligned(mu, h)
+    elif h.shape[1:] != mu.grid.shape:
+        raise GridMismatch(f"density block has shape {h.shape}, grid {mu.grid.shape}")
     if not np.all(np.isfinite(h)):
         raise NotADensity("h has non-finite values")
-    h_min = float(h.min())
-    if h_min < -1e-12:
-        raise NotADensity(f"h has negative values (min {h_min:.3e})")
+    h_min = h.min(axis=-1)
+    negative = h_min < -1e-12
+    if np.any(negative):
+        raise NotADensity(f"h has negative values (min {h_min[negative][0]:.3e})")
     h = np.maximum(h, 0.0)
-    mass = integrate(mu, h)
-    if abs(mass - 1.0) > _MASS_TOL:
-        raise NotADensity(f"int h dmu = {mass:.8f}, expected 1 +- {_MASS_TOL:g}")
+    mass = _integrate_rows(mu, h)
+    off = np.abs(mass - 1.0) > _MASS_TOL
+    if np.any(off):
+        raise NotADensity(f"int h dmu = {mass[off][0]:.8f}, expected 1 +- {_MASS_TOL:g}")
     return h, mass, h_min
 
 
@@ -282,7 +299,8 @@ class Functionals:
     Var_{g mu}(1/g) = int (1/g) dmu - 1 and int log(1/g) dmu of g = h, or of
     the mixture g = (1 + h)/2; they are only defined when g >= 1/2
     everywhere and are None otherwise.  mass and min_h are int h dmu and
-    min h as the density check found them.
+    min h as the density check found them.  For a block of densities each
+    field holds one float per row, with nan where a row's value is None.
     """
 
     tv: float
@@ -303,25 +321,37 @@ def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) ->
 
     psi is a PsiProfile (or None, which nulls i_psi and dissipation only);
     mixture=True takes the reversed pair of (1 + h)/2 instead of h.
+    h is one density (n,), which gives floats and None, or a (rows, n) block
+    of densities, which gives one float array per field with nan where the
+    row's value is None.  Row k of a block equals the call on h[k] bit for
+    bit; a bad row raises NotADensity as that call would.
     """
     h, mass, h_min = _check_density(mu, h)
-    tv = integrate(mu, np.abs(h - 1.0))
-    hel = 2.0 * integrate(mu, 1.0 - np.sqrt(h))
-    var = integrate(mu, (h - 1.0) ** 2)
-    ent = integrate(mu, h * np.log(np.where(h > 0, h, 1.0)))
-    i_psi = dissipation = None
+    tv = _integrate_rows(mu, np.abs(h - 1.0))
+    hel = 2.0 * _integrate_rows(mu, 1.0 - np.sqrt(h))
+    var = _integrate_rows(mu, (h - 1.0) ** 2)
+    ent = _integrate_rows(mu, h * np.log(np.where(h > 0, h, 1.0)))
+    i_psi, dissipation = np.full(h.shape[:-1], np.nan), np.full(h.shape[:-1], np.nan)
     if psi is not None:
-        i_psi = integrate(mu, psi.psi(h))
-        grad = np.gradient(h, mu.grid)
-        dissipation = 0.5 * integrate(mu, np.asarray(psi.psi_second(h), float) * grad * grad)
+        i_psi = _integrate_rows(mu, psi.psi(h))
+        grad = np.gradient(h, mu.grid, axis=-1)
+        dissipation = 0.5 * _integrate_rows(
+            mu, np.asarray(psi.psi_second(h), float) * grad * grad)
     g = 0.5 * (1.0 + h) if mixture else h
-    v_rev = e_rev = None
-    if g.min() >= 0.5 - 1e-12:
-        v_rev = integrate(mu, 1.0 / g) - 1.0
-        e_rev = integrate(mu, -np.log(g))
-    return Functionals(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
-                       dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
-                       mass=mass, min_h=h_min)
+    reverse = g.min(axis=-1) >= 0.5 - 1e-12
+    # a row with g < 1/2 somewhere may hold g = 0: its pair is nan, not inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v_rev = np.where(reverse, _integrate_rows(mu, 1.0 / g) - 1.0, np.nan)
+        e_rev = np.where(reverse, _integrate_rows(mu, -np.log(g)), np.nan)
+    values = dict(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
+                  dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
+                  mass=mass, min_h=h_min)
+    if h.ndim == 2:
+        return Functionals(**values)
+    undefined = ((("i_psi", "dissipation") if psi is None else ())
+                 + (() if reverse else ("v_reverse", "e_reverse")))
+    return Functionals(**{name: None if name in undefined else float(value)
+                          for name, value in values.items()})
 
 
 def tv_distance(mu: ProbabilityMeasure1D, h) -> float:

@@ -25,6 +25,10 @@ from .measures import (Functionals, ProbabilityMeasure1D, _check_density, functi
                        generator, integrate)
 from ._numerics import trapezoid_weights
 
+# Saved states are diagnosed in blocks of about this many grid values (128 KB
+# per temporary): blocks this small keep functionals' temporaries in cache.
+_BLOCK_ELEMS = 2 ** 14
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -100,9 +104,13 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record one `Functionals` every save_every steps.
 
-    When min h0 < 1/2 the reversed functionals V, E are recorded for the
-    mixture flow (1 + h_t)/2, which is itself the exact flow of (1 + h0)/2;
-    the series flag `reverse_transformed` records this.
+    The saved states are copied into a block of max(1, _BLOCK_ELEMS // n)
+    rows, and each full block, then the last partial one, goes through one
+    `functionals` call; the series joins the blocks field by field, so its
+    values are those of one call per save, and a bad save still raises
+    NotADensity.  When min h0 < 1/2 the reversed functionals V, E are
+    recorded for the mixture flow (1 + h_t)/2, which is itself the exact flow
+    of (1 + h0)/2; the series flag `reverse_transformed` records this.
     """
     h = _check_density(mu, h0)[0]
     lower, diag, upper = generator(mu)
@@ -111,18 +119,29 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     explicit_half = None if config.scheme == "implicit_euler" else 0.5 * dt
     solve = _step_solver(lower, diag, upper, dt if explicit_half is None else explicit_half)
     transformed = bool(h.min() < 0.5 - 1e-12)
-    times, saves = [], []
+    times, blocks = [], []
+    block = np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h)))
+    filled = 0
     states = [] if keep_states else None
     warned = False
 
+    def diagnose():
+        nonlocal filled
+        blocks.append(functionals(mu, block[:filled], psi=psi, mixture=transformed))
+        filled = 0
+
     def record(t, h_t):
+        nonlocal filled
         if h_t.min() < -1e-12:
             # crank_nicolson oscillations: diagnose a cleaned copy, keep the
             # raw state for the evolution itself
             h_t = np.maximum(h_t, 0.0)
             h_t = h_t / integrate(mu, h_t)
         times.append(t)
-        saves.append(functionals(mu, h_t, psi=psi, mixture=transformed))
+        block[filled] = h_t
+        filled += 1
+        if filled == len(block):
+            diagnose()
         if keep_states:
             states.append(h_t.copy())
 
@@ -140,9 +159,11 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
                 warned = True
         if k % config.save_every == 0 or k == n_steps:
             record(k * dt, h)
+    if filled:
+        diagnose()
 
     times = np.asarray(times)
-    series = {f.name: np.array([getattr(s, f.name) for s in saves], dtype=float)
+    series = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])
               for f in fields(Functionals)}
     i_psi = series["i_psi"]
     lhs = np.full_like(times, np.nan, dtype=float)
@@ -195,7 +216,7 @@ def ou_exact_evolve(mu: ProbabilityMeasure1D, h0, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Reversed-role diagnostics and the contraction property
+# Reversed-role diagnostics
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -223,15 +244,3 @@ def reverse_diagnostics(series: DiagnosticsSeries) -> ReverseDiagnostics:
     e_mono = bool(np.all(np.diff(E) <= 1e-6))
     return ReverseDiagnostics(times=series.times, V=V, E=E,
                               v_monotone=v_mono, e_monotone=e_mono)
-
-
-def contraction_check(mu: ProbabilityMeasure1D, h0, g0,
-                      config: SimConfig) -> dict:
-    """Evolve two densities and count violations of the L^1 contraction
-    int |h_t - g_t| dmu being non-increasing (slack 1e-8 per save)."""
-    sh = evolve(mu, h0, config, keep_states=True)
-    sg = evolve(mu, g0, config, keep_states=True)
-    dists = np.array([integrate(mu, np.abs(a - b))
-                      for a, b in zip(sh.states, sg.states)])
-    violations = int(np.sum(np.diff(dists) > 1e-8))
-    return {"times": sh.times, "l1_distance": dists, "violations": violations}

@@ -71,3 +71,14 @@ def random_density(mu, rng, smooth=True):
         vals = rng.uniform(0.05, 3.0, size=6)
         h = np.interp(x, knots, vals)
     return h / tv.integrate(mu, h)
+
+
+def contraction_check(mu, h0, g0, config) -> dict:
+    """Evolve two densities and count violations of the L^1 contraction
+    int |h_t - g_t| dmu being non-increasing (slack 1e-8 per save)."""
+    sh = tv.evolve(mu, h0, config, keep_states=True)
+    sg = tv.evolve(mu, g0, config, keep_states=True)
+    dists = np.array([tv.integrate(mu, np.abs(a - b))
+                      for a, b in zip(sh.states, sg.states)])
+    violations = int(np.sum(np.diff(dists) > 1e-8))
+    return {"times": sh.times, "l1_distance": dists, "violations": violations}

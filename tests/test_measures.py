@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,12 +13,14 @@ from tvdecay.errors import (
     NotADensity,
 )
 from tvdecay.measures import (
+    Functionals,
     eigen_perturbation,
     functionals,
     shifted_gaussian_density,
     step_density,
     tail_ratio_density,
 )
+from tvdecay.psi import build_psi_from_eta, eta_power
 from conftest import random_density
 
 
@@ -194,6 +197,111 @@ class TestFunctionals:
                 h = random_density(gaussian_measure, rng, smooth=False)
                 f = functionals(gaussian_measure, h, psi=psi)
                 assert f.i_psi >= -1e-12
+
+
+def _reference_functionals(mu, h, psi=None, mixture=False):
+    """The functionals of one density, each integral a scalar sum: the
+    reference that every row of a block must equal bit for bit."""
+    h_min = float(h.min())
+    h = np.maximum(h, 0.0)
+
+    def integral(g):
+        return float(np.sum(mu.quadrature * g))
+    i_psi = dissipation = v_rev = e_rev = None
+    if psi is not None:
+        i_psi = integral(psi.psi(h))
+        grad = np.gradient(h, mu.grid)
+        dissipation = 0.5 * integral(np.asarray(psi.psi_second(h), float) * grad * grad)
+    g = 0.5 * (1.0 + h) if mixture else h
+    if g.min() >= 0.5 - 1e-12:
+        v_rev = integral(1.0 / g) - 1.0
+        e_rev = integral(-np.log(g))
+    return Functionals(
+        tv=integral(np.abs(h - 1.0)), hellinger=2.0 * integral(1.0 - np.sqrt(h)),
+        variance=integral((h - 1.0) ** 2),
+        entropy=integral(h * np.log(np.where(h > 0, h, 1.0))), i_psi=i_psi,
+        dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
+        mass=integral(h), min_h=h_min)
+
+
+class TestFunctionalsBlock:
+    """functionals on a (rows, n) block: one float array per field, nan for
+    None, each row bit for bit the one-density value."""
+
+    @pytest.fixture(scope="class")
+    def mu(self):
+        return tv.build_measure(tv.PotentialSpec.gaussian(), 1001)
+
+    @pytest.fixture(scope="class")
+    def block(self, mu):
+        # rows above 1/2, rows with zeros and a row at equilibrium, so the
+        # reversed pair is defined on some rows and not on others
+        rng = np.random.default_rng(83)
+        rows = [0.5 * (1.0 + random_density(mu, rng)) for _ in range(3)]
+        rows += [random_density(mu, rng, smooth=False), step_density(mu),
+                 np.ones(len(mu.grid)), eigen_perturbation(mu, 0.9)]
+        return np.array(rows)
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    @pytest.mark.parametrize("psi_name", ["none", "quadratic", "entropy", "power"])
+    def test_rows_equal_one_density_calls(self, mu, block, psi_quad_spliced,
+                                          psi_entropy_spliced, psi_name, mixture):
+        psi = {"none": None, "quadratic": psi_quad_spliced,
+               "entropy": psi_entropy_spliced,
+               "power": build_psi_from_eta(eta_power(1.5))}[psi_name]
+        got = functionals(mu, block, psi, mixture=mixture)
+        undefined = 0
+        for k, h_k in enumerate(block):
+            one = functionals(mu, h_k, psi, mixture=mixture)
+            assert one == _reference_functionals(mu, h_k, psi, mixture), k
+            for field in dataclasses.fields(Functionals):
+                want, col = getattr(one, field.name), getattr(got, field.name)
+                assert col.shape == (len(block),) and col.dtype == float
+                if want is None:
+                    undefined += 1
+                    assert math.isnan(col[k]), (field.name, k)
+                else:
+                    assert col[k] == want, (field.name, k)
+        assert undefined > 0 or (psi is not None and mixture)
+
+    def test_one_density_gives_floats_and_none(self, mu, block, psi_quad_spliced):
+        for h, psi in ((block[0], psi_quad_spliced), (block[4], None)):
+            f = functionals(mu, h, psi)
+            for field in dataclasses.fields(Functionals):
+                value = getattr(f, field.name)
+                assert value is None or type(value) is float, field.name
+        assert functionals(mu, block[4]).v_reverse is None
+        assert functionals(mu, block[4]).i_psi is None
+
+    @pytest.mark.parametrize("fault", ["negative", "off_mass", "nan"])
+    def test_bad_middle_row_raises_its_own_message(self, mu, block, fault):
+        bad = block.copy()
+        if fault == "negative":
+            bad[3, 500] = -1e-3
+        elif fault == "off_mass":
+            bad[3] *= 1.01
+        else:
+            bad[3, 17] = np.nan
+        with pytest.raises(NotADensity) as one:
+            functionals(mu, bad[3])
+        with pytest.raises(NotADensity) as rows:
+            functionals(mu, bad)
+        assert str(rows.value) == str(one.value)
+
+    def test_first_bad_row_gives_the_message(self, mu, block):
+        bad = block.copy()
+        bad[2] *= 1.5
+        bad[5] *= 0.5
+        with pytest.raises(NotADensity, match=r"int h dmu = 1\.50000000"):
+            functionals(mu, bad)
+        bad[4, 10] = -2e-3
+        bad[1, 20] = -1e-3
+        with pytest.raises(NotADensity, match=r"min -1\.000e-03"):
+            functionals(mu, bad)
+
+    def test_block_width_must_match_the_grid(self, mu, block):
+        with pytest.raises(GridMismatch):
+            functionals(mu, block[:, 1:])
 
 
 class TestPinskerCheck:

@@ -21,9 +21,10 @@ from tvdecay.measures import (
     tail_ratio_density,
 )
 from tvdecay import simulate
-from tvdecay.simulate import _step_solver, contraction_check, reverse_diagnostics
+from tvdecay.psi import build_psi_from_eta, eta_power
+from tvdecay.simulate import _step_solver, reverse_diagnostics
 from tvdecay._numerics import fit_log_slope
-from conftest import random_density
+from conftest import contraction_check, random_density
 
 
 class TestSimConfig:
@@ -92,6 +93,20 @@ class TestDissipation:
         assert np.all(np.abs(lhs + rhs) <= 0.02 * np.abs(rhs) + 1e-8)
 
 
+def _series_equals_per_state_calls(mu, series, psi):
+    """Every DiagnosticsSeries field == the one-density functionals call on
+    the saved (possibly cleaned) state, None read as nan."""
+    assert len(series.states) == len(series.times)
+    for k, h_k in enumerate(series.states):
+        f = functionals(mu, h_k, psi, mixture=series.reverse_transformed)
+        for field in dataclasses.fields(Functionals):
+            want, got = getattr(f, field.name), getattr(series, field.name)[k]
+            if want is None:
+                assert math.isnan(got), (field.name, k)
+            else:
+                assert got == want, (field.name, k)
+
+
 class TestSeriesFromFunctionals:
     """Each DiagnosticsSeries column is the matching Functionals field at each
     save, with None read as nan."""
@@ -116,19 +131,89 @@ class TestSeriesFromFunctionals:
         series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
         assert series.reverse_transformed == (start == "step")
         assert len(series.states) == len(series.times) == 8
-        for k, h_k in enumerate(series.states):
-            f = functionals(mu, h_k, psi, mixture=series.reverse_transformed)
-            for field in dataclasses.fields(Functionals):
-                want, got = getattr(f, field.name), getattr(series, field.name)[k]
-                if want is None:
-                    assert math.isnan(got), (field.name, k)
-                else:
-                    assert got == want, (field.name, k)
+        _series_equals_per_state_calls(mu, series, psi)
         assert np.isnan(series.dissipation).all() == (psi is None)
 
     def test_functionals_fields_are_series_fields(self):
         series_names = {f.name for f in dataclasses.fields(tv.DiagnosticsSeries)}
         assert {f.name for f in dataclasses.fields(Functionals)} <= series_names
+
+
+class TestBlockedDiagnostics:
+    """evolve diagnoses its saves in blocks of max(1, _BLOCK_ELEMS // n) rows:
+    the series is the per-save one, and memory stays O(block)."""
+
+    @pytest.fixture(scope="class")
+    def measures(self):
+        return {n: tv.build_measure(tv.PotentialSpec.gaussian(), n)
+                for n in (401, 1001, 4001)}
+
+    @pytest.fixture(scope="class")
+    def psis(self, psi_quad_spliced, psi_entropy_spliced):
+        return {"none": None, "quadratic": psi_quad_spliced,
+                "entropy": psi_entropy_spliced,
+                "power": build_psi_from_eta(eta_power(1.5))}
+
+    @staticmethod
+    def rows(n):
+        return max(1, simulate._BLOCK_ELEMS // n)
+
+    @pytest.mark.parametrize("start", ["step", "above_half"])
+    @pytest.mark.parametrize("psi_name", ["none", "quadratic", "entropy", "power"])
+    @pytest.mark.parametrize("n", [401, 1001, 4001])
+    def test_series_equals_per_state_calls(self, measures, psis, n, psi_name, start):
+        mu, psi = measures[n], psis[psi_name]
+        if start == "step":
+            h0 = step_density(mu)
+        else:
+            h0 = 1.0 + 0.3 * np.tanh(mu.grid)
+            h0 = h0 / tv.integrate(mu, h0)
+        rows = self.rows(n)
+        # two full blocks and a ragged third one
+        n_steps = 2 * rows + rows // 2
+        cfg = tv.SimConfig(dt=0.01, t_end=0.01 * n_steps)
+        series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
+        assert len(series.times) == n_steps + 1
+        assert len(series.times) % rows != 0
+        assert series.reverse_transformed == (start == "step")
+        _series_equals_per_state_calls(mu, series, psi)
+
+    @pytest.mark.parametrize("psi_name", ["none", "power"])
+    @pytest.mark.parametrize("n", [401, 1001, 4001])
+    def test_crank_nicolson_cleaned_saves(self, measures, psis, n, psi_name):
+        # an under-resolved spike oscillates: saves with negative values are
+        # diagnosed as a cleaned copy, whose minimum is exactly 0
+        mu, psi = measures[n], psis[psi_name]
+        h0 = np.zeros(n)
+        h0[n // 2] = 1.0
+        h0 = h0 / tv.integrate(mu, h0)
+        n_steps = 2 * self.rows(n) + 3
+        cfg = tv.SimConfig(dt=0.05, t_end=0.05 * n_steps, scheme="crank_nicolson")
+        with pytest.warns(CFLWarning):
+            series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
+        assert np.any(series.min_h[1:] == 0.0)
+        _series_equals_per_state_calls(mu, series, psi)
+
+    @pytest.mark.parametrize("saves_in_rows", ["two", "one_row", "exact", "ragged"])
+    @pytest.mark.parametrize("n", [401, 1001, 4001, 20001])
+    def test_block_shapes(self, monkeypatch, n, saves_in_rows):
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), n)
+        rows = self.rows(n)
+        saves = {"two": 2, "one_row": rows + 1, "exact": 3 * rows,
+                 "ragged": 2 * rows + max(1, rows // 3)}[saves_in_rows]
+        calls = []
+
+        def recorder(mu, h, *args, **kwargs):
+            calls.append(np.shape(h))
+            return functionals(mu, h, *args, **kwargs)
+        monkeypatch.setattr(simulate, "functionals", recorder)
+        cfg = tv.SimConfig(dt=0.01, t_end=0.01 * (saves - 1))
+        series = tv.evolve(mu, step_density(mu), cfg)
+        assert len(series.times) == saves
+        assert all(len(shape) == 2 and shape[1] == n for shape in calls)
+        assert all(shape[0] <= rows for shape in calls)
+        assert sum(shape[0] for shape in calls) == len(series.times)
+        assert len(calls) == math.ceil(saves / rows)
 
 
 class TestMonotoneFunctionals:

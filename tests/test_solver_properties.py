@@ -22,7 +22,7 @@ from tvdecay.config import INITIAL
 from tvdecay.errors import NotADensity
 from tvdecay.measures import shifted_gaussian_density
 from tvdecay import simulate
-from tvdecay.simulate import contraction_check
+from conftest import contraction_check
 
 # derandomized and without a per-example deadline: the same examples on every
 # run, however loaded the machine is
