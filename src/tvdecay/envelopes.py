@@ -398,18 +398,6 @@ def hellinger_eval(beta_h: BetaFunction, h_sup: float, t: float) -> float:
     return min(TV_MAX, 3.0 * xi(spec, t) * math.sqrt(h_sup))
 
 
-def theta_inverse_rate(beta_wp: BetaFunction, rho: float, u: float) -> float:
-    """theta(u) = inf{ s : beta(s)/s <= 4u/rho } by bisection (beta/s must
-    be non-increasing)."""
-    target = 4.0 * u / rho
-
-    def g(s):
-        return float(beta_wp(np.asarray(s))) / s
-
-    return invert_increasing(lambda s: -g(s), -target, 1e-14,
-                             min(0.5, beta_wp.s_max), resid_tol=1e-9)
-
-
 def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     """sqrt( inf_s [ rho beta(s) / (e^{rho t} + rho beta(s) - 1) + 4 s ] ).
 
@@ -440,11 +428,3 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     params = {"rho": rho, "beta": beta_wp.form, "rho_zero_limit": rho == 0.0}
     return DecayEnvelope("curvature", params, bound)
 
-
-def r_curve(rho: float, beta_wp: BetaFunction, t: float, s: float) -> float:
-    """r(t, s) = log((e^{rho t} + rho beta(s) - 1)/(rho beta(s))); the rho = 0
-    limit is log(1 + t/beta(s))."""
-    b = float(beta_wp(np.asarray(s)))
-    if rho == 0.0:
-        return math.log1p(t / b)
-    return math.log1p(math.expm1(rho * t) / (rho * b))

@@ -346,30 +346,6 @@ def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0) -> BakryEmery:
     return BakryEmery(rho=rho, C_LS=c_ls, w_osc=float(w_osc))
 
 
-def gamma2_identity_residual(mu: ProbabilityMeasure1D, f, f1, f2, f3, f4,
-                             window: float = 2.0) -> float:
-    """Max |Gamma_2(f) - [(1/2) f''^2 + V'' f'^2]| on |x| <= window.
-
-    Gamma_2 is evaluated from its definition (1/2)(L Gamma(f) - 2 Gamma(f, Lf))
-    with L = (1/2) d^2 - V' d, using the supplied derivative callables.
-    """
-    x = mu.grid[np.abs(mu.grid) <= window]
-    h = 1e-4 * (1.0 + np.abs(x))
-    spec = mu.spec
-    vp = (spec.V(x + h) - spec.V(x - h)) / (2.0 * h)
-    v2 = np.asarray(spec.V2(x), dtype=float)
-    Lf = 0.5 * f2(x) - vp * f1(x)
-    # d/dx of Gamma(f) = 2 f' f'' ; second derivative = 2 f''^2 + 2 f' f'''
-    dGamma = 2.0 * f1(x) * f2(x)
-    d2Gamma = 2.0 * f2(x) ** 2 + 2.0 * f1(x) * f3(x)
-    LGamma = 0.5 * d2Gamma - vp * dGamma
-    # Gamma(f, Lf) = f' * (Lf)'
-    dLf = 0.5 * f3(x) - v2 * f1(x) - vp * f2(x)
-    gamma2 = 0.5 * (LGamma - 2.0 * f1(x) * dLf)
-    closed = 0.5 * f2(x) ** 2 + v2 * f1(x) ** 2
-    return float(np.max(np.abs(gamma2 - closed)))
-
-
 # ---------------------------------------------------------------------------
 # Drift-tail beta and the capacity condition
 # ---------------------------------------------------------------------------

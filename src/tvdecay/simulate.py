@@ -13,8 +13,12 @@ step, not just in the continuum limit.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from typing import Optional
 
 import numpy as np
@@ -28,6 +32,9 @@ from ._numerics import trapezoid_weights
 # Saved states are diagnosed in blocks of about this many grid values (128 KB
 # per temporary): blocks this small keep functionals' temporaries in cache.
 _BLOCK_ELEMS = 2 ** 14
+
+# scipy's f2py LAPACK wrappers, which `scipy.linalg.lapack` re-exports.
+_FLAPACK = "scipy.linalg._flapack"
 
 
 @dataclass(frozen=True)
@@ -70,10 +77,39 @@ class DiagnosticsSeries:
     states: Optional[list] = None
 
 
+def _flapack():
+    """scipy's LAPACK extension module, loaded without `scipy.linalg`.
+
+    Importing it the usual way runs the `scipy.linalg` package `__init__`,
+    which loads the whole of scipy.linalg: most of a short simulate run.  So
+    the extension file is found in scipy's linalg directory and loaded on
+    its own, after the light `scipy` package itself.  Its `dgttrf`/`dgttrs`
+    are the very objects `scipy.linalg.lapack` re-exports, whichever of the
+    two loads first.  If the file is not found, that import is the fallback.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    import scipy
+
+    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(_FLAPACK)
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = module_from_spec(spec)
+    sys.modules[_FLAPACK] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def _step_solver(lower, diag, upper, alpha):
     """Factor the tridiagonal I - alpha*L once (LAPACK dgttrf) and return
-    rhs -> (I - alpha*L)^{-1} rhs, one dgttrs call per step."""
-    from scipy.linalg.lapack import dgttrf, dgttrs
+    rhs -> (I - alpha*L)^{-1} rhs, one dgttrs call per step.  Both routines
+    come from `_flapack`, so a run loads no `scipy.linalg` package."""
+    lapack = _flapack()
+    dgttrf, dgttrs = lapack.dgttrf, lapack.dgttrs
 
     dl, d, du = -alpha * lower[1:], 1.0 - alpha * diag, -alpha * upper[:-1]
     if not all(np.isfinite(a).all() for a in (dl, d, du)):

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 import tvdecay as tv
 from tvdecay.envelopes import (
@@ -24,8 +23,6 @@ from tvdecay.envelopes import (
     envelope_weak_poincare,
     gamma_inverse,
     hellinger_eval,
-    r_curve,
-    theta_inverse_rate,
     truncation_logsob_k_optimized,
     truncation_poincare_k_optimized,
     xi,
@@ -396,38 +393,14 @@ class TestCurvature:
         slope = fit_log_slope(ts, [env.eval(t) for t in ts])
         assert slope == pytest.approx(-rho * p / (2.0 * (p + 2.0)), rel=0.05)
 
-    def test_theta_closed_form(self):
-        # beta = c s^{-q}: theta(u) = (c rho/4u)^{1/(1+q)}
-        c, q, rho = 1.0, 2.0, 1.0
-        beta = tv.BetaFunction.power(c, q)
-        for u in (10.0, 1e3, 1e6):
-            th = theta_inverse_rate(beta, rho, u)
-            resid = float(beta(np.asarray(th))) / th - 4.0 * u / rho
-            assert abs(resid) <= 1e-8 * (4.0 * u / rho)
-            assert th == pytest.approx((c * rho / (4.0 * u)) ** (1.0 / (1.0 + q)),
-                                       rel=1e-6)
-
-    def test_r_curve_identity(self):
-        # r(0, s) = 0 and the closed log form equals the direct quadrature
-        rho = 1.3
-        beta = tv.BetaFunction.power(0.7, 1.5)
-        rng = np.random.default_rng(41)
-        for _ in range(20):
-            t = rng.uniform(0.1, 5.0)
-            s = rng.uniform(1e-4, 0.4)
-            assert r_curve(rho, beta, 0.0, s) == 0.0
-            b = float(beta(np.asarray(s)))
-            direct, _ = quad(
-                lambda u: 1.0 / ((1.0 - math.exp(-rho * u)) / rho
-                                 + math.exp(-rho * u) * b), 0.0, t,
-                epsabs=1e-13, epsrel=1e-13)
-            assert abs(r_curve(rho, beta, t, s) - direct) < 1e-10
-
     def test_rho_zero_limit(self):
         env = envelope_curvature(0.0, tv.BetaFunction.constant(1.0))
         assert env.params["rho_zero_limit"] is True
-        assert r_curve(0.0, tv.BetaFunction.constant(2.0), 4.0, 0.1) == (
-            pytest.approx(math.log1p(2.0)))
+        # r(t, s) = log(1 + t/beta(s)); with beta = 2 the infimum over s of
+        # e^{-r} + 4s sits at the scan's floor s = 1e-12
+        env = envelope_curvature(0.0, tv.BetaFunction.constant(2.0))
+        assert env.raw_eval(4.0) == pytest.approx(math.sqrt(math.exp(-math.log1p(2.0))),
+                                                  rel=1e-9)
 
     def test_monotone(self):
         _assert_monotone(envelope_curvature(1.0, tv.BetaFunction.power(1.0, 1.0)))

@@ -2,11 +2,13 @@
 
 `scipy.interpolate` (which loads `scipy.optimize`) and `scipy.linalg` take
 about a quarter second to import, several times the rest of the package.  The
-package imports them only inside the functions that run them: `evolve`
-(LAPACK), tabulated inputs, `eta_slowlog`, `build_almost_linear_eta` and the
-psi `H` tables (PCHIP), and `spectral_gap`.  So `import tvdecay.cli`,
-`analyze` and `bounds` load no scipy at all, and `simulate` loads LAPACK but
-no PCHIP.  Each check runs in a fresh interpreter, since the test process
+package imports them only inside the functions that run them: tabulated
+inputs, `eta_slowlog`, `build_almost_linear_eta` and the psi `H` tables
+(PCHIP), and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
+`scipy.linalg._flapack` on its own, without the `scipy.linalg` package.  So
+`import tvdecay.cli`, `analyze` and `bounds` load no scipy at all, and
+`simulate` and `compare` load LAPACK but neither the `scipy.linalg` package
+nor PCHIP.  Each check runs in a fresh interpreter, since the test process
 itself has imported scipy long before.
 """
 
@@ -35,14 +37,14 @@ POTENTIALS = {"gaussian": "potential.family = gaussian",
               "power": "potential.family = power\npotential.alpha = 1"}
 
 # Prints the heavy scipy modules loaded after the import, after analyze and
-# bounds on every scenario, and after simulate, as one JSON object.
+# bounds on every scenario, and after simulate and compare, as one JSON object.
 CHILD = """
 import json, sys
 def heavy():
     return sorted(m for m in sys.modules if m.startswith({heavy!r}))
 import tvdecay.cli as cli
 seen = {{"import": heavy()}}
-for verbs in (("analyze", "bounds"), ("simulate",)):
+for verbs in (("analyze", "bounds"), ("simulate", "compare")):
     for path in sys.argv[1:]:
         for verb in verbs:
             assert cli.main([verb, path, "--out", path + "-" + verb]) == 0, (verb, path)
@@ -72,5 +74,6 @@ def test_cli_loads_scipy_only_where_it_runs(tmp_path):
     seen = _loaded(tmp_path)
     assert seen["import"] == []
     assert seen["analyze+bounds"] == []
-    assert "scipy.linalg" in seen["simulate"]
-    assert not any(m.startswith("scipy.interpolate") for m in seen["simulate"])
+    assert "scipy.linalg" not in seen["simulate+compare"]
+    assert "scipy.linalg._flapack" in seen["simulate+compare"]
+    assert not any(m.startswith("scipy.interpolate") for m in seen["simulate+compare"])

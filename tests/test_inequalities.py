@@ -24,7 +24,6 @@ from tvdecay.inequalities import (
     beta_sp_from_F,
     capacity_condition_check,
     drift_tail_beta,
-    gamma2_identity_residual,
     muckenhoupt_poincare,
     spectral_gap,
     weak_poincare_beta_from_tails,
@@ -164,17 +163,6 @@ class TestBakryEmery:
         be = bakry_emery(mu)
         assert be.rho == pytest.approx(0.0, abs=1e-12)
         assert be.C_LS is None
-
-    def test_gamma2_identity(self, gaussian_measure):
-        # Gamma_2(f) = (1/2) f''^2 + V'' f'^2 for 20 random polynomials
-        rng = np.random.default_rng(37)
-        for _ in range(20):
-            coeffs = rng.uniform(-0.1, 0.1, size=5)
-            poly = np.polynomial.Polynomial(coeffs)
-            d = [poly.deriv(k) for k in range(1, 5)]
-            res = gamma2_identity_residual(
-                gaussian_measure, poly, d[0], d[1], d[2], d[3], window=2.0)
-            assert res <= 1e-6
 
 
 class TestTailCriterion:

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -419,3 +423,61 @@ class TestStepSolver:
                             lambda _: (lower, np.full_like(diag, np.nan), upper))
         with pytest.raises(SolverBreakdown):
             tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme))
+
+
+# Runs in a fresh interpreter: loads LAPACK through `_flapack`, with
+# `scipy.linalg` imported before or after, and checks that the routines are
+# scipy.linalg.lapack's own and that scipy.linalg still works.
+LOADER_CHILD = """
+import sys
+import numpy as np
+import tvdecay as tv
+from tvdecay import simulate
+from tvdecay.inequalities import spectral_gap
+if sys.argv[1] == "linalg-first":
+    import scipy.linalg
+assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
+loaded = simulate._flapack()
+mu = tv.build_measure(tv.PotentialSpec.gaussian(), 201)
+series = tv.evolve(mu, tv.measures.step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1))
+assert np.all(np.diff(series.tv) <= 0)
+assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
+from scipy.linalg import lapack
+assert loaded.dgttrf is lapack.dgttrf and loaded.dgttrs is lapack.dgttrs
+assert sys.modules[simulate._FLAPACK] is loaded
+assert 0.9 < spectral_gap(mu).gap < 1.1
+"""
+
+
+class TestLapackLoader:
+    """`_flapack` loads scipy's LAPACK extension without the `scipy.linalg`
+    package, and its routines are the ones scipy.linalg.lapack exports."""
+
+    @pytest.mark.parametrize("order", ["direct-first", "linalg-first"])
+    def test_same_routines_as_scipy_linalg(self, order):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", LOADER_CHILD, order], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
+
+    def test_fallback_when_extension_not_found(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        class NoSpec:
+            def __init__(self, path, *loaders):
+                pass
+
+            def find_spec(self, name):
+                return None
+
+        lower, diag, upper = np.ones(5), np.full(5, -2.0), np.ones(5)
+        rhs = np.linspace(1.0, 2.0, 5)
+        direct = _step_solver(lower, diag, upper, 0.1)(rhs)
+        monkeypatch.delitem(sys.modules, simulate._FLAPACK)
+        monkeypatch.setattr(simulate, "FileFinder", NoSpec)
+        loaded = simulate._flapack()
+        assert loaded.dgttrf is lapack.dgttrf and loaded.dgttrs is lapack.dgttrs
+        assert simulate._FLAPACK not in sys.modules
+        assert np.array_equal(_step_solver(lower, diag, upper, 0.1)(rhs), direct)
