@@ -52,8 +52,6 @@ SERIES_COLUMNS = ("tv", "hellinger", "variance", "entropy", "i_psi",
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 

@@ -83,7 +83,7 @@ def _flapack():
     Importing it the usual way runs the `scipy.linalg` package `__init__`,
     which loads the whole of scipy.linalg: most of a short simulate run.  So
     the extension file is found in scipy's linalg directory and loaded on
-    its own, after the light `scipy` package itself.  Its `dgttrf`/`dgttrs`
+    its own, after the light `scipy` package itself.  Its `dpttrf`/`dpttrs`
     are the very objects `scipy.linalg.lapack` re-exports, whichever of the
     two loads first.  If the file is not found, that import is the fallback.
     """
@@ -104,27 +104,41 @@ def _flapack():
     return module
 
 
-def _step_solver(lower, diag, upper, alpha):
-    """Factor the tridiagonal I - alpha*L once (LAPACK dgttrf) and return
-    rhs -> (I - alpha*L)^{-1} rhs, one dgttrs call per step.  Both routines
-    come from `_flapack`, so a run loads no `scipy.linalg` package."""
-    lapack = _flapack()
-    dgttrf, dgttrs = lapack.dgttrf, lapack.dgttrs
+def _step_solver(q, upper, alpha):
+    """Factor the implicit step once and return rhs -> (I - alpha*L)^{-1} rhs.
 
-    dl, d, du = -alpha * lower[1:], 1.0 - alpha * diag, -alpha * upper[:-1]
-    if not all(np.isfinite(a).all() for a in (dl, d, du)):
-        raise SolverBreakdown("the implicit step matrix I - dt*L is not finite")
-    dl, d, du, du2, ipiv, info = dgttrf(dl, d, du)
+    The step is solved in the mass-weighted form S x = q*rhs, q =
+    mu.quadrature, with S = Q(I - alpha*L) symmetric positive definite:
+    L is self-adjoint in l^2(q), so S has off-diagonal -c_i on the faces
+    c_i = alpha*q_i*upper_i, and its diagonal q_i + c_{i-1} + c_i makes
+    every column sum q_i, so each step conserves the mass relative to 1
+    whatever the dynamic range of h.  Where q underflows the cell carries no
+    mass, and its row would vanish: weight 1 in place of q keeps S definite
+    and leaves h there all but unchanged.  S is factored once as L D L^T
+    (LAPACK dpttrf, no pivoting) and each step is one dpttrs call.  Both
+    routines come from `_flapack`, so a run loads no `scipy.linalg` package.
+    """
+    lapack = _flapack()
+    dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
+
+    c = alpha * q[:-1] * upper[:-1]
+    w = np.where(q < np.finfo(float).tiny, 1.0, q)
+    d = w.copy()
+    d[:-1] += c
+    d[1:] += c
+    if not np.isfinite(d).all():    # every c_i and q_i enters d
+        raise SolverBreakdown("the implicit step matrix Q(I - dt*L) is not finite")
+    d, e, info = dpttrf(d, -c)
     if info != 0:
-        raise SolverBreakdown(f"the implicit step matrix I - dt*L is singular "
-                              f"(dgttrf info = {info})")
+        raise SolverBreakdown(f"the implicit step matrix Q(I - dt*L) is not positive "
+                              f"definite (dpttrf info = {info})")
 
     def solve(rhs):
         if not np.isfinite(rhs).all():
             raise SolverBreakdown("the implicit step right-hand side is not finite")
-        x, info = dgttrs(dl, d, du, du2, ipiv, rhs)
+        x, info = dpttrs(d, e, w * rhs)
         if info != 0:
-            raise SolverBreakdown(f"the implicit step solve failed (dgttrs info = {info})")
+            raise SolverBreakdown(f"the implicit step solve failed (dpttrs info = {info})")
         return x
     return solve
 
@@ -153,7 +167,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
     explicit_half = None if config.scheme == "implicit_euler" else 0.5 * dt
-    solve = _step_solver(lower, diag, upper, dt if explicit_half is None else explicit_half)
+    solve = _step_solver(mu.quadrature, upper,
+                         dt if explicit_half is None else explicit_half)
     transformed = bool(h.min() < 0.5 - 1e-12)
     times, blocks = [], []
     block = np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h)))

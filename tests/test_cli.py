@@ -436,12 +436,13 @@ def test_non_finite_start_exits_3(verb, tmp_path, capsys):
 
 @pytest.mark.parametrize("verb", ["simulate", "compare"])
 def test_solver_breakdown_exits_3(verb, tmp_path, capsys, monkeypatch):
-    # a generator with a non-finite diagonal gives a step matrix LAPACK cannot factor
+    # a non-finite upper diagonal, the only one the implicit step reads, makes
+    # the step matrix non-finite
     real = simulate.generator
 
     def broken(mu):
         lower, diag, upper = real(mu)
-        return lower, np.full_like(diag, np.inf), upper
+        return lower, diag, np.full_like(upper, np.inf)
     monkeypatch.setattr(simulate, "generator", broken)
     path = write_cfg(tmp_path, SMALL_CFG)
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 3

@@ -390,25 +390,25 @@ class TestStepSolver:
     """A step the factored solve cannot take raises SolverBreakdown, which the
     CLI reports as exit 3, not a scipy LinAlgError or ValueError."""
 
-    @pytest.mark.parametrize("lower, diag, upper", [
-        # alpha * diag = 1 zeroes the whole diagonal of I - alpha*L
-        (np.zeros(5), np.full(5, 2.0), np.zeros(5)),
-        # I - alpha*L = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
-        (np.array([0.0, -2.0, 0.0]), np.zeros(3), np.array([-2.0, 0.0, 0.0]))])
-    def test_singular_matrix(self, lower, diag, upper):
-        with pytest.raises(SolverBreakdown, match="singular"):
-            _step_solver(lower, diag, upper, 0.5)
+    @pytest.mark.parametrize("q, upper", [
+        # faces c = -1 zero the first diagonal entry of Q(I - alpha*L)
+        (np.ones(5), np.full(5, -2.0)),
+        # Q(I - alpha*L) = [[0, 1, 0], [1, 0, 0], [0, 0, 1]] is indefinite
+        (np.ones(3), np.array([-2.0, 0.0, 0.0]))])
+    def test_singular_matrix(self, q, upper):
+        with pytest.raises(SolverBreakdown, match="not positive definite"):
+            _step_solver(q, upper, 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_matrix(self, bad):
-        diag = np.full(5, -1.0)
-        diag[2] = bad
+        upper = np.ones(5)
+        upper[2] = bad
         with pytest.raises(SolverBreakdown, match="not finite"):
-            _step_solver(np.ones(5), diag, np.ones(5), 0.1)
+            _step_solver(np.full(5, 0.2), upper, 0.1)
 
     @pytest.mark.parametrize("bad", [np.nan, -np.inf])
     def test_non_finite_rhs(self, bad):
-        solve = _step_solver(np.ones(5), np.full(5, -2.0), np.ones(5), 0.1)
+        solve = _step_solver(np.full(5, 0.2), np.ones(5), 0.1)
         rhs = np.ones(5)
         assert np.all(np.isfinite(solve(rhs)))
         rhs[3] = bad
@@ -417,10 +417,11 @@ class TestStepSolver:
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     def test_evolve_raises(self, scheme, monkeypatch):
+        # the step reads the generator's upper diagonal only
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
         lower, diag, upper = simulate.generator(mu)
         monkeypatch.setattr(simulate, "generator",
-                            lambda _: (lower, np.full_like(diag, np.nan), upper))
+                            lambda _: (lower, diag, np.full_like(upper, np.nan)))
         with pytest.raises(SolverBreakdown):
             tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme))
 
@@ -443,7 +444,7 @@ series = tv.evolve(mu, tv.measures.step_density(mu), tv.SimConfig(dt=0.01, t_end
 assert np.all(np.diff(series.tv) <= 0)
 assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
 from scipy.linalg import lapack
-assert loaded.dgttrf is lapack.dgttrf and loaded.dgttrs is lapack.dgttrs
+assert loaded.dpttrf is lapack.dpttrf and loaded.dpttrs is lapack.dpttrs
 assert sys.modules[simulate._FLAPACK] is loaded
 assert 0.9 < spectral_gap(mu).gap < 1.1
 """
@@ -472,12 +473,12 @@ class TestLapackLoader:
             def find_spec(self, name):
                 return None
 
-        lower, diag, upper = np.ones(5), np.full(5, -2.0), np.ones(5)
+        q, upper = np.full(5, 0.2), np.ones(5)
         rhs = np.linspace(1.0, 2.0, 5)
-        direct = _step_solver(lower, diag, upper, 0.1)(rhs)
+        direct = _step_solver(q, upper, 0.1)(rhs)
         monkeypatch.delitem(sys.modules, simulate._FLAPACK)
         monkeypatch.setattr(simulate, "FileFinder", NoSpec)
         loaded = simulate._flapack()
-        assert loaded.dgttrf is lapack.dgttrf and loaded.dgttrs is lapack.dgttrs
+        assert loaded.dpttrf is lapack.dpttrf and loaded.dpttrs is lapack.dpttrs
         assert simulate._FLAPACK not in sys.modules
-        assert np.array_equal(_step_solver(lower, diag, upper, 0.1)(rhs), direct)
+        assert np.array_equal(_step_solver(q, upper, 0.1)(rhs), direct)
