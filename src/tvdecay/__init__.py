@@ -12,7 +12,6 @@ from .measures import (
     ProbabilityMeasure1D,
     build_measure,
     functionals,
-    hellinger_distance,
     integrate,
     pinsker_check,
     tv_distance,
@@ -20,26 +19,17 @@ from .measures import (
 from .psi import (
     EtaProfile,
     PsiProfile,
-    build_almost_linear_eta,
     build_psi_from_eta,
     eta_entropy,
     eta_power,
     eta_quadratic,
-    f_bar,
-    orlicz_gauge_N,
     pinsker_constant,
     psi_from_functions,
 )
 from .inequalities import (
     BetaFunction,
-    PropagatedBetaFamily,
     bakry_emery,
-    beta_curvature_propagated,
-    beta_hellinger_converse,
-    beta_hellinger_forward,
-    beta_hellinger_to_wp,
     beta_orlicz,
-    beta_sp_from_F,
     capacity_condition_check,
     drift_tail_beta,
     muckenhoupt_poincare,

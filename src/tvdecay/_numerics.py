@@ -25,7 +25,7 @@ def cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9):
+def invert_increasing(fn, y, lo, hi, *, resid_tol=1e-9):
     """Solve fn(u) = y for an increasing fn by bisection in log-u space.
 
     y may be a scalar (a float is returned, and fn is called on scalars) or an
@@ -35,7 +35,7 @@ def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9):
     by factors of 8, at most 400 times each way, when y falls outside
     [fn(lo), fn(hi)].  Terminates when the relative residual
     |fn(u) - y| <= resid_tol * max(|y|, tiny) or the bracket width drops below
-    rel_tol relatively; an entry out of reach even after expansion gets the
+    1e-13 relatively; an entry out of reach even after expansion gets the
     nearer end.
     """
     if not (lo > 0 and hi > lo):
@@ -76,7 +76,7 @@ def invert_increasing(fn, y, lo, hi, *, rel_tol=1e-13, resid_tol=1e-9):
         hit = np.abs(fm - yi) <= tol
         up = ~hit & (fm < yi)
         a, b = np.where(up, m, a), np.where(up, b, m)
-        done = hit | ((b - a) <= rel_tol)
+        done = hit | ((b - a) <= 1e-13)
         if done.any():
             u[i[done]] = np.exp(np.where(hit, m, 0.5 * (a + b))[done])
             i, a, b, yi, tol = (v[~done] for v in (i, a, b, yi, tol))

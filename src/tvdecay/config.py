@@ -228,16 +228,18 @@ def scenario_from_config(cfg: dict) -> Scenario:
     for name in names:
         if names.count(name) > 1:
             raise ConfigError(f"key 'envelopes': {name!r} is listed twice")
+    eta = _get_eta(cfg)
     return Scenario(
         config=dict(cfg),
         potential=potential,
         n_points=get_number(cfg, "grid.n_points", 4001, kind=int),
-        tail_tol=get_number(cfg, "grid.tail_tol", 1e-16),
+        tail_tol=get_number(cfg, "grid.tail_tol", 1e-16, within=(0.0, 1.0)),
         initial_family=init_fam,
         initial_params=init_params,
         sim=sim,
-        eta=_get_eta(cfg),
-        psi_a=get_number(cfg, "psi.a", None),
+        eta=eta,
+        # the splice point must exceed max(2, b), and psi(a) = (a^2 - a)/2 be finite
+        psi_a=get_number(cfg, "psi.a", None, within=(max(2.0, eta.b), 1e150)),
         envelope_names=names,
         calibrate=_get_bool(cfg, "envelopes.calibrate", True),
         analysis={k: get_number(cfg, f"analysis.{k}", d, within=w)

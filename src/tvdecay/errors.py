@@ -27,7 +27,7 @@ class VanishingDensity(TvDecayError):
     """pdf underflows in the bulk; sup-type criteria would be spurious."""
 
 
-# -- psi calculus --------------------------------------------------------------
+# -- eta and psi profiles ------------------------------------------------------
 
 class InadmissibleEta(TvDecayError):
     """eta fails one of the admissibility flags on the probe grid."""
@@ -41,18 +41,6 @@ class NotPinskerAdmissible(TvDecayError):
     """The Pinsker ratio sup diverges; no finite c_psi exists."""
 
 
-class ZeroFunction(TvDecayError):
-    """Orlicz gauge of the zero function is undefined."""
-
-
-class HCollapse(TvDecayError):
-    """H is bounded, so psi/H^2 and the gauge calculus degenerate."""
-
-
-class NonPositiveTau(TvDecayError):
-    """1/tau hits zero inside the working domain; theta is not defined."""
-
-
 # -- inequality criteria -------------------------------------------------------
 
 class AsymmetricInput(TvDecayError):
@@ -64,7 +52,8 @@ class DivergentSup(TvDecayError):
 
 
 class BadExponent(TvDecayError):
-    """Drift-tail exponent p must lie in (0, 1) with d_p > 0."""
+    """A beta function's parameters or values, the drift-tail p and d_p, or a
+    capacity-check parameter (rho, the splice point a) are out of range."""
 
 
 class DivergentCcap(TvDecayError):
@@ -92,8 +81,8 @@ class LowerBoundViolated(TvDecayError):
 
 
 class SolverBreakdown(TvDecayError):
-    """The implicit step I - dt*L is not finite or singular, or a right-hand
-    side is not finite."""
+    """The mass-weighted implicit step matrix Q(I - dt*L) is not finite or not
+    positive definite, or a right-hand side or a solve fails."""
 
 
 class ConfigError(TvDecayError):

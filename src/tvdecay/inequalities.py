@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,9 +25,6 @@ from .errors import (
 )
 from .measures import ProbabilityMeasure1D, generator, integrate
 from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
-
-# constant (sqrt2 - 1)/(2 sqrt2) from the Hellinger capacity bound
-HELLINGER_CAP_CONST = (math.sqrt(2.0) - 1.0) / (2.0 * math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -125,26 +122,6 @@ class BetaFunction:
 
     def __call__(self, s):
         return self.evaluate(np.asarray(s, dtype=float))
-
-
-@dataclass(frozen=True)
-class PropagatedBetaFamily:
-    """Two-argument family beta(t, s) = (1 - e^{-rho t})/rho + e^{-rho t} beta(s).
-
-    rho = 0 degenerates to t + beta(s) (the stated limit).
-    """
-
-    rho: float
-    base: BetaFunction
-
-    def at_time(self, t: float) -> BetaFunction:
-        if self.rho == 0.0:
-            return BetaFunction.affine(self.base, 1.0, float(t))
-        decay = math.exp(-self.rho * t)
-        return BetaFunction.affine(self.base, decay, (1.0 - decay) / self.rho)
-
-    def __call__(self, t, s):
-        return self.at_time(float(t))(s)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +405,7 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
 
 
 # ---------------------------------------------------------------------------
-# beta transforms between the inequality families
+# the Orlicz beta transform
 # ---------------------------------------------------------------------------
 
 def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
@@ -443,10 +420,6 @@ def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
     return out
 
 
-def _s_grid(beta: BetaFunction) -> np.ndarray:
-    return np.geomspace(1e-12, beta.s_max if beta.s_max > 0 else 1.0, 2000)
-
-
 def beta_orlicz(beta_wp: BetaFunction, phi: Callable) -> BetaFunction:
     """beta_zeta(s) = 6 beta_WP((1/4) zeta-bar(s/2)) with
     zeta-bar(u) = 1/gamma*(1/u), gamma(u) = zeta(sqrt u), zeta(u) = u phi(u).
@@ -454,7 +427,7 @@ def beta_orlicz(beta_wp: BetaFunction, phi: Callable) -> BetaFunction:
     gamma* is computed numerically on a log grid; a non-convex gamma triggers
     NonYoungWarning (the sup is automatically the convex hull).
     """
-    s_grid = _s_grid(beta_wp)
+    s_grid = np.geomspace(1e-12, beta_wp.s_max if beta_wp.s_max > 0 else 1.0, 2000)
     u = np.geomspace(1e-8, 1e8, 2000)
     gamma_vals = np.sqrt(u) * np.asarray(phi(np.sqrt(u)), dtype=float)
     d2 = np.diff(np.diff(gamma_vals) / np.diff(u))
@@ -472,41 +445,3 @@ def beta_orlicz(beta_wp: BetaFunction, phi: Callable) -> BetaFunction:
 
     vals = 6.0 * beta_wp(np.maximum(0.25 * zeta_bar(s_grid / 2.0), 1e-300))
     return BetaFunction.tabulated(s_grid, vals)
-
-
-def beta_hellinger_forward(beta_h: BetaFunction) -> BetaFunction:
-    """gamma_H(s) = s^{1/2} beta_H(k s^{1/2}), k = (sqrt2-1)/(2 sqrt2)."""
-    s_grid = _s_grid(beta_h)
-    vals = np.sqrt(s_grid) * beta_h(np.minimum(HELLINGER_CAP_CONST * np.sqrt(s_grid),
-                                               beta_h.s_max))
-    return BetaFunction.tabulated(s_grid, vals)
-
-
-def beta_hellinger_converse(gamma: BetaFunction) -> BetaFunction:
-    """beta_H(s) = 24 gamma(s^2)/s from a capacity weight gamma."""
-    s_grid = _s_grid(gamma)
-    vals = 24.0 * gamma(np.minimum(s_grid**2, gamma.s_max)) / s_grid
-    return BetaFunction.tabulated(s_grid, vals)
-
-
-def beta_hellinger_to_wp(beta_h: BetaFunction) -> BetaFunction:
-    """beta_WP = 12 gamma_H (requires gamma_H non-increasing; the tabulated
-    gamma_H is monotonized and its violation count is kept)."""
-    gamma = beta_hellinger_forward(beta_h)
-    return replace(BetaFunction.tabulated(gamma.params["s"], 12.0 * gamma.params["beta"]),
-                   monotonicity_violations=gamma.monotonicity_violations)
-
-
-def beta_curvature_propagated(beta: BetaFunction, rho: float) -> PropagatedBetaFamily:
-    """The two-argument family (1 - e^{-rho t})/rho + e^{-rho t} beta(s), rho >= 0;
-    the super-Poincare propagation has the same shape."""
-    if not rho >= 0:
-        raise BadExponent("propagated transforms need rho >= 0")
-    return PropagatedBetaFamily(rho=float(rho), base=beta)
-
-
-def beta_sp_from_F(F: Callable, c: float = 1.0) -> BetaFunction:
-    """beta_SP(s) = c / F(s) for s large (c is a caller parameter)."""
-    s = np.geomspace(1.0, 1e8, 2000)
-    vals = c / np.maximum(np.asarray(F(s), dtype=float), 1e-300)
-    return BetaFunction.tabulated(s, vals)

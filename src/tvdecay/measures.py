@@ -359,11 +359,6 @@ def tv_distance(mu: ProbabilityMeasure1D, h) -> float:
     return functionals(mu, h).tv
 
 
-def hellinger_distance(mu: ProbabilityMeasure1D, h) -> float:
-    """Hellinger distance d_H(h mu, mu) = 2 int (1 - sqrt h) dmu."""
-    return functionals(mu, h).hellinger
-
-
 @dataclass(frozen=True)
 class PinskerCheck:
     tv: float

@@ -1,4 +1,4 @@
-"""The psi profile built from an admissible eta, and its H / N / F-bar calculus.
+"""Admissible eta profiles, the psi profile spliced from one, and its Pinsker constant.
 
 A profile psi is spliced from the quadratic (u^2 - u)/2 below the splice
 point a and from eta''(u)/eta''(a) above it:
@@ -23,21 +23,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BadSplice,
-    HCollapse,
-    InadmissibleEta,
-    NonPositiveTau,
-    NotPinskerAdmissible,
-    ZeroFunction,
-)
-from ._numerics import cumtrapz0, golden_min_log, invert_increasing
+from .errors import BadSplice, InadmissibleEta, NotPinskerAdmissible
+from ._numerics import golden_min_log
 
 _PROBE_LO, _PROBE_HI, _PROBE_N = 1e-6, 1e8, 2000
-
-
-def _probe_grid(lo=_PROBE_LO, hi=_PROBE_HI, n=_PROBE_N) -> np.ndarray:
-    return np.geomspace(lo, hi, n)
 
 
 @dataclass(frozen=True)
@@ -59,7 +48,7 @@ class EtaProfile:
     name: str = "eta"
 
     def admissibility_flags(self) -> dict:
-        u = _probe_grid(max(self.b, _PROBE_LO) + 1e-9, _PROBE_HI)
+        u = np.geomspace(max(self.b, _PROBE_LO) + 1e-9, _PROBE_HI, _PROBE_N)
         ratio = self.eta(u) / u
         d2 = self.eta_second(u)
         d1 = self.eta_prime(u)
@@ -115,23 +104,6 @@ def eta_entropy() -> EtaProfile:
     return EtaProfile(eta=e, eta_prime=e1, eta_second=e2, b=0.5, name="entropy")
 
 
-def eta_slowlog() -> EtaProfile:
-    """eta with eta''(u) = 1/log(e + u); used for the slowly-varying checks."""
-    from scipy.interpolate import PchipInterpolator
-
-    grid = np.concatenate([[0.0], _probe_grid(1e-8, 1e9, 4000)])
-    d2 = 1.0 / np.log(np.e + grid)
-    d1 = cumtrapz0(d2, grid)
-    e = cumtrapz0(d1, grid)
-    p1 = PchipInterpolator(grid, d1, extrapolate=True)
-    p0 = PchipInterpolator(grid, e, extrapolate=True)
-    return EtaProfile(
-        eta=lambda u: p0(np.asarray(u, float)),
-        eta_prime=lambda u: p1(np.asarray(u, float)),
-        eta_second=lambda u: 1.0 / np.log(np.e + np.asarray(u, float)),
-        b=0.0, name="slowlog")
-
-
 def eta_fsobolev(alpha: float) -> EtaProfile:
     """eta(u) = u log^m(u) exp(log^kappa u), m = 2(1-1/alpha), kappa = 2/alpha - 1.
 
@@ -183,13 +155,11 @@ def eta_fsobolev(alpha: float) -> EtaProfile:
 
 @dataclass(frozen=True)
 class PsiProfile:
-    """psi with derivatives; the H integral, its inverse and c_psi on first read.
+    """psi with its first two derivatives, and c_psi on first read.
 
     psi(1) = 0 exactly; psi''(u) = 1 below the splice point a, so
-    psi(u) = (u^2 - u)/2 there.  H(u) = int_0^u sqrt(psi'') and H_inverse is
-    a monotone piecewise-cubic interpolant with linear tail extrapolation;
-    both are tabulated, and c_pinsker = pinsker_constant(self) is computed,
-    the first time they are read.
+    psi(u) = (u^2 - u)/2 there.  c_pinsker = pinsker_constant(self) is
+    computed the first time it is read, so the simulation never pays for it.
     """
 
     a: float
@@ -199,58 +169,8 @@ class PsiProfile:
     name: str = "psi"
 
     @cached_property
-    def _H_tables(self) -> tuple:
-        return _tabulate_H(self.psi_second)
-
-    @cached_property
-    def H(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self._H_tables[0]
-
-    @cached_property
-    def H_inverse(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self._H_tables[1]
-
-    @cached_property
     def c_pinsker(self) -> float:
         return pinsker_constant(self)
-
-
-def _tabulate_H(psi_second):
-    """H(u) = int_0^u sqrt(psi'') tabulated on a log grid up to 1e9, plus inverse.
-
-    An integrable singularity of psi'' at 0 (e.g. psi'' ~ 1/u) is handled by
-    a power-law head estimate over the first segment.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    gp = np.geomspace(1e-10, 1e9, 6000)
-    g = np.sqrt(np.maximum(np.asarray(psi_second(gp), float), 0.0))
-    if not np.all(np.isfinite(g)):
-        raise HCollapse("sqrt(psi'') is not finite on the probe grid")
-    p = (np.log(g[0]) - np.log(max(g[1], 1e-300))) / (np.log(gp[1]) - np.log(gp[0]))
-    head = g[0] * gp[0] / (1.0 - p) if p < 0.999 else g[0] * gp[0] * 1e3
-    grid = np.concatenate([[0.0], gp])
-    hv = np.concatenate([[0.0], head + cumtrapz0(g, gp)])
-    if hv[-1] <= hv[len(hv) // 2] * (1.0 + 1e-12):
-        raise HCollapse("H is bounded on the probe grid")
-    h_interp = PchipInterpolator(grid, hv, extrapolate=False)
-    inv_interp = PchipInterpolator(hv, grid, extrapolate=False)
-    last_slope = (grid[-1] - grid[-2]) / max(hv[-1] - hv[-2], 1e-300)
-    fwd_slope = (hv[-1] - hv[-2]) / max(grid[-1] - grid[-2], 1e-300)
-
-    def H(u):
-        u = np.asarray(u, float)
-        out = np.where(u <= grid[-1], h_interp(np.clip(u, 0.0, grid[-1])),
-                       hv[-1] + (u - grid[-1]) * fwd_slope)
-        return out
-
-    def H_inv(y):
-        y = np.asarray(y, float)
-        out = np.where(y <= hv[-1], inv_interp(np.clip(y, 0.0, hv[-1])),
-                       grid[-1] + (y - hv[-1]) * last_slope)
-        return out
-
-    return H, H_inv
 
 
 def splice_point(eta: EtaProfile, a: Optional[float] = None) -> float:
@@ -384,141 +304,3 @@ def pinsker_constant(psi: PsiProfile) -> float:
     if not np.isfinite(c):
         raise NotPinskerAdmissible("Pinsker ratio sup diverges")
     return math.sqrt(2.0 * c * (1.0 + 1e-9))
-
-
-# -- Orlicz gauge and the F-bar calculus ------------------------------------------
-
-def orlicz_gauge_N(f, mu, psi: PsiProfile) -> float:
-    """The gauge N(f) = inf{ lambda > 0 : int H^{-1}(f/lambda) dmu <= 1 }.
-
-    Solved by bisection on lambda; the residual |int H^{-1}(f/lambda) - 1|
-    is driven below 1e-8 (or the bracket below 1e-10 relative).
-    """
-    from .measures import integrate  # local import to avoid a cycle
-
-    f = np.asarray(f, dtype=float)
-    if f.min() < 0:
-        raise ZeroFunction("gauge input must be non-negative")
-    fmax = float(f.max())
-    if fmax == 0.0:
-        raise ZeroFunction("gauge of the zero function is undefined")
-
-    def G(lam):
-        return integrate(mu, psi.H_inverse(f / lam))
-
-    lam = invert_increasing(lambda t: G(1.0 / t), 1.0, 1e-12 / fmax, 1e12 / fmax,
-                            rel_tol=1e-10, resid_tol=1e-8)
-    return 1.0 / lam
-
-
-def f_bar(psi: PsiProfile):
-    """F-bar(u) = psi(u)/H(u)^2, with the convexity-theorem hypothesis flags.
-
-    Returns (fbar_callable, checks) where checks reports, on the probe grid
-    [4, 1e8]:
-    nondecreasing, the doubling condition F(lam u) <= lam F(u)/4 for some
-    lam > 4, F(u)/u non-increasing, the lower-bound ratio against
-    psi/(u^2 psi'') and the asymptotic H(u) ~ u sqrt(psi''(u)) diagnostic.
-    """
-    probe_lo, probe_hi = 4.0, 1e8
-    if float(psi.H(probe_hi)) < 10.0 * float(psi.H(probe_lo)):
-        raise HCollapse("H grows too slowly; psi/H^2 is degenerate")
-
-    def fbar(u):
-        u = np.asarray(u, float)
-        return np.asarray(psi.psi(u), float) / np.asarray(psi.H(u), float) ** 2
-
-    u = np.geomspace(probe_lo, probe_hi, 400)
-    fb = fbar(u)
-    nondecr = bool(np.all(np.diff(fb) >= -1e-9 * np.abs(fb[:-1])))
-    lam_ok = None
-    for lam in (4.5, 6.0, 8.0, 16.0, 64.0):
-        sub = u[u * lam <= probe_hi]
-        if len(sub) < 10:
-            continue
-        if np.all(fbar(lam * sub) <= lam * fbar(sub) / 4.0 + 1e-12):
-            lam_ok = lam
-            break
-    ratio_over_u = fb / u
-    over_u_nonincr = bool(np.all(np.diff(ratio_over_u) <= 1e-9 * ratio_over_u[:-1]))
-    denom = u**2 * np.asarray(psi.psi_second(u), float)
-    lower_c = float(np.min(fb * denom / np.maximum(np.asarray(psi.psi(u), float), 1e-300)))
-    # third derivative of psi by central differences of psi'' (step u * 1e-4)
-    hstep = u * 1e-4
-    p3 = (np.asarray(psi.psi_second(u + hstep), float)
-          - np.asarray(psi.psi_second(u - hstep), float)) / (2.0 * hstep)
-    p2 = np.asarray(psi.psi_second(u), float)
-    dieudonne_arg = u * p3 / p2
-    h_ratio = np.asarray(psi.H(u), float) / (u * np.sqrt(p2))
-    checks = {
-        "nondecreasing": nondecr,
-        "doubling_lambda": lam_ok,
-        "fbar_over_u_nonincreasing": over_u_nonincr,
-        "lower_bound_c": lower_c,
-        "u_psi3_over_psi2_tail": float(dieudonne_arg[-1]),
-        "h_over_u_sqrt_psi2_tail": float(h_ratio[-1]),
-    }
-    return fbar, checks
-
-
-# -- almost-linear eta from a prescribed F ----------------------------------------
-
-@dataclass(frozen=True)
-class AlmostLinearEta:
-    """theta and theta' = -1/tau on [a, 1e12], eta(u) = u + theta(u), the
-    Wang integral int_a^1e12 du/(u F(u)), whether it converges (the paper's
-    ultracontractivity regime, a warning flag rather than an error), and the
-    seed 1/tau(a)."""
-
-    theta: Callable[[np.ndarray], np.ndarray]
-    theta_prime: Callable[[np.ndarray], np.ndarray]
-    eta: Callable[[np.ndarray], np.ndarray]
-    wang_integral: float
-    wang_finite: bool
-    tau_inv_at_a: float
-
-
-def build_almost_linear_eta(F: Callable[[np.ndarray], np.ndarray],
-                            a: float) -> AlmostLinearEta:
-    """Construct theta with theta' = -1/tau from tau'/tau^2 = 1/(u F(u)).
-
-    1/tau(u) = 1/tau(a) - int_a^u ds/(s F(s)) on the working domain
-    [a, 1e12].  When the Wang integral int_a^inf du/(u F(u)) converges the
-    seed 1/tau(a) is the tail integral itself (so theta' -> 0 cleanly); for a
-    divergent integral the seed is 1.25x the integral over the working
-    domain so that tau stays positive on it.
-    """
-    from scipy.interpolate import PchipInterpolator
-
-    grid = np.geomspace(a, 1e12, 8000)
-    Fv = np.asarray(F(grid), dtype=float)
-    if np.any(Fv <= 0):
-        raise NonPositiveTau("F must be positive beyond a")
-    if np.any(np.diff(Fv) < -1e-9 * np.abs(Fv[:-1]) - 1e-300):
-        raise NonPositiveTau("F must be non-decreasing beyond a")
-    integrand = 1.0 / (grid * Fv)
-    cum = cumtrapz0(integrand, grid)
-    total = float(cum[-1])
-    # convergence: slope of log integrand-in-log-variable; alpha > 1.02 converges
-    v = np.log(grid)
-    gtilde = 1.0 / Fv
-    tail = v > v[-1] - 3.0
-    alpha = -float(np.polyfit(np.log(v[tail]), np.log(gtilde[tail]), 1)[0])
-    wang_finite = bool(alpha > 1.02)
-    if wang_finite:
-        # add the estimated tail beyond the working domain so that
-        # 1/tau(u) = int_u^inf ds/(s F(s)) and theta' -> 0 cleanly
-        tail_mass = gtilde[-1] * v[-1] / max(alpha - 1.0, 1e-6)
-        tau_inv_at_a = total + tail_mass
-    else:
-        tau_inv_at_a = 1.25 * total
-    inv_tau = tau_inv_at_a - cum
-    if np.any(inv_tau <= 0):
-        raise NonPositiveTau("1/tau hits zero before the domain end")
-    theta_vals = -cumtrapz0(inv_tau, grid)
-    th = PchipInterpolator(grid, theta_vals, extrapolate=True)
-    return AlmostLinearEta(theta=th,
-                           theta_prime=PchipInterpolator(grid, -inv_tau, extrapolate=True),
-                           eta=lambda u: np.asarray(u, float) + th(u),
-                           wang_integral=total, wang_finite=wang_finite,
-                           tau_inv_at_a=float(tau_inv_at_a))

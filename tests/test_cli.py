@@ -351,6 +351,16 @@ BAD_INPUTS = {
                                         "envelope.truncation_logsob.q = 2", (),
                               "'envelope.truncation_logsob.q' is not read with "
                               "envelope.truncation_logsob.phi = logbeta"),
+    # the splice point must exceed max(2, b); analyze reads it for the capacity check
+    "psi-a-below-two-analyze": ("analyze", "psi.a = 1.5\nanalysis.capacity_rho = 2", (),
+                                "psi.a"),
+    "psi-a-two-bounds": ("bounds", "psi.a = 2", (), "psi.a"),
+    "psi-a-below-two-simulate": ("simulate", "psi.a = 1.5", (), "psi.a"),
+    "psi-a-huge": ("simulate", "psi.a = 1e300", (), "psi.a"),
+    # the tail tolerance is a fraction of the peak density
+    "tail-tol-zero": ("analyze", "grid.tail_tol = 0", (), "grid.tail_tol"),
+    "tail-tol-one": ("bounds", "grid.tail_tol = 1", (), "grid.tail_tol"),
+    "tail-tol-two": ("simulate", "grid.tail_tol = 2", (), "grid.tail_tol"),
 }
 
 
@@ -606,11 +616,9 @@ def test_rebound_names_are_called(tmp_path, monkeypatch):
 
 
 def test_commands_compute_no_psi_tables(tmp_path, monkeypatch):
-    # H, H^{-1} and the Pinsker constant are computed on first read, and no
-    # output reads them
+    # the Pinsker constant is computed on first read, and no output reads it
     def refuse(*args, **kwargs):
         raise AssertionError("a psi table was computed")
-    monkeypatch.setattr(psi, "_tabulate_H", refuse)
     monkeypatch.setattr(psi, "pinsker_constant", refuse)
     cfg = write_cfg(tmp_path, ALL_FAMILIES_CFG)
     for verb in ("simulate", "compare"):

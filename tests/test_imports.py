@@ -3,8 +3,7 @@
 `scipy.interpolate` (which loads `scipy.optimize`) and `scipy.linalg` take
 about a quarter second to import, several times the rest of the package.  The
 package imports them only inside the functions that run them: tabulated
-inputs, `eta_slowlog`, `build_almost_linear_eta` and the psi `H` tables
-(PCHIP), and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
+inputs (PCHIP) and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
 `scipy.linalg._flapack` on its own, without the `scipy.linalg` package.  So
 `import tvdecay.cli`, `analyze` and `bounds` load no scipy at all, and
 `simulate` and `compare` load LAPACK but neither the `scipy.linalg` package

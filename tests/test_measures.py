@@ -137,13 +137,13 @@ class TestTvDistance:
 
 class TestHellinger:
     def test_identity(self, gaussian_measure):
-        assert tv.hellinger_distance(gaussian_measure, np.ones(4001)) == 0.0
+        assert tv.functionals(gaussian_measure, np.ones(4001)).hellinger == 0.0
 
     def test_step(self, gaussian_measure_even):
         mu = gaussian_measure_even
         h = np.where(mu.grid > 0, 2.0, 0.0)
-        assert tv.hellinger_distance(mu, h) == pytest.approx(2.0 - math.sqrt(2.0),
-                                                             abs=1e-9)
+        assert tv.functionals(mu, h).hellinger == pytest.approx(2.0 - math.sqrt(2.0),
+                                                                abs=1e-9)
 
     def test_sandwich(self, gaussian_measure):
         # d_H <= 2 TV <= 4 sqrt(d_H) for every density
@@ -151,7 +151,7 @@ class TestHellinger:
         for smooth in (True, False):
             for _ in range(10):
                 h = random_density(gaussian_measure, rng, smooth=smooth)
-                dh = tv.hellinger_distance(gaussian_measure, h)
+                dh = tv.functionals(gaussian_measure, h).hellinger
                 tvd = tv.tv_distance(gaussian_measure, h)
                 assert dh <= 2.0 * tvd + 1e-9
                 assert 2.0 * tvd <= 4.0 * math.sqrt(dh) + 1e-9

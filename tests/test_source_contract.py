@@ -5,7 +5,8 @@ outputs, so no module may draw random numbers.  It also keeps one 1-D
 minimizer (`_numerics.golden_min_log`), so no module imports scipy.optimize.
 scipy itself is imported only inside the functions that use it: at module
 level it would add about a quarter second to every command, `import
-tvdecay.cli` included.
+tvdecay.cli` included.  Every public top-level definition has a caller in
+the package or the benchmark, unless `UNWIRED` names it with the reason.
 """
 
 import ast
@@ -13,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tvdecay").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "tvdecay").glob("*.py"))
 BANNED_MODULES = ("numpy.random", "scipy.optimize")
 
 
@@ -99,3 +101,64 @@ def test_scipy_checker_catches(snippet):
     "from . import measures"])
 def test_scipy_checker_allows(snippet):
     assert _import_time_scipy(ast.parse(snippet)) == []
+
+
+# Public definitions that no command and no benchmark workload reaches, each
+# with the reason it stays.  Wiring one in means deleting it here.
+UNWIRED = {
+    "psi_quadratic_centered": "acceptance-gated reference profile",
+    "psi_entropy_classical": "acceptance-gated reference profile",
+    "psi_almost_linear": "acceptance-gated reference profile",
+    "spectral_gap": "acceptance-gated exact C_P of the discrete generator",
+    "truncation_poincare_k_optimized": "acceptance-gated reference: the direct infimum over K",
+    "truncation_logsob_k_optimized": "acceptance-gated reference: the direct infimum over K",
+    "pinsker_check": "the Pinsker check along a flow, not yet reported",
+    "hellinger_eval": "the direct Hellinger decay check, not yet reported",
+    "reverse_diagnostics": "the reversed-roles check, not yet reported",
+    "weak_poincare_beta_from_tails": "the tail beta, not yet a beta form",
+    "drift_tail_beta": "the drift-tail beta, not yet a beta form",
+    "eta_fsobolev": "the F-Sobolev eta of the |x|^alpha potentials, for the I_psi route",
+}
+
+
+def _public_definitions() -> dict:
+    """name -> its node, for each public top-level def and class in the package."""
+    return {node.name: node for path in SOURCES
+            for node in ast.parse(path.read_text(), filename=str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _referenced(tree, defined: dict) -> set:
+    """Names read, or attributes taken, anywhere in `tree` outside the
+    definition of that same name (an import is not a reference)."""
+    found = set()
+
+    def visit(node, own):
+        if defined.get(getattr(node, "name", None)) is node:
+            own = node.name
+        if isinstance(node, ast.Name) and node.id != own:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != own:
+            found.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+    visit(tree, None)
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    defined = _public_definitions()
+    callers = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")])
+    referenced = set().union(*(_referenced(ast.parse(p.read_text(), filename=str(p)), defined)
+                               for p in callers))
+    assert {name for name in defined if name not in referenced} == set(UNWIRED)
+
+
+def test_caller_check_ignores_own_body_and_imports():
+    tree = ast.parse("from .m import f, C\n"
+                     "def f(n):\n    return f(n - 1)\n"
+                     "class C:\n    pass\n"
+                     "x = m.C()\n")
+    defined = {node.name: node for node in tree.body[1:3]}
+    assert _referenced(tree, defined) & {"f", "C"} == {"C"}
