@@ -51,16 +51,12 @@ SERIES_COLUMNS = ("tv", "hellinger", "variance", "entropy", "i_psi",
                   "v_reverse", "e_reverse")
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path: Path, header: list, columns: list) -> None:
-    rows = len(columns[0])
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = zip(*(np.asarray(col, dtype=float).tolist() for col in columns))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(_fmt(col[i]) for col in columns) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def write_json(path: Path, payload: dict) -> None:

@@ -6,10 +6,11 @@ variation 2.  `eval` and `raw_eval` take a whole array of t and evaluate the
 bound over it in one pass (`raw_eval` returns an array, `eval` a list of
 floats): the xi bisection, the truncation-route inversion and the curvature
 infimum over s run elementwise under masks, and a scalar t gives a float.
-Where the bound at one t calls a math-module function, `_libm` calls it on
-every entry, so an array evaluation is bit-identical to evaluating the bound
-one t at a time.  Its `valid_from`, the first t at which the uncalibrated raw
-bound is <= 2, is searched for on first read; only `compare` reads it.
+Every exp and log is numpy's, which runs the same loop on one entry as on
+many, so an array evaluation is bit-identical to evaluating the bound one t
+at a time; `_exp` and `_log` raise where math.exp and math.log would.  Its
+`valid_from`, the first t at which the uncalibrated raw bound is <= 2, is
+searched for on first read; only `compare` reads it.
 The universal constants the theory leaves unspecified are exposed as explicit
 parameters (default 1); `calibrate` rescales an envelope so that it equals a
 measured value at t = 0, preserving the rate content.
@@ -33,13 +34,20 @@ TV_MAX = 2.0
 _CURVATURE_BLOCK = 256  # t values per curvature scan: (256, 80) temporaries
 
 
-def _libm(f, x):
-    """The math-module function f of every entry of x.  numpy's exp, log and
-    ** round differently from libm on some inputs (exp on about 5%), and one
-    ulp can flip a bisection step; calling libm wherever the formula at one t
-    does keeps each bound bit-identical to that formula."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _strict(ufunc, error, **raise_on):
+    """ufunc, raising `error` where math's function of that name does: an
+    overflow at `valid_from`'s t = 1e4 probe must fail its search."""
+    @np.errstate(**raise_on)
+    def f(x):
+        try:
+            return ufunc(x)
+        except FloatingPointError as err:
+            raise error(err) from None
+    return f
+
+
+_exp = _strict(np.exp, OverflowError, over="raise", under="ignore")
+_log = _strict(np.log, ValueError, divide="raise", invalid="raise")
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +89,7 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
     target = k * ts.reshape(-1)
 
     def G(s):
-        return spec.beta(s) * _libm(math.log, c / s)
+        return spec.beta(s) * _log(c / s)
 
     unreached = G(np.array([s_hi])) > target
     floor = ~unreached & (G(np.array([_XI_S_FLOOR])) <= target)
@@ -95,15 +103,15 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
         if not i.size:
             break
         m = 0.5 * (a + b)
-        gm = G(_libm(math.exp, m))
+        gm = G(_exp(m))
         hit = np.abs(gm - y) <= tol
         up = ~hit & (gm > y)
         a, b = np.where(up, m, a), np.where(up, b, m)
         done = hit | (b - a <= 5e-14)
         if done.any():
-            val[i[done]] = _libm(math.exp, b[done])  # upper end: larger xi, conservative
+            val[i[done]] = _exp(b[done])  # upper end: larger xi, conservative
             i, a, b, y, tol = (v[~done] for v in (i, a, b, y, tol))
-    val[i] = _libm(math.exp, b)
+    val[i] = _exp(b)
     if ts.ndim == 0:
         val, unreached = float(val[0]), bool(unreached[0])
     else:
@@ -163,7 +171,7 @@ class DecayEnvelope:
 
 def _exponential(name, params, a, c, b=1.0) -> DecayEnvelope:
     """The bound a e^{-t/c} b, multiplied in that order."""
-    return DecayEnvelope(name, params, lambda t: a * _libm(math.exp, -t / c) * b)
+    return DecayEnvelope(name, params, lambda t: a * _exp(-t / c) * b)
 
 
 def _moment_guard(moment):
@@ -211,7 +219,7 @@ def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> De
     m = _moment_guard(moment)
     return DecayEnvelope("truncation_poincare", {"C_P": C_P, "moment": m}, _truncation(
         phi, m, lambda u: np.sqrt(u) * phi(u),
-        lambda t: 2.0 * m * _libm(math.exp, t / (2.0 * C_P))))
+        lambda t: 2.0 * m * _exp(t / (2.0 * C_P))))
 
 
 def _k_infimum(first_term: Callable, phi: Callable, m: float, hi: float) -> float:
@@ -271,8 +279,8 @@ def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> Dec
     m = _moment_guard(moment)
     # log+ keeps phibar defined where the inversion bracket reaches u < 1
     return DecayEnvelope("truncation_logsob", {"C_LS": C_LS, "moment": m}, _truncation(
-        phi, m, lambda u: phi(u) * np.sqrt(np.maximum(_libm(math.log, u), 0.0)),
-        lambda t: m * _libm(math.exp, t / C_LS), lo=1.2))
+        phi, m, lambda u: phi(u) * np.sqrt(np.maximum(_log(u), 0.0)),
+        lambda t: m * _exp(t / C_LS), lo=1.2))
 
 
 def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
@@ -282,7 +290,7 @@ def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
     m = _moment_guard(moment)
     decay = math.exp(-t / C_LS)
     return _k_infimum(
-        lambda K: math.sqrt(2.0) * decay * np.sqrt(_libm(math.log, K) + 1.0 / math.e),
+        lambda K: math.sqrt(2.0) * decay * np.sqrt(_log(K) + 1.0 / math.e),
         phi, m, 1e300)
 
 
@@ -310,7 +318,7 @@ def gamma_inverse(beta: BetaFunction) -> Callable:
     log_g = np.log(gamma_vals)
 
     def gamma_inv(v):
-        lv = _libm(math.log, np.maximum(v, 1e-300))
+        lv = _log(np.maximum(v, 1e-300))
         u = np.where(lv >= log_g[0], u_probe[0], np.where(
             lv <= log_g[-1], u_probe[-1], np.exp(np.interp(-lv, -log_g, log_u))))
         return float(u) if u.ndim == 0 else u
@@ -345,8 +353,8 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
     branch = 1 if doubling >= 1.95 else 2
 
     ug = np.geomspace(3.0, 1e6, 1200)
-    phis = phi(ug) if branch == 1 else phi(ug) * _libm(math.log, ug)
-    zvals = 2.0 * _libm(math.log, np.maximum(phis, 1e-300)) * gamma_inv(
+    phis = phi(ug) if branch == 1 else phi(ug) * _log(ug)
+    zvals = 2.0 * _log(np.maximum(phis, 1e-300)) * gamma_inv(
         math.sqrt(3.0 * C_P) * ug)
     peak = int(np.argmax(zvals))
     ug, zvals = ug[:peak + 1], zvals[:peak + 1]
@@ -388,7 +396,7 @@ def envelope_hellinger(beta_h: BetaFunction, phi: Callable, moment: float) -> De
     m = _moment_guard(moment)
     spec = XiSpec(beta=beta_h, log_numerator=1.0, t_scale=4.0)
     return DecayEnvelope("hellinger", {"moment": m}, _from_t0(_truncation(
-        phi, m, lambda u: _libm(lambda v: v ** 0.25, u) * phi(u),
+        phi, m, lambda u: u ** 0.25 * phi(u),
         lambda t: 2.0 * m / np.sqrt(3.0 * xi(spec, t)))))
 
 
@@ -409,7 +417,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     def infimum(t):
         """inf over s of the bracket for a block of t, one scan row per t."""
         t = t[:, None]
-        growth = _libm(math.exp, np.minimum(rho * t, 700.0))
+        growth = _exp(np.minimum(rho * t, 700.0))
 
         def bracket(s):
             b = beta_wp(s)

@@ -107,12 +107,6 @@ class BetaFunction:
                             monotonicity_violations=violations)
 
     @staticmethod
-    def from_callable(fn, s_min: float = 1e-12, s_max: float = 1.0,
-                      n: int = 2000) -> "BetaFunction":
-        s = np.geomspace(s_min, s_max, n)
-        return BetaFunction.tabulated(s, np.asarray(fn(s), dtype=float))
-
-    @staticmethod
     def affine(base: "BetaFunction", scale: float, offset: float) -> "BetaFunction":
         """scale * beta(s) + offset; stays positive and non-increasing."""
         scale, offset = float(scale), float(offset)

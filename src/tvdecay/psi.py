@@ -158,7 +158,8 @@ class PsiProfile:
     """psi with its first two derivatives, and c_psi on first read.
 
     psi(1) = 0 exactly; psi''(u) = 1 below the splice point a, so
-    psi(u) = (u^2 - u)/2 there.  c_pinsker = pinsker_constant(self) is
+    psi(u) = (u^2 - u)/2 there; one spliced from an eta calls eta only on
+    the entries at or above a.  c_pinsker = pinsker_constant(self) is
     computed the first time it is read, so the simulation never pays for it.
     """
 
@@ -193,21 +194,22 @@ def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile
     ea = float(eta.eta(a))
     psi_a = 0.5 * (a * a - a)
 
-    def psi_second(u):
-        u = np.asarray(u, float)
-        return np.where(u >= a, eta.eta_second(np.maximum(u, a)) / d2a, 1.0)
+    def spliced(below, above):
+        """u -> below(u), a new array, with above(u) where u >= a: only those
+        entries reach eta."""
+        def f(u):
+            u = np.asarray(u, float)
+            out, hi = np.asarray(below(u), float), u >= a
+            out[hi] = above(u[hi])
+            return out
+        return f
 
-    def psi_prime(u):
-        u = np.asarray(u, float)
-        above = (a - 0.5) + (eta.eta_prime(np.maximum(u, a)) - d1a) / d2a
-        return np.where(u >= a, above, u - 0.5)
-
-    def psi(u):
-        u = np.asarray(u, float)
-        uc = np.maximum(u, a)
-        above = (psi_a + (a - 0.5) * (uc - a)
-                 + (eta.eta(uc) - ea - d1a * (uc - a)) / d2a)
-        return np.where(u >= a, above, 0.5 * (u * u - u))
+    psi_second = spliced(lambda u: np.ones(u.shape), lambda u: eta.eta_second(u) / d2a)
+    psi_prime = spliced(lambda u: u - 0.5,
+                        lambda u: (a - 0.5) + (eta.eta_prime(u) - d1a) / d2a)
+    psi = spliced(lambda u: 0.5 * (u * u - u),
+                  lambda u: (psi_a + (a - 0.5) * (u - a)
+                             + (eta.eta(u) - ea - d1a * (u - a)) / d2a))
 
     return PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
                       name=f"psi[{eta.name}]")

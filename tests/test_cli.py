@@ -8,7 +8,7 @@ import pytest
 
 from tvdecay import envelopes, measures, psi, simulate
 from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
-                         plan_envelopes)
+                         plan_envelopes, write_csv)
 from tvdecay.config import (
     _KEYS,
     load_scenario,
@@ -538,6 +538,18 @@ psi.eta = power(1.5)
 analysis.capacity_rho = 2.0
 analysis.capacity_f_const = 2.0
 """
+
+
+def test_write_csv_formats_each_value_to_17_digits(tmp_path):
+    rng = np.random.default_rng(3)
+    special = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, 0.1, 1.0, 3, 1e16, 123456789.123456789]
+    cols = [np.array(special), special[::-1], rng.standard_normal(13) * 10.0 ** rng.integers(
+        -300, 300, 13), np.arange(13, dtype=np.int64), rng.random(13).astype(np.float32)]
+    write_csv(tmp_path / "out.csv", ["a", "b", "c", "d", "e"], cols)
+    lines = ["a,b,c,d,e"] + [",".join(format(float(col[i]), ".17g") for col in cols)
+                             for i in range(13)]
+    assert (tmp_path / "out.csv").read_text() == "\n".join(lines) + "\n"
 
 
 def test_envelope_params_are_json():

@@ -7,6 +7,8 @@ import tvdecay as tv
 from tvdecay.envelopes import (
     _CURVATURE_BLOCK,
     _XI_S_FLOOR,
+    _exp,
+    _log,
     TV_MAX,
     DecayEnvelope,
     XiSpec,
@@ -310,9 +312,8 @@ class TestRestrictedLogSobolev:
         assert env.params["branch"] == 2
 
     def test_monotone_with_flat_continuation(self):
-        beta = tv.BetaFunction.from_callable(
-            lambda s: np.asarray(s, float) * np.exp(1.0 / np.asarray(s, float)),
-            5e-2, 0.99)
+        s = np.geomspace(5e-2, 0.99, 2000)
+        beta = tv.BetaFunction.tabulated(s, s * np.exp(1.0 / s))
         env = envelope_restricted_logsob(0.5, beta, _phi_power(1.5), 1.0)
         vals = [env.eval(t) for t in (0.1, 0.5, 1.0, 2.0, 5.0)]
         assert np.all(np.diff(vals) <= 1e-12)
@@ -436,11 +437,11 @@ class TestXiSpecValidation:
     def test_product_non_increasing_on_samples(self):
         # beta non-increasing makes s -> beta(s) log(c/s) non-increasing on
         # (0, c); every BetaFunction form satisfies this by construction
+        s_tab = np.geomspace(1e-4, 1.0, 2000)
         betas = [tv.BetaFunction.power(1.0, 0.7),
                  tv.BetaFunction.logpower(2.0, 1.2),
                  tv.BetaFunction.constant(0.4),
-                 tv.BetaFunction.from_callable(
-                     lambda s: np.exp(1.0 / np.sqrt(s)), 1e-4, 1.0)]
+                 tv.BetaFunction.tabulated(s_tab, np.exp(1.0 / np.sqrt(s_tab)))]
         for beta in betas:
             for c in (1.0, 0.5):
                 spec = XiSpec(beta=beta, log_numerator=c)
@@ -606,14 +607,15 @@ class TestArrayEvaluation:
 
 
 def _xi_reference(spec, t):
-    """(xi(t), unreached) at one t by the scalar bisection, with math.exp and
-    math.log: the loop the array version must reproduce bit for bit."""
+    """(xi(t), unreached) at one t by the scalar bisection, with numpy's exp
+    and log on floats: the loop the array version must reproduce bit for
+    bit."""
     c, k = spec.log_numerator, spec.t_scale
     s_hi = min(c, 1.0, spec.beta.s_max) - 1e-12
     target = k * t
 
     def G(s):
-        return float(spec.beta(np.asarray(s)) * math.log(c / s))
+        return float(spec.beta(np.asarray(s)) * np.log(c / s))
 
     if G(s_hi) > target:
         return s_hi, True
@@ -623,7 +625,7 @@ def _xi_reference(spec, t):
     scale = max(1.0, abs(target))
     for _ in range(300):
         m = 0.5 * (a + b)
-        gm = G(math.exp(m))
+        gm = G(np.exp(m))
         if abs(gm - target) <= 1e-12 * scale:
             b = m
             break
@@ -633,7 +635,7 @@ def _xi_reference(spec, t):
             b = m
         if b - a <= 5e-14:
             break
-    return math.exp(b), False
+    return float(np.exp(b)), False
 
 
 def _invert_reference(fn, y, lo, hi, rel_tol=1e-13, resid_tol=1e-9):
@@ -667,11 +669,54 @@ def _invert_reference(fn, y, lo, hi, rel_tol=1e-13, resid_tol=1e-9):
     return float(np.exp(0.5 * (a + b)))
 
 
-# t at which numpy's exp and log in place of math's move the bisection of the
-# orlicz clock below (found on a host whose numpy uses AVX-512 exp and log)
+# t at which numpy's exp and log and math's give the orlicz clock below
+# different bisections (found on a host whose numpy uses AVX-512 exp and
+# log); the array loop must still match the scalar one there
 ORLICZ_FLIP_TS = (0.0014194028993184656, 0.0025396356498672682, 0.006304460178455639,
                   0.03878917515779615, 0.3136983742125422, 6.314530348828657,
                   17.87664201201561)
+
+
+INF, NAN = float("inf"), float("nan")
+
+
+class TestStrictExpLog:
+    """numpy's exp and log, raising where math.exp and math.log raise."""
+
+    @pytest.mark.parametrize("ours, theirs, xs", [
+        (_exp, math.exp, (0.0, -0.0, 1.0, -700.0, -745.0, -746.0, -1e4, 709.78, 709.79,
+                          1e4, INF, -INF, NAN)),
+        (_log, math.log, (1.0, 2.0, 5e-324, 1e308, INF, NAN, 0.0, -0.0, -5e-324, -1.0,
+                          -INF)),
+    ], ids=["exp", "log"])
+    def test_raises_exactly_where_math_raises(self, ours, theirs, xs):
+        before = np.geterr()
+        for x in xs:
+            try:
+                want = theirs(x)
+            except (OverflowError, ValueError) as exc:
+                for arg in (x, np.array([1.0, x, 0.5])):  # one bad entry is enough
+                    with pytest.raises(type(exc)):
+                        ours(arg)
+                continue
+            for arg in (x, np.full(5, x)):
+                got = np.asarray(ours(arg))
+                assert np.all(got == pytest.approx(want, rel=4e-16, abs=0.0, nan_ok=True))
+        assert np.geterr() == before
+
+    def test_exp_underflow_and_specials_are_exact(self):
+        got = _exp(np.array([-1e4, -INF, INF, 0.0]))
+        assert got.tolist() == [0.0, 0.0, INF, 1.0]
+        assert np.isnan(_exp(NAN)) and np.isnan(_log(np.array([NAN]))[0])
+
+    def test_overflow_reaches_the_caller(self):
+        # valid_from's t = 1e4 probe overflows e^{t/2C_P}; the search reads
+        # that as a failure (ROADMAP item 1), so the error must propagate
+        env = envelope_truncation_poincare(0.5, _phi_power(1.5), 1.0)
+        with pytest.raises(OverflowError):
+            env.raw_eval(1e4)
+        with pytest.raises(OverflowError):
+            env.raw_eval(np.array([1.0, 1e4]))
 
 
 class TestArrayHelpers:

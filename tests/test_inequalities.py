@@ -41,11 +41,12 @@ class TestBetaFunction:
 
     def test_every_form_non_increasing(self):
         rng = np.random.default_rng(31)
+        s = np.geomspace(1e-4, 1.0, 2000)
         betas = [
             BetaFunction.power(1.7, 0.8),
             BetaFunction.logpower(2.0, 1.3),
             BetaFunction.constant(0.9),
-            BetaFunction.from_callable(lambda s: np.exp(1.0 / np.sqrt(s)), 1e-4, 1.0),
+            BetaFunction.tabulated(s, np.exp(1.0 / np.sqrt(s))),
             BetaFunction.affine(BetaFunction.power(1.0, 1.0), 0.5, 0.2),
         ]
         for beta in betas:
@@ -65,9 +66,9 @@ class TestBetaFunction:
     def test_bad_inputs(self):
         with pytest.raises(BadExponent):
             BetaFunction.power(-1.0, 1.0)
+        s = np.geomspace(1e-12, 1.0, 2000)
         with np.errstate(over="ignore"), pytest.raises(BadExponent):
-            BetaFunction.from_callable(lambda s: np.exp(2.0 / np.sqrt(s)),
-                                       1e-12, 1.0)  # overflows to inf
+            BetaFunction.tabulated(s, np.exp(2.0 / np.sqrt(s)))  # overflows to inf
 
 
 class TestMuckenhoupt:
@@ -174,8 +175,8 @@ class TestTailCriterion:
         mu = gaussian_measure
         g = _normalized(mu, 1.0 / ((np.e + np.abs(mu.grid))
                                    * np.log(np.e + np.abs(mu.grid)) ** 2))
-        beta = BetaFunction.from_callable(lambda s: np.exp(2.0 / np.sqrt(s)),
-                                          1e-4, 1.0)
+        s = np.geomspace(1e-4, 1.0, 2000)
+        beta = BetaFunction.tabulated(s, np.exp(2.0 / np.sqrt(s)))
         res = weak_poincare_beta_from_tails(mu, g, beta)
         assert res.accepted
 

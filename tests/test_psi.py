@@ -82,6 +82,57 @@ class TestBuildPsi:
         assert psi_quad_spliced.a == pytest.approx(2.1)
 
 
+def _where_formulas(eta, a):
+    """psi, psi', psi'' as eta on every entry and np.where keeping u >= a:
+    what the spliced profile must reproduce bit for bit."""
+    d2a, d1a, ea = (float(f(a)) for f in (eta.eta_second, eta.eta_prime, eta.eta))
+    psi_a = 0.5 * (a * a - a)
+
+    def psi(u):
+        uc = np.maximum(u, a)
+        above = psi_a + (a - 0.5) * (uc - a) + (eta.eta(uc) - ea - d1a * (uc - a)) / d2a
+        return np.where(u >= a, above, 0.5 * (u * u - u))
+
+    def psi_prime(u):
+        above = (a - 0.5) + (eta.eta_prime(np.maximum(u, a)) - d1a) / d2a
+        return np.where(u >= a, above, u - 0.5)
+
+    def psi_second(u):
+        return np.where(u >= a, eta.eta_second(np.maximum(u, a)) / d2a, 1.0)
+
+    return psi, psi_prime, psi_second
+
+
+@pytest.mark.parametrize("eta", [eta_quadratic(), eta_entropy(), eta_power(1.5),
+                                 eta_power(1.25)], ids=lambda e: e.name)
+@pytest.mark.parametrize("a", [None, 3.7])
+def test_spliced_equals_the_where_formula(eta, a):
+    prof = build_psi_from_eta(eta, a)
+    a = prof.a
+    near = np.array([np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)])
+    u = np.concatenate([near, [0.0, 1.0, np.nan], np.geomspace(1e-6, 1e8, 400)])
+    block = np.random.default_rng(5).permutation(u)[:400].reshape(8, 50)
+    for got, want in zip((prof.psi, prof.psi_prime, prof.psi_second),
+                         _where_formulas(eta, a)):
+        for x in (u, block, near[1:2], np.array([], float)):
+            assert got(x).tobytes() == want(x).tobytes()
+        for x in (a, np.nextafter(a, 0.0), 0.5):  # a 0-d input gives a 0-d array
+            g = got(x)
+            assert isinstance(g, np.ndarray) and g.shape == ()
+            assert g.tobytes() == want(np.asarray(x)).tobytes()
+
+
+def test_spliced_calls_eta_only_at_or_above_a():
+    seen = []
+    base = eta_entropy()
+    spy = EtaProfile(eta=lambda u: seen.append(np.asarray(u).copy()) or base.eta(u),
+                     eta_prime=base.eta_prime, eta_second=base.eta_second, b=base.b)
+    prof = build_psi_from_eta(spy)
+    seen.clear()
+    prof.psi(np.array([0.5, 1.0, prof.a, 10.0]))
+    assert [x.tolist() for x in seen] == [[prof.a, 10.0]]
+
+
 class TestPinskerConstant:
     def test_centered_quadratic(self, psi_centered):
         # ratio sup = 1 attained at u = 0, c_psi = sqrt 2

@@ -5,8 +5,9 @@ outputs, so no module may draw random numbers.  It also keeps one 1-D
 minimizer (`_numerics.golden_min_log`), so no module imports scipy.optimize.
 scipy itself is imported only inside the functions that use it: at module
 level it would add about a quarter second to every command, `import
-tvdecay.cli` included.  Every public top-level definition has a caller in
-the package or the benchmark, unless `UNWIRED` names it with the reason.
+tvdecay.cli` included.  Every public top-level definition, and every
+public method of a public class, has a caller in the package or the
+benchmark, unless `UNWIRED` names it with the reason.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 SOURCES = sorted((ROOT / "src" / "tvdecay").glob("*.py"))
 BANNED_MODULES = ("numpy.random", "scipy.optimize")
 
@@ -122,21 +124,29 @@ UNWIRED = {
 
 
 def _public_definitions() -> dict:
-    """name -> its node, for each public top-level def and class in the package."""
-    return {node.name: node for path in SOURCES
-            for node in ast.parse(path.read_text(), filename=str(path)).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+    """node -> its name, for each public top-level def and class in the
+    package and each public method of such a class."""
+    found = {}
+    for path in SOURCES:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if not isinstance(node, (*FUNCTIONS, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            found[node] = node.name
+            if isinstance(node, ast.ClassDef):
+                found.update((m, m.name) for m in node.body
+                             if isinstance(m, FUNCTIONS) and not m.name.startswith("_"))
+    return found
 
 
 def _referenced(tree, defined: dict) -> set:
-    """Names read, or attributes taken, anywhere in `tree` outside the
-    definition of that same name (an import is not a reference)."""
+    """Names read, or attributes taken, anywhere in `tree` outside a
+    definition of that same name (an import is not a reference).  Names are
+    all the scan sees, so a reference counts for every definition of its
+    name: `PotentialSpec.power` and `BetaFunction.power` share their callers."""
     found = set()
 
     def visit(node, own):
-        if defined.get(getattr(node, "name", None)) is node:
-            own = node.name
+        own = defined.get(node, own)
         if isinstance(node, ast.Name) and node.id != own:
             found.add(node.id)
         elif isinstance(node, ast.Attribute) and node.attr != own:
@@ -152,13 +162,15 @@ def test_every_public_definition_has_a_caller():
     callers = sorted([*(ROOT / "src").rglob("*.py"), *(ROOT / "benchmark").rglob("*.py")])
     referenced = set().union(*(_referenced(ast.parse(p.read_text(), filename=str(p)), defined)
                                for p in callers))
-    assert {name for name in defined if name not in referenced} == set(UNWIRED)
+    assert {name for name in defined.values() if name not in referenced} == set(UNWIRED)
 
 
 def test_caller_check_ignores_own_body_and_imports():
     tree = ast.parse("from .m import f, C\n"
                      "def f(n):\n    return f(n - 1)\n"
-                     "class C:\n    pass\n"
-                     "x = m.C()\n")
-    defined = {node.name: node for node in tree.body[1:3]}
-    assert _referenced(tree, defined) & {"f", "C"} == {"C"}
+                     "class C:\n    def g(self):\n        return self.g()\n"
+                     "    def k(self):\n        return 1\n"
+                     "x = m.C().k()\n")
+    cls = tree.body[2]
+    defined = {node: node.name for node in (tree.body[1], cls, *cls.body)}
+    assert _referenced(tree, defined) & {"f", "C", "g", "k"} == {"C", "k"}
