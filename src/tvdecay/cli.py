@@ -280,7 +280,7 @@ def plan_envelopes(scn: Scenario) -> dict:
 def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):
     """Build every planned envelope, calibrate it to the TV of h0 when the
     scenario asks, and evaluate it over the t array; returns (envelopes, curves).
-    A bound that is not finite at some t is a numeric failure."""
+    A bound that is not finite, or is below 0, at some t is a numeric failure."""
     x = _Inputs(mu, h0, functionals(mu, h0), scn.eta, capacity=constants["capacity"],
                 **constants["effective"])
     envs, curves = {}, {}
@@ -288,7 +288,7 @@ def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.
         env = build(x)
         envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
         curves[name] = bound = np.array(envs[name].eval(times))
-        bad = ~np.isfinite(bound)
+        bad = ~np.isfinite(bound) | (bound < 0)
         if bad.any():
             raise TvDecayError(f"envelope {name!r}: the bound is {bound[bad][0]} "
                                f"at t = {times[bad][0]:g}")

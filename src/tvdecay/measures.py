@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -229,10 +230,11 @@ def integrate(mu: ProbabilityMeasure1D, g) -> float:
     return float(_integrate_rows(mu, _check_aligned(mu, g)))
 
 
-def _integrate_rows(mu: ProbabilityMeasure1D, g) -> np.ndarray:
+def _integrate_rows(mu: ProbabilityMeasure1D, g, out=None) -> np.ndarray:
     """int g dmu of each row of g, (n,) or (rows, n); a row's value is the
-    same sum as `integrate` of that row, bit for bit."""
-    return np.sum(mu.quadrature * g, axis=-1)
+    same sum as `integrate` of that row, bit for bit.  The products go into
+    out when it is given."""
+    return np.sum(np.multiply(mu.quadrature, g, out=out), axis=-1)
 
 
 def generator(mu: ProbabilityMeasure1D):
@@ -262,31 +264,93 @@ def generator(mu: ProbabilityMeasure1D):
     return lower, diag, upper
 
 
-def _check_density(mu: ProbabilityMeasure1D, h):
-    """(h clipped at 0, int h dmu, min h) after checking that h is a density.
+def _gradient_stencil(grid: np.ndarray) -> tuple:
+    """np.gradient's edge-order-1 coefficients on grid: (interior, dx at the
+    first edge, dx at the last).  The interior is 2 dx where numpy finds the
+    spacing exactly uniform, and otherwise numpy's weights (a, b, c) of
+    f[i-1], f[i] and f[i+1]; a linspace grid is seldom exactly uniform."""
+    dx = np.diff(grid)
+    if (dx == dx[0]).all():
+        interior = 2.0 * dx[0]
+    else:
+        dx1, dx2 = dx[:-1], dx[1:]
+        interior = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                    dx1 / (dx2 * (dx1 + dx2)))
+    return interior, dx[0], dx[-1]
 
-    h is one density (n,) or a (rows, n) block of them, with one mass and one
-    min h per row.  Every row is checked, in the order a single density is
-    (finite, then min h >= -1e-12, then the mass); the first row that fails
-    a check gives its message.
+
+def _gradient(f: np.ndarray, stencil: tuple, out: np.ndarray,
+              tmp: np.ndarray) -> np.ndarray:
+    """np.gradient(f, grid, axis=-1) of the rows of f, bit for bit, written
+    into out with the same operations in the same order; tmp is scratch of
+    f's shape."""
+    interior, dx_first, dx_last = stencil
+    inner = out[:, 1:-1]
+    if isinstance(interior, tuple):
+        a, b, c = interior
+        work = tmp[:, 1:-1]
+        np.multiply(a, f[:, :-2], out=inner)
+        inner += np.multiply(b, f[:, 1:-1], out=work)
+        inner += np.multiply(c, f[:, 2:], out=work)
+    else:
+        np.subtract(f[:, 2:], f[:, :-2], out=inner)
+        inner /= interior
+    np.subtract(f[:, 1], f[:, 0], out=out[:, 0])
+    out[:, 0] /= dx_first
+    np.subtract(f[:, -1], f[:, -2], out=out[:, -1])
+    out[:, -1] /= dx_last
+    return out
+
+
+class BlockWorkspace:
+    """Densities on mu's grid, one per row of `block`, with the scratch that
+    `functionals` diagnoses them in.
+
+    h is one density (n,), which becomes one row, or a (rows, n) block; it
+    is held, not copied.  `functionals` reads the first `filled` rows (all
+    of them at first) and writes only into the three scratch arrays and the
+    bool mask, so one workspace serves every block of a run.  The gradient
+    stencil is computed on first read.
     """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2:
-        h = _check_aligned(mu, h)
-    elif h.shape[1:] != mu.grid.shape:
-        raise GridMismatch(f"density block has shape {h.shape}, grid {mu.grid.shape}")
-    if not np.all(np.isfinite(h)):
+
+    def __init__(self, mu: ProbabilityMeasure1D, h):
+        h = np.asarray(h, dtype=float)
+        if h.ndim != 2:
+            h = _check_aligned(mu, h)[None]
+        elif h.shape[1:] != mu.grid.shape:
+            raise GridMismatch(f"density block has shape {h.shape}, grid {mu.grid.shape}")
+        self.grid = mu.grid
+        self.block, self.filled = h, len(h)
+        self.clipped, self.work, self.tmp = np.empty((3,) + h.shape)
+        self.mask = np.empty(h.shape, dtype=bool)
+
+    @cached_property
+    def stencil(self) -> tuple:
+        return _gradient_stencil(self.grid)
+
+
+def _check_density(mu: ProbabilityMeasure1D, ws: BlockWorkspace):
+    """(h clipped at 0, int h dmu, min h) of the densities h in the filled
+    rows of ws, after checking them; one mass and one min h per row.
+
+    Every row is checked in the order a single density is (finite, then
+    min h >= -1e-12, then the mass); the first row that fails a check gives
+    its message.  The clipped rows are written into ws.clipped.
+    """
+    rows = ws.filled
+    h, clipped = ws.block[:rows], ws.clipped[:rows]
+    if not np.isfinite(h, out=ws.mask[:rows]).all():
         raise NotADensity("h has non-finite values")
     h_min = h.min(axis=-1)
     negative = h_min < -1e-12
     if np.any(negative):
         raise NotADensity(f"h has negative values (min {h_min[negative][0]:.3e})")
-    h = np.maximum(h, 0.0)
-    mass = _integrate_rows(mu, h)
+    np.maximum(h, 0.0, out=clipped)
+    mass = _integrate_rows(mu, clipped, ws.tmp[:rows])
     off = np.abs(mass - 1.0) > _MASS_TOL
     if np.any(off):
         raise NotADensity(f"int h dmu = {mass[off][0]:.8f}, expected 1 +- {_MASS_TOL:g}")
-    return h, mass, h_min
+    return clipped, mass, h_min
 
 
 @dataclass(frozen=True)
@@ -322,35 +386,54 @@ def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) ->
     psi is a PsiProfile (or None, which nulls i_psi and dissipation only);
     mixture=True takes the reversed pair of (1 + h)/2 instead of h.
     h is one density (n,), which gives floats and None, or a (rows, n) block
-    of densities, which gives one float array per field with nan where the
-    row's value is None.  Row k of a block equals the call on h[k] bit for
-    bit; a bad row raises NotADensity as that call would.
+    of densities, or a BlockWorkspace built on mu, whose filled rows are
+    diagnosed; a block or a workspace gives one float array per field with
+    nan where the row's value is None.  Row k of a block equals the call on
+    h[k] bit for bit; a bad row raises NotADensity as that call would.
+    Every block-sized temporary but psi's own goes into the workspace's
+    scratch (a one-off workspace for an array h), and h is never written.
     """
-    h, mass, h_min = _check_density(mu, h)
-    tv = _integrate_rows(mu, np.abs(h - 1.0))
-    hel = 2.0 * _integrate_rows(mu, 1.0 - np.sqrt(h))
-    var = _integrate_rows(mu, (h - 1.0) ** 2)
-    ent = _integrate_rows(mu, h * np.log(np.where(h > 0, h, 1.0)))
-    i_psi, dissipation = np.full(h.shape[:-1], np.nan), np.full(h.shape[:-1], np.nan)
+    if isinstance(h, BlockWorkspace):
+        ws, single = h, False
+    else:
+        ws = BlockWorkspace(mu, h)
+        single = np.ndim(h) != 2
+    h, mass, h_min = _check_density(mu, ws)
+    rows = len(h)
+    work, tmp, mask = ws.work[:rows], ws.tmp[:rows], ws.mask[:rows]
+
+    def integral(g):
+        return _integrate_rows(mu, g, tmp)
+
+    d = np.subtract(h, 1.0, out=work)
+    tv = integral(np.abs(d, out=tmp))
+    var = integral(np.square(d, out=tmp))
+    hel = 2.0 * integral(np.subtract(1.0, np.sqrt(h, out=tmp), out=tmp))
+    # h log h, with log 1 = 0 where h = 0
+    np.copyto(work, h)
+    np.copyto(work, 1.0, where=np.less_equal(h, 0.0, out=mask))
+    ent = integral(np.multiply(h, np.log(work, out=work), out=tmp))
+    i_psi, dissipation = np.full(rows, np.nan), np.full(rows, np.nan)
     if psi is not None:
-        i_psi = _integrate_rows(mu, psi.psi(h))
-        grad = np.gradient(h, mu.grid, axis=-1)
-        dissipation = 0.5 * _integrate_rows(
-            mu, np.asarray(psi.psi_second(h), float) * grad * grad)
-    g = 0.5 * (1.0 + h) if mixture else h
+        i_psi = integral(psi.psi(h))
+        grad = _gradient(h, ws.stencil, work, tmp)
+        p2_grad = np.multiply(psi.psi_second(h), grad, out=tmp)
+        dissipation = 0.5 * integral(np.multiply(p2_grad, grad, out=tmp))
+    g = np.multiply(0.5, np.add(1.0, h, out=work), out=work) if mixture else h
     reverse = g.min(axis=-1) >= 0.5 - 1e-12
     # a row with g < 1/2 somewhere may hold g = 0: its pair is nan, not inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        v_rev = np.where(reverse, _integrate_rows(mu, 1.0 / g) - 1.0, np.nan)
-        e_rev = np.where(reverse, _integrate_rows(mu, -np.log(g)), np.nan)
+        v_rev = np.where(reverse, integral(np.divide(1.0, g, out=tmp)) - 1.0, np.nan)
+        e_rev = np.where(reverse, integral(np.negative(np.log(g, out=tmp), out=tmp)),
+                         np.nan)
     values = dict(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
                   dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
                   mass=mass, min_h=h_min)
-    if h.ndim == 2:
+    if not single:
         return Functionals(**values)
     undefined = ((("i_psi", "dissipation") if psi is None else ())
-                 + (() if reverse else ("v_reverse", "e_reverse")))
-    return Functionals(**{name: None if name in undefined else float(value)
+                 + (() if reverse[0] else ("v_reverse", "e_reverse")))
+    return Functionals(**{name: None if name in undefined else float(value[0])
                           for name, value in values.items()})
 
 

@@ -25,12 +25,12 @@ import numpy as np
 
 from .errors import (CFLWarning, LowerBoundViolated, NotADensity, SolverBreakdown,
                      WrongMeasure)
-from .measures import (Functionals, ProbabilityMeasure1D, _check_density, functionals,
-                       generator, integrate)
+from .measures import (BlockWorkspace, Functionals, ProbabilityMeasure1D, _check_density,
+                       functionals, generator, integrate)
 from ._numerics import trapezoid_weights
 
 # Saved states are diagnosed in blocks of about this many grid values (128 KB
-# per temporary): blocks this small keep functionals' temporaries in cache.
+# per array of the block workspace): blocks this small stay in cache.
 _BLOCK_ELEMS = 2 ** 14
 
 # scipy's f2py LAPACK wrappers, which `scipy.linalg.lapack` re-exports.
@@ -134,7 +134,9 @@ def _step_solver(q, upper, alpha):
                               f"definite (dpttrf info = {info})")
 
     def solve(rhs):
-        if not np.isfinite(rhs).all():
+        # a finite sum proves every entry finite: only a sum that is not
+        # (an entry nan or inf, or an overflow) needs the full scan
+        if not math.isfinite(rhs.sum()) and not np.isfinite(rhs).all():
             raise SolverBreakdown("the implicit step right-hand side is not finite")
         x, info = dpttrs(d, e, w * rhs)
         if info != 0:
@@ -154,15 +156,17 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record one `Functionals` every save_every steps.
 
-    The saved states are copied into a block of max(1, _BLOCK_ELEMS // n)
-    rows, and each full block, then the last partial one, goes through one
-    `functionals` call; the series joins the blocks field by field, so its
+    The saved states are copied into the rows of one `BlockWorkspace` of
+    max(1, _BLOCK_ELEMS // n) rows, allocated once per run.  Each full
+    block, then the last partial one, goes through one `functionals` call on
+    that workspace, which reuses its scratch, so no save allocates a
+    block-sized array.  The series joins the blocks field by field, so its
     values are those of one call per save, and a bad save still raises
     NotADensity.  When min h0 < 1/2 the reversed functionals V, E are
     recorded for the mixture flow (1 + h_t)/2, which is itself the exact flow
     of (1 + h0)/2; the series flag `reverse_transformed` records this.
     """
-    h = _check_density(mu, h0)[0]
+    h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]   # h0 clipped at 0
     lower, diag, upper = generator(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -171,30 +175,30 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
                          dt if explicit_half is None else explicit_half)
     transformed = bool(h.min() < 0.5 - 1e-12)
     times, blocks = [], []
-    block = np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h)))
-    filled = 0
+    ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
+    ws.filled = 0
     states = [] if keep_states else None
     warned = False
 
     def diagnose():
-        nonlocal filled
-        blocks.append(functionals(mu, block[:filled], psi=psi, mixture=transformed))
-        filled = 0
+        blocks.append(functionals(mu, ws, psi=psi, mixture=transformed))
+        ws.filled = 0
 
     def record(t, h_t):
-        nonlocal filled
+        row = ws.block[ws.filled]
         if h_t.min() < -1e-12:
             # crank_nicolson oscillations: diagnose a cleaned copy, keep the
             # raw state for the evolution itself
-            h_t = np.maximum(h_t, 0.0)
-            h_t = h_t / integrate(mu, h_t)
+            np.maximum(h_t, 0.0, out=row)
+            row /= integrate(mu, row)
+        else:
+            row[:] = h_t
         times.append(t)
-        block[filled] = h_t
-        filled += 1
-        if filled == len(block):
-            diagnose()
         if keep_states:
-            states.append(h_t.copy())
+            states.append(row.copy())
+        ws.filled += 1
+        if ws.filled == len(ws.block):
+            diagnose()
 
     record(0.0, h)
     for k in range(1, n_steps + 1):
@@ -210,7 +214,7 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
                 warned = True
         if k % config.save_every == 0 or k == n_steps:
             record(k * dt, h)
-    if filled:
+    if ws.filled:
         diagnose()
 
     times = np.asarray(times)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdecay import envelopes, measures, psi, simulate
+from tvdecay import cli, envelopes, measures, psi, simulate
 from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
                          plan_envelopes, write_csv)
 from tvdecay.config import (
@@ -432,6 +432,19 @@ def test_non_finite_bound_exits_3(case, verb, tmp_path, capsys):
     assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
     assert "'curvature'" in err and "at t = " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["bounds", "compare"])
+def test_negative_bound_exits_3(verb, tmp_path, capsys, monkeypatch):
+    # no configured envelope goes below 0, so one is planted
+    def below_zero(C_P, l2_norm):
+        return envelopes.DecayEnvelope("poincare_l2", {},
+                                       lambda t: np.full_like(t, -1e-3))
+    monkeypatch.setattr(cli, "envelope_poincare_l2", below_zero)
+    path = write_cfg(tmp_path, SMALL_CFG)
+    assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "'poincare_l2'" in err and "-0.001 at t = " in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("verb", ["bounds", "simulate"])

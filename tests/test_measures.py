@@ -14,6 +14,8 @@ from tvdecay.errors import (
 )
 from tvdecay.measures import (
     Functionals,
+    _gradient,
+    _gradient_stencil,
     eigen_perturbation,
     functionals,
     shifted_gaussian_density,
@@ -302,6 +304,49 @@ class TestFunctionalsBlock:
     def test_block_width_must_match_the_grid(self, mu, block):
         with pytest.raises(GridMismatch):
             functionals(mu, block[:, 1:])
+
+    @pytest.mark.parametrize("mixture", [False, True])
+    def test_leaves_its_input_unchanged(self, mu, block, psi_quad_spliced, mixture):
+        # a value just below 0 passes the check and is clipped in scratch;
+        # row 4 is the step, which is 0 left of the median
+        h = block.copy()
+        assert h[4, 10] == 0.0
+        h[4, 10] = -1e-13
+        before = h.copy()
+        rows = functionals(mu, h, psi_quad_spliced, mixture=mixture)
+        one = functionals(mu, h[4], psi_quad_spliced, mixture=mixture)
+        assert h.tobytes() == before.tobytes()
+        assert rows.min_h[4] == one.min_h == -1e-13
+        want = _reference_functionals(mu, np.maximum(h[4], 0.0), psi_quad_spliced, mixture)
+        assert one == dataclasses.replace(want, min_h=-1e-13)
+
+
+class TestGradientStencil:
+    """The dissipation's h' is np.gradient(h, grid, axis=-1) bit for bit, on
+    numpy's exactly-uniform branch and on its general one."""
+
+    GRIDS = {
+        "gaussian-1001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 1001).grid,
+        "gaussian-4001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 4001).grid,
+        "linspace": lambda: np.linspace(-7.3, 6.1, 257),
+        "arange": lambda: np.arange(-64.0, 65.0) * 0.125,
+        "three": lambda: np.array([-1.0, 0.25, 2.0]),
+        "three-uniform": lambda: np.array([-0.5, 0.0, 0.5]),
+    }
+    UNIFORM = {"arange", "three-uniform"}
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_equals_np_gradient(self, name, rows):
+        grid = self.GRIDS[name]()
+        dx = np.diff(grid)
+        # the branch np.gradient takes; linspace grids are not exactly uniform
+        assert bool((dx == dx[0]).all()) == (name in self.UNIFORM)
+        f = np.exp(np.random.default_rng(89).normal(size=(rows, len(grid))))
+        got = _gradient(f, _gradient_stencil(grid), np.empty_like(f), np.empty_like(f))
+        assert got.tobytes() == np.gradient(f, grid, axis=-1).tobytes()
+        for k in range(rows):
+            assert got[k].tobytes() == np.gradient(f[k], grid).tobytes()
 
 
 class TestPinskerCheck:

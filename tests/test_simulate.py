@@ -207,9 +207,10 @@ class TestBlockedDiagnostics:
                  "ragged": 2 * rows + max(1, rows // 3)}[saves_in_rows]
         calls = []
 
-        def recorder(mu, h, *args, **kwargs):
-            calls.append(np.shape(h))
-            return functionals(mu, h, *args, **kwargs)
+        def recorder(mu, ws, *args, **kwargs):
+            # evolve passes its one workspace; a call diagnoses its filled rows
+            calls.append(ws.block[:ws.filled].shape)
+            return functionals(mu, ws, *args, **kwargs)
         monkeypatch.setattr(simulate, "functionals", recorder)
         cfg = tv.SimConfig(dt=0.01, t_end=0.01 * (saves - 1))
         series = tv.evolve(mu, step_density(mu), cfg)
@@ -414,6 +415,30 @@ class TestStepSolver:
         rhs[3] = bad
         with pytest.raises(SolverBreakdown, match="right-hand side"):
             solve(rhs)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "inf_pair"])
+    def test_any_non_finite_rhs_entry_raises(self, bad, where):
+        # the step checks the sum first; each of these makes it non-finite
+        n = 7
+        solve = _step_solver(np.full(n, 0.2), np.ones(n), 0.1)
+        k = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+        rhs = np.ones(n)
+        if bad == "inf_pair":
+            # inf + (-inf) is nan, whichever comes first in the sum
+            rhs[k], rhs[(k + 1) % n] = np.inf, -np.inf
+        else:
+            rhs[k] = float(bad)
+        with pytest.raises(SolverBreakdown, match="right-hand side is not finite"):
+            solve(rhs)
+
+    def test_finite_rhs_with_overflowing_sum_is_solved(self):
+        solve = _step_solver(np.full(5, 0.2), np.ones(5), 0.1)
+        rhs = np.full(5, 1e308)
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(rhs.sum())
+            x = solve(rhs)
+        assert x.shape == (5,)
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     def test_evolve_raises(self, scheme, monkeypatch):
