@@ -24,7 +24,6 @@ from .psi import (
     eta_power,
     eta_quadratic,
     pinsker_constant,
-    psi_from_functions,
 )
 from .inequalities import (
     BetaFunction,

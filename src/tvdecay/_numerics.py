@@ -143,15 +143,12 @@ def scan_min_log(fn, lo, hi, *, n_scan=64):
     return best_x, best_v
 
 
-def scan_sup(xs: np.ndarray, vals: np.ndarray):
-    """(sup, argmax) of sampled values, ignoring non-finite ones; (nan, nan)
-    when none is finite."""
+def scan_sup(vals: np.ndarray) -> float:
+    """The sup of sampled values, ignoring non-finite ones; nan when none is
+    finite."""
     vals = np.asarray(vals, dtype=float)
-    finite = np.isfinite(vals)
-    if not finite.any():
-        return float("nan"), float("nan")
-    i = int(np.nanargmax(np.where(finite, vals, -np.inf)))
-    return float(vals[i]), float(xs[i])
+    finite = vals[np.isfinite(vals)]
+    return float(finite.max()) if finite.size else float("nan")
 
 
 def fit_log_slope(t: np.ndarray, y: np.ndarray) -> float:

@@ -280,14 +280,19 @@ def plan_envelopes(scn: Scenario) -> dict:
 def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):
     """Build every planned envelope, calibrate it to the TV of h0 when the
     scenario asks, and evaluate it over the t array; returns (envelopes, curves).
-    A bound that is not finite, or is below 0, at some t is a numeric failure."""
+    A bound that overflows, is not finite or is below 0 at some t is a numeric
+    failure."""
     x = _Inputs(mu, h0, functionals(mu, h0), scn.eta, capacity=constants["capacity"],
                 **constants["effective"])
     envs, curves = {}, {}
     for name, build in plan.items():
         env = build(x)
         envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
-        curves[name] = bound = np.array(envs[name].eval(times))
+        try:
+            curves[name] = bound = np.array(envs[name].eval(times))
+        except (OverflowError, ValueError) as exc:
+            raise TvDecayError(f"envelope {name!r}: {exc} on t in "
+                               f"[{times[0]:g}, {times[-1]:g}]") from None
         bad = ~np.isfinite(bound) | (bound < 0)
         if bad.any():
             raise TvDecayError(f"envelope {name!r}: the bound is {bound[bad][0]} "

@@ -214,8 +214,8 @@ def envelope_poincare_l2(C_P: float, l2_norm: float) -> DecayEnvelope:
 
 def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> DecayEnvelope:
     """Truncation bound 4m / (phi o phitilde^{-1})(2 m e^{t/2C_P}),
-    phitilde(u) = sqrt(u) phi(u); `truncation_poincare_k_optimized` is the
-    direct infimum over the truncation level K."""
+    phitilde(u) = sqrt(u) phi(u): the level K that balances the two terms of
+    sqrt(K) e^{-t/2C_P} + 2m/phi(K) (using Var(h ^ K) <= K)."""
     m = _moment_guard(moment)
     return DecayEnvelope("truncation_poincare", {"C_P": C_P, "moment": m}, _truncation(
         phi, m, lambda u: np.sqrt(u) * phi(u),
@@ -226,15 +226,6 @@ def _k_infimum(first_term: Callable, phi: Callable, m: float, hi: float) -> floa
     """inf over log K in [log 2, log hi] of first_term(K) + 2m/phi(K)."""
     return scan_min_log(lambda K: first_term(K) + 2.0 * m / phi(K), 2.0, hi,
                         n_scan=200)[1]
-
-
-def truncation_poincare_k_optimized(C_P: float, phi: Callable, moment: float,
-                                    t: float) -> float:
-    """The two-term infimum inf_K [ sqrt(K) e^{-t/2C_P} + 2m/phi(K) ] over
-    log K in [log 2, 700] (using Var(h ^ K) <= K)."""
-    m = _moment_guard(moment)
-    decay = math.exp(-t / (2.0 * C_P))
-    return _k_infimum(lambda K: np.sqrt(K) * decay, phi, m, math.exp(700.0))
 
 
 def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,

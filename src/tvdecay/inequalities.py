@@ -53,12 +53,11 @@ class BetaFunction:
     monotonicity_violations: int = 0
 
     @staticmethod
-    def power(c: float, q: float, s_max: float = 1.0) -> "BetaFunction":
+    def power(c: float, q: float) -> "BetaFunction":
         if c <= 0 or q < 0:
             raise BadExponent("power beta needs c > 0 and q >= 0")
         c, q = float(c), float(q)
-        return BetaFunction("power", {"c": c, "q": q}, lambda s: c * s ** (-q),
-                            s_max=s_max)
+        return BetaFunction("power", {"c": c, "q": q}, lambda s: c * s ** (-q))
 
     @staticmethod
     def logpower(d: float, r: float, s0: float = 2.0) -> "BetaFunction":
@@ -71,12 +70,11 @@ class BetaFunction:
                             s_max=s_max)
 
     @staticmethod
-    def constant(c: float, s_max: float = 1.0) -> "BetaFunction":
+    def constant(c: float) -> "BetaFunction":
         if c <= 0:
             raise BadExponent("constant beta must be positive")
         c = float(c)
-        return BetaFunction("constant", {"c": c}, lambda s: np.full_like(s, c),
-                            s_max=s_max)
+        return BetaFunction("constant", {"c": c}, lambda s: np.full_like(s, c))
 
     @staticmethod
     def tabulated(s, beta) -> "BetaFunction":
@@ -128,8 +126,6 @@ class PoincareBracket:
     B_minus: float
     B: float
     C_P_interval: tuple
-    argmax_plus: float
-    argmax_minus: float
 
 
 def _right_tail(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -167,7 +163,6 @@ def muckenhoupt_poincare(mu: ProbabilityMeasure1D,
     """
     _bulk_check(mu)
     m_idx, right_tail, left_tail, hardy_right, hardy_left = _tail_and_hardy(mu)
-    x = mu.grid
 
     def weighted(tail):
         if F is None:
@@ -178,14 +173,12 @@ def muckenhoupt_poincare(mu: ProbabilityMeasure1D,
 
     prod_r = weighted(right_tail[m_idx:]) * hardy_right
     prod_l = weighted(left_tail[:m_idx + 1]) * hardy_left
-    B_plus, xr = scan_sup(x[m_idx:], prod_r)
-    B_minus, xl = scan_sup(x[:m_idx + 1], prod_l)
+    B_plus, B_minus = scan_sup(prod_r), scan_sup(prod_l)
     B = max(B_plus, B_minus)
     if not np.isfinite(B) or B <= 0:
         raise MissingPoincare("Muckenhoupt sup is not finite and positive")
     return PoincareBracket(B_plus=float(B_plus), B_minus=float(B_minus), B=float(B),
-                           C_P_interval=(float(B), float(4.0 * B)),
-                           argmax_plus=float(xr), argmax_minus=float(xl))
+                           C_P_interval=(float(B), float(4.0 * B)))
 
 
 @dataclass(frozen=True)
@@ -301,7 +294,6 @@ def weak_poincare_beta_from_tails(mu: ProbabilityMeasure1D, g,
 class BakryEmery:
     rho: float
     C_LS: Optional[float]
-    w_osc: float
 
 
 def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0) -> BakryEmery:
@@ -314,7 +306,7 @@ def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0) -> BakryEmery:
     v2 = np.asarray(mu.spec.V2(mu.grid), dtype=float)
     rho = float(np.min(v2[np.isfinite(v2)]))
     c_ls = math.exp(w_osc) / rho if rho > 0 else None
-    return BakryEmery(rho=rho, C_LS=c_ls, w_osc=float(w_osc))
+    return BakryEmery(rho=rho, C_LS=c_ls)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +326,6 @@ class CapacityCheck:
     HprimeF_sup_right: float
     HprimeF_sup_left: float
     C_cap: float
-    C_cap_argmax: float
     C_eta_bound: float
     alt_remark_ratio_sup: float
     alt_remark_flag: str
@@ -371,7 +362,7 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
     slope = fit_loglog_slope(u[tail], np.maximum(ratio[tail], 1e-300))
     if slope > 0.05 and ratio[tail].max() >= 0.99 * np.nanmax(ratio):
         raise DivergentCcap(f"capacity ratio grows along the probe grid (slope {slope:.3f})")
-    c_cap, arg = scan_sup(u, ratio)
+    c_cap = scan_sup(ratio)
     d2a = float(eta.eta_second(a))
     d2ra = float(eta.eta_second(rho * a))
     c_p_upper = bracket.C_P_interval[1]
@@ -393,7 +384,7 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
     alt_sup = float(np.nanmax(alt)) if len(alt) else float("nan")
     return CapacityCheck(
         HprimeF_sup_right=float(wf.B_plus), HprimeF_sup_left=float(wf.B_minus),
-        C_cap=float(c_cap), C_cap_argmax=float(arg), C_eta_bound=float(c_eta),
+        C_cap=float(c_cap), C_eta_bound=float(c_eta),
         alt_remark_ratio_sup=alt_sup,
         alt_remark_flag="direction-ambiguous; evaluated as printed")
 

@@ -158,9 +158,9 @@ class PsiProfile:
     """psi with its first two derivatives, and c_psi on first read.
 
     psi(1) = 0 exactly; psi''(u) = 1 below the splice point a, so
-    psi(u) = (u^2 - u)/2 there; one spliced from an eta calls eta only on
-    the entries at or above a.  c_pinsker = pinsker_constant(self) is
-    computed the first time it is read, so the simulation never pays for it.
+    psi(u) = (u^2 - u)/2 there; `build_psi_from_eta` splices one that calls
+    eta only on the entries at or above a.  c_pinsker = pinsker_constant(self)
+    is computed the first time it is read, so the simulation never pays for it.
     """
 
     a: float
@@ -213,50 +213,6 @@ def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile
 
     return PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second,
                       name=f"psi[{eta.name}]")
-
-
-def psi_from_functions(psi, psi_prime, psi_second, name="psi[custom]",
-                       a: float = 2.1) -> PsiProfile:
-    """Wrap user-supplied callables; admissibility is only probed numerically,
-    by computing c_pinsker here (it raises NotPinskerAdmissible)."""
-    prof = PsiProfile(a=a, psi=psi, psi_prime=psi_prime, psi_second=psi_second, name=name)
-    prof.c_pinsker
-    return prof
-
-
-def psi_quadratic_centered() -> PsiProfile:
-    """psi(u) = (u - 1)^2, the classical variance profile (c_psi = sqrt 2)."""
-    return psi_from_functions(
-        lambda u: (np.asarray(u, float) - 1.0) ** 2,
-        lambda u: 2.0 * (np.asarray(u, float) - 1.0),
-        lambda u: np.full_like(np.asarray(u, float), 2.0),
-        name="psi[(u-1)^2]")
-
-
-def psi_entropy_classical() -> PsiProfile:
-    """psi(u) = u log u, the Kullback-Leibler profile."""
-    def p(u):
-        u = np.asarray(u, float)
-        out = np.zeros_like(u)
-        pos = u > 0
-        out[pos] = u[pos] * np.log(u[pos])
-        return out
-
-    return psi_from_functions(
-        p,
-        lambda u: np.log(np.maximum(np.asarray(u, float), 1e-300)) + 1.0,
-        lambda u: 1.0 / np.maximum(np.asarray(u, float), 1e-300),
-        name="psi[ulogu]")
-
-
-def psi_almost_linear() -> PsiProfile:
-    """psi(u) = u - 3/2 + 1/(u+1), the almost-linear profile of the
-    liminf variant (psi(u)/u -> 1 with positive drift d = 1/4)."""
-    return psi_from_functions(
-        lambda u: np.asarray(u, float) - 1.5 + 1.0 / (np.asarray(u, float) + 1.0),
-        lambda u: 1.0 - (np.asarray(u, float) + 1.0) ** -2,
-        lambda u: 2.0 * (np.asarray(u, float) + 1.0) ** -3,
-        name="psi[almost-linear]")
 
 
 # -- Pinsker constant ------------------------------------------------------------

@@ -55,23 +55,14 @@ class SimConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-@dataclass
-class DiagnosticsSeries:
-    """Per-save functionals along a run: one array per `Functionals` field,
-    with nan where a save's value is None.  dissipation_lhs is the centered
-    time difference of I_psi; the flow identity reads lhs = -dissipation."""
+@dataclass(frozen=True)
+class DiagnosticsSeries(Functionals):
+    """Per-save functionals along a run: each `Functionals` field holds one
+    array over the saves, with nan where a save's value is None.
+    dissipation_lhs is the centered time difference of I_psi; the flow
+    identity reads lhs = -dissipation."""
 
     times: np.ndarray
-    tv: np.ndarray
-    hellinger: np.ndarray
-    variance: np.ndarray
-    entropy: np.ndarray
-    i_psi: np.ndarray
-    dissipation: np.ndarray
-    v_reverse: np.ndarray
-    e_reverse: np.ndarray
-    mass: np.ndarray
-    min_h: np.ndarray
     dissipation_lhs: np.ndarray
     reverse_transformed: bool = False
     states: Optional[list] = None

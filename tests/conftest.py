@@ -1,15 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 import tvdecay as tv
-from tvdecay.psi import (
-    build_psi_from_eta,
-    eta_entropy,
-    eta_quadratic,
-    psi_almost_linear,
-    psi_entropy_classical,
-    psi_quadratic_centered,
-)
+from tvdecay.envelopes import _k_infimum, _moment_guard
+from tvdecay.psi import PsiProfile, build_psi_from_eta, eta_entropy, eta_quadratic
 
 
 @pytest.fixture(scope="session")
@@ -82,3 +78,56 @@ def contraction_check(mu, h0, g0, config) -> dict:
                       for a, b in zip(sh.states, sg.states)])
     violations = int(np.sum(np.diff(dists) > 1e-8))
     return {"times": sh.times, "l1_distance": dists, "violations": violations}
+
+
+# -- test-only references: classical psi profiles and the direct K infimum --------
+
+def psi_from_functions(psi, psi_prime, psi_second, name="psi[custom]") -> PsiProfile:
+    """Wrap given callables; admissibility is only probed numerically, by
+    computing c_pinsker here (it raises NotPinskerAdmissible)."""
+    prof = PsiProfile(a=2.1, psi=psi, psi_prime=psi_prime, psi_second=psi_second, name=name)
+    prof.c_pinsker
+    return prof
+
+
+def psi_quadratic_centered() -> PsiProfile:
+    """psi(u) = (u - 1)^2, the classical variance profile (c_psi = sqrt 2)."""
+    return psi_from_functions(
+        lambda u: (np.asarray(u, float) - 1.0) ** 2,
+        lambda u: 2.0 * (np.asarray(u, float) - 1.0),
+        lambda u: np.full_like(np.asarray(u, float), 2.0),
+        name="psi[(u-1)^2]")
+
+
+def psi_entropy_classical() -> PsiProfile:
+    """psi(u) = u log u, the Kullback-Leibler profile."""
+    def p(u):
+        u = np.asarray(u, float)
+        out = np.zeros_like(u)
+        pos = u > 0
+        out[pos] = u[pos] * np.log(u[pos])
+        return out
+
+    return psi_from_functions(
+        p,
+        lambda u: np.log(np.maximum(np.asarray(u, float), 1e-300)) + 1.0,
+        lambda u: 1.0 / np.maximum(np.asarray(u, float), 1e-300),
+        name="psi[ulogu]")
+
+
+def psi_almost_linear() -> PsiProfile:
+    """psi(u) = u - 3/2 + 1/(u+1), the almost-linear profile of the
+    liminf variant (psi(u)/u -> 1 with positive drift d = 1/4)."""
+    return psi_from_functions(
+        lambda u: np.asarray(u, float) - 1.5 + 1.0 / (np.asarray(u, float) + 1.0),
+        lambda u: 1.0 - (np.asarray(u, float) + 1.0) ** -2,
+        lambda u: 2.0 * (np.asarray(u, float) + 1.0) ** -3,
+        name="psi[almost-linear]")
+
+
+def truncation_poincare_k_optimized(C_P: float, phi, moment: float, t: float) -> float:
+    """The two-term infimum inf_K [ sqrt(K) e^{-t/2C_P} + 2m/phi(K) ] over
+    log K in [log 2, 700] (using Var(h ^ K) <= K)."""
+    m = _moment_guard(moment)
+    decay = math.exp(-t / (2.0 * C_P))
+    return _k_infimum(lambda K: np.sqrt(K) * decay, phi, m, math.exp(700.0))

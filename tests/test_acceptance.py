@@ -11,23 +11,19 @@ import numpy as np
 import pytest
 
 import tvdecay as tv
-from tvdecay.envelopes import XiSpec, truncation_poincare_k_optimized, xi
+from tvdecay.envelopes import XiSpec, xi
 from tvdecay.measures import (
     eigen_perturbation,
     shifted_gaussian_density,
     step_density,
     tail_ratio_density,
 )
-from tvdecay.psi import (
-    build_psi_from_eta,
-    eta_quadratic,
-    psi_almost_linear,
-    psi_entropy_classical,
-    psi_quadratic_centered,
-)
+from tvdecay.psi import build_psi_from_eta, eta_quadratic
 from tvdecay.inequalities import muckenhoupt_poincare, spectral_gap
 from tvdecay.simulate import reverse_diagnostics
 from tvdecay._numerics import fit_log_slope, invert_increasing
+from conftest import (psi_almost_linear, psi_entropy_classical, psi_quadratic_centered,
+                      truncation_poincare_k_optimized)
 
 
 @pytest.fixture(scope="module")

@@ -434,6 +434,38 @@ def test_non_finite_bound_exits_3(case, verb, tmp_path, capsys):
     assert "'curvature'" in err and "at t = " in err and "Traceback" not in err
 
 
+# a 101-point gaussian with a step start, uncalibrated, whose route overflows
+# exp(t / C) at the end of its t range: (config lines, envelope named)
+OVERFLOWING_BOUNDS = {
+    "truncation-poincare": ("envelopes = truncation_poincare\nanalysis.c_p_override = 0.1\n"
+                            "sim.dt = 1\nsim.t_end = 1000", "truncation_poincare"),
+    "truncation-logsob": ("envelopes = truncation_logsob\nanalysis.c_ls_override = 0.1\n"
+                          "sim.dt = 1\nsim.t_end = 1000", "truncation_logsob"),
+}
+
+
+@pytest.mark.parametrize("verb", ["bounds", "compare"])
+@pytest.mark.parametrize("case", sorted(OVERFLOWING_BOUNDS))
+def test_overflowing_bound_exits_3(case, verb, tmp_path, capsys):
+    lines, name = OVERFLOWING_BOUNDS[case]
+    path = write_cfg(tmp_path, SMALL_CFG + "grid.n_points = 101\n"
+                                           f"envelopes.calibrate = false\n{lines}\n")
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"envelope {name!r}: overflow" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPES))
+def test_large_t_end_exits_0_or_3(name, tmp_path, capsys):
+    extra = "envelope.ipsi.C_eta = 1\n" if name == "ipsi" else ""
+    path = write_cfg(tmp_path, SMALL_CFG + "grid.n_points = 101\nsim.t_end = 1e5\n"
+                                           f"envelopes = {name}\n{extra}")
+    code = main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "50"])
+    err = capsys.readouterr().err
+    assert code in (0, 3), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["bounds", "compare"])
 def test_negative_bound_exits_3(verb, tmp_path, capsys, monkeypatch):
     # no configured envelope goes below 0, so one is planted

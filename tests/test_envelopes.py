@@ -26,13 +26,13 @@ from tvdecay.envelopes import (
     gamma_inverse,
     hellinger_eval,
     truncation_logsob_k_optimized,
-    truncation_poincare_k_optimized,
     xi,
 )
 from tvdecay.errors import MomentMissing
 from tvdecay.inequalities import beta_orlicz
 from tvdecay._numerics import (fit_log_slope, fit_loglog_slope, golden_min_log,
                                invert_increasing, scan_min_log)
+from conftest import truncation_poincare_k_optimized
 
 
 def _phi_power(q):

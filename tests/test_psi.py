@@ -10,8 +10,8 @@ from tvdecay.psi import (
     eta_entropy,
     eta_power,
     eta_quadratic,
-    psi_from_functions,
 )
+from conftest import psi_from_functions
 
 
 class TestEtaAdmissibility:

@@ -356,8 +356,9 @@ class TestReverseDiagnostics:
         h0 = 0.5 * (1.0 + random_density(gaussian_measure, rng))
         cfg = tv.SimConfig(dt=2e-3, t_end=0.2, save_every=50)
         s = tv.evolve(gaussian_measure, h0, cfg)
-        s.min_h = s.min_h.copy()
-        s.min_h[-1] = 0.4  # doctored state simulating a solver defect
+        min_h = s.min_h.copy()
+        min_h[-1] = 0.4  # doctored state simulating a solver defect
+        s = dataclasses.replace(s, min_h=min_h)
         with pytest.raises(LowerBoundViolated):
             reverse_diagnostics(s)
 

@@ -108,11 +108,8 @@ def test_scipy_checker_allows(snippet):
 # Public definitions that no command and no benchmark workload reaches, each
 # with the reason it stays.  Wiring one in means deleting it here.
 UNWIRED = {
-    "psi_quadratic_centered": "acceptance-gated reference profile",
-    "psi_entropy_classical": "acceptance-gated reference profile",
-    "psi_almost_linear": "acceptance-gated reference profile",
+    "c_pinsker": "c_psi for the Pinsker check along a flow, not yet reported",
     "spectral_gap": "acceptance-gated exact C_P of the discrete generator",
-    "truncation_poincare_k_optimized": "acceptance-gated reference: the direct infimum over K",
     "truncation_logsob_k_optimized": "acceptance-gated reference: the direct infimum over K",
     "pinsker_check": "the Pinsker check along a flow, not yet reported",
     "hellinger_eval": "the direct Hellinger decay check, not yet reported",
