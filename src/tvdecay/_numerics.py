@@ -1,7 +1,8 @@
 """Shared low-level numerics: quadrature weights, monotone inversion, sups.
 
 Everything here is plumbing; the mathematical content lives in the public
-modules that call these helpers.
+modules that call these helpers.  The searches take arrays, one independent
+search per entry, and return only the values their callers read.
 """
 
 from __future__ import annotations
@@ -25,73 +26,81 @@ def cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def bisect_log(f, y, a, b, tol, width):
+    """Halve the log-argument brackets [a, b], one per target y, until
+    |f(m) - y| <= tol at the midpoint m (a hit, which sets b = m) or
+    b - a <= width, at most 300 times.  f maps an array of log-arguments to
+    values increasing in them and is called on the entries still searching,
+    each dropped as it stops.  Returns the final (a, b, hit) arrays."""
+    hit = np.zeros(y.shape, dtype=bool)
+    a, b = a.copy(), b.copy()
+    i, ai, bi = np.arange(y.size), a, b
+    for _ in range(300):
+        if not i.size:
+            break
+        m = 0.5 * (ai + bi)
+        fm = f(m)
+        h = np.abs(fm - y) <= tol
+        up = ~h & (fm < y)
+        ai, bi = np.where(up, m, ai), np.where(up, bi, m)
+        done = h | (bi - ai <= width)
+        if done.any():
+            j = i[done]
+            a[j], b[j], hit[j] = ai[done], bi[done], h[done]
+            i, ai, bi, y, tol = (v[~done] for v in (i, ai, bi, y, tol))
+    a[i], b[i] = ai, bi
+    return a, b, hit
+
+
 def invert_increasing(fn, y, lo, hi, *, resid_tol=1e-9):
     """Solve fn(u) = y for an increasing fn by bisection in log-u space.
 
-    y may be a scalar (a float is returned, and fn is called on scalars) or an
-    array (an array of its shape is returned, and fn is called on 1-D arrays
-    of the entries still searching, so it must act elementwise).  Each entry
-    runs the scalar search: the bracket [lo, hi] (both > 0) is first expanded
-    by factors of 8, at most 400 times each way, when y falls outside
-    [fn(lo), fn(hi)].  Terminates when the relative residual
-    |fn(u) - y| <= resid_tol * max(|y|, tiny) or the bracket width drops below
-    1e-13 relatively; an entry out of reach even after expansion gets the
-    nearer end.
+    y is an array, and an array of its shape is returned; fn is called on
+    1-D arrays of the entries still searching, so it must act elementwise.
+    Each entry's bracket [lo, hi] (both > 0) is first expanded by factors of
+    8, at most 400 times each way, when y falls outside [fn(lo), fn(hi)].
+    Terminates when the relative residual |fn(u) - y| <= resid_tol *
+    max(|y|, tiny) or the bracket width drops below 1e-13 relatively; an
+    entry out of reach even after expansion gets the nearer end.
     """
     if not (lo > 0 and hi > lo):
         raise ValueError("need 0 < lo < hi")
     y = np.asarray(y, dtype=float)
     ys = y.reshape(-1)
-
-    def f(u):
-        return np.asarray(fn(u if y.ndim else u[0]), dtype=float).reshape(-1)
-
     lo, hi = np.full(ys.shape, float(lo)), np.full(ys.shape, float(hi))
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = fn(lo), fn(hi)
     for _ in range(400):
         i = np.flatnonzero((flo > ys) & (lo > 1e-280))
         if not i.size:
             break
         hi[i], fhi[i] = lo[i], flo[i]
         lo[i] /= 8.0
-        flo[i] = f(lo[i])
+        flo[i] = fn(lo[i])
     for _ in range(400):
         i = np.flatnonzero((fhi < ys) & (hi < 1e280))
         if not i.size:
             break
         lo[i], flo[i] = hi[i], fhi[i]
         hi[i] *= 8.0
-        fhi[i] = f(hi[i])
-    # out of reach: the nearer end; else bisect, dropping each entry as it stops
+        fhi[i] = fn(hi[i])
+    # out of reach: the nearer end; else bisect: m on a hit (b = m), else the
+    # midpoint
     u = np.where(np.abs(flo - ys) < np.abs(fhi - ys), lo, hi)
     i = np.flatnonzero(~((flo > ys) | (fhi < ys)))
     yi = ys[i]
-    tol = resid_tol * np.maximum(np.abs(yi), 1e-300)
-    a, b = np.log(lo[i]), np.log(hi[i])
-    for _ in range(300):
-        if not i.size:
-            break
-        m = 0.5 * (a + b)
-        fm = f(np.exp(m))
-        hit = np.abs(fm - yi) <= tol
-        up = ~hit & (fm < yi)
-        a, b = np.where(up, m, a), np.where(up, b, m)
-        done = hit | ((b - a) <= 1e-13)
-        if done.any():
-            u[i[done]] = np.exp(np.where(hit, m, 0.5 * (a + b))[done])
-            i, a, b, yi, tol = (v[~done] for v in (i, a, b, yi, tol))
-    u[i] = np.exp(0.5 * (a + b))
-    return float(u[0]) if y.ndim == 0 else u.reshape(y.shape)
+    a, b, hit = bisect_log(lambda m: fn(np.exp(m)), yi, np.log(lo[i]), np.log(hi[i]),
+                           resid_tol * np.maximum(np.abs(yi), 1e-300), 1e-13)
+    u[i] = np.exp(np.where(hit, b, 0.5 * (a + b)))
+    return u.reshape(y.shape)
 
 
 def golden_min_log(fn, lo, hi):
     """Golden-section minimum of fn over [lo, hi] searched in log-argument.
 
-    Returns (argmin, min): floats for scalar lo, hi (fn is then called on
-    scalars), else arrays of their shape, with fn called on arrays of that
-    shape and every entry running the scalar search.  fn is assumed
-    unimodal-ish on the log scale; use scan_min_log for a multistart wrapper
-    when that is not guaranteed.
+    lo and hi are arrays, one independent search per entry; fn is called on
+    arrays of their shape and the minimum values, an array of that shape,
+    are returned.  fn is assumed unimodal-ish on the log scale; use
+    scan_min_log for a multistart wrapper when that is not guaranteed.
     """
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = np.log(lo), np.log(hi)
@@ -112,35 +121,27 @@ def golden_min_log(fn, lo, hi):
         fp = fn(np.exp(probe))
         c, fc = np.where(left, probe, c), np.where(left, fp, fc)
         d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-    x = np.exp(0.5 * (a + b))
-    v = fn(x)
-    return (float(x), float(v)) if np.ndim(x) == 0 else (x, v)
+    return fn(np.exp(0.5 * (a + b)))
 
 
-def scan_min_log(fn, lo, hi, *, n_scan=64):
+def scan_min_log(fn, lo, hi, *, n_scan):
     """Coarse log-spaced scan followed by golden refinement in the best cells.
 
     fn maps an array of arguments (the n_scan-point grid, then the three
     refinement cells) to values of shape (..., n), one row per independent
     problem, so that fn can broadcast a batch of problems against the
-    arguments.  Returns (argmin, min): floats when fn returns a 1-D scan,
-    else arrays of the leading shape.
+    arguments.  Returns the minimum values, an array of the leading shape.
     """
     xs = np.geomspace(lo, hi, n_scan)
     vals = np.asarray(fn(xs), dtype=float)
     order = np.argsort(vals, axis=-1)[..., :3]
-    best_x = xs[order[..., 0]]
-    best_v = np.take_along_axis(vals, order[..., :1], axis=-1)[..., 0]
+    best = np.take_along_axis(vals, order[..., :1], axis=-1)[..., 0]
     a = xs[np.maximum(order - 1, 0)]
     b = xs[np.minimum(order + 1, n_scan - 1)]
-    x, v = golden_min_log(fn, a, b)
+    v = golden_min_log(fn, a, b)
     for k in range(order.shape[-1]):
-        better = (b[..., k] > a[..., k]) & (v[..., k] < best_v)
-        best_x = np.where(better, x[..., k], best_x)
-        best_v = np.where(better, v[..., k], best_v)
-    if vals.ndim == 1:
-        return float(best_x), float(best_v)
-    return best_x, best_v
+        best = np.where((b[..., k] > a[..., k]) & (v[..., k] < best), v[..., k], best)
+    return best
 
 
 def scan_sup(vals: np.ndarray) -> float:

@@ -162,7 +162,7 @@ _ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),      # exp(w_osc) must be finit
              "c_p_override": (None, POSITIVE), "rho_override": (None, ANY),
              "c_ls_override": (None, POSITIVE),
              "capacity_rho": (None, (1.0, 1e150)),    # rho^2 must be finite
-             "capacity_f_const": (1.0, ANY)}
+             "capacity_f_const": (1.0, POSITIVE)}
 _KEYS = frozenset("""potential.family grid.n_points grid.tail_tol initial.family
     initial.epsilon initial.shift initial.p initial.cap initial.path sim.dt sim.t_end
     sim.scheme sim.save_every psi.eta psi.a envelopes envelopes.calibrate

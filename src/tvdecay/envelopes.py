@@ -25,9 +25,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GammaNotInvertible, MomentMissing
+from .errors import BadExponent, GammaNotInvertible, MomentMissing
 from .inequalities import BetaFunction, beta_orlicz
-from ._numerics import invert_increasing, scan_min_log
+from ._numerics import bisect_log, invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
 TV_MAX = 2.0
@@ -71,7 +71,8 @@ class XiSpec:
         s = np.geomspace(1e-10, min(self.log_numerator, self.beta.s_max) * 0.5, 64)
         vals = self.beta(s) * np.log(self.log_numerator / s)
         if np.any(np.diff(vals) > 1e-6 * np.abs(vals[:-1]) + 1e-300):
-            raise ValueError("beta(s) log(c/s) must be non-increasing on (0, c)")
+            raise BadExponent(f"xi clock (beta {self.beta.form}, c = {self.log_numerator:g}, k = "
+                              f"{self.t_scale:g}): beta(s) log(c/s) must be non-increasing")
 
 
 def xi(spec: XiSpec, t, return_flag: bool = False):
@@ -94,23 +95,12 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
     unreached = G(np.array([s_hi])) > target
     floor = ~unreached & (G(np.array([_XI_S_FLOOR])) <= target)
     val = np.where(unreached, s_hi, _XI_S_FLOOR)
-    # bisect in log s the entries neither end settles, dropping each as it stops
+    # bisect -G, increasing in log s; the upper end b is the conservative xi
     i = np.flatnonzero(~unreached & ~floor)
     y = target[i]
-    tol = 1e-12 * np.maximum(1.0, np.abs(y))
-    a, b = np.full(i.size, math.log(_XI_S_FLOOR)), np.full(i.size, math.log(s_hi))
-    for _ in range(300):
-        if not i.size:
-            break
-        m = 0.5 * (a + b)
-        gm = G(_exp(m))
-        hit = np.abs(gm - y) <= tol
-        up = ~hit & (gm > y)
-        a, b = np.where(up, m, a), np.where(up, b, m)
-        done = hit | (b - a <= 5e-14)
-        if done.any():
-            val[i[done]] = _exp(b[done])  # upper end: larger xi, conservative
-            i, a, b, y, tol = (v[~done] for v in (i, a, b, y, tol))
+    _, b, _ = bisect_log(lambda m: -G(_exp(m)), -y, np.full(i.size, math.log(_XI_S_FLOOR)),
+                         np.full(i.size, math.log(s_hi)), 1e-12 * np.maximum(1.0, np.abs(y)),
+                         5e-14)
     val[i] = _exp(b)
     if ts.ndim == 0:
         val, unreached = float(val[0]), bool(unreached[0])
@@ -163,8 +153,8 @@ class DecayEnvelope:
         if self.raw_eval(1e-8) <= TV_MAX:
             return 0.0
         try:
-            return float(invert_increasing(lambda t: -self.raw_eval(t), -TV_MAX,
-                                           1e-8, 1e4, resid_tol=1e-6))
+            return float(invert_increasing(lambda t: -self.raw_eval(t), [-TV_MAX],
+                                           1e-8, 1e4, resid_tol=1e-6)[0])
         except Exception:
             return 0.0
 
@@ -224,8 +214,8 @@ def envelope_truncation_poincare(C_P: float, phi: Callable, moment: float) -> De
 
 def _k_infimum(first_term: Callable, phi: Callable, m: float, hi: float) -> float:
     """inf over log K in [log 2, log hi] of first_term(K) + 2m/phi(K)."""
-    return scan_min_log(lambda K: first_term(K) + 2.0 * m / phi(K), 2.0, hi,
-                        n_scan=200)[1]
+    return float(scan_min_log(lambda K: first_term(K) + 2.0 * m / phi(K), 2.0, hi,
+                              n_scan=200))
 
 
 def envelope_weak_poincare(beta_wp: BetaFunction, phi: Callable,
@@ -416,7 +406,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
                 return b / (b + t) + 4.0 * s
             return rho * b / (growth + rho * b - 1.0) + 4.0 * s
 
-        return scan_min_log(bracket, 1e-12, min(0.5, beta_wp.s_max), n_scan=80)[1]
+        return scan_min_log(bracket, 1e-12, min(0.5, beta_wp.s_max), n_scan=80)
 
     def bound(t):
         val = np.empty(t.shape)

@@ -52,8 +52,9 @@ class DivergentSup(TvDecayError):
 
 
 class BadExponent(TvDecayError):
-    """A beta function's parameters or values, the drift-tail p and d_p, or a
-    capacity-check parameter (rho, the splice point a) are out of range."""
+    """A beta function's parameters or values, the drift-tail p and d_p, a
+    capacity-check parameter (rho, the splice point a), or an xi clock whose
+    beta(s) log(c/s) is not non-increasing on its probe, are out of range."""
 
 
 class DivergentCcap(TvDecayError):

@@ -217,36 +217,30 @@ def build_psi_from_eta(eta: EtaProfile, a: Optional[float] = None) -> PsiProfile
 
 # -- Pinsker constant ------------------------------------------------------------
 
-def _pinsker_ratio(psi: PsiProfile):
-    p1 = float(psi.psi_prime(1.0))
-
-    def ratio(u):
-        u = float(u)
-        if abs(u - 1.0) < 1e-7:
-            return 1.0 / float(psi.psi_second(1.0))
-        den = (1.0 + u) * (float(psi.psi(u)) - p1 * (u - 1.0))
-        if den <= 0:
-            return float("inf")
-        return (u - 1.0) ** 2 / den
-
-    return ratio, p1
-
-
 def pinsker_constant(psi: PsiProfile) -> float:
     """c_psi = sqrt(2c), c the sup of (u-1)^2 / [(1+u)(psi(u) - psi'(1)(u-1))].
 
-    The sup is taken over a log-spaced probe grid on [0, 1e8] with the
-    analytic limit 1/psi''(1) at u = 1 and a liminf-based tail limit; local
-    golden refinement around the grid argmax makes the sup effectively exact.
+    The sup is taken over a log-spaced probe grid on [0, 1e8], the ratio
+    evaluated over the whole grid with one call to psi, with the analytic
+    limit 1/psi''(1) at u = 1 and a liminf-based tail limit; local golden
+    refinement around the grid argmax makes the sup effectively exact.
     """
-    ratio, p1 = _pinsker_ratio(psi)
-    hi = _PROBE_HI
-    us = np.sort(np.concatenate([[0.0], np.geomspace(1e-8, hi, _PROBE_N), [1.0]]))
-    vals = np.array([ratio(u) for u in us])
+    p1 = float(psi.psi_prime(1.0))
+    at_one = 1.0 / float(psi.psi_second(1.0))
+
+    def ratio(u):
+        """The ratio over an array of u: +inf where its denominator is <= 0."""
+        den = (1.0 + u) * (psi.psi(u) - p1 * (u - 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            val = np.where(den <= 0, np.inf, (u - 1.0) ** 2 / den)
+        return np.where(np.abs(u - 1.0) < 1e-7, at_one, val)
+
+    us = np.sort(np.concatenate([[0.0], np.geomspace(1e-8, _PROBE_HI, _PROBE_N), [1.0]]))
+    vals = ratio(us)
     if not np.all(np.isfinite(vals[us < 1e6])):
         raise NotPinskerAdmissible("Pinsker ratio is not finite on the probe grid")
     # tail admissibility: either superlinear or liminf (psi(u)/u - psi'(1)) > 0
-    tail_u = np.geomspace(1e6, hi, 50)
+    tail_u = np.geomspace(1e6, _PROBE_HI, 50)
     drift = np.asarray(psi.psi(tail_u), float) / tail_u - p1
     if drift[-1] <= 0:
         raise NotPinskerAdmissible(
@@ -255,9 +249,10 @@ def pinsker_constant(psi: PsiProfile) -> float:
     i = int(np.argmax(vals))
     c = float(vals[i])
     lo_b = us[i - 1] if i >= 1 and us[i - 1] > 0 else 1e-10
-    hi_b = us[i + 1] if i + 1 < len(us) else hi
+    hi_b = us[i + 1] if i + 1 < len(us) else _PROBE_HI
     if hi_b > lo_b:
-        c = max(c, -golden_min_log(lambda u: -ratio(u), lo_b, hi_b)[1])
+        c = max(c, -float(golden_min_log(lambda u: -ratio(u), np.array([lo_b]),
+                                         np.array([hi_b]))[0]))
     c = max(c, tail_limit)
     if not np.isfinite(c):
         raise NotPinskerAdmissible("Pinsker ratio sup diverges")

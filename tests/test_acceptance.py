@@ -242,20 +242,20 @@ def test_a9_inverse_residuals():
         mode = k % 5
         if mode == 0:  # phitilde(u) = sqrt(u) phi(u), phi power
             q = rng.uniform(1.1, 3.0)
-            fn = lambda u: math.sqrt(u) * u ** (q - 1.0)
+            fn = lambda u: np.sqrt(u) * u ** (q - 1.0)
         elif mode == 1:  # theta(u) = u phi(u)
             q = rng.uniform(1.1, 3.0)
             fn = lambda u: u * u ** (q - 1.0)
         elif mode == 2:  # phibar(u) = phi(u) sqrt(log u) on u > 1
             b = rng.uniform(0.3, 1.5)
-            fn = lambda u: (math.log(1.0 + u) ** b) * math.sqrt(math.log(1.0 + u))
+            fn = lambda u: (np.log(1.0 + u) ** b) * np.sqrt(np.log(1.0 + u))
         elif mode == 3:  # etatilde(u) = u^{1/4} phi(u)
             fn = lambda u: u ** 0.25 * (1.0 + u)
         else:  # gamma(u) = beta(u)/u for power beta, inverted downward
             c = math.exp(rng.uniform(-1.0, 1.0))
             u_star = math.exp(rng.uniform(math.log(1e-6), math.log(0.5)))
             y = c / u_star ** 2
-            u = invert_increasing(lambda s: -(c / s ** 2), -y, 1e-10, 1.0)
+            u = invert_increasing(lambda s: -(c / s ** 2), np.array([-y]), 1e-10, 1.0)[0]
             resid = abs(c / u ** 2 - y) / y
             worst_resid = max(worst_resid, resid)
             assert resid <= 1e-8
@@ -263,7 +263,7 @@ def test_a9_inverse_residuals():
         # draw the target from the forward image so the call is well-posed
         u_star = math.exp(rng.uniform(math.log(1e-3), math.log(1e5)))
         y = fn(u_star)
-        u = invert_increasing(fn, y, 1e-6, 1e6)
+        u = invert_increasing(fn, np.array([y]), 1e-6, 1e6)[0]
         resid = abs(fn(u) - y) / max(y, 1.0)
         worst_resid = max(worst_resid, resid)
         assert resid <= 1e-8

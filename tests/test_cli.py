@@ -305,6 +305,13 @@ BAD_INPUTS = {
                           "analysis.capacity_rho"),
     "c-p-override-nan": ("bounds", "analysis.c_p_override = nan", (),
                          "analysis.c_p_override"),
+    # F <= 0 zeroes or flips the F-weighted capacity sup
+    "capacity-f-const-negative": ("analyze", "analysis.capacity_rho = 2\n"
+                                             "analysis.capacity_f_const = -1", (),
+                                  "analysis.capacity_f_const"),
+    "capacity-f-const-zero": ("analyze", "analysis.capacity_rho = 2\n"
+                                         "analysis.capacity_f_const = 0", (),
+                              "analysis.capacity_f_const"),
     "m-eta-nan": ("bounds", "envelopes = ipsi\nenvelope.ipsi.C_eta = 1\n"
                             "envelope.ipsi.M_eta = nan", (), "envelope.ipsi.M_eta"),
     "epsilon-nan": ("simulate", "initial.family = eigen_perturbation\n"
@@ -547,10 +554,11 @@ FUZZ_KEYS.update({f"envelope.{name}.{key}@{form}": (
     for selector, table in (("phi", PHI_FORM_KEYS if family.phi else {}),
                             ("beta_form", BETA_FORM_KEYS if family.beta else {}))
     for form, keys in table.items() for key in keys})
-FUZZ_VALUES = ("-1", "0", "nan", "inf", "1e300")
-# sim.t_end = 1e300 asks for about 1e302 solver steps: unbounded work, not a bad input
+FUZZ_VALUES = ("-1", "0", "nan", "inf", "1e300", "1e-300")
+# sim.t_end = 1e300 asks for about 1e302 solver steps and sim.dt = 1e-300 for about
+# 3e300: unbounded work, not a bad input
 FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES
-              if (k, v) != ("sim.t_end", "1e300")]
+              if (k, v) not in (("sim.t_end", "1e300"), ("sim.dt", "1e-300"))]
 
 
 def test_fuzz_keys_cover_every_numeric_key():

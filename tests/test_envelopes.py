@@ -30,6 +30,7 @@ from tvdecay.envelopes import (
 )
 from tvdecay.errors import MomentMissing
 from tvdecay.inequalities import beta_orlicz
+from tvdecay.psi import build_psi_from_eta, eta_power, pinsker_constant
 from tvdecay._numerics import (fit_log_slope, fit_loglog_slope, golden_min_log,
                                invert_increasing, scan_min_log)
 from conftest import truncation_poincare_k_optimized
@@ -484,17 +485,17 @@ class TestInverseResiduals:
             kind = count % 4
             if kind == 0:
                 q = rng.uniform(1.1, 3.0)
-                fn = lambda u: math.sqrt(u) * u ** (q - 1.0)
+                fn = lambda u: np.sqrt(u) * u ** (q - 1.0)
             elif kind == 1:
                 q = rng.uniform(1.1, 3.0)
                 fn = lambda u: u * u ** (q - 1.0)
             elif kind == 2:
                 b = rng.uniform(0.3, 1.5)
-                fn = lambda u: (u ** b) * math.log(1.0 + u)
+                fn = lambda u: (u ** b) * np.log(1.0 + u)
             else:
                 fn = lambda u: u ** 0.25 * (1.0 + u)
             y = math.exp(rng.uniform(math.log(1e-3), math.log(1e6)))
-            u = invert_increasing(fn, y, 1e-6, 1e6)
+            u = invert_increasing(fn, np.array([y]), 1e-6, 1e6)[0]
             assert abs(fn(u) - y) <= 1e-8 * max(y, 1.0)
             count += 1
 
@@ -669,6 +670,37 @@ def _invert_reference(fn, y, lo, hi, rel_tol=1e-13, resid_tol=1e-9):
     return float(np.exp(0.5 * (a + b)))
 
 
+def _pinsker_reference(psi):
+    """pinsker_constant by the scalar loop: the ratio at one u at a time over
+    the probe grid, refined by golden_min_log on one-element arrays."""
+    p1 = float(psi.psi_prime(1.0))
+
+    def ratio(u):
+        u = float(u)
+        if abs(u - 1.0) < 1e-7:
+            return 1.0 / float(psi.psi_second(1.0))
+        den = (1.0 + u) * (float(psi.psi(u)) - p1 * (u - 1.0))
+        if den <= 0:
+            return float("inf")
+        return (u - 1.0) ** 2 / den
+
+    hi = 1e8
+    us = np.sort(np.concatenate([[0.0], np.geomspace(1e-8, hi, 2000), [1.0]]))
+    vals = np.array([ratio(u) for u in us])
+    tail_u = np.geomspace(1e6, hi, 50)
+    drift = np.asarray(psi.psi(tail_u), float) / tail_u - p1
+    i = int(np.argmax(vals))
+    c = float(vals[i])
+    lo_b = us[i - 1] if i >= 1 and us[i - 1] > 0 else 1e-10
+    hi_b = us[i + 1] if i + 1 < len(us) else hi
+    if hi_b > lo_b:
+        refined = golden_min_log(lambda u: np.array([-ratio(u[0])]),
+                                 np.array([lo_b]), np.array([hi_b]))
+        c = max(c, -float(refined[0]))
+    c = max(c, 1.0 / float(drift[-1]))
+    return math.sqrt(2.0 * c * (1.0 + 1e-9))
+
+
 # t at which numpy's exp and log and math's give the orlicz clock below
 # different bisections (found on a host whose numpy uses AVX-512 exp and
 # log); the array loop must still match the scalar one there
@@ -740,13 +772,21 @@ class TestArrayHelpers:
             assert got.tolist() == [_invert_reference(ref, y, 1e-2, 10.0)
                                     for y in ys.tolist()]
 
+    def test_pinsker_constant_equals_the_scalar_loop(self, psi_quad_spliced,
+                                                     psi_entropy_spliced, psi_centered,
+                                                     psi_ulogu, psi_linear):
+        for prof in (psi_quad_spliced, psi_entropy_spliced,
+                     build_psi_from_eta(eta_power(1.5)), build_psi_from_eta(eta_power(1.2)),
+                     psi_centered, psi_ulogu, psi_linear):
+            assert pinsker_constant(prof) == _pinsker_reference(prof), prof.name
+
     def test_invert_increasing_array_equals_scalar_calls(self):
         fn = lambda u: u / (1.0 + u)  # increasing, with values in (0, 1)
         lo, hi = 1e-2, 10.0           # fn(lo) ~ 0.0099, fn(hi) ~ 0.909
         ys = np.array([1e-5, 0.3, 0.5, 0.99, 1.5, -0.2, 0.0])
         got = invert_increasing(fn, ys, lo, hi)
-        assert got.tolist() == [invert_increasing(fn, y, lo, hi) for y in ys.tolist()]
-        assert type(invert_increasing(fn, 0.5, lo, hi)) is float
+        assert got.tolist() == [invert_increasing(fn, ys[k:k + 1], lo, hi)[0]
+                                for k in range(ys.size)]
         assert got[0] < lo                   # bracket expanded downward
         assert got[3] > hi                   # bracket expanded upward
         assert got[4] > 1e280                # out of reach above: the upper end
@@ -759,18 +799,20 @@ class TestArrayHelpers:
         centers = np.array([1e-3, 0.2, 1.0, 7.0])
         fn = lambda x: (np.log(x) - np.log(centers)) ** 2 + centers
         lo, hi = centers / 50.0, centers * 9.0
-        x, v = golden_min_log(fn, lo, hi)
-        for k, c in enumerate(centers.tolist()):
-            one = golden_min_log(lambda z: (np.log(z) - np.log(c)) ** 2 + c, lo[k], hi[k])
-            assert (x[k], v[k]) == one
-            assert type(one[0]) is float
+        v = golden_min_log(fn, lo, hi)
+        for k in range(centers.size):
+            c = centers[k:k + 1]
+            one = golden_min_log(lambda z: (np.log(z) - np.log(c)) ** 2 + c,
+                                 lo[k:k + 1], hi[k:k + 1])
+            assert one.shape == (1,) and v[k] == one[0]
 
     def test_scan_min_log_rows_equal_scalar_scans(self):
         cs = np.array([1e-6, 1e-3, 0.2, 1.0, 7.0])
         # one row per c: the scan grid (40,) and the refinement cells (5, 3)
         # both broadcast against cs[:, None]
-        x, v = scan_min_log(lambda z: cs[:, None] / z + z, 1e-8, 1e3, n_scan=40)
-        for k, c in enumerate(cs.tolist()):
+        v = scan_min_log(lambda z: cs[:, None] / z + z, 1e-8, 1e3, n_scan=40)
+        for k in range(cs.size):
+            c = cs[k:k + 1, None]
             one = scan_min_log(lambda z: c / z + z, 1e-8, 1e3, n_scan=40)
-            assert (x[k], v[k]) == one
-            assert one[1] == pytest.approx(2.0 * math.sqrt(c), rel=1e-9)
+            assert one.shape == (1,) and v[k] == one[0]
+            assert one[0] == pytest.approx(2.0 * math.sqrt(cs[k]), rel=1e-9)
