@@ -112,27 +112,27 @@ PHIS = {
     "loglog": (lambda _: lambda u: np.log1p(np.maximum(np.log(np.maximum(
         np.asarray(u, float), 1.0)), 0.0)), None, None),
 }
-PHI_KEYS = ("phi", *(key for _, key, _ in PHIS.values() if key))
+PHI_KEYS = tuple(key for _, key, _ in PHIS.values() if key)
 # beta_form -> (constructor, the envelope.<name>.* keys it takes, in order)
 BETA_FORMS = {"constant": (BetaFunction.constant, ("beta_c",)),
               "power": (BetaFunction.power, ("beta_c", "beta_q")),
               "logpower": (BetaFunction.logpower, ("beta_d", "beta_r", "beta_s0"))}
 BETA_DEFAULTS = {"beta_c": 1.0, "beta_q": 1.0, "beta_d": 1.0, "beta_r": 1.0,
                  "beta_s0": 2.0}
-BETA_KEYS = ("beta_form", *BETA_DEFAULTS)
 
 
 def _reject_unread(cfg: dict, prefix: str, keys, read, form: str) -> None:
-    """A set key of `keys` that `form` does not read (not in `read`) is a ConfigError."""
+    """A set key of `keys` that `form` does not read (not in `read`) is a ConfigError.
+    Looks with `in`, so the keys it passes over are not marked read."""
     for k in keys:
-        if k not in read and get_str(cfg, prefix + k) is not None:
+        if k not in read and prefix + k in cfg:
             raise ConfigError(f"key {prefix + k!r} is not read with {form}")
 
 
 def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
     family = get_str(cfg, prefix + "phi", default_family)
     make, key, within = choose(PHIS, prefix + "phi", family)
-    _reject_unread(cfg, prefix, PHI_KEYS[1:], (key,), f"{prefix}phi = {family}")
+    _reject_unread(cfg, prefix, PHI_KEYS, (key,), f"{prefix}phi = {family}")
     return make(get_number(cfg, prefix + key, default_param, within=within) if key else None)
 
 
@@ -181,18 +181,13 @@ class EnvelopeFamily:
     """One row of the envelope table: `build(x, phi, beta, extras)` with the
     default phi (family, parameter), the default beta as a function of the
     _Inputs x, and the family's own keys with (default, the open interval a
-    set value must lie in).  The allowed envelope.<name>.* keys follow from
-    these entries."""
+    set value must lie in).  `parse` reads exactly the envelope.<name>.* keys
+    that these entries and the selected phi and beta forms take."""
 
     build: Callable
     phi: Optional[tuple] = None
     beta: Optional[Callable] = None
     extras: dict = field(default_factory=dict)
-
-    @property
-    def keys(self) -> tuple:
-        return ((PHI_KEYS if self.phi else ()) + (BETA_KEYS if self.beta else ())
-                + tuple(self.extras))
 
     def parse(self, cfg: dict, name: str) -> Callable:
         """Parse the envelope.<name>.* values; returns build(_Inputs)."""
@@ -264,17 +259,15 @@ ENVELOPES = {
 
 
 def plan_envelopes(scn: Scenario) -> dict:
-    """name -> build(_Inputs) for every requested envelope, after checking the
-    names and all envelope.<name>.* keys against ENVELOPES and parsing their
-    values.  Does no numeric work."""
+    """name -> build(_Inputs) for every requested envelope, from its name in
+    ENVELOPES and its envelope.<name>.* values; then, as the config's last
+    reader, rejects the first set key that nothing read.  Does no numeric work."""
+    plan = {name: choose(ENVELOPES, "envelopes", name).parse(scn.config, name)
+            for name in scn.envelope_names}
     for key in scn.config:
-        if key.startswith("envelope."):
-            name, _, opt = key[len("envelope."):].partition(".")
-            if name not in ENVELOPES or opt not in ENVELOPES[name].keys:
-                raise ConfigError(f"unknown key {key!r}")
-    for name in scn.envelope_names:
-        choose(ENVELOPES, "envelopes", name)
-    return {name: ENVELOPES[name].parse(scn.config, name) for name in scn.envelope_names}
+        if key not in scn.config.read:
+            raise ConfigError(f"key {key!r} is unknown or unused in this scenario")
+    return plan
 
 
 def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):

@@ -2,10 +2,10 @@
 
 Format: one `section.key = value` per line, `#` starts a comment.  Values are
 parsed as float/int/bool/string; comma-separated lists are allowed for the
-`envelopes` key.  An unknown key is a ConfigError; the `envelope.<name>.*`
-keys are checked against the envelope table in `cli.py`.  The same text
-round-trips through `render_config`, which is what the provenance echo in
-reports uses.
+`envelopes` key.  `get_str` reads every value and adds its key to the
+config's `read` set; `cli.plan_envelopes`, the last reader, rejects a set key
+that nothing read.  `render_config` writes the text that the provenance echo
+in reports holds, and it parses back to the same config.
 """
 
 from __future__ import annotations
@@ -46,38 +46,36 @@ INITIAL = {
 }
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse flat `section.key = value` lines into an ordered dict."""
-    out = {}
+class Config(dict):
+    """A parsed config whose `read` set holds each key that get_str looked up."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+
+def parse_config_text(text: str) -> Config:
+    """Parse flat `section.key = value` lines into an ordered Config."""
+    out = Config()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        key = key.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
-        if key not in _KEYS and not key.startswith("envelope."):
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        out[key] = value.strip()
+        out[key] = value
     return out
-
-
-def load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_config_text(fh.read())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
 def render_config(cfg: dict) -> str:
     return "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items())) + "\n"
 
 
-def get_str(cfg: dict, key: str, default=None, required: bool = False) -> Optional[str]:
+def get_str(cfg: Config, key: str, default=None, required: bool = False) -> Optional[str]:
+    cfg.read.add(key)
     if key in cfg and cfg[key] != "":
         return cfg[key]
     if required:
@@ -163,18 +161,13 @@ _ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),      # exp(w_osc) must be finit
              "c_ls_override": (None, POSITIVE),
              "capacity_rho": (None, (1.0, 1e150)),    # rho^2 must be finite
              "capacity_f_const": (1.0, POSITIVE)}
-_KEYS = frozenset("""potential.family grid.n_points grid.tail_tol initial.family
-    initial.epsilon initial.shift initial.p initial.cap initial.path sim.dt sim.t_end
-    sim.scheme sim.save_every psi.eta psi.a envelopes envelopes.calibrate
-    """.split()) | {f"analysis.{k}" for k in _ANALYSIS} | {
-    f"potential.{k}" for _, keys in POTENTIALS.values() for k in keys}
 
 
 @dataclass
 class Scenario:
     """A fully resolved scenario; `build` materializes measure and h0."""
 
-    config: dict
+    config: Config
     potential: PotentialSpec
     n_points: int
     tail_tol: float
@@ -198,6 +191,7 @@ class Scenario:
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
+    cfg = Config(cfg)
     make, readers = choose(POTENTIALS, "potential.family",
                            get_str(cfg, "potential.family", required=True))
     args = {k: read(cfg, f"potential.{k}") for k, read in readers.items()}
@@ -230,7 +224,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             raise ConfigError(f"key 'envelopes': {name!r} is listed twice")
     eta = _get_eta(cfg)
     return Scenario(
-        config=dict(cfg),
+        config=cfg,
         potential=potential,
         n_points=get_number(cfg, "grid.n_points", 4001, kind=int),
         tail_tol=get_number(cfg, "grid.tail_tol", 1e-16, within=(0.0, 1.0)),
@@ -248,4 +242,9 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    return scenario_from_config(load_config(path))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    return scenario_from_config(parse_config_text(text))

@@ -61,6 +61,8 @@ class XiSpec:
     log_numerator c and t_scale k cover all the paper's clocks: (c=1, k=1)
     for weak Poincare, (c=eps, k=2) for weak log-Sobolev, (c=1, k=4) for
     Hellinger, (c=1, k=1/2) for the weak I_psi and Moser-Trudinger forms.
+    BadExponent when xi's bracket top min(c, 1, s_max) - 1e-12 is not above
+    _XI_S_FLOOR, or when beta(s) log(c/s) rises on a forward probe to min(c, s_max)/2.
     """
 
     beta: BetaFunction
@@ -68,11 +70,14 @@ class XiSpec:
     t_scale: float = 1.0
 
     def __post_init__(self):
-        s = np.geomspace(1e-10, min(self.log_numerator, self.beta.s_max) * 0.5, 64)
-        vals = self.beta(s) * np.log(self.log_numerator / s)
+        c, m = self.log_numerator, min(self.log_numerator, self.beta.s_max)
+        clock = f"xi clock (beta {self.beta.form}, c = {c:g}, k = {self.t_scale:g})"
+        if min(m, 1.0) - 1e-12 <= _XI_S_FLOOR:
+            raise BadExponent(f"{clock}: min(c, 1, s_max) - 1e-12 must exceed {_XI_S_FLOOR:g}")
+        s = np.geomspace(1e-10 if m > 2e-10 else m * 1e-6, m * 0.5, 64)
+        vals = self.beta(s) * np.log(c / s)
         if np.any(np.diff(vals) > 1e-6 * np.abs(vals[:-1]) + 1e-300):
-            raise BadExponent(f"xi clock (beta {self.beta.form}, c = {self.log_numerator:g}, k = "
-                              f"{self.t_scale:g}): beta(s) log(c/s) must be non-increasing")
+            raise BadExponent(f"{clock}: beta(s) log(c/s) must be non-increasing")
 
 
 def xi(spec: XiSpec, t, return_flag: bool = False):

@@ -53,8 +53,8 @@ class DivergentSup(TvDecayError):
 
 class BadExponent(TvDecayError):
     """A beta function's parameters or values, the drift-tail p and d_p, a
-    capacity-check parameter (rho, the splice point a), or an xi clock whose
-    beta(s) log(c/s) is not non-increasing on its probe, are out of range."""
+    capacity-check parameter (rho, the splice point a), or an xi clock (beta(s)
+    log(c/s) rising on its probe, or an empty bisection bracket) are out of range."""
 
 
 class DivergentCcap(TvDecayError):

@@ -1,0 +1,42 @@
+"""Every config the benchmark hands the program must load under the key check.
+
+`benchmark/workloads.py` is imported read-only.  Each command config, probe
+config and oracle-probe config of every workload, at seeds 0-2 in smoke and
+full size, goes through parse_config_text -> scenario_from_config ->
+plan_envelopes, the path every CLI command takes before its numeric work.  A
+key that the scenario does not read fails here, naming the workload config
+that must change first.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from tvdecay.cli import plan_envelopes
+from tvdecay.config import parse_config_text, scenario_from_config
+
+_SPEC = importlib.util.spec_from_file_location(
+    "benchmark_workloads", Path(__file__).parents[1] / "benchmark" / "workloads.py")
+# registered before it runs: its dataclasses look their module up in sys.modules
+workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(workloads)
+
+
+def _configs(name, seed, smoke):
+    wl = workloads.build(name, seed, smoke)
+    yield "probe_config", wl.probe_config
+    for cmd in wl.commands:
+        yield cmd.id, cmd.config
+    if wl.oracle_probe is not None:
+        yield wl.oracle_probe.id, wl.oracle_probe.config
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_configs_load(name, seed, smoke):
+    for label, cfg in _configs(name, seed, smoke):
+        scn = scenario_from_config(parse_config_text(workloads.render(cfg)))
+        assert list(plan_envelopes(scn)) == scn.envelope_names, label

@@ -10,7 +10,8 @@ from tvdecay import cli, envelopes, measures, psi, simulate
 from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
                          plan_envelopes, write_csv)
 from tvdecay.config import (
-    _KEYS,
+    INITIAL,
+    POTENTIALS,
     load_scenario,
     parse_config_text,
     render_config,
@@ -57,8 +58,12 @@ class TestConfigParsing:
         assert "potential.family" in str(exc.value)
 
     def test_unknown_section(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("bogus.key = 1")
+        # no key list: a key is unknown when nothing reads it while loading
+        scn = scenario_from_config(parse_config_text("potential.family = gaussian\n"
+                                                     "bogus.key = 1"))
+        with pytest.raises(ConfigError) as exc:
+            plan_envelopes(scn)
+        assert "'bogus.key'" in str(exc.value)
 
     def test_malformed_line(self):
         with pytest.raises(ConfigError) as exc:
@@ -254,6 +259,13 @@ BAD_INPUTS = {
     "unknown-envelope-key": ("analyze", "envelope.poincare_l2.typo_key = 1", (),
                              "envelope.poincare_l2.typo_key"),
     "unread-section": ("compare", "compare.tolerance = 0.1", (), "compare.tolerance"),
+    # keys of a family or an envelope the scenario does not select
+    "unlisted-envelope-key": ("bounds", "envelope.orlicz.C = abc", (), "envelope.orlicz.C"),
+    "potential-key-other-family": ("bounds", "potential.alpha = 3", (), "potential.alpha"),
+    "initial-path-not-tabulated": ("bounds", "initial.path = {tmp}/none.csv", (),
+                                   "initial.path"),
+    "potential-path-not-tabulated": ("bounds", "potential.path = {tmp}/none.csv", (),
+                                     "potential.path"),
     "unknown-envelope-analyze": ("analyze", "envelopes = bogus", (), "bogus"),
     "unknown-envelope-simulate": ("simulate", "envelopes = bogus", (), "bogus"),
     "duplicate-envelope": ("bounds", "envelopes = poincare_l2, poincare_l2", (),
@@ -385,6 +397,27 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert needle in err
+
+
+def test_weak_logsob_tiny_eps_bound_is_finite(tmp_path):
+    # the xi clock's monotonicity probe must run forward when eps < 2e-10
+    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = weak_logsob\n"
+                                           "analysis.c_ls_override = 1\n"
+                                           "envelope.weak_logsob.eps = 1e-11\n")
+    out = tmp_path / "out"
+    assert main(["bounds", path, "--out", str(out), "--t-grid", "20"]) == 0
+    bound = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.all(np.isfinite(bound)) and np.all(np.diff(bound) <= 0)
+
+
+def test_weak_logsob_eps_1e_300_exits_3(tmp_path, capsys):
+    # xi's bisection bracket (1e-16, eps - 1e-12] is empty
+    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = weak_logsob\n"
+                                           "analysis.c_ls_override = 1\n"
+                                           "envelope.weak_logsob.eps = 1e-300\n")
+    assert main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "BadExponent" in err and "c = 1e-300" in err and "Traceback" not in err
 
 
 # power alpha = 1 has rho <= 0, so no C_LS: the log-Sobolev default betas have no constant
@@ -561,13 +594,36 @@ FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES
               if (k, v) not in (("sim.t_end", "1e300"), ("sim.dt", "1e-300"))]
 
 
-def test_fuzz_keys_cover_every_numeric_key():
+# the lines each potential family needs to load, on top of FUZZ_CFG
+POTENTIAL_LINES = {"gaussian": "", "power": "potential.alpha = 2",
+                   "power_log": "potential.alpha = 1.5", "tabulated": "potential.path = {table}"}
+
+
+def test_fuzz_keys_cover_every_numeric_key(tmp_path):
+    # the keys are what loading reads, over every potential and initial family
+    # and every envelope under each of its phi and beta forms
+    table = tmp_path / "table.csv"
+    table.write_text("x,y\n-4,1\n-1,2\n1,1\n4,2\n")
+    texts = [f"potential.family = {fam}\n{POTENTIAL_LINES[fam].format(table=table)}"
+             for fam in POTENTIALS]
+    texts += [f"initial.family = {fam}\ninitial.path = {table}" if fam == "tabulated"
+              else f"initial.family = {fam}" for fam in INITIAL]
+    texts += [f"envelopes = {name}\n" + (f"envelope.{name}.{selector} = {form}"
+                                           if selector else "")
+              for name, family in ENVELOPES.items()
+              for selector, forms in ((None, [None]), ("phi", PHIS if family.phi else ()),
+                                      ("beta_form", BETA_FORMS if family.beta else ()))
+              for form in forms]
+    read = set()
+    for text in texts:
+        scn = scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n"))
+        plan_envelopes(scn)
+        read |= scn.config.read
     text_keys = {"potential.family", "potential.path", "initial.family", "initial.path",
                  "sim.scheme", "psi.eta", "envelopes", "envelopes.calibrate"}
-    assert set(FUZZ_KEYS) >= _KEYS - text_keys
-    envelope_keys = {f"envelope.{name}.{key}" for name, family in ENVELOPES.items()
-                     for key in family.keys if key not in ("phi", "beta_form")}
-    assert {case.partition("@")[0] for case in FUZZ_KEYS} >= envelope_keys
+    numeric = {key for key in read - text_keys
+               if key.rpartition(".")[2] not in ("phi", "beta_form")}
+    assert {case.partition("@")[0] for case in FUZZ_KEYS} == numeric
 
 
 @pytest.mark.parametrize("key, value", FUZZ_CASES)
@@ -691,10 +747,13 @@ def test_commands_compute_no_psi_tables(tmp_path, monkeypatch):
 
 
 def test_readme_example_validates():
-    # the example's commented-out optional keys must be valid keys too
+    # the example's commented-out optional keys must be keys that it reads too
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     example = re.sub(r"^# (\S+ *=)", r"\1", example, flags=re.M)
     assert "analysis.capacity_rho" in parse_config_text(example)
     scn = scenario_from_config(parse_config_text(example))
     assert list(plan_envelopes(scn)) == scn.envelope_names
+    misspelt = example.replace("truncation_poincare.q ", "truncation_poincare.qq ")
+    with pytest.raises(ConfigError, match="envelope.truncation_poincare.qq"):
+        plan_envelopes(scenario_from_config(parse_config_text(misspelt)))

@@ -28,7 +28,7 @@ from tvdecay.envelopes import (
     truncation_logsob_k_optimized,
     xi,
 )
-from tvdecay.errors import MomentMissing
+from tvdecay.errors import BadExponent, MomentMissing
 from tvdecay.inequalities import beta_orlicz
 from tvdecay.psi import build_psi_from_eta, eta_power, pinsker_constant
 from tvdecay._numerics import (fit_log_slope, fit_loglog_slope, golden_min_log,
@@ -450,6 +450,19 @@ class TestXiSpecValidation:
                 prod = beta(s) * np.log(c / s)
                 assert np.all(np.diff(prod) <= 1e-9 * np.abs(prod[:-1]) + 1e-300)
                 assert spec.log_numerator == c
+
+    def test_probe_runs_forward_below_2e_10(self):
+        # beta log(c/s) decreases on (0, c) for every c, however small
+        spec = XiSpec(tv.BetaFunction.constant(1.0), 1e-11, 2.0)
+        t = np.geomspace(1e-3, 1e3, 50)
+        s = xi(spec, t)
+        assert np.all(np.isfinite(s)) and np.all(np.diff(s) <= 0)
+
+    @pytest.mark.parametrize("c", [1e-13, 1e-300])
+    def test_empty_bracket_named(self, c):
+        # xi bisects s on (1e-16, min(c, 1, s_max) - 1e-12], empty for these c
+        with pytest.raises(BadExponent, match=f"c = {c:g}"):
+            XiSpec(tv.BetaFunction.constant(1.0), c, 2.0)
 
 
 class TestCalibration:
