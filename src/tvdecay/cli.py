@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -152,19 +151,15 @@ def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
         raise ConfigError(f"{given}: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class _Inputs:
     """What the envelope builders read: mu, h0, its functionals f0, eta and the
     analysed constants."""
 
-    mu: ProbabilityMeasure1D
-    h0: np.ndarray
-    f0: Functionals
-    eta: EtaProfile
-    C_P: float
-    C_LS: Optional[float]
-    rho: float
-    capacity: Optional[dict]
+    def __init__(self, mu: ProbabilityMeasure1D, h0: np.ndarray, f0: Functionals,
+                 eta: EtaProfile, C_P: float, C_LS: Optional[float], rho: float,
+                 capacity: Optional[dict]):
+        self.mu, self.h0, self.f0, self.eta = mu, h0, f0, eta
+        self.C_P, self.C_LS, self.rho, self.capacity = C_P, C_LS, rho, capacity
 
     def moment(self, phi) -> float:
         return integrate(self.mu, self.h0 * phi(self.h0))
@@ -176,18 +171,18 @@ class _Inputs:
         return self.C_LS
 
 
-@dataclass(frozen=True)
 class EnvelopeFamily:
     """One row of the envelope table: `build(x, phi, beta, extras)` with the
     default phi (family, parameter), the default beta as a function of the
     _Inputs x, and the family's own keys with (default, the open interval a
-    set value must lie in).  `parse` reads exactly the envelope.<name>.* keys
-    that these entries and the selected phi and beta forms take."""
+    set value must lie in), none by default.  `parse` reads exactly the
+    envelope.<name>.* keys that these entries and the selected phi and beta
+    forms take."""
 
-    build: Callable
-    phi: Optional[tuple] = None
-    beta: Optional[Callable] = None
-    extras: dict = field(default_factory=dict)
+    def __init__(self, build: Callable, phi: Optional[tuple] = None,
+                 beta: Optional[Callable] = None, extras: Optional[dict] = None):
+        self.build, self.phi, self.beta = build, phi, beta
+        self.extras = {} if extras is None else extras
 
     def parse(self, cfg: dict, name: str) -> Callable:
         """Parse the envelope.<name>.* values; returns build(_Inputs)."""

@@ -11,7 +11,6 @@ in reports holds, and it parses back to the same config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -163,24 +162,19 @@ _ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),      # exp(w_osc) must be finit
              "capacity_f_const": (1.0, POSITIVE)}
 
 
-@dataclass
 class Scenario:
     """A fully resolved scenario; `build` materializes measure and h0."""
 
-    config: Config
-    potential: PotentialSpec
-    n_points: int
-    tail_tol: float
-    initial_family: str
-    initial_params: dict
-    sim: SimConfig
-    eta: EtaProfile
-    psi_a: Optional[float]
-    envelope_names: list
-    calibrate: bool
-    analysis: dict
-    clipped_mass: float = 0.0
-    seed: int = 0
+    def __init__(self, config: Config, potential: PotentialSpec, n_points: int,
+                 tail_tol: float, initial_family: str, initial_params: dict, sim: SimConfig,
+                 eta: EtaProfile, psi_a: Optional[float], envelope_names: list,
+                 calibrate: bool, analysis: dict, clipped_mass: float = 0.0, seed: int = 0):
+        self.config, self.potential = config, potential
+        self.n_points, self.tail_tol = n_points, tail_tol
+        self.initial_family, self.initial_params = initial_family, initial_params
+        self.sim, self.eta, self.psi_a = sim, eta, psi_a
+        self.envelope_names, self.calibrate, self.analysis = envelope_names, calibrate, analysis
+        self.clipped_mass, self.seed = clipped_mass, seed
 
     def build_measure(self) -> ProbabilityMeasure1D:
         return build_measure(self.potential, self.n_points, self.tail_tol)

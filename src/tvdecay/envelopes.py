@@ -19,7 +19,6 @@ measured value at t = 0, preserving the rate content.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable
 
@@ -31,7 +30,10 @@ from ._numerics import bisect_log, invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
 TV_MAX = 2.0
-_CURVATURE_BLOCK = 256  # t values per curvature scan: (256, 80) temporaries
+# The curvature scan takes 80 s values per t, in blocks of t values sized to
+# about 2^17 scan values (1 MB per block temporary) whatever the t array.
+_CURVATURE_SCAN = 80
+_CURVATURE_BLOCK = 2 ** 17 // _CURVATURE_SCAN
 
 
 def _strict(ufunc, error, **raise_on):
@@ -54,7 +56,6 @@ _log = _strict(np.log, ValueError, divide="raise", invalid="raise")
 # xi: the inf-type inverse of beta(s) log(c/s) <= k t
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class XiSpec:
     """xi(t) = inf{ s > 0 : beta(s) * log(c/s) <= k * t }.
 
@@ -65,17 +66,14 @@ class XiSpec:
     _XI_S_FLOOR, or when beta(s) log(c/s) rises on a forward probe to min(c, s_max)/2.
     """
 
-    beta: BetaFunction
-    log_numerator: float = 1.0
-    t_scale: float = 1.0
-
-    def __post_init__(self):
-        c, m = self.log_numerator, min(self.log_numerator, self.beta.s_max)
-        clock = f"xi clock (beta {self.beta.form}, c = {c:g}, k = {self.t_scale:g})"
+    def __init__(self, beta: BetaFunction, log_numerator: float = 1.0, t_scale: float = 1.0):
+        self.beta, self.log_numerator, self.t_scale = beta, log_numerator, t_scale
+        c, m = log_numerator, min(log_numerator, beta.s_max)
+        clock = f"xi clock (beta {beta.form}, c = {c:g}, k = {t_scale:g})"
         if min(m, 1.0) - 1e-12 <= _XI_S_FLOOR:
             raise BadExponent(f"{clock}: min(c, 1, s_max) - 1e-12 must exceed {_XI_S_FLOOR:g}")
         s = np.geomspace(1e-10 if m > 2e-10 else m * 1e-6, m * 0.5, 64)
-        vals = self.beta(s) * np.log(c / s)
+        vals = beta(s) * np.log(c / s)
         if np.any(np.diff(vals) > 1e-6 * np.abs(vals[:-1]) + 1e-300):
             raise BadExponent(f"{clock}: beta(s) log(c/s) must be non-increasing")
 
@@ -118,15 +116,13 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
 # DecayEnvelope
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DecayEnvelope:
     """A named bound t -> eval(t), non-increasing beyond valid_from.  `bound`
     maps a 1-D array of t to the raw (unscaled, unclipped) bound at each."""
 
-    name: str
-    params: dict
-    bound: Callable[[np.ndarray], np.ndarray]
-    scale: float = 1.0
+    def __init__(self, name: str, params: dict, bound: Callable[[np.ndarray], np.ndarray],
+                 scale: float = 1.0):
+        self.name, self.params, self.bound, self.scale = name, params, bound, scale
 
     def raw_eval(self, t):
         """The raw bound: an array for an array of t, a float for a scalar t."""
@@ -147,8 +143,8 @@ class DecayEnvelope:
         target = min(TV_MAX, float(measured_at_zero))
         if base <= 0 or not np.isfinite(base):
             return self
-        return replace(self, scale=self.scale * target / base,
-                       params={**self.params, "calibrated_to": target})
+        return DecayEnvelope(self.name, {**self.params, "calibrated_to": target},
+                             self.bound, self.scale * target / base)
 
     @cached_property
     def valid_from(self) -> float:
@@ -411,7 +407,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
                 return b / (b + t) + 4.0 * s
             return rho * b / (growth + rho * b - 1.0) + 4.0 * s
 
-        return scan_min_log(bracket, 1e-12, min(0.5, beta_wp.s_max), n_scan=80)
+        return scan_min_log(bracket, 1e-12, min(0.5, beta_wp.s_max), n_scan=_CURVATURE_SCAN)
 
     def bound(t):
         val = np.empty(t.shape)

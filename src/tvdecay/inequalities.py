@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,7 +30,6 @@ from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
 # BetaFunction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BetaFunction:
     """A positive, non-increasing rate function beta(s) on (s_min, s_max].
 
@@ -45,12 +43,12 @@ class BetaFunction:
     and `params` are plain data describing it.
     """
 
-    form: str
-    params: dict
-    evaluate: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False)
-    s_min: float = 0.0
-    s_max: float = 1.0
-    monotonicity_violations: int = 0
+    def __init__(self, form: str, params: dict,
+                 evaluate: Callable[[np.ndarray], np.ndarray], s_min: float = 0.0,
+                 s_max: float = 1.0, monotonicity_violations: int = 0):
+        self.form, self.params, self.evaluate = form, params, evaluate
+        self.s_min, self.s_max = s_min, s_max
+        self.monotonicity_violations = monotonicity_violations
 
     @staticmethod
     def power(c: float, q: float) -> "BetaFunction":
@@ -120,12 +118,9 @@ class BetaFunction:
 # Muckenhoupt-type Poincare bracket
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PoincareBracket:
-    B_plus: float
-    B_minus: float
-    B: float
-    C_P_interval: tuple
+    def __init__(self, B_plus: float, B_minus: float, B: float, C_P_interval: tuple):
+        self.B_plus, self.B_minus, self.B, self.C_P_interval = B_plus, B_minus, B, C_P_interval
 
 
 def _right_tail(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -181,15 +176,12 @@ def muckenhoupt_poincare(mu: ProbabilityMeasure1D,
                            C_P_interval=(float(B), float(4.0 * B)))
 
 
-@dataclass(frozen=True)
 class SpectralGap:
     """The gap of -L for the discrete generator, C_P = 1/(2 gap), the top
     eigenfunction f and its Rayleigh quotient Var(f)/int |f'|^2 dmu."""
 
-    gap: float
-    C_P: float
-    f: np.ndarray
-    rayleigh: float
+    def __init__(self, gap: float, C_P: float, f: np.ndarray, rayleigh: float):
+        self.gap, self.C_P, self.f, self.rayleigh = gap, C_P, f, rayleigh
 
 
 def spectral_gap(mu: ProbabilityMeasure1D) -> SpectralGap:
@@ -216,13 +208,11 @@ def spectral_gap(mu: ProbabilityMeasure1D) -> SpectralGap:
 # Weak Poincare from tails (symmetric nu, Lebesgue density g)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class TailBetaResult:
-    b: float
-    B: float
-    accepted: bool
-    C_range: tuple
-    beta_wp: Optional[BetaFunction]
+    def __init__(self, b: float, B: float, accepted: bool, C_range: tuple,
+                 beta_wp: Optional[BetaFunction]):
+        self.b, self.B, self.accepted = b, B, accepted
+        self.C_range, self.beta_wp = C_range, beta_wp
 
 
 def weak_poincare_beta_from_tails(mu: ProbabilityMeasure1D, g,
@@ -290,10 +280,9 @@ def weak_poincare_beta_from_tails(mu: ProbabilityMeasure1D, g,
 # Bakry-Emery curvature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class BakryEmery:
-    rho: float
-    C_LS: Optional[float]
+    def __init__(self, rho: float, C_LS: Optional[float]):
+        self.rho, self.C_LS = rho, C_LS
 
 
 def bakry_emery(mu: ProbabilityMeasure1D, w_osc: float = 0.0) -> BakryEmery:
@@ -321,14 +310,12 @@ def drift_tail_beta(p: float, d_p: float) -> BetaFunction:
     return BetaFunction.logpower(d_p, 2.0 * p / (1.0 + p), s0=2.0)
 
 
-@dataclass(frozen=True)
 class CapacityCheck:
-    HprimeF_sup_right: float
-    HprimeF_sup_left: float
-    C_cap: float
-    C_eta_bound: float
-    alt_remark_ratio_sup: float
-    alt_remark_flag: str
+    def __init__(self, HprimeF_sup_right: float, HprimeF_sup_left: float, C_cap: float,
+                 C_eta_bound: float, alt_remark_ratio_sup: float, alt_remark_flag: str):
+        self.HprimeF_sup_right, self.HprimeF_sup_left = HprimeF_sup_right, HprimeF_sup_left
+        self.C_cap, self.C_eta_bound = C_cap, C_eta_bound
+        self.alt_remark_ratio_sup, self.alt_remark_flag = alt_remark_ratio_sup, alt_remark_flag
 
 
 def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,

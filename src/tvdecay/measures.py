@@ -10,7 +10,6 @@ directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -31,7 +30,6 @@ _EXPANSION_CAP = 200.0
 _MASS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
 class PotentialSpec:
     """Potential V defining mu ~ exp(-2V) dx.
 
@@ -53,11 +51,17 @@ class PotentialSpec:
         domain is the sampled range.
     """
 
-    family: str
-    params: dict
-    V: Callable = field(compare=False, repr=False)
-    V2: Callable = field(compare=False, repr=False)
-    domain: Optional[tuple] = field(default=None, compare=False, repr=False)
+    def __init__(self, family: str, params: dict, V: Callable, V2: Callable,
+                 domain: Optional[tuple] = None):
+        self.family, self.params = family, params
+        self.V, self.V2, self.domain = V, V2, domain
+
+    def __eq__(self, other):
+        """Equal family and params; the bound callables and domain are not
+        compared."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.family, self.params) == (other.family, other.params)
 
     @staticmethod
     def gaussian(sigma: float = math.sqrt(0.5)) -> "PotentialSpec":
@@ -121,7 +125,6 @@ class PotentialSpec:
                              V2=interp.derivative(2), domain=(float(x[0]), float(x[-1])))
 
 
-@dataclass(frozen=True)
 class ProbabilityMeasure1D:
     """Truncated-grid representation of mu with quadrature, CDF and median.
 
@@ -129,17 +132,12 @@ class ProbabilityMeasure1D:
     sum(quadrature * g).
     """
 
-    grid: np.ndarray
-    pdf: np.ndarray
-    log_partition: float
-    cdf: np.ndarray
-    median: float
-    v_values: np.ndarray
-    quadrature: np.ndarray
-    spec: Optional[PotentialSpec] = None
-
-    def __post_init__(self):
-        for arr in (self.grid, self.pdf, self.cdf, self.v_values, self.quadrature):
+    def __init__(self, grid: np.ndarray, pdf: np.ndarray, log_partition: float,
+                 cdf: np.ndarray, median: float, v_values: np.ndarray,
+                 quadrature: np.ndarray, spec: Optional[PotentialSpec] = None):
+        self.grid, self.pdf, self.log_partition, self.cdf = grid, pdf, log_partition, cdf
+        self.median, self.v_values, self.quadrature, self.spec = median, v_values, quadrature, spec
+        for arr in (grid, pdf, cdf, v_values, quadrature):
             arr.setflags(write=False)
 
     @property
@@ -353,7 +351,6 @@ def _check_density(mu: ProbabilityMeasure1D, ws: BlockWorkspace):
     return clipped, mass, h_min
 
 
-@dataclass(frozen=True)
 class Functionals:
     """Static functionals of a density h against mu.
 
@@ -365,18 +362,26 @@ class Functionals:
     everywhere and are None otherwise.  mass and min_h are int h dmu and
     min h as the density check found them.  For a block of densities each
     field holds one float per row, with nan where a row's value is None.
+    NAMES lists the fields in constructor order.
     """
 
-    tv: float
-    hellinger: float
-    variance: float
-    entropy: float
-    i_psi: Optional[float]
-    dissipation: Optional[float]
-    v_reverse: Optional[float]
-    e_reverse: Optional[float]
-    mass: float
-    min_h: float
+    NAMES = ("tv", "hellinger", "variance", "entropy", "i_psi", "dissipation",
+             "v_reverse", "e_reverse", "mass", "min_h")
+
+    def __init__(self, tv: float, hellinger: float, variance: float, entropy: float,
+                 i_psi: Optional[float], dissipation: Optional[float],
+                 v_reverse: Optional[float], e_reverse: Optional[float],
+                 mass: float, min_h: float):
+        self.tv, self.hellinger, self.variance, self.entropy = tv, hellinger, variance, entropy
+        self.i_psi, self.dissipation = i_psi, dissipation
+        self.v_reverse, self.e_reverse = v_reverse, e_reverse
+        self.mass, self.min_h = mass, min_h
+
+    def __eq__(self, other):
+        """Equal in every field, compared as a tuple of them would be."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
 def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) -> Functionals:
@@ -442,11 +447,9 @@ def tv_distance(mu: ProbabilityMeasure1D, h) -> float:
     return functionals(mu, h).tv
 
 
-@dataclass(frozen=True)
 class PinskerCheck:
-    tv: float
-    rhs: float
-    holds: bool
+    def __init__(self, tv: float, rhs: float, holds: bool):
+        self.tv, self.rhs, self.holds = tv, rhs, holds
 
 
 def pinsker_check(mu: ProbabilityMeasure1D, h, psi, c_psi: float) -> PinskerCheck:

@@ -17,7 +17,6 @@ so profiles built from an eta with analytic derivatives are exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -29,7 +28,6 @@ from ._numerics import golden_min_log
 _PROBE_LO, _PROBE_HI, _PROBE_N = 1e-6, 1e8, 2000
 
 
-@dataclass(frozen=True)
 class EtaProfile:
     """An eta that is convex at infinity with eta(u)/u -> infinity.
 
@@ -41,11 +39,12 @@ class EtaProfile:
     * eta non-decreasing beyond b.
     """
 
-    eta: Callable[[np.ndarray], np.ndarray]
-    eta_prime: Callable[[np.ndarray], np.ndarray]
-    eta_second: Callable[[np.ndarray], np.ndarray]
-    b: float = 0.0
-    name: str = "eta"
+    def __init__(self, eta: Callable[[np.ndarray], np.ndarray],
+                 eta_prime: Callable[[np.ndarray], np.ndarray],
+                 eta_second: Callable[[np.ndarray], np.ndarray],
+                 b: float = 0.0, name: str = "eta"):
+        self.eta, self.eta_prime, self.eta_second = eta, eta_prime, eta_second
+        self.b, self.name = b, name
 
     def admissibility_flags(self) -> dict:
         u = np.geomspace(max(self.b, _PROBE_LO) + 1e-9, _PROBE_HI, _PROBE_N)
@@ -153,7 +152,6 @@ def eta_fsobolev(alpha: float) -> EtaProfile:
 
 # -- psi profile -----------------------------------------------------------------
 
-@dataclass(frozen=True)
 class PsiProfile:
     """psi with its first two derivatives, and c_psi on first read.
 
@@ -163,11 +161,11 @@ class PsiProfile:
     is computed the first time it is read, so the simulation never pays for it.
     """
 
-    a: float
-    psi: Callable[[np.ndarray], np.ndarray]
-    psi_prime: Callable[[np.ndarray], np.ndarray]
-    psi_second: Callable[[np.ndarray], np.ndarray]
-    name: str = "psi"
+    def __init__(self, a: float, psi: Callable[[np.ndarray], np.ndarray],
+                 psi_prime: Callable[[np.ndarray], np.ndarray],
+                 psi_second: Callable[[np.ndarray], np.ndarray], name: str = "psi"):
+        self.a, self.psi, self.psi_prime, self.psi_second = a, psi, psi_prime, psi_second
+        self.name = name
 
     @cached_property
     def c_pinsker(self) -> float:

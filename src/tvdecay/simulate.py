@@ -16,9 +16,8 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import dataclass, fields
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
-from importlib.util import module_from_spec
+from importlib.util import find_spec, module_from_spec
 from typing import Optional
 
 import numpy as np
@@ -37,35 +36,38 @@ _BLOCK_ELEMS = 2 ** 14
 _FLAPACK = "scipy.linalg._flapack"
 
 
-@dataclass(frozen=True)
 class SimConfig:
-    dt: float
-    t_end: float
-    scheme: str = "implicit_euler"
-    save_every: int = 1
-
-    def __post_init__(self):
-        if not (self.dt > 0):
+    def __init__(self, dt: float, t_end: float, scheme: str = "implicit_euler",
+                 save_every: int = 1):
+        self.dt, self.t_end, self.scheme, self.save_every = dt, t_end, scheme, save_every
+        if not (dt > 0):
             raise ValueError("dt must be positive")
-        if not (math.isfinite(self.t_end) and self.t_end >= self.dt):
+        if not (math.isfinite(t_end) and t_end >= dt):
             raise ValueError("t_end must be finite and at least dt")
-        if self.save_every < 1:
+        if save_every < 1:
             raise ValueError("save_every must be >= 1")
-        if self.scheme not in ("implicit_euler", "crank_nicolson"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if scheme not in ("implicit_euler", "crank_nicolson"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
 
-@dataclass(frozen=True)
 class DiagnosticsSeries(Functionals):
     """Per-save functionals along a run: each `Functionals` field holds one
     array over the saves, with nan where a save's value is None.
     dissipation_lhs is the centered time difference of I_psi; the flow
     identity reads lhs = -dissipation."""
 
-    times: np.ndarray
-    dissipation_lhs: np.ndarray
-    reverse_transformed: bool = False
-    states: Optional[list] = None
+    def __init__(self, tv, hellinger, variance, entropy, i_psi, dissipation, v_reverse,
+                 e_reverse, mass, min_h, times: np.ndarray, dissipation_lhs: np.ndarray,
+                 reverse_transformed: bool = False, states: Optional[list] = None):
+        super().__init__(tv, hellinger, variance, entropy, i_psi, dissipation, v_reverse,
+                         e_reverse, mass, min_h)
+        self.times, self.dissipation_lhs = times, dissipation_lhs
+        self.reverse_transformed, self.states = reverse_transformed, states
 
 
 def _flapack():
@@ -73,19 +75,21 @@ def _flapack():
 
     Importing it the usual way runs the `scipy.linalg` package `__init__`,
     which loads the whole of scipy.linalg: most of a short simulate run.  So
-    the extension file is found in scipy's linalg directory and loaded on
-    its own, after the light `scipy` package itself.  Its `dpttrf`/`dpttrs`
-    are the very objects `scipy.linalg.lapack` re-exports, whichever of the
-    two loads first.  If the file is not found, that import is the fallback.
+    the extension file is found in scipy's linalg directory, located by
+    `find_spec` without running even the `scipy` package's own `__init__`,
+    and loaded on its own.  Its `dpttrf`/`dpttrs` are the very objects
+    `scipy.linalg.lapack` re-exports, whichever of the two loads first.  If
+    scipy or the file is not found, that import is the fallback.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
         return module
-    import scipy
-
-    finder = FileFinder(os.path.join(scipy.__path__[0], "linalg"),
-                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
-    spec = finder.find_spec(_FLAPACK)
+    package = find_spec("scipy")
+    spec = None
+    if package is not None and package.submodule_search_locations:
+        finder = FileFinder(os.path.join(package.submodule_search_locations[0], "linalg"),
+                            (ExtensionFileLoader, EXTENSION_SUFFIXES))
+        spec = finder.find_spec(_FLAPACK)
     if spec is None:
         from scipy.linalg import lapack
         return lapack
@@ -209,8 +213,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         diagnose()
 
     times = np.asarray(times)
-    series = {f.name: np.concatenate([getattr(b, f.name) for b in blocks])
-              for f in fields(Functionals)}
+    series = {name: np.concatenate([getattr(b, name) for b in blocks])
+              for name in Functionals.NAMES}
     i_psi = series["i_psi"]
     lhs = np.full_like(times, np.nan, dtype=float)
     if len(times) >= 3 and psi is not None:
@@ -265,13 +269,11 @@ def ou_exact_evolve(mu: ProbabilityMeasure1D, h0, t: float) -> np.ndarray:
 # Reversed-role diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ReverseDiagnostics:
-    times: np.ndarray
-    V: np.ndarray
-    E: np.ndarray
-    v_monotone: bool
-    e_monotone: bool
+    def __init__(self, times: np.ndarray, V: np.ndarray, E: np.ndarray, v_monotone: bool,
+                 e_monotone: bool):
+        self.times, self.V, self.E = times, V, E
+        self.v_monotone, self.e_monotone = v_monotone, e_monotone
 
 
 def reverse_diagnostics(series: DiagnosticsSeries) -> ReverseDiagnostics:

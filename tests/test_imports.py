@@ -7,8 +7,11 @@ inputs (PCHIP) and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
 `scipy.linalg._flapack` on its own, without the `scipy.linalg` package.  So
 `import tvdecay.cli`, `analyze` and `bounds` load no scipy at all, and
 `simulate` and `compare` load LAPACK but neither the `scipy.linalg` package
-nor PCHIP.  Each check runs in a fresh interpreter, since the test process
-itself has imported scipy long before.
+nor PCHIP.  The LAPACK extension is found without running scipy's own
+`__init__`, so it is the only scipy module they load.  The package's records
+are plain classes, so no command loads `dataclasses` either.  Each check
+runs in a fresh interpreter, since the test process itself has imported
+scipy long before.
 """
 
 import json
@@ -37,17 +40,27 @@ POTENTIALS = {"gaussian": "potential.family = gaussian",
 
 # Prints the heavy scipy modules loaded after the import, after analyze and
 # bounds on every scenario, and after simulate and compare, as one JSON object.
+# Under "scipy" it lists every scipy module loaded after each of those stages,
+# and under "dataclasses" the import and each verb run after which
+# `dataclasses` was loaded.
 CHILD = """
 import json, sys
 def heavy():
     return sorted(m for m in sys.modules if m.startswith({heavy!r}))
+def scipy():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import tvdecay.cli as cli
-seen = {{"import": heavy()}}
+seen = {{"import": heavy(), "scipy": {{"import": scipy()}}, "dataclasses": []}}
+if "dataclasses" in sys.modules:
+    seen["dataclasses"].append("import")
 for verbs in (("analyze", "bounds"), ("simulate", "compare")):
     for path in sys.argv[1:]:
         for verb in verbs:
             assert cli.main([verb, path, "--out", path + "-" + verb]) == 0, (verb, path)
+            if "dataclasses" in sys.modules:
+                seen["dataclasses"].append(verb + " " + path)
     seen["+".join(verbs)] = heavy()
+    seen["scipy"]["+".join(verbs)] = scipy()
 print(json.dumps(seen))
 """
 
@@ -76,3 +89,13 @@ def test_cli_loads_scipy_only_where_it_runs(tmp_path):
     assert "scipy.linalg" not in seen["simulate+compare"]
     assert "scipy.linalg._flapack" in seen["simulate+compare"]
     assert not any(m.startswith("scipy.interpolate") for m in seen["simulate+compare"])
+
+
+def test_cli_loads_no_dataclasses_and_no_scipy_package(tmp_path):
+    """Start-up stays light: neither `dataclasses` nor scipy's `__init__`
+    (the top-level `scipy` package, which loads `scipy._lib`) runs on any
+    command, and LAPACK's extension is the one scipy module loaded."""
+    seen = _loaded(tmp_path)
+    assert seen["dataclasses"] == []
+    assert seen["scipy"] == {"import": [], "analyze+bounds": [],
+                             "simulate+compare": ["scipy.linalg._flapack"]}
