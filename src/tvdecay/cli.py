@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Optional
@@ -414,5 +415,22 @@ def main(argv=None) -> int:
         return 3
 
 
+# `run` ends the process with os._exit, skipping interpreter teardown (module
+# teardown of numpy and scipy's LAPACK extension, GC of every object): 25-28 ms
+# of a 200-220 ms command (medians of 9 fresh processes on a 2-CPU host,
+# 1001-point gaussian analyze, bounds and simulate).  Nothing is lost by it:
+# write_csv and write_json close every output file inside `with open(...)`
+# before `main` returns, the package registers no atexit hook and starts no
+# thread, and the standard streams are flushed here.  A usage error, --help
+# or a traceback leaves `main` by exception and so exits the normal way.
+def run() -> None:
+    """Console entry point: `main`'s exit code, without interpreter teardown."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

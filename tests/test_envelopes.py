@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import tvdecay as tv
+from tvdecay import envelopes
 from tvdecay.envelopes import (
-    _CURVATURE_BLOCK,
     _XI_S_FLOOR,
     _exp,
     _log,
@@ -551,14 +551,19 @@ def _one_of_each_family() -> dict:
     }
 
 
-# t = 0 and more points than one curvature block
-ARRAY_TS = np.concatenate([[0.0], np.geomspace(1e-6, 500.0, _CURVATURE_BLOCK + 3)])
+# t = 0 and more points than four curvature blocks of the size that the parity
+# test below sets (the shipped block is larger than this whole array)
+SMALL_CURVATURE_BLOCK = 64
+ARRAY_TS = np.concatenate([[0.0], np.geomspace(1e-6, 500.0, 4 * SMALL_CURVATURE_BLOCK + 3)])
 XI_CLOCKS = ("weak_poincare", "orlicz", "weak_logsob", "hellinger")
 
 
 class TestArrayEvaluation:
     @pytest.mark.parametrize("name", sorted(_one_of_each_family()))
-    def test_array_equals_each_scalar(self, name):
+    def test_array_equals_each_scalar(self, name, monkeypatch):
+        # the curvature bound reads the block size at call time
+        monkeypatch.setattr(envelopes, "_CURVATURE_BLOCK", SMALL_CURVATURE_BLOCK)
+        assert ARRAY_TS.size > 4 * envelopes._CURVATURE_BLOCK
         env = _one_of_each_family()[name]
         vals, raw = env.eval(ARRAY_TS), env.raw_eval(ARRAY_TS)
         assert isinstance(raw, np.ndarray) and raw.shape == ARRAY_TS.shape
