@@ -83,7 +83,8 @@ class LowerBoundViolated(TvDecayError):
 
 class SolverBreakdown(TvDecayError):
     """The mass-weighted implicit step matrix Q(I - dt*L) is not finite or not
-    positive definite, or a right-hand side or a solve fails."""
+    positive definite, a right-hand side or a state of the flow is not
+    finite, or a solve fails."""
 
 
 class ConfigError(TvDecayError):

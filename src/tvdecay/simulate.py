@@ -13,6 +13,7 @@ step, not just in the continuum limit.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 import warnings
@@ -39,12 +40,16 @@ _FLAPACK = "scipy.linalg._flapack"
 class SimConfig:
     def __init__(self, dt: float, t_end: float, scheme: str = "implicit_euler",
                  save_every: int = 1):
-        self.dt, self.t_end, self.scheme, self.save_every = dt, t_end, scheme, save_every
+        self.dt, self.t_end, self.scheme = dt, t_end, scheme
         if not (dt > 0):
             raise ValueError("dt must be positive")
         if not (math.isfinite(t_end) and t_end >= dt):
             raise ValueError("t_end must be finite and at least dt")
-        if save_every < 1:
+        try:
+            self.save_every = operator.index(save_every)
+        except TypeError:
+            raise ValueError(f"save_every must be an integer, got {save_every!r}") from None
+        if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
         if scheme not in ("implicit_euler", "crank_nicolson"):
             raise ValueError(f"unknown scheme {scheme!r}")
@@ -100,7 +105,8 @@ def _flapack():
 
 
 def _step_solver(q, upper, alpha):
-    """Factor the implicit step once and return rhs -> (I - alpha*L)^{-1} rhs.
+    """Factor the implicit step once and return solve(rhs, steps=1, out=None),
+    which applies (I - alpha*L)^{-1} to rhs `steps` times.
 
     The step is solved in the mass-weighted form S x = q*rhs, q =
     mu.quadrature, with S = Q(I - alpha*L) symmetric positive definite:
@@ -112,6 +118,12 @@ def _step_solver(q, upper, alpha):
     and leaves h there all but unchanged.  S is factored once as L D L^T
     (LAPACK dpttrf, no pivoting) and each step is one dpttrs call.  Both
     routines come from `_flapack`, so a run loads no `scipy.linalg` package.
+
+    solve checks rhs once, writes the weighted rhs into `out` (a new array if
+    None; a contiguous float array, rhs itself allowed), and runs the `steps`
+    dpttrs solves in place in it, weighting in place between them.  Each
+    step is the product and then the solve, as one call per step would be,
+    so the result is bit for bit that of `steps` one-step calls.
     """
     lapack = _flapack()
     dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
@@ -128,16 +140,25 @@ def _step_solver(q, upper, alpha):
         raise SolverBreakdown(f"the implicit step matrix Q(I - dt*L) is not positive "
                               f"definite (dpttrf info = {info})")
 
-    def solve(rhs):
-        # a finite sum proves every entry finite: only a sum that is not
-        # (an entry nan or inf, or an overflow) needs the full scan
-        if not math.isfinite(rhs.sum()) and not np.isfinite(rhs).all():
+    def solve(rhs, steps=1, out=None):
+        if not _finite(rhs):
             raise SolverBreakdown("the implicit step right-hand side is not finite")
-        x, info = dpttrs(d, e, w * rhs)
-        if info != 0:
-            raise SolverBreakdown(f"the implicit step solve failed (dpttrs info = {info})")
+        x = np.multiply(w, rhs, out=out)
+        for step in range(steps):
+            if step:
+                x *= w
+            x, info = dpttrs(d, e, x, overwrite_b=1)
+            if info != 0:
+                raise SolverBreakdown(
+                    f"the implicit step solve failed (dpttrs info = {info})")
         return x
     return solve
+
+
+def _finite(x) -> bool:
+    # a finite sum proves every entry finite: only a sum that is not
+    # (an entry nan or inf, or an overflow) needs the full scan
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
 def _apply_L(lower, diag, upper, h):
@@ -153,15 +174,31 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
 
     The saved states are copied into the rows of one `BlockWorkspace` of
     max(1, _BLOCK_ELEMS // n) rows, allocated once per run.  Each full
-    block, then the last partial one, goes through one `functionals` call on
-    that workspace, which reuses its scratch, so no save allocates a
+    block, then the last one, full or not, goes through one `functionals`
+    call on that workspace, which reuses its scratch, so no save allocates a
     block-sized array.  The series joins the blocks field by field, so its
     values are those of one call per save, and a bad save still raises
     NotADensity.  When min h0 < 1/2 the reversed functionals V, E are
     recorded for the mixture flow (1 + h_t)/2, which is itself the exact flow
     of (1 + h0)/2; the series flag `reverse_transformed` records this.
+
+    Implicit Euler takes one `solve` call per save interval, which runs the
+    interval's steps, one dpttrs each, in place in the clipped copy of h0;
+    Crank-Nicolson calls `solve` once per step.  `solve` checks its input
+    finite (for Crank-Nicolson, the right-hand side built from the state), so
+    each saved state but the last is checked when the next interval starts,
+    and the last one after the loop.  A full block is diagnosed only when
+    the next save needs a row, so each check comes before its state reaches
+    `functionals`: a breakdown raises SolverBreakdown, never NotADensity.
+    Checking once per interval misses no breakdown: a nan or inf entered
+    into a dpttrs solve spreads to every later entry of its forward pass and
+    then to every entry of its backward pass (IEEE nan*0 and inf*0 are nan),
+    so once a state is not finite every later state is not finite either,
+    the next saved one included.  The error is raised at most
+    save_every - 1 steps after the step that broke down.
     """
-    h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]   # h0 clipped at 0
+    # h0 clipped at 0, in a fresh array: the implicit Euler state buffer
+    h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
     lower, diag, upper = generator(mu)
     dt = config.dt
     n_steps = int(round(config.t_end / dt))
@@ -180,6 +217,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         ws.filled = 0
 
     def record(t, h_t):
+        if ws.filled == len(ws.block):
+            diagnose()
         row = ws.block[ws.filled]
         if h_t.min() < -1e-12:
             # crank_nicolson oscillations: diagnose a cleaned copy, keep the
@@ -192,25 +231,26 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
         if keep_states:
             states.append(row.copy())
         ws.filled += 1
-        if ws.filled == len(ws.block):
-            diagnose()
 
     record(0.0, h)
-    for k in range(1, n_steps + 1):
+    done = 0
+    for k in [*range(config.save_every, n_steps, config.save_every), n_steps]:
         if explicit_half is None:
-            h = solve(h)
+            solve(h, k - done, out=h)
         else:
-            h = solve(h + explicit_half * _apply_L(lower, diag, upper, h))
-            neg_mass = -integrate(mu, np.minimum(h, 0.0))
-            if neg_mass > 1e-6 and not warned:
-                warnings.warn(
-                    f"crank_nicolson produced negative mass fraction "
-                    f"{neg_mass:.2e} at step {k}; reduce dt", CFLWarning)
-                warned = True
-        if k % config.save_every == 0 or k == n_steps:
-            record(k * dt, h)
-    if ws.filled:
-        diagnose()
+            for step in range(done + 1, k + 1):
+                h = solve(h + explicit_half * _apply_L(lower, diag, upper, h))
+                neg_mass = -integrate(mu, np.minimum(h, 0.0))
+                if neg_mass > 1e-6 and not warned:
+                    warnings.warn(
+                        f"crank_nicolson produced negative mass fraction "
+                        f"{neg_mass:.2e} at step {step}; reduce dt", CFLWarning)
+                    warned = True
+        record(k * dt, h)
+        done = k
+    if not _finite(h):
+        raise SolverBreakdown(f"the flow's state at t = {n_steps * dt:g} is not finite")
+    diagnose()
 
     times = np.asarray(times)
     series = {name: np.concatenate([getattr(b, name) for b in blocks])

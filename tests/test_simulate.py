@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ class TestSimConfig:
             tv.SimConfig(dt=0.1, t_end=1.0, save_every=0)
         with pytest.raises(ValueError):
             tv.SimConfig(dt=0.1, t_end=1.0, scheme="leapfrog")
+
+    @pytest.mark.parametrize("save_every", [2.5, 3.0, "3"])
+    def test_non_integral_save_every(self, save_every):
+        with pytest.raises(ValueError, match="save_every"):
+            tv.SimConfig(dt=0.1, t_end=1.0, save_every=save_every)
+
+    def test_numpy_integer_save_every(self):
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
+        config = tv.SimConfig(dt=0.1, t_end=1.0, save_every=np.int64(3))
+        assert config == tv.SimConfig(dt=0.1, t_end=1.0, save_every=3)
+        s = tv.evolve(mu, step_density(mu), config)
+        np.testing.assert_allclose(s.times, [0.0, 0.3, 0.6, 0.9, 1.0])
 
 
 class TestStationarity:
@@ -386,6 +399,84 @@ class TestContraction:
         res = contraction_check(gaussian_measure, h0, np.ones(4001), cfg)
         s = tv.evolve(gaussian_measure, h0, cfg)
         assert np.allclose(res["l1_distance"], s.tv, atol=1e-12)
+
+
+class TestSaveIntervals:
+    """Implicit Euler advances from save to save in one `solve` call, in
+    place, with the same arithmetic as one call per step."""
+
+    N_STEPS = 22
+
+    @pytest.mark.parametrize("every", [1, 3, 7, N_STEPS, N_STEPS + 5])
+    def test_saved_states_are_those_of_every_step(self, every):
+        mu = tv.build_measure(tv.PotentialSpec.power(4.0), 401)
+        h0 = shifted_gaussian_density(mu, 0.5)
+
+        def run(save_every):
+            config = tv.SimConfig(dt=0.01, t_end=0.01 * self.N_STEPS, save_every=save_every)
+            return tv.evolve(mu, h0, config, keep_states=True)
+        got, each = run(every), run(1)
+        saved = sorted(set(range(0, self.N_STEPS + 1, every)) | {self.N_STEPS})
+        assert len(got.states) == len(saved)
+        assert np.array_equal(got.times, each.times[saved])
+        assert np.array_equal(got.tv, each.tv[saved])
+        for state, k in zip(got.states, saved):
+            assert np.array_equal(state, each.states[k])
+
+    @staticmethod
+    def _solver_and_rhs():
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+        solve = _step_solver(mu.quadrature, simulate.generator(mu)[2], 0.01)
+        return solve, shifted_gaussian_density(mu, 0.5)
+
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    def test_steps_equal_one_step_calls(self, steps):
+        solve, rhs = self._solver_and_rhs()
+        want = rhs
+        for _ in range(steps):
+            want = solve(want)
+        assert np.array_equal(solve(rhs, steps), want)
+        buffer = rhs.copy()
+        assert solve(buffer, steps, out=buffer) is buffer
+        assert np.array_equal(buffer, want)
+
+    @pytest.mark.parametrize("into", ["none", "other"])
+    def test_rhs_unchanged(self, into):
+        solve, rhs = self._solver_and_rhs()
+        kept = rhs.copy()
+        out = None if into == "none" else np.empty_like(rhs)
+        x = solve(rhs, 5, out=out)
+        assert np.array_equal(rhs, kept)
+        assert x is not rhs and (out is None or x is out)
+
+    @pytest.mark.parametrize("block_elems", [simulate._BLOCK_ELEMS, 1])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("bad_solve", [1, 10, 17, 31, 35])
+    def test_breakdown_inside_an_interval(self, bad_solve, scheme, block_elems,
+                                          monkeypatch):
+        # 35 steps saved every 10: intervals of 10, 10, 10 and 5 solves.  The
+        # stand-in dpttrs plants a nan in the result of solve `bad_solve`; a
+        # one-row block (block_elems 1) diagnoses every save as it is made.
+        lapack = simulate._flapack()
+        calls = []
+
+        def dpttrs(d, e, b, overwrite_b=0):
+            x, info = lapack.dpttrs(d, e, b, overwrite_b=overwrite_b)
+            calls.append(len(x))
+            if len(calls) == bad_solve:
+                x[len(x) // 2] = np.nan
+            return x, info
+
+        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(
+            dpttrf=lapack.dpttrf, dpttrs=dpttrs))
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
+        config = tv.SimConfig(dt=0.01, t_end=0.35, scheme=scheme, save_every=10)
+        with pytest.raises(SolverBreakdown, match="not finite"):
+            tv.evolve(mu, step_density(mu), config)
+        if scheme == "implicit_euler":
+            # raised at the save that ends the interval of the bad solve
+            assert len(calls) == min(-(-bad_solve // 10) * 10, 35)
 
 
 class TestStepSolver:

@@ -135,9 +135,10 @@ def test_underflowing_quadrature():
 
 
 def banded_reference_solver(mu):
-    """A stand-in for `_step_solver`: rhs -> (I - alpha*L)^{-1} rhs by scipy's
-    solve_banded on the (3, n) banded layout of all three of mu's generator
-    diagonals, a pivoted LU factored again on every call."""
+    """A stand-in for `_step_solver`: solve(rhs, steps, out) applies
+    (I - alpha*L)^{-1} to rhs `steps` times by scipy's solve_banded on the
+    (3, n) banded layout of all three of mu's generator diagonals, a pivoted
+    LU factored again on every step."""
     from scipy.linalg import solve_banded
 
     lower, diag, upper = generator(mu)
@@ -147,7 +148,16 @@ def banded_reference_solver(mu):
         ab[0, 1:] = -alpha * upper[:-1]
         ab[1, :] = 1.0 - alpha * diag
         ab[2, :-1] = -alpha * lower[1:]
-        return lambda rhs: solve_banded((1, 1), ab, rhs)
+
+        def solve(rhs, steps=1, out=None):
+            x = rhs
+            for _ in range(steps):
+                x = solve_banded((1, 1), ab, x)
+            if out is None:
+                return x
+            out[:] = x
+            return out
+        return solve
     return step_solver
 
 
@@ -175,24 +185,30 @@ STEP_SOLVER = simulate._step_solver
 
 
 def residual_checked_solver(q, upper, alpha):
-    """simulate's own step solver, with every step checked componentwise:
-    |S x - q r| <= 8 eps (|S| |x| + q |r|), S = Q(I - alpha*L)."""
+    """simulate's own step solver, run one step at a time with every step
+    checked componentwise: |S x - q r| <= 8 eps (|S| |x| + q |r|),
+    S = Q(I - alpha*L)."""
     solve = STEP_SOLVER(q, upper, alpha)
     c = alpha * q[:-1] * upper[:-1]
     d = q.copy()
     d[:-1] += c
     d[1:] += c
 
-    def checked(rhs):
-        x = solve(rhs)
-        sx, size = d * x, d * np.abs(x)
-        sx[:-1] -= c * x[1:]
-        sx[1:] -= c * x[:-1]
-        size[:-1] += c * np.abs(x[1:])
-        size[1:] += c * np.abs(x[:-1])
-        bound = 8 * np.finfo(float).eps * (size + q * np.abs(rhs))
-        assert np.all(np.abs(sx - q * rhs) <= bound)
-        return x
+    def checked(rhs, steps=1, out=None):
+        x = rhs
+        for _ in range(steps):
+            rhs, x = x, solve(x)
+            sx, size = d * x, d * np.abs(x)
+            sx[:-1] -= c * x[1:]
+            sx[1:] -= c * x[:-1]
+            size[:-1] += c * np.abs(x[1:])
+            size[1:] += c * np.abs(x[:-1])
+            bound = 8 * np.finfo(float).eps * (size + q * np.abs(rhs))
+            assert np.all(np.abs(sx - q * rhs) <= bound)
+        if out is None:
+            return x
+        out[:] = x
+        return out
     return checked
 
 
