@@ -94,7 +94,9 @@ class ConfigError(TvDecayError):
 # -- warnings ------------------------------------------------------------------
 
 class CFLWarning(UserWarning):
-    """Crank-Nicolson produced oscillations (negative mass fraction > 1e-6)."""
+    """A saved state carries negative mass -int min(h, 0) dmu > 1e-6: the
+    oscillations of a Crank-Nicolson step too large for the data.  Warned
+    once per run, at the first such save."""
 
 
 class NonYoungWarning(UserWarning):

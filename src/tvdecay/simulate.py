@@ -45,6 +45,9 @@ class SimConfig:
             raise ValueError("dt must be positive")
         if not (math.isfinite(t_end) and t_end >= dt):
             raise ValueError("t_end must be finite and at least dt")
+        steps = t_end / dt
+        if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+            raise ValueError(f"t_end = {t_end!r} is not a whole number of dt = {dt!r} steps")
         try:
             self.save_every = operator.index(save_every)
         except TypeError:
@@ -106,7 +109,8 @@ def _flapack():
 
 def _step_solver(q, upper, alpha):
     """Factor the implicit step once and return solve(rhs, steps=1, out=None),
-    which applies (I - alpha*L)^{-1} to rhs `steps` times.
+    which applies (I - alpha*L)^{-1} to rhs `steps` times: alpha = dt for an
+    implicit Euler step, dt/2 for each half of a Crank-Nicolson step.
 
     The step is solved in the mass-weighted form S x = q*rhs, q =
     mu.quadrature, with S = Q(I - alpha*L) symmetric positive definite:
@@ -161,98 +165,69 @@ def _finite(x) -> bool:
     return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
-def _apply_L(lower, diag, upper, h):
-    out = diag * h
-    out[:-1] += upper[:-1] * h[1:]
-    out[1:] += lower[1:] * h[:-1]
-    return out
-
-
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record one `Functionals` every save_every steps.
 
-    The saved states are copied into the rows of one `BlockWorkspace` of
-    max(1, _BLOCK_ELEMS // n) rows, allocated once per run.  Each full
-    block, then the last one, full or not, goes through one `functionals`
-    call on that workspace, which reuses its scratch, so no save allocates a
-    block-sized array.  The series joins the blocks field by field, so its
-    values are those of one call per save, and a bad save still raises
-    NotADensity.  When min h0 < 1/2 the reversed functionals V, E are
-    recorded for the mixture flow (1 + h_t)/2, which is itself the exact flow
-    of (1 + h0)/2; the series flag `reverse_transformed` records this.
+    One loop runs over the saves at steps 0, save_every, 2 save_every, ...,
+    n_steps, in blocks of the max(1, _BLOCK_ELEMS // n) rows of one
+    `BlockWorkspace`, allocated once per run.  Each block advances the state
+    to each of its saves and copies it into the next row, checks its last
+    state finite, and is diagnosed in one `functionals` call, which reuses
+    the workspace's scratch.  The series joins the blocks field by field, so
+    its values are those of one call per save.  When min h0 < 1/2 the
+    reversed functionals V, E are recorded for the mixture flow (1 + h_t)/2,
+    the exact flow of (1 + h0)/2; the flag `reverse_transformed` says so.
 
-    Implicit Euler takes one `solve` call per save interval, which runs the
-    interval's steps, one dpttrs each, in place in the clipped copy of h0;
-    Crank-Nicolson calls `solve` once per step.  `solve` checks its input
-    finite (for Crank-Nicolson, the right-hand side built from the state), so
-    each saved state but the last is checked when the next interval starts,
-    and the last one after the loop.  A full block is diagnosed only when
-    the next save needs a row, so each check comes before its state reaches
-    `functionals`: a breakdown raises SolverBreakdown, never NotADensity.
-    Checking once per interval misses no breakdown: a nan or inf entered
-    into a dpttrs solve spreads to every later entry of its forward pass and
-    then to every entry of its backward pass (IEEE nan*0 and inf*0 are nan),
-    so once a state is not finite every later state is not finite either,
-    the next saved one included.  The error is raised at most
-    save_every - 1 steps after the step that broke down.
+    Implicit Euler runs each save interval's steps in one `solve` call, in
+    place in the clipped copy of h0.  Crank-Nicolson factors I - dt/2 L and
+    steps h = 2 (I - dt/2 L)^{-1} h - h = (I - dt/2 L)^{-1}(I + dt/2 L) h.
+    A saved state with negative values (its oscillations) is diagnosed as a
+    copy clipped at 0 and renormalised, and the first whose negative mass
+    -int min(h, 0) dmu exceeds 1e-6 warns CFLWarning.
+
+    `solve` checks its input finite, so each state of a block but the last
+    is checked by the solve that leaves it, and the last by the block check:
+    a breakdown raises SolverBreakdown, never NotADensity.  None is missed:
+    a nan or inf in a dpttrs solve spreads to every entry of its backward
+    pass (IEEE nan*0 and inf*0 are nan), and so to every later state.
     """
-    # h0 clipped at 0, in a fresh array: the implicit Euler state buffer
+    # h0 clipped at 0, in a fresh array: the state buffer
     h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
-    lower, diag, upper = generator(mu)
-    dt = config.dt
-    n_steps = int(round(config.t_end / dt))
-    explicit_half = None if config.scheme == "implicit_euler" else 0.5 * dt
-    solve = _step_solver(mu.quadrature, upper,
-                         dt if explicit_half is None else explicit_half)
+    dt, n_steps = config.dt, round(config.t_end / config.dt)
+    crank = config.scheme == "crank_nicolson"
+    solve = _step_solver(mu.quadrature, generator(mu)[2], 0.5 * dt if crank else dt)
     transformed = bool(h.min() < 0.5 - 1e-12)
-    times, blocks = [], []
+    steps = [*range(0, n_steps, config.save_every), n_steps]
     ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
-    ws.filled = 0
-    states = [] if keep_states else None
-    warned = False
-
-    def diagnose():
-        blocks.append(functionals(mu, ws, psi=psi, mixture=transformed))
-        ws.filled = 0
-
-    def record(t, h_t):
-        if ws.filled == len(ws.block):
-            diagnose()
-        row = ws.block[ws.filled]
-        if h_t.min() < -1e-12:
-            # crank_nicolson oscillations: diagnose a cleaned copy, keep the
-            # raw state for the evolution itself
-            np.maximum(h_t, 0.0, out=row)
-            row /= integrate(mu, row)
-        else:
-            row[:] = h_t
-        times.append(t)
-        if keep_states:
-            states.append(row.copy())
-        ws.filled += 1
-
-    record(0.0, h)
-    done = 0
-    for k in [*range(config.save_every, n_steps, config.save_every), n_steps]:
-        if explicit_half is None:
-            solve(h, k - done, out=h)
-        else:
-            for step in range(done + 1, k + 1):
-                h = solve(h + explicit_half * _apply_L(lower, diag, upper, h))
-                neg_mass = -integrate(mu, np.minimum(h, 0.0))
+    blocks, states = [], [] if keep_states else None
+    warned, done = False, 0
+    for first in range(0, len(steps), len(ws.block)):
+        block_steps = steps[first:first + len(ws.block)]
+        for row, k in zip(ws.block, block_steps):
+            if crank:
+                for _ in range(k - done):
+                    h = 2.0 * solve(h) - h
+            elif k > done:
+                solve(h, k - done, out=h)
+            done = k
+            if h.min() < -1e-12:
+                neg_mass = -integrate(mu, np.minimum(h, 0.0, out=row))
                 if neg_mass > 1e-6 and not warned:
-                    warnings.warn(
-                        f"crank_nicolson produced negative mass fraction "
-                        f"{neg_mass:.2e} at step {step}; reduce dt", CFLWarning)
+                    warnings.warn(f"{config.scheme} produced negative mass fraction "
+                                  f"{neg_mass:.2e} at t = {k * dt:g}; reduce dt", CFLWarning)
                     warned = True
-        record(k * dt, h)
-        done = k
-    if not _finite(h):
-        raise SolverBreakdown(f"the flow's state at t = {n_steps * dt:g} is not finite")
-    diagnose()
-
-    times = np.asarray(times)
+                np.maximum(h, 0.0, out=row)
+                row /= integrate(mu, row)
+            else:
+                row[:] = h
+            if keep_states:
+                states.append(row.copy())
+        if not _finite(h):
+            raise SolverBreakdown(f"the flow's state at t = {done * dt:g} is not finite")
+        ws.filled = len(block_steps)
+        blocks.append(functionals(mu, ws, psi=psi, mixture=transformed))
+    times = np.asarray(steps) * dt
     series = {name: np.concatenate([getattr(b, name) for b in blocks])
               for name in Functionals.NAMES}
     i_psi = series["i_psi"]

@@ -282,6 +282,8 @@ BAD_INPUTS = {
     "t-end-inf": ("analyze", "sim.t_end = inf", (), "t_end"),
     "t-end-nan": ("analyze", "sim.t_end = nan", (), "t_end"),
     "save-every-zero": ("analyze", "sim.save_every = 0", (), "save_every"),
+    "t-end-not-whole-steps": ("analyze", "sim.dt = 0.1\nsim.t_end = 0.15", (),
+                              "t_end = 0.15 is not a whole number of dt = 0.1 steps"),
     "unknown-scheme": ("analyze", "sim.scheme = foo", (), "foo"),
     "missing-potential-table": ("analyze", "potential.family = tabulated\n"
                                            "potential.path = {tmp}/none.csv", (),

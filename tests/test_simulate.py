@@ -320,6 +320,20 @@ class TestSchemeAccuracy:
             errs[n] = tv.integrate(mu, np.abs(s.states[-1] - exact))
         assert errs[2001] / errs[4001] >= 3.0
 
+    def test_crank_nicolson_is_second_order_in_time(self):
+        # on one grid, at a dt where implicit Euler's first-order error shows,
+        # Crank-Nicolson's TV is far closer to the Mehler kernel's
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 1001)
+        h0 = shifted_gaussian_density(mu, 0.5)
+        exact = np.array([tv.tv_distance(mu, tv.ou_exact_evolve(mu, h0, t))
+                          for t in (0.25, 0.5, 0.75, 1.0)])
+        err = {}
+        for scheme in ("implicit_euler", "crank_nicolson"):
+            cfg = tv.SimConfig(dt=0.01, t_end=1.0, scheme=scheme, save_every=25)
+            err[scheme] = np.max(np.abs(tv.evolve(mu, h0, cfg).tv[1:] / exact - 1.0))
+        assert err["crank_nicolson"] < 1e-4
+        assert err["crank_nicolson"] < err["implicit_euler"] / 20
+
     def test_cfl_warning_crank_nicolson(self, gaussian_measure):
         # a single-cell spike is under-resolved at this dt and oscillates
         mu = gaussian_measure
@@ -477,6 +491,10 @@ class TestSaveIntervals:
         if scheme == "implicit_euler":
             # raised at the save that ends the interval of the bad solve
             assert len(calls) == min(-(-bad_solve // 10) * 10, 35)
+        else:
+            # each state is checked by the next step's solve, the last by
+            # its block's check
+            assert len(calls) == bad_solve
 
 
 class TestStepSolver:

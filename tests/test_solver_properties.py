@@ -63,8 +63,9 @@ def scenarios(draw, potentials):
     assume(sum(weights) > 0.0)
     h0 = sum(w * INITIAL[fam](mu, params)[0] for w, fam in zip(weights, INITIAL))
     h0 = h0 / sum(weights)
-    config = tv.SimConfig(dt=draw(st.floats(1e-3, 0.1)), t_end=0.3,
-                          save_every=draw(st.integers(1, 5)))
+    # t_end must be a whole number of steps: the 3 to 300 steps of dt nearest 0.3
+    dt = draw(st.floats(1e-3, 0.1))
+    config = tv.SimConfig(dt=dt, t_end=round(0.3 / dt) * dt, save_every=draw(st.integers(1, 5)))
     return mu, h0, config
 
 
