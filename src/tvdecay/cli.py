@@ -9,7 +9,6 @@ operation is named on stderr).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -60,6 +59,9 @@ def write_csv(path: Path, header: list, columns: list) -> None:
 
 
 def write_json(path: Path, payload: dict) -> None:
+    # imported here: only analyze and compare write JSON
+    import json
+
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         # numpy scalars and arrays become plain JSON numbers and lists
         json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=True,

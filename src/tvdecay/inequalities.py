@@ -381,14 +381,34 @@ def capacity_condition_check(mu: ProbabilityMeasure1D, F: Callable,
 # ---------------------------------------------------------------------------
 
 def _legendre_conjugate(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
-    """gamma*(y) = sup_u (u y - gamma(u)) over a log grid, in blocks of y rows
-    whose (rows x u) temporary stays near 1 MB."""
-    rows = max(1, (1 << 20) // (8 * len(u)))
+    """gamma*(y) = max_j (fl(fl(y u_j) - gamma_j)) over a grid of u > 0, for
+    y > 0, evaluating only the (y-block x u-block) tiles of 64 x 64 values
+    that can hold a row's maximum.
+
+    Rounding is monotone, so for u, y > 0 fl(fl(y_max u_max) - gamma_min)
+    bounds every value of a tile.  A tile is skipped only when that bound
+    is below the lowest row maximum of its y-block over every 64th column,
+    which no row's maximum is below.  The maximum is then taken
+    over a set of the same values holding it, so it is the same bits as
+    the maximum over every u; a nan bound (a nan gamma) keeps its tile, so
+    a nan spreads as it would there.
+    """
+    tile = 64
+    lower = np.multiply.outer(y, u[::tile])
+    lower -= gamma_vals[::tile]
+    lower = lower.max(axis=1)
+    starts = np.arange(0, len(u), tile)
+    u_max = np.maximum.reduceat(u, starts)
+    gamma_min = np.minimum.reduceat(gamma_vals, starts)
     out = np.empty(len(y))
-    for k in range(0, len(y), rows):
-        block = np.multiply.outer(y[k:k + rows], u)
-        block -= gamma_vals
-        out[k:k + rows] = block.max(axis=1)
+    for k in range(0, len(y), tile):
+        rows = slice(k, k + tile)
+        keep = ~(y[rows].max() * u_max - gamma_min < lower[rows].min())
+        cols = (starts[keep, None] + np.arange(tile)).ravel()
+        cols = cols[cols < len(u)]
+        block = np.multiply.outer(y[rows], u[cols])
+        block -= gamma_vals[cols]
+        out[rows] = block.max(axis=1)
     return out
 
 

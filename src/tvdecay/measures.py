@@ -225,14 +225,16 @@ def _check_aligned(mu: ProbabilityMeasure1D, g) -> np.ndarray:
 
 def integrate(mu: ProbabilityMeasure1D, g) -> float:
     """Trapezoid value of int g dmu."""
-    return float(_integrate_rows(mu, _check_aligned(mu, g)))
+    return float(_integrate_rows(mu.quadrature, _check_aligned(mu, g)))
 
 
-def _integrate_rows(mu: ProbabilityMeasure1D, g, out=None) -> np.ndarray:
-    """int g dmu of each row of g, (n,) or (rows, n); a row's value is the
-    same sum as `integrate` of that row, bit for bit.  The products go into
-    out when it is given."""
-    return np.sum(np.multiply(mu.quadrature, g, out=out), axis=-1)
+def _integrate_rows(quadrature: np.ndarray, g, out=None) -> np.ndarray:
+    """int g dmu of each row of g, (n,) or (rows, n), given mu.quadrature
+    in g's shape (a workspace's tiled copy for a block); a row's value is
+    the same sum as `integrate` of that row, bit for bit.  The products go
+    into out when it is given: equal contiguous shapes make them one 1-D
+    loop."""
+    return np.sum(np.multiply(quadrature, g, out=out), axis=-1)
 
 
 def generator(mu: ProbabilityMeasure1D):
@@ -262,36 +264,49 @@ def generator(mu: ProbabilityMeasure1D):
     return lower, diag, upper
 
 
-def _gradient_stencil(grid: np.ndarray) -> tuple:
-    """np.gradient's edge-order-1 coefficients on grid: (interior, dx at the
-    first edge, dx at the last).  The interior is 2 dx where numpy finds the
-    spacing exactly uniform, and otherwise numpy's weights (a, b, c) of
-    f[i-1], f[i] and f[i+1]; a linspace grid is seldom exactly uniform."""
+def _gradient_stencil(grid: np.ndarray, rows: int) -> tuple:
+    """np.gradient's edge-order-1 coefficients on grid, for `_gradient` on
+    up to `rows` rows: (interior, dx at the first edge, dx at the last).
+    The interior is 2 dx where numpy finds the spacing exactly uniform, and
+    otherwise numpy's weights (a, b, c) of f[i-1], f[i] and f[i+1], each
+    tiled over the rows of a flattened (rows, n) block with 0 at the row
+    edges; a linspace grid is seldom exactly uniform."""
     dx = np.diff(grid)
     if (dx == dx[0]).all():
         interior = 2.0 * dx[0]
     else:
         dx1, dx2 = dx[:-1], dx[1:]
-        interior = (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-                    dx1 / (dx2 * (dx1 + dx2)))
+        interior = []
+        for coef in (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
+                     dx1 / (dx2 * (dx1 + dx2))):
+            tiled = np.zeros((rows, len(grid)))
+            tiled[:, 1:-1] = coef
+            interior.append(tiled.reshape(-1)[1:-1])
+        interior = tuple(interior)
     return interior, dx[0], dx[-1]
 
 
 def _gradient(f: np.ndarray, stencil: tuple, out: np.ndarray,
               tmp: np.ndarray) -> np.ndarray:
     """np.gradient(f, grid, axis=-1) of the rows of f, bit for bit, written
-    into out with the same operations in the same order; tmp is scratch of
-    f's shape."""
+    into out with the same operations in the same order; tmp is scratch.
+    f, out and tmp are contiguous (rows, n) arrays, and the stencil is
+    `_gradient_stencil(grid, r)` with r >= rows.
+
+    The interior runs as one 1-D loop over the flattened block.  At the
+    two entries around each row boundary it mixes neighbouring rows (each
+    non-uniform weight is 0 there); the edge formulas then overwrite both.
+    """
     interior, dx_first, dx_last = stencil
-    inner = out[:, 1:-1]
+    flat, inner = f.reshape(-1), out.reshape(-1)[1:-1]
     if isinstance(interior, tuple):
-        a, b, c = interior
-        work = tmp[:, 1:-1]
-        np.multiply(a, f[:, :-2], out=inner)
-        inner += np.multiply(b, f[:, 1:-1], out=work)
-        inner += np.multiply(c, f[:, 2:], out=work)
+        a, b, c = (coef[:len(inner)] for coef in interior)
+        work = tmp.reshape(-1)[1:-1]
+        np.multiply(a, flat[:-2], out=inner)
+        inner += np.multiply(b, flat[1:-1], out=work)
+        inner += np.multiply(c, flat[2:], out=work)
     else:
-        np.subtract(f[:, 2:], f[:, :-2], out=inner)
+        np.subtract(flat[2:], flat[:-2], out=inner)
         inner /= interior
     np.subtract(f[:, 1], f[:, 0], out=out[:, 0])
     out[:, 0] /= dx_first
@@ -301,14 +316,17 @@ def _gradient(f: np.ndarray, stencil: tuple, out: np.ndarray,
 
 
 class BlockWorkspace:
-    """Densities on mu's grid, one per row of `block`, with the scratch that
-    `functionals` diagnoses them in.
+    """Densities on mu's grid, one per row of `block`, with everything
+    `functionals` writes while it diagnoses them.
 
     h is one density (n,), which becomes one row, or a (rows, n) block; it
     is held, not copied.  `functionals` reads the first `filled` rows (all
     of them at first) and writes only into the three scratch arrays and the
-    bool mask, so one workspace serves every block of a run.  The gradient
-    stencil is computed on first read.
+    bool mask, so one workspace serves every block of a run.  Every array
+    it reads or writes is contiguous and of the block's shape:
+    `quadrature` is mu.quadrature tiled over the rows, so each quadrature
+    product is one 1-D loop, and the gradient stencil, computed on first
+    read, is tiled flat over them.
     """
 
     def __init__(self, mu: ProbabilityMeasure1D, h):
@@ -319,12 +337,19 @@ class BlockWorkspace:
             raise GridMismatch(f"density block has shape {h.shape}, grid {mu.grid.shape}")
         self.grid = mu.grid
         self.block, self.filled = h, len(h)
+        self.quadrature = np.tile(mu.quadrature, (len(h), 1))
         self.clipped, self.work, self.tmp = np.empty((3,) + h.shape)
         self.mask = np.empty(h.shape, dtype=bool)
 
     @cached_property
     def stencil(self) -> tuple:
-        return _gradient_stencil(self.grid)
+        return _gradient_stencil(self.grid, len(self.block))
+
+
+def _finite(x) -> bool:
+    # a finite sum proves every entry finite: only a sum that is not
+    # (an entry nan or inf, or an overflow) needs the full scan
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
 def _check_density(mu: ProbabilityMeasure1D, ws: BlockWorkspace):
@@ -337,14 +362,14 @@ def _check_density(mu: ProbabilityMeasure1D, ws: BlockWorkspace):
     """
     rows = ws.filled
     h, clipped = ws.block[:rows], ws.clipped[:rows]
-    if not np.isfinite(h, out=ws.mask[:rows]).all():
+    if not _finite(h):
         raise NotADensity("h has non-finite values")
     h_min = h.min(axis=-1)
     negative = h_min < -1e-12
     if np.any(negative):
         raise NotADensity(f"h has negative values (min {h_min[negative][0]:.3e})")
     np.maximum(h, 0.0, out=clipped)
-    mass = _integrate_rows(mu, clipped, ws.tmp[:rows])
+    mass = _integrate_rows(ws.quadrature[:rows], clipped, ws.tmp[:rows])
     off = np.abs(mass - 1.0) > _MASS_TOL
     if np.any(off):
         raise NotADensity(f"int h dmu = {mass[off][0]:.8f}, expected 1 +- {_MASS_TOL:g}")
@@ -395,8 +420,11 @@ def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) ->
     diagnosed; a block or a workspace gives one float array per field with
     nan where the row's value is None.  Row k of a block equals the call on
     h[k] bit for bit; a bad row raises NotADensity as that call would.
-    Every block-sized temporary but psi's own goes into the workspace's
-    scratch (a one-off workspace for an array h), and h is never written.
+    Every block-sized result goes into the workspace's scratch (a one-off
+    workspace for an array h), psi's too, and h is never written.  What
+    still allocates is row-sized, and psi's eta branch: the entries at or
+    above psi.a are gathered and evaluated in new arrays, a few rows at a
+    time.
     """
     if isinstance(h, BlockWorkspace):
         ws, single = h, False
@@ -405,32 +433,39 @@ def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) ->
         single = np.ndim(h) != 2
     h, mass, h_min = _check_density(mu, ws)
     rows = len(h)
+    quadrature = ws.quadrature[:rows]
     work, tmp, mask = ws.work[:rows], ws.tmp[:rows], ws.mask[:rows]
 
     def integral(g):
-        return _integrate_rows(mu, g, tmp)
+        return _integrate_rows(quadrature, g, tmp)
 
     d = np.subtract(h, 1.0, out=work)
     tv = integral(np.abs(d, out=tmp))
     var = integral(np.square(d, out=tmp))
     hel = 2.0 * integral(np.subtract(1.0, np.sqrt(h, out=tmp), out=tmp))
-    # h log h, with log 1 = 0 where h = 0
-    np.copyto(work, h)
-    np.copyto(work, 1.0, where=np.less_equal(h, 0.0, out=mask))
-    ent = integral(np.multiply(h, np.log(work, out=work), out=tmp))
+    # h log h, with log 1 = 0 where h = 0: only a block with some h <= 0
+    # needs the guarded copy
+    if (h_min > 0.0).all():
+        log_h = np.log(h, out=work)
+    else:
+        np.copyto(work, h)
+        np.copyto(work, 1.0, where=np.less_equal(h, 0.0, out=mask))
+        log_h = np.log(work, out=work)
+    ent = integral(np.multiply(h, log_h, out=tmp))
     i_psi, dissipation = np.full(rows, np.nan), np.full(rows, np.nan)
     if psi is not None:
-        i_psi = integral(psi.psi(h))
+        i_psi = integral(psi.psi(h, out=tmp, mask=mask))
         grad = _gradient(h, ws.stencil, work, tmp)
-        p2_grad = np.multiply(psi.psi_second(h), grad, out=tmp)
+        p2_grad = np.multiply(psi.psi_second(h, out=tmp, mask=mask), grad, out=tmp)
         dissipation = 0.5 * integral(np.multiply(p2_grad, grad, out=tmp))
     g = np.multiply(0.5, np.add(1.0, h, out=work), out=work) if mixture else h
     reverse = g.min(axis=-1) >= 0.5 - 1e-12
-    # a row with g < 1/2 somewhere may hold g = 0: its pair is nan, not inf
+    # a row with g < 1/2 somewhere may hold g = 0: its pair is nan, not inf.
+    # e = -int log g: negation is exact and commutes with the products and
+    # the pairwise sum, so this is the sum of -log g, bit for bit
     with np.errstate(divide="ignore", invalid="ignore"):
         v_rev = np.where(reverse, integral(np.divide(1.0, g, out=tmp)) - 1.0, np.nan)
-        e_rev = np.where(reverse, integral(np.negative(np.log(g, out=tmp), out=tmp)),
-                         np.nan)
+        e_rev = np.where(reverse, -integral(np.log(g, out=tmp)), np.nan)
     values = dict(tv=tv, hellinger=hel, variance=var, entropy=ent, i_psi=i_psi,
                   dissipation=dissipation, v_reverse=v_rev, e_reverse=e_rev,
                   mass=mass, min_h=h_min)

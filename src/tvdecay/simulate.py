@@ -26,12 +26,13 @@ import numpy as np
 from .errors import (CFLWarning, LowerBoundViolated, NotADensity, SolverBreakdown,
                      WrongMeasure)
 from .measures import (BlockWorkspace, Functionals, ProbabilityMeasure1D, _check_density,
-                       functionals, generator, integrate)
+                       _finite, functionals, generator, integrate)
 from ._numerics import trapezoid_weights
 
-# Saved states are diagnosed in blocks of about this many grid values (128 KB
-# per array of the block workspace): blocks this small stay in cache.
-_BLOCK_ELEMS = 2 ** 14
+# Saved states are diagnosed in blocks of about this many grid values (256 KB
+# per array of the block workspace).  On a warm save-every-step evolve at
+# n = 1001 (power1 and gaussian, 2 CPUs), 2^15 was the fastest of 2^12 ... 2^17.
+_BLOCK_ELEMS = 2 ** 15
 
 # scipy's f2py LAPACK wrappers, which `scipy.linalg.lapack` re-exports.
 _FLAPACK = "scipy.linalg._flapack"
@@ -157,12 +158,6 @@ def _step_solver(q, upper, alpha):
                     f"the implicit step solve failed (dpttrs info = {info})")
         return x
     return solve
-
-
-def _finite(x) -> bool:
-    # a finite sum proves every entry finite: only a sum that is not
-    # (an entry nan or inf, or an overflow) needs the full scan
-    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
 
 
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,

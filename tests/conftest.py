@@ -83,9 +83,21 @@ def contraction_check(mu, h0, g0, config) -> dict:
 # -- test-only references: classical psi profiles and the direct K infimum --------
 
 def psi_from_functions(psi, psi_prime, psi_second, name="psi[custom]") -> PsiProfile:
-    """Wrap given callables; admissibility is only probed numerically, by
-    computing c_pinsker here (it raises NotPinskerAdmissible)."""
-    prof = PsiProfile(a=2.1, psi=psi, psi_prime=psi_prime, psi_second=psi_second, name=name)
+    """Wrap given callables u -> f(u) as `PsiProfile`'s f(u, out=None,
+    mask=None), which copy f(u) into out when it is given; admissibility is
+    only probed numerically, by computing c_pinsker here (it raises
+    NotPinskerAdmissible)."""
+    def with_out(f):
+        def g(u, out=None, mask=None):
+            value = f(u)
+            if out is None:
+                return value
+            out[...] = value
+            return out
+        return g
+
+    prof = PsiProfile(a=2.1, psi=with_out(psi), psi_prime=with_out(psi_prime),
+                      psi_second=with_out(psi_second), name=name)
     prof.c_pinsker
     return prof
 
@@ -123,6 +135,19 @@ def psi_almost_linear() -> PsiProfile:
         lambda u: 1.0 - (np.asarray(u, float) + 1.0) ** -2,
         lambda u: 2.0 * (np.asarray(u, float) + 1.0) ** -3,
         name="psi[almost-linear]")
+
+
+def legendre_conjugate_brute(gamma_vals: np.ndarray, u: np.ndarray, y: np.ndarray):
+    """gamma*(y) = max_j (y u_j - gamma_j) over every u, in blocks of y rows
+    whose (rows x u) temporary stays near 1 MB: the reference for the
+    pruned `inequalities._legendre_conjugate`."""
+    rows = max(1, (1 << 20) // (8 * len(u)))
+    out = np.empty(len(y))
+    for k in range(0, len(y), rows):
+        block = np.multiply.outer(y[k:k + rows], u)
+        block -= gamma_vals
+        out[k:k + rows] = block.max(axis=1)
+    return out
 
 
 def truncation_poincare_k_optimized(C_P: float, phi, moment: float, t: float) -> float:

@@ -9,7 +9,8 @@ inputs (PCHIP) and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
 `simulate` and `compare` load LAPACK but neither the `scipy.linalg` package
 nor PCHIP.  The LAPACK extension is found without running scipy's own
 `__init__`, so it is the only scipy module they load.  The package's records
-are plain classes, so no command loads `dataclasses` either.  Each check
+are plain classes, so no command loads `dataclasses` either, and `json` is
+imported only by the two verbs that write JSON, analyze and compare.  Each check
 runs in a fresh interpreter, since the test process itself has imported
 scipy long before.
 """
@@ -19,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.interpolate", "scipy.linalg", "scipy.optimize")
@@ -80,6 +83,42 @@ def _loaded(tmp_path) -> dict:
                           timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     return json.loads(done.stdout.splitlines()[-1])
+
+
+# Runs the verbs given after the config path in order, and prints, one word a
+# line, whether `json` was loaded after the import and after each verb.  It
+# imports no json itself.
+JSON_CHILD = """
+import sys
+import tvdecay.cli as cli
+print("json" in sys.modules)
+path, verbs = sys.argv[1], sys.argv[2:]
+for verb in verbs:
+    assert cli.main([verb, path, "--out", path + "-" + verb]) == 0, verb
+    print("json" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("verbs", [("bounds", "simulate", "compare"), ("analyze",)])
+def test_json_loads_only_where_json_is_written(verbs, tmp_path):
+    """`json` is imported by `write_json`: the import, bounds and simulate
+    leave it unloaded, and analyze and compare, which write JSON, load it."""
+    from tvdecay.cli import ENVELOPES
+
+    path = tmp_path / "power.cfg"
+    path.write_text(POTENTIALS["power"] + SCENARIO.format(envelopes=", ".join(ENVELOPES)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", JSON_CHILD, str(path), *verbs],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    flags = [word for word in done.stdout.split() if word in ("True", "False")]
+    loaded = dict(zip(("import",) + verbs, flags))
+    assert len(flags) == len(loaded) == len(verbs) + 1
+    want = {"import": "False", "bounds": "False", "simulate": "False",
+            "analyze": "True", "compare": "True"}
+    assert loaded == {stage: want[stage] for stage in loaded}
 
 
 def test_cli_loads_scipy_only_where_it_runs(tmp_path):

@@ -26,6 +26,8 @@ from tvdecay.measures import generator
 from tvdecay.psi import EtaProfile, eta_power
 from tvdecay._numerics import fit_loglog_slope, trapezoid_weights
 
+from conftest import legendre_conjugate_brute
+
 
 def _normalized(mu, g):
     return g / np.sum(trapezoid_weights(mu.grid) * g)
@@ -310,7 +312,38 @@ class TestBetaTransforms:
             gamma_vals = np.sqrt(u) * phi(np.sqrt(u))
             y = 1.0 / np.geomspace(1e-12, 1.0, 2000)[::-1]
             want = np.array([np.max(u * yi - gamma_vals) for yi in y])
+            assert np.array_equal(legendre_conjugate_brute(gamma_vals, u, y), want)
             assert np.array_equal(_legendre_conjugate(gamma_vals, u, y), want)
+
+    GAMMAS = {
+        "convex": lambda v: v ** 3.0,
+        "linear": lambda v: v,
+        "log1p": np.log1p,
+        "non-convex": lambda v: v * (1.5 + np.sin(np.log(v))),
+        "concave": lambda v: v ** -0.8,
+        "constant": lambda v: np.full_like(v, 2.0),
+    }
+
+    @pytest.mark.parametrize("hole", [None, "nan", "inf", "-inf", "inf-tile"])
+    @pytest.mark.parametrize("phi", sorted(GAMMAS))
+    def test_pruned_legendre_conjugate_is_the_brute_force(self, phi, hole):
+        # the pruned conjugate skips only tiles that cannot hold a row's
+        # maximum: the same bytes as the sup over every u, and a nan or inf
+        # gamma spreads as it does there
+        u = np.geomspace(1e-8, 1e8, 2000)
+        gamma_vals = np.sqrt(u) * self.GAMMAS[phi](np.sqrt(u))
+        if hole == "inf-tile":
+            gamma_vals[128:192] = np.inf
+        elif hole is not None:
+            gamma_vals[[5, 1000, 1999]] = float(hole)
+        for y in (1.0 / np.geomspace(1e-12, 1.0, 2000)[::-1],
+                  np.geomspace(1e-3, 1e3, 777),
+                  np.random.default_rng(3).uniform(0.5, 2e4, 300)):
+            want = legendre_conjugate_brute(gamma_vals, u, y)
+            got = _legendre_conjugate(gamma_vals, u, y)
+            assert got.tobytes() == want.tobytes()
+            if hole == "nan":
+                assert np.isnan(got).all()
 
     def test_orlicz_peak_memory(self):
         # the Legendre conjugate takes blocks of y-rows of about 1 MB: no

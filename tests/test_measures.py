@@ -13,6 +13,7 @@ from tvdecay.errors import (
     NotADensity,
 )
 from tvdecay.measures import (
+    BlockWorkspace,
     Functionals,
     _gradient,
     _gradient_stencil,
@@ -321,6 +322,28 @@ class TestFunctionalsBlock:
         assert one == Functionals(**{**vars(want), "min_h": -1e-13})
 
 
+def test_workspace_below_a_allocates_no_block(psi_quad_spliced):
+    """functionals on a full workspace writes every block-sized result into
+    the workspace: with every entry below psi.a, psi's splice gathers
+    nothing, and what is left to allocate is row-sized."""
+    import tracemalloc
+
+    mu = tv.build_measure(tv.PotentialSpec.gaussian(), 1001)
+    h = 1.0 + 0.3 * np.tanh(mu.grid + np.linspace(-1.0, 1.0, 32)[:, None])
+    h /= (h * mu.quadrature).sum(axis=1, keepdims=True)
+    assert h.max() < psi_quad_spliced.a and h.min() > 0.5
+    ws = BlockWorkspace(mu, h)
+    for mixture in (False, True):
+        functionals(mu, ws, psi_quad_spliced, mixture=mixture)   # reads the stencil
+        tracemalloc.start()
+        try:
+            functionals(mu, ws, psi_quad_spliced, mixture=mixture)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < h.nbytes // 8, (mixture, peak)
+
+
 class TestGradientStencil:
     """The dissipation's h' is np.gradient(h, grid, axis=-1) bit for bit, on
     numpy's exactly-uniform branch and on its general one."""
@@ -343,10 +366,13 @@ class TestGradientStencil:
         # the branch np.gradient takes; linspace grids are not exactly uniform
         assert bool((dx == dx[0]).all()) == (name in self.UNIFORM)
         f = np.exp(np.random.default_rng(89).normal(size=(rows, len(grid))))
-        got = _gradient(f, _gradient_stencil(grid), np.empty_like(f), np.empty_like(f))
-        assert got.tobytes() == np.gradient(f, grid, axis=-1).tobytes()
-        for k in range(rows):
-            assert got[k].tobytes() == np.gradient(f[k], grid).tobytes()
+        # a stencil tiled for exactly the rows, and one for a larger block
+        for stencil_rows in (rows, rows + 3):
+            got = _gradient(f, _gradient_stencil(grid, stencil_rows), np.empty_like(f),
+                            np.empty_like(f))
+            assert got.tobytes() == np.gradient(f, grid, axis=-1).tobytes()
+            for k in range(rows):
+                assert got[k].tobytes() == np.gradient(f[k], grid).tobytes()
 
 
 class TestPinskerCheck:

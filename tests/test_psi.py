@@ -5,6 +5,7 @@ import pytest
 
 from tvdecay.errors import BadSplice, InadmissibleEta, NotPinskerAdmissible
 from tvdecay.psi import (
+    _ETA_CHUNK,
     EtaProfile,
     build_psi_from_eta,
     eta_entropy,
@@ -111,15 +112,37 @@ def test_spliced_equals_the_where_formula(eta, a):
     a = prof.a
     near = np.array([np.nextafter(a, 0.0), a, np.nextafter(a, np.inf)])
     u = np.concatenate([near, [0.0, 1.0, np.nan], np.geomspace(1e-6, 1e8, 400)])
-    block = np.random.default_rng(5).permutation(u)[:400].reshape(8, 50)
+    rng = np.random.default_rng(5)
+    block = rng.permutation(u)[:400].reshape(8, 50)
+    # a block wider than a chunk of eta's entries, ending on a ragged chunk
+    wide = rng.choice(u, size=(2 * _ETA_CHUNK // 1001 + 3, 1001))
     for got, want in zip((prof.psi, prof.psi_prime, prof.psi_second),
                          _where_formulas(eta, a)):
-        for x in (u, block, near[1:2], np.array([], float)):
+        for x in (u, block, wide, near[1:2], np.array([], float), np.empty((3, 0))):
             assert got(x).tobytes() == want(x).tobytes()
         for x in (a, np.nextafter(a, 0.0), 0.5):  # a 0-d input gives a 0-d array
             g = got(x)
             assert isinstance(g, np.ndarray) and g.shape == ()
             assert g.tobytes() == want(np.asarray(x)).tobytes()
+
+
+@pytest.mark.parametrize("eta", [eta_quadratic(), eta_entropy(), eta_power(1.5)],
+                         ids=lambda e: e.name)
+def test_spliced_writes_into_out_and_mask(eta):
+    # the same bytes as a call without them, and u is left as it was
+    prof = build_psi_from_eta(eta)
+    a = prof.a
+    u = np.concatenate([[np.nextafter(a, 0.0), a, 0.0, 1.0, np.nan],
+                        np.geomspace(1e-6, 1e8, 395)])
+    block = np.random.default_rng(7).permutation(u).reshape(8, 50)
+    for f in (prof.psi, prof.psi_prime, prof.psi_second):
+        for x in (u, block, np.array([], float), np.asarray(a)):
+            want, kept = f(x), x.copy()
+            out, mask = np.full(x.shape, 7.0), np.zeros(x.shape, bool)
+            got = f(x, out=out, mask=mask)
+            assert got is out and got.tobytes() == want.tobytes()
+            assert x.tobytes() == kept.tobytes()
+            assert np.array_equal(mask, x >= a)
 
 
 def test_spliced_calls_eta_only_at_or_above_a():
@@ -131,6 +154,12 @@ def test_spliced_calls_eta_only_at_or_above_a():
     seen.clear()
     prof.psi(np.array([0.5, 1.0, prof.a, 10.0]))
     assert [x.tolist() for x in seen] == [[prof.a, 10.0]]
+    # a block: its entries at or above a, in order, at most _ETA_CHUNK at a time
+    block = np.random.default_rng(11).uniform(0.0, 2.0 * prof.a, (20, 1001))
+    seen.clear()
+    prof.psi(block)
+    assert len(seen) > 1 and max(len(x) for x in seen) <= _ETA_CHUNK
+    assert np.concatenate(seen).tobytes() == block[block >= prof.a].tobytes()
 
 
 class TestPinskerConstant:

@@ -140,6 +140,8 @@ class TestSeriesFromFunctionals:
         mu = small_measure
         if start == "step":
             h0 = step_density(mu)
+        elif start == "shifted":    # its right tail reaches psi's eta branch
+            h0 = shifted_gaussian_density(mu, 0.5)
         else:
             h0 = 1.0 + 0.3 * np.tanh(mu.grid)
             h0 = h0 / tv.integrate(mu, h0)
@@ -182,6 +184,8 @@ class TestBlockedDiagnostics:
         mu, psi = measures[n], psis[psi_name]
         if start == "step":
             h0 = step_density(mu)
+        elif start == "shifted":    # its right tail reaches psi's eta branch
+            h0 = shifted_gaussian_density(mu, 0.5)
         else:
             h0 = 1.0 + 0.3 * np.tanh(mu.grid)
             h0 = h0 / tv.integrate(mu, h0)
@@ -194,6 +198,40 @@ class TestBlockedDiagnostics:
         assert len(series.times) % rows != 0
         assert series.reverse_transformed == (start == "step")
         _series_equals_per_state_calls(mu, series, psi)
+
+    @pytest.mark.parametrize("start", ["step", "shifted", "above_half"])
+    @pytest.mark.parametrize("grid", ["uniform", "non-uniform"])
+    def test_series_does_not_depend_on_the_block_size(self, grid, start, monkeypatch):
+        # one-row blocks, and blocks of 2^14 and 2^15 grid values, which end
+        # on a partial block: every field is the same array
+        if grid == "uniform":
+            x = np.linspace(-8.0, 8.0, 33)
+            mu = tv.build_measure(tv.PotentialSpec.tabulated(x, 0.5 * x * x), 1025)
+        else:
+            mu = tv.build_measure(tv.PotentialSpec.gaussian(), 1001)
+        dx = np.diff(mu.grid)
+        assert bool((dx == dx[0]).all()) == (grid == "uniform")
+        if start == "step":
+            h0 = step_density(mu)
+        elif start == "shifted":    # its right tail reaches psi's eta branch
+            h0 = shifted_gaussian_density(mu, 0.5)
+        else:
+            h0 = 1.0 + 0.3 * np.tanh(mu.grid)
+            h0 = h0 / tv.integrate(mu, h0)
+        cfg = tv.SimConfig(dt=0.01, t_end=0.69)
+        psi = build_psi_from_eta(eta_power(1.5))
+        runs = []
+        for block_elems in (1, 2 ** 14, 2 ** 15):
+            monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
+            assert block_elems == 1 or 70 % self.rows(len(mu.grid)) != 0
+            runs.append(tv.evolve(mu, h0, cfg, psi=psi))
+        assert runs[0].reverse_transformed == (start != "above_half")
+        assert (h0.max() >= psi.a) == (start == "shifted")
+        names = Functionals.NAMES + ("times", "dissipation_lhs")
+        for run in runs[1:]:
+            for name in names:
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name),
+                                      equal_nan=True), name
 
     @pytest.mark.parametrize("psi_name", ["none", "power"])
     @pytest.mark.parametrize("n", [401, 1001, 4001])
@@ -463,14 +501,16 @@ class TestSaveIntervals:
         assert np.array_equal(rhs, kept)
         assert x is not rhs and (out is None or x is out)
 
-    @pytest.mark.parametrize("block_elems", [simulate._BLOCK_ELEMS, 1])
+    @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
     @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     @pytest.mark.parametrize("bad_solve", [1, 10, 17, 31, 35])
     def test_breakdown_inside_an_interval(self, bad_solve, scheme, block_elems,
                                           monkeypatch):
         # 35 steps saved every 10: intervals of 10, 10, 10 and 5 solves.  The
         # stand-in dpttrs plants a nan in the result of solve `bad_solve`; a
-        # one-row block (block_elems 1) diagnoses every save as it is made.
+        # block of 2^14 grid values, like any block of 5 or more rows of 101,
+        # holds all 5 saves, and a one-row block (block_elems 1) diagnoses
+        # every save as it is made.
         lapack = simulate._flapack()
         calls = []
 
