@@ -105,48 +105,45 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 # envelope table
 # ---------------------------------------------------------------------------
 
-# envelope.<name>.phi -> (phi of its parameter, its key or None, where phi rises to infinity)
+# The forms of envelope.<name>.phi and envelope.<name>.beta_form: form -> (maker,
+# {its key: (default, the open interval a set value must lie in)}); the maker
+# takes the keys' values in order.  phi must rise to infinity.
 PHIS = {
-    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0), "q", (1.0, math.inf)),
+    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0),
+              {"q": (1.5, (1.0, math.inf))}),
     "logbeta": (lambda b: lambda u: np.maximum(
-        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b, "beta_exp", POSITIVE),
-    "linear": (lambda _: lambda u: np.asarray(u, float), None, None),
-    "loglog": (lambda _: lambda u: np.log1p(np.maximum(np.log(np.maximum(
-        np.asarray(u, float), 1.0)), 0.0)), None, None),
+        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b,
+        {"beta_exp": (1.0, POSITIVE)}),
+    "linear": (lambda: lambda u: np.asarray(u, float), {}),
+    "loglog": (lambda: lambda u: np.log1p(np.maximum(np.log(np.maximum(
+        np.asarray(u, float), 1.0)), 0.0)), {}),
 }
-PHI_KEYS = tuple(key for _, key, _ in PHIS.values() if key)
-# beta_form -> (constructor, the envelope.<name>.* keys it takes, in order)
-BETA_FORMS = {"constant": (BetaFunction.constant, ("beta_c",)),
-              "power": (BetaFunction.power, ("beta_c", "beta_q")),
-              "logpower": (BetaFunction.logpower, ("beta_d", "beta_r", "beta_s0"))}
-BETA_DEFAULTS = {"beta_c": 1.0, "beta_q": 1.0, "beta_d": 1.0, "beta_r": 1.0,
-                 "beta_s0": 2.0}
+BETA_FORMS = {
+    "constant": (BetaFunction.constant, {"beta_c": (1.0, ANY)}),
+    "power": (BetaFunction.power, {"beta_c": (1.0, ANY), "beta_q": (1.0, ANY)}),
+    "logpower": (BetaFunction.logpower, {"beta_d": (1.0, ANY), "beta_r": (1.0, ANY),
+                                         "beta_s0": (2.0, ANY)}),
+}
 
 
-def _reject_unread(cfg: dict, prefix: str, keys, read, form: str) -> None:
-    """A set key of `keys` that `form` does not read (not in `read`) is a ConfigError.
-    Looks with `in`, so the keys it passes over are not marked read."""
-    for k in keys:
-        if k not in read and prefix + k in cfg:
-            raise ConfigError(f"key {prefix + k!r} is not read with {form}")
-
-
-def _phi_from_config(cfg: dict, prefix: str, default_family: str, default_param: float):
-    family = get_str(cfg, prefix + "phi", default_family)
-    make, key, within = choose(PHIS, prefix + "phi", family)
-    _reject_unread(cfg, prefix, PHI_KEYS, (key,), f"{prefix}phi = {family}")
-    return make(get_number(cfg, prefix + key, default_param, within=within) if key else None)
-
-
-def _beta_from_config(cfg: dict, prefix: str) -> Optional[BetaFunction]:
-    """The configured beta, or None when beta_form is unset (family default)."""
-    form = get_str(cfg, prefix + "beta_form")
-    make, keys = choose(BETA_FORMS, prefix + "beta_form", form) if form else (None, ())
-    _reject_unread(cfg, prefix, BETA_DEFAULTS, keys,
-                   f"{prefix}beta_form " + (f"= {form}" if form else "unset"))
+def _form_from_config(cfg: dict, prefix: str, selector: str, table: dict,
+                      default_form: Optional[str], defaults: dict):
+    """The form of table that prefix + selector names (default_form when unset),
+    made from exactly its own keys.  An unset key takes the form's default, or
+    under default_form the family's value in `defaults`.  A set key of another
+    form is a ConfigError; with the selector unset and no default_form no form
+    reads any key, and the result is None."""
+    form = get_str(cfg, prefix + selector, default_form)
+    make, keys = choose(table, prefix + selector, form) if form else (None, {})
+    for key in dict.fromkeys(k for _, form_keys in table.values() for k in form_keys):
+        if key not in keys and prefix + key in cfg:   # `in`: not marked read
+            raise ConfigError(f"key {prefix + key!r} is not read with {prefix}{selector} "
+                              + (f"= {form}" if form else "unset"))
     if form is None:
         return None
-    args = [get_number(cfg, prefix + k, BETA_DEFAULTS[k]) for k in keys]
+    own = defaults if form == default_form else {}
+    args = [get_number(cfg, prefix + k, own.get(k, d), within=w)
+            for k, (d, w) in keys.items()]
     try:
         return make(*args)
     except BadExponent as exc:
@@ -175,12 +172,12 @@ class _Inputs:
 
 
 class EnvelopeFamily:
-    """One row of the envelope table: `build(x, phi, beta, extras)` with the
-    default phi (family, parameter), the default beta as a function of the
-    _Inputs x, and the family's own keys with (default, the open interval a
-    set value must lie in), none by default.  `parse` reads exactly the
-    envelope.<name>.* keys that these entries and the selected phi and beta
-    forms take."""
+    """One row of the envelope table: `build(x, phi, beta, extras)`, the default
+    phi as (its PHIS form, {a key of that form: the family's own default}), the
+    default beta as a function of the _Inputs x, and the family's own keys with
+    (default, the open interval a set value must lie in), none by default.
+    `parse` reads exactly the envelope.<name>.* keys that these entries and the
+    selected phi and beta forms take."""
 
     def __init__(self, build: Callable, phi: Optional[tuple] = None,
                  beta: Optional[Callable] = None, extras: Optional[dict] = None):
@@ -190,8 +187,9 @@ class EnvelopeFamily:
     def parse(self, cfg: dict, name: str) -> Callable:
         """Parse the envelope.<name>.* values; returns build(_Inputs)."""
         prefix = f"envelope.{name}."
-        phi = _phi_from_config(cfg, prefix, *self.phi) if self.phi else None
-        beta = _beta_from_config(cfg, prefix) if self.beta else None
+        phi = _form_from_config(cfg, prefix, "phi", PHIS, *self.phi) if self.phi else None
+        beta = (_form_from_config(cfg, prefix, "beta_form", BETA_FORMS, None, {})
+                if self.beta else None)
         extras = {k: get_number(cfg, prefix + k, d, within=w)
                   for k, (d, w) in self.extras.items()}
 
@@ -224,34 +222,34 @@ ENVELOPES = {
         lambda x, phi, beta, o: envelope_poincare_l2(x.C_P, math.sqrt(x.f0.variance))),
     "truncation_poincare": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_truncation_poincare(x.C_P, phi, x.moment(phi)),
-        phi=("power", 1.5)),
+        phi=("power", {})),
     "weak_poincare": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_weak_poincare(beta, phi, x.moment(phi)),
-        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.C_P)),
+        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.C_P)),
     "orlicz": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_orlicz(beta, phi, x.moment(phi), C=o["C"]),
-        phi=("power", 3.0), beta=lambda x: BetaFunction.constant(x.C_P),
+        phi=("power", {"q": 3.0}), beta=lambda x: BetaFunction.constant(x.C_P),
         extras={"C": (1.0, POSITIVE)}),
     "logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), x.f0.entropy)),
     "truncation_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_truncation_logsob(
             x.c_ls("truncation_logsob"), phi, x.moment(phi)),
-        phi=("logbeta", 1.0)),
+        phi=("logbeta", {})),
     "weak_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
                                                      eps=o["eps"]),
-        phi=("power", 1.5), beta=lambda x: BetaFunction.constant(x.c_ls("weak_logsob")),
+        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.c_ls("weak_logsob")),
         extras={"eps": (1.0 / math.e, POSITIVE)}),
     "restricted_logsob": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
                                                            x.moment(phi)),
-        phi=("power", 1.5),
+        phi=("power", {}),
         beta=lambda x: BetaFunction.power(x.c_ls("restricted_logsob"), 1.0)),
     "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": (0.0, ANY), "M_eta": (1.0, POSITIVE)}),
     "hellinger": EnvelopeFamily(
         lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi)),
-        phi=("linear", 0.0), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
+        phi=("linear", {}), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
     "curvature": EnvelopeFamily(_curvature, beta=lambda x: BetaFunction.constant(x.C_P)),
 }
 

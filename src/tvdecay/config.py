@@ -220,7 +220,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     return Scenario(
         config=cfg,
         potential=potential,
-        n_points=get_number(cfg, "grid.n_points", 4001, kind=int),
+        # build_measure needs at least 101 points
+        n_points=get_number(cfg, "grid.n_points", 4001, kind=int, within=(100, math.inf)),
         tail_tol=get_number(cfg, "grid.tail_tol", 1e-16, within=(0.0, 1.0)),
         initial_family=init_fam,
         initial_params=init_params,

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdecay import cli, envelopes, measures, psi, simulate
+from tvdecay import cli, config, envelopes, measures, psi, simulate
 from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
                          plan_envelopes, write_csv)
 from tvdecay.config import (
@@ -382,6 +382,15 @@ BAD_INPUTS = {
     "tail-tol-zero": ("analyze", "grid.tail_tol = 0", (), "grid.tail_tol"),
     "tail-tol-one": ("bounds", "grid.tail_tol = 1", (), "grid.tail_tol"),
     "tail-tol-two": ("simulate", "grid.tail_tol = 2", (), "grid.tail_tol"),
+    # build_measure needs at least 101 grid points
+    "n-points-100": ("analyze", "grid.n_points = 100", (), "grid.n_points"),
+    "calibrate-not-boolean": ("bounds", "envelopes.calibrate = maybe", (),
+                              "envelopes.calibrate"),
+    "eta-unknown": ("simulate", "psi.eta = cubic", (), "psi.eta"),
+    "eta-power-inadmissible": ("simulate", "psi.eta = power(2.5)", (), "psi.eta"),
+    "eta-power-unclosed": ("simulate", "psi.eta = power(1.5", (), "psi.eta"),
+    # after SMALL_CFG's 7 keys
+    "empty-key": ("analyze", " = 3", (), "line 8: empty key"),
 }
 
 
@@ -581,8 +590,8 @@ FUZZ_KEYS.update({f"envelope.{name}.{extra}": (
     "bounds", f"envelopes = {name}" + ("\nenvelope.ipsi.C_eta = 1" if name == "ipsi" else ""))
     for name, family in ENVELOPES.items() for extra in family.extras})
 # each phi and beta key under every phi / beta_form that reads it, as "<key>@<form>"
-PHI_FORM_KEYS = {form: (key,) for form, (_, key, _) in PHIS.items() if key}
-BETA_FORM_KEYS = {form: keys for form, (_, keys) in BETA_FORMS.items()}
+PHI_FORM_KEYS = {form: tuple(keys) for form, (_, keys) in PHIS.items() if keys}
+BETA_FORM_KEYS = {form: tuple(keys) for form, (_, keys) in BETA_FORMS.items()}
 FUZZ_KEYS.update({f"envelope.{name}.{key}@{form}": (
     "bounds", f"envelopes = {name}\nenvelope.{name}.{selector} = {form}")
     for name, family in ENVELOPES.items()
@@ -640,6 +649,59 @@ def test_config_fuzz(key, value, tmp_path, capsys):
     if code == 0 and verb != "analyze":
         curves = np.loadtxt(tmp_path / "out" / "curves.csv", delimiter=",", skiprows=1)
         assert np.all(np.isfinite(curves))
+
+
+# every envelope under its defaults, and under each phi and beta form it takes
+FORM_CASES = [(name, selector, form) for name, family in ENVELOPES.items()
+              for selector, forms in ((None, [None]), ("phi", PHIS if family.phi else ()),
+                                      ("beta_form", BETA_FORMS if family.beta else ()))
+              for form in forms]
+
+
+@pytest.mark.parametrize("name, selector, form", FORM_CASES,
+                         ids=[f"{n}-{s}-{f}" for n, s, f in FORM_CASES])
+def test_every_applied_default_lies_in_its_interval(name, selector, form, monkeypatch):
+    # an unset key takes its default unchecked, so the default must lie in the
+    # open interval that a set value of the key must lie in
+    applied, get_number = {}, config.get_number
+
+    def spy(cfg, key, default=None, required=False, kind=float, within=config.ANY):
+        applied[key] = (default, within)
+        return get_number(cfg, key, default, required, kind, within)
+    monkeypatch.setattr(config, "get_number", spy)
+    monkeypatch.setattr(cli, "get_number", spy)
+    text = f"envelopes = {name}\n" + (f"envelope.{name}.{selector} = {form}" if selector
+                                      else "")
+    plan_envelopes(scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n")))
+    outside = {key: (default, within) for key, (default, within) in applied.items()
+               if default is not None and not within[0] < default < within[1]}
+    assert outside == {}
+    form_keys = (PHIS if selector == "phi" else BETA_FORMS)[form][1] if selector else {}
+    assert {*(f"envelope.{name}.{key}" for key in [*form_keys, *ENVELOPES[name].extras]),
+            *(f"analysis.{key}" for key in config._ANALYSIS)} <= set(applied)
+
+
+# the documented default of each phi form's key, and a family's own where it differs
+PHI_DEFAULTS = {"power": ("q", "1.5"), "logbeta": ("beta_exp", "1")}
+FAMILY_PHI_DEFAULTS = {("orlicz", "power"): "3"}
+
+
+@pytest.mark.parametrize("name, form", [(name, form) for name, family in ENVELOPES.items()
+                                        if family.phi for form in PHI_DEFAULTS])
+def test_unset_phi_key_is_its_default_set(name, form, tmp_path):
+    key, default = PHI_DEFAULTS[form]
+    default = FAMILY_PHI_DEFAULTS.get((name, form), default)
+    base = (f"{SMALL_CFG}sim.t_end = 5\ninitial.family = shifted_gaussian\n"
+            f"envelopes = {name}\nenvelope.{name}.phi = {form}\n")
+    curves = []
+    for value in (None, default, "2.5"):
+        out = tmp_path / f"out{len(curves)}"
+        text = base + (f"envelope.{name}.{key} = {value}\n" if value else "")
+        path = write_cfg(tmp_path, text, name=f"{len(curves)}.cfg")
+        assert main(["bounds", path, "--out", str(out), "--t-grid", "20"]) == 0
+        curves.append((out / "curves.csv").read_bytes())
+    assert curves[0] == curves[1]
+    assert curves[0] != curves[2]     # the key moves the bound
 
 
 ALL_FAMILIES_CFG = SMALL_CFG + f"""
