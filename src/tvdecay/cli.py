@@ -18,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .config import (ANY, POSITIVE, Scenario, choose, get_number, get_str, load_scenario,
-                     render_config)
+from .config import (ANY, BETA_FORMS, PHIS, POSITIVE, Scenario, choose, load_scenario,
+                     read_form, read_keys, render_config)
 from .envelopes import (
     DecayEnvelope,
     envelope_curvature,
@@ -34,7 +34,7 @@ from .envelopes import (
     envelope_weak_logsob,
     envelope_weak_poincare,
 )
-from .errors import BadExponent, ConfigError, TvDecayError
+from .errors import ConfigError, TvDecayError
 from .inequalities import (
     BetaFunction,
     bakry_emery,
@@ -105,52 +105,6 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
 # envelope table
 # ---------------------------------------------------------------------------
 
-# The forms of envelope.<name>.phi and envelope.<name>.beta_form: form -> (maker,
-# {its key: (default, the open interval a set value must lie in)}); the maker
-# takes the keys' values in order.  phi must rise to infinity.
-PHIS = {
-    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0),
-              {"q": (1.5, (1.0, math.inf))}),
-    "logbeta": (lambda b: lambda u: np.maximum(
-        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b,
-        {"beta_exp": (1.0, POSITIVE)}),
-    "linear": (lambda: lambda u: np.asarray(u, float), {}),
-    "loglog": (lambda: lambda u: np.log1p(np.maximum(np.log(np.maximum(
-        np.asarray(u, float), 1.0)), 0.0)), {}),
-}
-BETA_FORMS = {
-    "constant": (BetaFunction.constant, {"beta_c": (1.0, ANY)}),
-    "power": (BetaFunction.power, {"beta_c": (1.0, ANY), "beta_q": (1.0, ANY)}),
-    "logpower": (BetaFunction.logpower, {"beta_d": (1.0, ANY), "beta_r": (1.0, ANY),
-                                         "beta_s0": (2.0, ANY)}),
-}
-
-
-def _form_from_config(cfg: dict, prefix: str, selector: str, table: dict,
-                      default_form: Optional[str], defaults: dict):
-    """The form of table that prefix + selector names (default_form when unset),
-    made from exactly its own keys.  An unset key takes the form's default, or
-    under default_form the family's value in `defaults`.  A set key of another
-    form is a ConfigError; with the selector unset and no default_form no form
-    reads any key, and the result is None."""
-    form = get_str(cfg, prefix + selector, default_form)
-    make, keys = choose(table, prefix + selector, form) if form else (None, {})
-    for key in dict.fromkeys(k for _, form_keys in table.values() for k in form_keys):
-        if key not in keys and prefix + key in cfg:   # `in`: not marked read
-            raise ConfigError(f"key {prefix + key!r} is not read with {prefix}{selector} "
-                              + (f"= {form}" if form else "unset"))
-    if form is None:
-        return None
-    own = defaults if form == default_form else {}
-    args = [get_number(cfg, prefix + k, own.get(k, d), within=w)
-            for k, (d, w) in keys.items()]
-    try:
-        return make(*args)
-    except BadExponent as exc:
-        given = ", ".join(f"{prefix}{k} = {a:g}" for k, a in zip(keys, args))
-        raise ConfigError(f"{given}: {exc}") from exc
-
-
 class _Inputs:
     """What the envelope builders read: mu, h0, its functionals f0, eta and the
     analysed constants."""
@@ -187,11 +141,9 @@ class EnvelopeFamily:
     def parse(self, cfg: dict, name: str) -> Callable:
         """Parse the envelope.<name>.* values; returns build(_Inputs)."""
         prefix = f"envelope.{name}."
-        phi = _form_from_config(cfg, prefix, "phi", PHIS, *self.phi) if self.phi else None
-        beta = (_form_from_config(cfg, prefix, "beta_form", BETA_FORMS, None, {})
-                if self.beta else None)
-        extras = {k: get_number(cfg, prefix + k, d, within=w)
-                  for k, (d, w) in self.extras.items()}
+        phi = read_form(cfg, prefix, "phi", PHIS, *self.phi) if self.phi else None
+        beta = read_form(cfg, prefix, "beta_form", BETA_FORMS, None) if self.beta else None
+        extras = read_keys(cfg, prefix, self.extras)
 
         def build(x: _Inputs) -> DecayEnvelope:
             return self.build(x, phi, self.beta(x) if beta is None and self.beta
@@ -289,7 +241,7 @@ def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.
     return envs, curves
 
 
-def _provenance(scn: Scenario, mu) -> dict:
+def _provenance(scn: Scenario, mu, clipped_mass: float) -> dict:
     return {
         "tool_version": __version__,
         "config_echo": render_config(scn.config),
@@ -301,7 +253,7 @@ def _provenance(scn: Scenario, mu) -> dict:
             "log_partition": float(mu.log_partition),
             "median": float(mu.median),
         },
-        "clipped_mass": scn.clipped_mass,
+        "clipped_mass": clipped_mass,
         "seed": scn.seed,
     }
 
@@ -312,8 +264,9 @@ def _provenance(scn: Scenario, mu) -> dict:
 
 def cmd_analyze(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
+    _, clipped_mass = scn.initial(mu)
     constants = analyze_scenario(scn, mu)
-    payload = {"constants": constants, "provenance": _provenance(scn, mu)}
+    payload = {"constants": constants, "provenance": _provenance(scn, mu, clipped_mass)}
     write_json(out / "constants.json", payload)
 
 
@@ -344,7 +297,7 @@ def cmd_simulate(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
 
 def cmd_compare(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
-    h0 = scn.build_initial(mu)
+    h0, clipped_mass = scn.initial(mu)
     constants = analyze_scenario(scn, mu)
     series = _simulate(scn, mu, h0)
     envs, curves = _bound_curves(scn, plan, mu, h0, constants, series.times)
@@ -365,7 +318,7 @@ def cmd_compare(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
             "valid_from": envs[name].valid_from,
             "calibration_scale": envs[name].scale,
         }
-    summary["provenance"] = _provenance(scn, mu)
+    summary["provenance"] = _provenance(scn, mu, clipped_mass)
     write_json(out / "summary.json", summary)
 
 

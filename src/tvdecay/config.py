@@ -1,22 +1,28 @@
 """Flat key-value scenario configuration.
 
-Format: one `section.key = value` per line, `#` starts a comment.  Values are
-parsed as float/int/bool/string; comma-separated lists are allowed for the
-`envelopes` key.  `get_str` reads every value and adds its key to the
-config's `read` set; `cli.plan_envelopes`, the last reader, rejects a set key
-that nothing read.  `render_config` writes the text that the provenance echo
-in reports holds, and it parses back to the same config.
+Format: one `section.key = value` per line, `#` starts a comment; the
+`envelopes` key takes a comma-separated list.  `render_config` writes the text
+that the provenance echo in reports holds, and it parses back to the same config.
+
+Tables declare the keys as {key: (default, within)}.  An unset key takes
+`default` (REQUIRED: it must be set; an int default makes an int key); a set
+value must lie in the open interval `within`, or, with TABLE, names an x,y CSV
+table.  `read_keys` reads such keys; `read_form` reads the keys of the row
+(maker, keys) that a selector such as `potential.family` names, rejects a set
+key of another row and returns the maker applied to the values.  Every read
+key joins the config's `read` set, and `cli.plan_envelopes`, the last reader,
+rejects a set key that nothing read.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, InadmissibleEta, InvalidSpec
+from .errors import BadExponent, ConfigError, InadmissibleEta, InvalidSpec
+from .inequalities import BetaFunction
 from .measures import (
     PotentialSpec,
     ProbabilityMeasure1D,
@@ -33,16 +39,7 @@ from .simulate import SimConfig
 # open intervals a number read by get_number must lie in
 ANY = (-math.inf, math.inf)
 POSITIVE = (0.0, math.inf)
-# initial.family -> (h0, clipped mass).  Entries call each density function by
-# its module-level name when they run, so rebinding that name takes effect.
-INITIAL = {
-    "eigen_perturbation": lambda mu, p: (eigen_perturbation(mu, p["epsilon"]), 0.0),
-    "step": lambda mu, p: (step_density(mu), 0.0),
-    "shifted_gaussian": lambda mu, p: (shifted_gaussian_density(mu, p["shift"]), 0.0),
-    "tail_ratio": lambda mu, p: tail_ratio_density(mu, p["p"], cap=p["cap"]),
-    "tabulated": lambda mu, p: (tabulated_density(mu, p["table"][:, 0],
-                                                  p["table"][:, 1]), 0.0),
-}
+REQUIRED, TABLE = object(), object()
 
 
 class Config(dict):
@@ -73,11 +70,13 @@ def render_config(cfg: dict) -> str:
     return "\n".join(f"{k} = {v}" for k, v in sorted(cfg.items())) + "\n"
 
 
-def get_str(cfg: Config, key: str, default=None, required: bool = False) -> Optional[str]:
+def get_str(cfg: Config, key: str, default=None) -> Optional[str]:
+    """The text of `key`; `default` when unset, and a ConfigError when that
+    default is REQUIRED."""
     cfg.read.add(key)
     if key in cfg and cfg[key] != "":
         return cfg[key]
-    if required:
+    if default is REQUIRED:
         raise ConfigError(f"missing required key {key!r}")
     return default
 
@@ -93,10 +92,11 @@ def _number(raw: str, key: str, kind=float, within=ANY):
     return value
 
 
-def get_number(cfg, key, default=None, required=False, kind=float, within=ANY):
+def get_number(cfg, key, default=None, kind=float, within=ANY):
     """The value of `key` converted by `kind` (float or int); `default` when
-    unset.  A set value must lie in the open interval `within`."""
-    raw = get_str(cfg, key, None, required)
+    unset (REQUIRED: it must be set).  A set value must lie in the open
+    interval `within`."""
+    raw = get_str(cfg, key, default if default is REQUIRED else None)
     return default if raw is None else _number(raw, key, kind, within)
 
 
@@ -107,17 +107,9 @@ def choose(table: dict, key: str, name: str):
     return table[name]
 
 
-def _get_bool(cfg, key, default=False) -> bool:
-    raw = get_str(cfg, key, None)
-    if raw is None:
-        return default
-    if raw.lower() in ("true", "1", "yes", "on"):
-        return True
-    if raw.lower() in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"key {key!r}: expected a boolean, got {raw!r}")
-
-
+# the values of a boolean key, in lower case
+BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True),
+         **dict.fromkeys(("false", "0", "no", "off"), False)}
 # psi.eta -> constructor; a profile listed as name(p) is written name(value)
 ETAS = {"quadratic": eta_quadratic, "entropy": eta_entropy, "power(p)": eta_power}
 
@@ -134,82 +126,138 @@ def _get_eta(cfg) -> EtaProfile:
         raise ConfigError(f"key 'psi.eta': {exc}") from exc
 
 
-def _read_table(cfg, key) -> np.ndarray:
+def _read_table(cfg, key, default) -> np.ndarray:
     """The two-column CSV (with a header line) named by `key`."""
-    path = get_str(cfg, key, required=True)
+    path = get_str(cfg, key, default)
     try:
         return np.loadtxt(path, delimiter=",", skiprows=1)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
 
 
-# potential.family -> (constructor, {its potential.* key: the reader of that
-# key}).  The constructor takes the keys the config sets by name, so an unset
-# key keeps the constructor's default; potential.path is read as its x,V table.
+def read_keys(cfg, prefix: str, keys: dict, defaults: Optional[dict] = None) -> dict:
+    """{key: the value of prefix + key} for `keys`, {key: (default, within)};
+    `defaults` replaces the defaults of the keys it holds."""
+    defaults = defaults or {}
+    return {k: _read_table(cfg, prefix + k, d) if w is TABLE
+            else get_number(cfg, prefix + k, defaults.get(k, d),
+                            int if type(d) is int else float, w)
+            for k, (d, w) in keys.items()}
+
+
+def read_form(cfg, prefix: str, selector: str, table: dict, default_form=REQUIRED,
+              defaults: Optional[dict] = None, shared: tuple = ()):
+    """The row (make, keys) of `table` that prefix + selector names
+    (default_form when unset), as make(*its keys' values in order).  Under
+    default_form, `defaults` replaces the row's defaults of the keys it holds.
+    A set key of another row is a ConfigError, unless `shared` names it: such a
+    key is read under every row.  With the selector unset and default_form None
+    no row reads any key, and the result is None.  A maker's InvalidSpec or
+    BadExponent is a ConfigError that gives the keys' values."""
+    form = get_str(cfg, prefix + selector, default_form)
+    make, keys = choose(table, prefix + selector, form) if form else (None, {})
+    others = {k: spec for _, row_keys in table.values() for k, spec in row_keys.items()
+              if k not in keys and prefix + k in cfg}    # `in`: not marked read
+    for key in others:
+        if key not in shared:
+            raise ConfigError(f"key {prefix + key!r} is not read with {prefix}{selector} "
+                              + (f"= {form}" if form else "unset"))
+    read_keys(cfg, prefix, others)      # range-checks the shared keys set
+    if form is None:
+        return None
+    values = read_keys(cfg, prefix, keys, defaults if form == default_form else None)
+    try:
+        return make(*values.values())
+    except (BadExponent, InvalidSpec) as exc:
+        given = ", ".join(f"{prefix}{k} = {cfg.get(prefix + k) or format(v, 'g')}"
+                          for k, v in values.items())
+        raise ConfigError(f"{given}: {exc}") from exc
+
+
+# potential.family -> (PotentialSpec constructor, its potential.* keys); the
+# constructor checks the values
 POTENTIALS = {
-    "gaussian": (PotentialSpec.gaussian, {"sigma": get_number}),
-    "power": (PotentialSpec.power, {"alpha": partial(get_number, required=True),
-                                     "scale": get_number}),
-    "power_log": (PotentialSpec.power_log, {"alpha": partial(get_number, required=True)}),
+    "gaussian": (PotentialSpec.gaussian, {"sigma": (math.sqrt(0.5), ANY)}),
+    "power": (PotentialSpec.power, {"alpha": (REQUIRED, ANY), "scale": (1.0, ANY)}),
+    "power_log": (PotentialSpec.power_log, {"alpha": (REQUIRED, ANY)}),
     "tabulated": (lambda path: PotentialSpec.tabulated(path[:, 0], path[:, 1]),
-                  {"path": _read_table}),
+                  {"path": (REQUIRED, TABLE)}),
 }
-# analysis.<key> -> (default, the open interval a set value must lie in)
-_ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),      # exp(w_osc) must be finite
-             "c_p_override": (None, POSITIVE), "rho_override": (None, ANY),
-             "c_ls_override": (None, POSITIVE),
-             "capacity_rho": (None, (1.0, 1e150)),    # rho^2 must be finite
-             "capacity_f_const": (1.0, POSITIVE)}
+# initial.family -> (maker, its initial.* keys); the made start maps mu to (h0,
+# the relative mass its cap removed).  Starts call each density function by
+# its module-level name when they run, so rebinding that name takes effect.
+INITIAL = {
+    "eigen_perturbation": (lambda epsilon: lambda mu: (eigen_perturbation(mu, epsilon), 0.0),
+                           {"epsilon": (0.2, ANY)}),
+    "step": (lambda: lambda mu: (step_density(mu), 0.0), {}),
+    "shifted_gaussian": (lambda shift: lambda mu: (shifted_gaussian_density(mu, shift), 0.0),
+                         {"shift": (0.5, ANY)}),
+    "tail_ratio": (lambda p, cap: lambda mu: tail_ratio_density(mu, p, cap=cap),
+                   {"p": (1.0, ANY), "cap": (50.0, POSITIVE)}),
+    "tabulated": (lambda path: lambda mu: (tabulated_density(mu, path[:, 0], path[:, 1]), 0.0),
+                  {"path": (REQUIRED, TABLE)}),
+}
+# still read, and range-checked, under every initial family (ROADMAP item 18)
+INITIAL_SHARED = ("epsilon", "shift", "p", "cap")
+# the keys of the sections without a selector
+GRID = {"n_points": (4001, (100, math.inf)),    # build_measure needs at least 101 points
+        "tail_tol": (1e-16, (0.0, 1.0))}
+SIM = {"dt": (1e-3, ANY), "t_end": (3.0, ANY), "save_every": (50, ANY)}   # SimConfig checks
+ANALYSIS = {"w_osc": (0.0, (-math.inf, 709.0)),       # exp(w_osc) must be finite
+            "c_p_override": (None, POSITIVE), "rho_override": (None, ANY),
+            "c_ls_override": (None, POSITIVE),
+            "capacity_rho": (None, (1.0, 1e150)),     # rho^2 must be finite
+            "capacity_f_const": (1.0, POSITIVE)}
+# The forms of envelope.<name>.phi and envelope.<name>.beta_form.  phi must
+# rise to infinity.
+PHIS = {
+    "power": (lambda q: lambda u: np.asarray(u, float) ** (q - 1.0),
+              {"q": (1.5, (1.0, math.inf))}),
+    "logbeta": (lambda b: lambda u: np.maximum(
+        np.log(np.maximum(np.asarray(u, float), 1e-300)), 0.0) ** b,
+        {"beta_exp": (1.0, POSITIVE)}),
+    "linear": (lambda: lambda u: np.asarray(u, float), {}),
+    "loglog": (lambda: lambda u: np.log1p(np.maximum(np.log(np.maximum(
+        np.asarray(u, float), 1.0)), 0.0)), {}),
+}
+BETA_FORMS = {
+    "constant": (BetaFunction.constant, {"beta_c": (1.0, ANY)}),
+    "power": (BetaFunction.power, {"beta_c": (1.0, ANY), "beta_q": (1.0, ANY)}),
+    "logpower": (BetaFunction.logpower, {"beta_d": (1.0, ANY), "beta_r": (1.0, ANY),
+                                         "beta_s0": (2.0, ANY)}),
+}
 
 
 class Scenario:
-    """A fully resolved scenario; `build` materializes measure and h0."""
+    """A fully resolved scenario; `build_measure` materializes mu, and
+    `initial(mu)` gives h0 with the relative mass its cap removed."""
 
     def __init__(self, config: Config, potential: PotentialSpec, n_points: int,
-                 tail_tol: float, initial_family: str, initial_params: dict, sim: SimConfig,
-                 eta: EtaProfile, psi_a: Optional[float], envelope_names: list,
-                 calibrate: bool, analysis: dict, clipped_mass: float = 0.0, seed: int = 0):
+                 tail_tol: float, initial: Callable, sim: SimConfig, eta: EtaProfile,
+                 psi_a: Optional[float], envelope_names: list, calibrate: bool,
+                 analysis: dict, seed: int = 0):
         self.config, self.potential = config, potential
-        self.n_points, self.tail_tol = n_points, tail_tol
-        self.initial_family, self.initial_params = initial_family, initial_params
+        self.n_points, self.tail_tol, self.initial = n_points, tail_tol, initial
         self.sim, self.eta, self.psi_a = sim, eta, psi_a
         self.envelope_names, self.calibrate, self.analysis = envelope_names, calibrate, analysis
-        self.clipped_mass, self.seed = clipped_mass, seed
+        self.seed = seed
 
     def build_measure(self) -> ProbabilityMeasure1D:
         return build_measure(self.potential, self.n_points, self.tail_tol)
 
     def build_initial(self, mu: ProbabilityMeasure1D) -> np.ndarray:
-        h, self.clipped_mass = INITIAL[self.initial_family](mu, self.initial_params)
-        return h
+        """h0 alone."""
+        return self.initial(mu)[0]
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
     cfg = Config(cfg)
-    make, readers = choose(POTENTIALS, "potential.family",
-                           get_str(cfg, "potential.family", required=True))
-    args = {k: read(cfg, f"potential.{k}") for k, read in readers.items()}
+    potential = read_form(cfg, "potential.", "family", POTENTIALS)
+    initial = read_form(cfg, "initial.", "family", INITIAL, "eigen_perturbation",
+                        shared=INITIAL_SHARED)
     try:
-        potential = make(**{k: v for k, v in args.items() if v is not None})
-    except InvalidSpec as exc:
-        raise ConfigError(f"potential: {exc}") from exc
-
-    init_fam = get_str(cfg, "initial.family", "eigen_perturbation")
-    choose(INITIAL, "initial.family", init_fam)
-    init_params = {
-        "epsilon": get_number(cfg, "initial.epsilon", 0.2),
-        "shift": get_number(cfg, "initial.shift", 0.5),
-        "p": get_number(cfg, "initial.p", 1.0),
-        "cap": get_number(cfg, "initial.cap", 50.0, within=POSITIVE),
-        "table": _read_table(cfg, "initial.path") if init_fam == "tabulated" else None,
-    }
-    try:
-        sim = SimConfig(
-            dt=get_number(cfg, "sim.dt", 1e-3),
-            t_end=get_number(cfg, "sim.t_end", 3.0),
-            scheme=get_str(cfg, "sim.scheme", "implicit_euler"),
-            save_every=get_number(cfg, "sim.save_every", 50, kind=int),
-        )
+        sim = SimConfig(scheme=get_str(cfg, "sim.scheme", "implicit_euler"),
+                        **read_keys(cfg, "sim.", SIM))
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
     names = [e.strip() for e in get_str(cfg, "envelopes", "").split(",") if e.strip()]
@@ -220,19 +268,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
     return Scenario(
         config=cfg,
         potential=potential,
-        # build_measure needs at least 101 points
-        n_points=get_number(cfg, "grid.n_points", 4001, kind=int, within=(100, math.inf)),
-        tail_tol=get_number(cfg, "grid.tail_tol", 1e-16, within=(0.0, 1.0)),
-        initial_family=init_fam,
-        initial_params=init_params,
+        **read_keys(cfg, "grid.", GRID),
+        initial=initial,
         sim=sim,
         eta=eta,
         # the splice point must exceed max(2, b), and psi(a) = (a^2 - a)/2 be finite
         psi_a=get_number(cfg, "psi.a", None, within=(max(2.0, eta.b), 1e150)),
         envelope_names=names,
-        calibrate=_get_bool(cfg, "envelopes.calibrate", True),
-        analysis={k: get_number(cfg, f"analysis.{k}", d, within=w)
-                  for k, (d, w) in _ANALYSIS.items()},
+        calibrate=choose(BOOLS, "envelopes.calibrate",
+                         get_str(cfg, "envelopes.calibrate", "true").lower()),
+        analysis=read_keys(cfg, "analysis.", ANALYSIS),
     )
 
 

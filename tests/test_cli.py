@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from tvdecay import cli, config, envelopes, measures, psi, simulate
-from tvdecay.cli import (BETA_FORMS, ENVELOPES, PHIS, _bound_curves, analyze_scenario, main,
-                         plan_envelopes, write_csv)
+from tvdecay.cli import ENVELOPES, _bound_curves, analyze_scenario, main, plan_envelopes, write_csv
 from tvdecay.config import (
+    BETA_FORMS,
     INITIAL,
+    PHIS,
     POTENTIALS,
     load_scenario,
     parse_config_text,
@@ -231,6 +232,18 @@ class TestCompare:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["provenance"]["clipped_mass"] > 0.0
 
+    def test_analyze_reports_the_clipped_mass(self, tmp_path):
+        # analyze builds the start as well, so its provenance gives the mass
+        # that the start's cap removed, the same number as compare's
+        cfg = write_cfg(tmp_path, "potential.family = gaussian\ngrid.n_points = 401\n"
+                                  "initial.family = tail_ratio\ninitial.cap = 5\n"
+                                  "sim.dt = 0.01\nsim.t_end = 0.1\n")
+        assert main(["analyze", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["compare", cfg, "--out", str(tmp_path)]) == 0
+        analyzed = json.loads((tmp_path / "constants.json").read_text())["provenance"]
+        compared = json.loads((tmp_path / "summary.json").read_text())["provenance"]
+        assert analyzed["clipped_mass"] == compared["clipped_mass"] > 0.1
+
     def test_provenance_echo_reparses(self, tmp_path):
         cfg = write_cfg(tmp_path, GAUSS_CFG)
         assert main(["analyze", cfg, "--out", str(tmp_path)]) == 0
@@ -261,11 +274,26 @@ BAD_INPUTS = {
     "unread-section": ("compare", "compare.tolerance = 0.1", (), "compare.tolerance"),
     # keys of a family or an envelope the scenario does not select
     "unlisted-envelope-key": ("bounds", "envelope.orlicz.C = abc", (), "envelope.orlicz.C"),
-    "potential-key-other-family": ("bounds", "potential.alpha = 3", (), "potential.alpha"),
+    "potential-key-other-family": ("bounds", "potential.alpha = 3", (),
+                                   "'potential.alpha' is not read with "
+                                   "potential.family = gaussian"),
+    "potential-sigma-power": ("bounds", "potential.family = power\npotential.alpha = 2\n"
+                                        "potential.sigma = 1", (),
+                              "'potential.sigma' is not read with potential.family = power"),
+    "potential-scale-power-log": ("bounds", "potential.family = power_log\n"
+                                            "potential.alpha = 1.5\npotential.scale = 2", (),
+                                  "'potential.scale' is not read with "
+                                  "potential.family = power_log"),
+    "potential-alpha-tabulated": ("bounds", "potential.family = tabulated\n"
+                                            "potential.path = {tmp}/none.csv\n"
+                                            "potential.alpha = 2", (),
+                                  "'potential.alpha' is not read with "
+                                  "potential.family = tabulated"),
     "initial-path-not-tabulated": ("bounds", "initial.path = {tmp}/none.csv", (),
-                                   "initial.path"),
+                                   "'initial.path' is not read with initial.family = step"),
     "potential-path-not-tabulated": ("bounds", "potential.path = {tmp}/none.csv", (),
-                                     "potential.path"),
+                                     "'potential.path' is not read with "
+                                     "potential.family = gaussian"),
     "unknown-envelope-analyze": ("analyze", "envelopes = bogus", (), "bogus"),
     "unknown-envelope-simulate": ("simulate", "envelopes = bogus", (), "bogus"),
     "duplicate-envelope": ("bounds", "envelopes = poincare_l2, poincare_l2", (),
@@ -337,6 +365,11 @@ BAD_INPUTS = {
                               "initial.shift = nan", (), "initial.shift"),
     "shift-inf": ("simulate", "initial.family = shifted_gaussian\n"
                               "initial.shift = inf", (), "initial.shift"),
+    # the numeric initial.* keys are still range-checked under every initial family
+    "shift-nan-step": ("simulate", "initial.family = step\ninitial.shift = nan", (),
+                       "initial.shift"),
+    "cap-zero-eigen": ("bounds", "initial.family = eigen_perturbation\ninitial.cap = 0", (),
+                       "initial.cap"),
     # phi must increase to infinity: u^(q-1) needs q > 1, log+(u)^beta_exp needs beta_exp > 0
     "phi-power-q-one": ("bounds", "envelopes = truncation_poincare\n"
                                   "envelope.truncation_poincare.q = 1", (),
@@ -540,6 +573,17 @@ def test_non_finite_start_exits_3(verb, tmp_path, capsys):
     assert "NotADensity" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["analyze", "bounds", "simulate", "compare"])
+def test_massless_tabulated_start_exits_3(verb, tmp_path, capsys):
+    # every command builds the start; analyze reports the mass its cap removed
+    (tmp_path / "h.csv").write_text("x,h\n-4,-1\n4,-2\n")
+    path = write_cfg(tmp_path, SMALL_CFG + "initial.family = tabulated\n"
+                                           f"initial.path = {tmp_path}/h.csv\n")
+    assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert "NotADensity" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["simulate", "compare"])
 def test_solver_breakdown_exits_3(verb, tmp_path, capsys, monkeypatch):
     # a non-finite upper diagonal, the only one the implicit step reads, makes
@@ -665,11 +709,10 @@ def test_every_applied_default_lies_in_its_interval(name, selector, form, monkey
     # open interval that a set value of the key must lie in
     applied, get_number = {}, config.get_number
 
-    def spy(cfg, key, default=None, required=False, kind=float, within=config.ANY):
+    def spy(cfg, key, default=None, kind=float, within=config.ANY):
         applied[key] = (default, within)
-        return get_number(cfg, key, default, required, kind, within)
+        return get_number(cfg, key, default, kind, within)
     monkeypatch.setattr(config, "get_number", spy)
-    monkeypatch.setattr(cli, "get_number", spy)
     text = f"envelopes = {name}\n" + (f"envelope.{name}.{selector} = {form}" if selector
                                       else "")
     plan_envelopes(scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n")))
@@ -678,7 +721,7 @@ def test_every_applied_default_lies_in_its_interval(name, selector, form, monkey
     assert outside == {}
     form_keys = (PHIS if selector == "phi" else BETA_FORMS)[form][1] if selector else {}
     assert {*(f"envelope.{name}.{key}" for key in [*form_keys, *ENVELOPES[name].extras]),
-            *(f"analysis.{key}" for key in config._ANALYSIS)} <= set(applied)
+            *(f"analysis.{key}" for key in config.ANALYSIS)} <= set(applied)
 
 
 # the documented default of each phi form's key, and a family's own where it differs
@@ -821,3 +864,30 @@ def test_readme_example_validates():
     misspelt = example.replace("truncation_poincare.q ", "truncation_poincare.qq ")
     with pytest.raises(ConfigError, match="envelope.truncation_poincare.qq"):
         plan_envelopes(scenario_from_config(parse_config_text(misspelt)))
+
+
+def test_readme_names_every_key_of_the_rows():
+    # the README's key lists and envelope table are written by hand; each key
+    # that the config reader's rows declare must be named there
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Scenario configuration", 1)[1].split("\n## ", 1)[0]
+    keys = {f"{prefix}.{key}" for prefix, table in (("potential", POTENTIALS),
+                                                     ("initial", INITIAL))
+            for _, row in table.values() for key in row}
+    keys |= {f"{prefix}.{key}" for prefix, table in (("analysis", config.ANALYSIS),
+                                                     ("grid", config.GRID), ("sim", config.SIM))
+             for key in table}
+    keys |= {f"`{key}`" for table in (PHIS, BETA_FORMS) for _, row in table.values()
+             for key in row}
+    keys |= {f"`{form}`" for table in (PHIS, BETA_FORMS) for form in table}
+    assert sorted(key for key in keys if key not in section) == []
+    rows = {line.split("|")[1].strip(): line for line in section.splitlines()
+            if line.startswith("| `")}
+    assert [(name, key) for name, family in ENVELOPES.items() for key in family.extras
+            if f"`{key}`" not in rows[f"`{name}`"]] == []
+    ini = section.split("```ini\n", 1)[1].split("```", 1)[0]
+    for prefix, table in (("potential", POTENTIALS), ("initial", INITIAL)):
+        # the family list in the comment of the selector's line and of the
+        # comment lines that continue it
+        listed = re.search(rf"^{prefix}\.family *=[^#]*#(.*(?:\n +#.*)*)", ini, re.M)
+        assert set(re.findall(r"\w+", listed.group(1))) >= set(table), prefix

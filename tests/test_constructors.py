@@ -5,7 +5,9 @@ dropped default or a reordered parameter breaks callers that the golden
 outputs may not reach.  The table below is each constructor's parameters,
 in order, with their defaults, as they stood when the records were
 dataclasses.  `EnvelopeFamily.extras` defaulted to a fresh empty dict, which
-the constructor now makes from its default None.
+the constructor now makes from its default None.  `Scenario` takes its start
+as one callable, `initial`, in place of `initial_family`, `initial_params`
+and the `clipped_mass` that building the start used to set.
 """
 
 import inspect
@@ -28,10 +30,9 @@ SIGNATURES = {
                               ("extras", None)],
     (config, "Scenario"): [("config", REQUIRED), ("potential", REQUIRED),
                            ("n_points", REQUIRED), ("tail_tol", REQUIRED),
-                           ("initial_family", REQUIRED), ("initial_params", REQUIRED),
-                           ("sim", REQUIRED), ("eta", REQUIRED), ("psi_a", REQUIRED),
-                           ("envelope_names", REQUIRED), ("calibrate", REQUIRED),
-                           ("analysis", REQUIRED), ("clipped_mass", 0.0), ("seed", 0)],
+                           ("initial", REQUIRED), ("sim", REQUIRED), ("eta", REQUIRED),
+                           ("psi_a", REQUIRED), ("envelope_names", REQUIRED),
+                           ("calibrate", REQUIRED), ("analysis", REQUIRED), ("seed", 0)],
     (envelopes, "XiSpec"): [("beta", REQUIRED), ("log_numerator", 1.0), ("t_scale", 1.0)],
     (envelopes, "DecayEnvelope"): [("name", REQUIRED), ("params", REQUIRED),
                                    ("bound", REQUIRED), ("scale", 1.0)],

@@ -20,6 +20,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.internal.conjecture import providers
 
 import tvdecay as tv
 from tvdecay.config import INITIAL
@@ -30,6 +31,21 @@ from conftest import contraction_check
 # derandomized and without a per-example deadline: the same examples on every
 # run, however loaded the machine is
 PROPERTY_SETTINGS = settings(derandomize=True, deadline=None, max_examples=25)
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_local_constants():
+    """Hypothesis also draws, with p = 0.05 per draw, a literal of any local
+    module that is loaded (`providers._get_local_constants`), so the examples
+    of a derandomized test would depend on which modules the suite imported
+    before it.  In this module it draws from its own constants only, and the
+    examples depend on the strategies alone."""
+    providers.CONSTANTS_CACHE.cache.clear()
+    with mock.patch.object(providers, "_get_local_constants", providers.Constants):
+        yield
+    providers.CONSTANTS_CACHE.cache.clear()
+
+
 TABLE = np.array([[-3.0, 0.5], [-1.0, 2.0], [1.0, 0.2], [3.0, 1.0]])
 # Measuring the mass sums n terms, so it carries up to about n eps of round-off.
 # Each step's columns sum to q, so the step adds a few eps of drift relative to
@@ -58,10 +74,11 @@ def scenarios(draw, potentials):
     mu = tv.build_measure(draw(potentials), draw(st.integers(101, 401)))
     params = {"epsilon": draw(st.floats(-1.0, 1.0)), "shift": draw(st.floats(-1.0, 1.0)),
               "p": draw(st.floats(0.5, 3.0)), "cap": draw(st.floats(2.0, 100.0)),
-              "table": TABLE}
+              "path": TABLE}
     weights = [draw(st.floats(0.0, 1.0)) for _ in INITIAL]
     assume(sum(weights) > 0.0)
-    h0 = sum(w * INITIAL[fam](mu, params)[0] for w, fam in zip(weights, INITIAL))
+    starts = [make(*(params[key] for key in keys)) for make, keys in INITIAL.values()]
+    h0 = sum(w * start(mu)[0] for w, start in zip(weights, starts))
     h0 = h0 / sum(weights)
     # t_end must be a whole number of steps: the 3 to 300 steps of dt nearest 0.3
     dt = draw(st.floats(1e-3, 0.1))

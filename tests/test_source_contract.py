@@ -5,9 +5,11 @@ outputs, so no module may draw random numbers.  It also keeps one 1-D
 minimizer (`_numerics.golden_min_log`), so no module imports scipy.optimize.
 scipy itself is imported only inside the functions that use it: at module
 level it would add about a quarter second to every command, `import
-tvdecay.cli` included.  Every public top-level definition, and every
-public method of a public class, has a caller in the package or the
-benchmark, unless `UNWIRED` names it with the reason.
+tvdecay.cli` included.  Config keys are read in `config.py` alone, whose
+tables declare every key with its default and range.  Every public
+top-level definition, and every public method of a public class, has a
+caller in the package or the benchmark, unless `UNWIRED` names it with the
+reason.
 """
 
 import ast
@@ -103,6 +105,31 @@ def test_scipy_checker_catches(snippet):
     "from . import measures"])
 def test_scipy_checker_allows(snippet):
     assert _import_time_scipy(ast.parse(snippet)) == []
+
+
+KEY_READERS = ("get_str", "get_number")
+
+
+def _key_reads(tree) -> list:
+    """Calls of the config module's single-key readers, by any name path."""
+    return [f"line {node.lineno}: {_dotted(node.func)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _dotted(node.func).rpartition(".")[2] in KEY_READERS]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "config.py"],
+                         ids=lambda p: p.name)
+def test_keys_read_only_in_config(path):
+    # every other module goes through config.read_form and config.read_keys,
+    # so a key's default and range live in one table
+    assert _key_reads(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_key_read_checker():
+    assert _key_reads(ast.parse("x = get_number(cfg, 'a.b', 1.0)\n"
+                                "y = config.get_str(cfg, 'a.c')\n")) == [
+        "line 1: get_number", "line 2: config.get_str"]
+    assert _key_reads(ast.parse("read_keys(cfg, 'a.', KEYS)\nget_number\n")) == []
 
 
 # Public definitions that no command and no benchmark workload reaches, each
