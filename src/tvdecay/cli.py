@@ -264,10 +264,10 @@ def _provenance(scn: Scenario, mu, clipped_mass: float) -> dict:
 
 def cmd_analyze(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
-    _, clipped_mass = scn.initial(mu)
-    constants = analyze_scenario(scn, mu)
-    payload = {"constants": constants, "provenance": _provenance(scn, mu, clipped_mass)}
-    write_json(out / "constants.json", payload)
+    h0, clipped_mass = scn.initial(mu)
+    functionals(mu, h0)     # checks that h0 is a density, as the other commands do
+    write_json(out / "constants.json", {"constants": analyze_scenario(scn, mu),
+                                        "provenance": _provenance(scn, mu, clipped_mass)})
 
 
 def cmd_bounds(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:

@@ -34,7 +34,7 @@ from .measures import (
     tail_ratio_density,
 )
 from .psi import EtaProfile, eta_entropy, eta_power, eta_quadratic
-from .simulate import SimConfig
+from .simulate import FLOWS, SimConfig
 
 # open intervals a number read by get_number must lie in
 ANY = (-math.inf, math.inf)
@@ -255,9 +255,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     potential = read_form(cfg, "potential.", "family", POTENTIALS)
     initial = read_form(cfg, "initial.", "family", INITIAL, "eigen_perturbation",
                         shared=INITIAL_SHARED)
+    scheme = get_str(cfg, "sim.scheme", "implicit_euler")
+    choose(FLOWS, "sim.scheme", scheme)
     try:
-        sim = SimConfig(scheme=get_str(cfg, "sim.scheme", "implicit_euler"),
-                        **read_keys(cfg, "sim.", SIM))
+        sim = SimConfig(scheme=scheme, **read_keys(cfg, "sim.", SIM))
     except ValueError as exc:
         raise ConfigError(f"sim: {exc}") from exc
     names = [e.strip() for e in get_str(cfg, "envelopes", "").split(",") if e.strip()]

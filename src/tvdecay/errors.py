@@ -82,9 +82,9 @@ class LowerBoundViolated(TvDecayError):
 
 
 class SolverBreakdown(TvDecayError):
-    """The mass-weighted implicit step matrix Q(I - dt*L) is not finite or not
-    positive definite, a right-hand side or a state of the flow is not
-    finite, or a solve fails."""
+    """The step matrix Q(I - dt*L) or the generator is not finite or the matrix
+    not positive definite, a right-hand side or state is not finite, a solve
+    or eigendecomposition fails, or a spectral state's negative mass > 1e-12."""
 
 
 class ConfigError(TvDecayError):
@@ -92,12 +92,6 @@ class ConfigError(TvDecayError):
 
 
 # -- warnings ------------------------------------------------------------------
-
-class CFLWarning(UserWarning):
-    """A saved state carries negative mass -int min(h, 0) dmu > 1e-6: the
-    oscillations of a Crank-Nicolson step too large for the data.  Warned
-    once per run, at the first such save."""
-
 
 class NonYoungWarning(UserWarning):
     """The Young-function candidate is not convex on the probe grid; the

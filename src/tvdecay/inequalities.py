@@ -22,7 +22,7 @@ from .errors import (
     NonYoungWarning,
     VanishingDensity,
 )
-from .measures import ProbabilityMeasure1D, generator, integrate
+from .measures import ProbabilityMeasure1D, integrate, symmetric_generator
 from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
 
 
@@ -187,15 +187,12 @@ class SpectralGap:
 def spectral_gap(mu: ProbabilityMeasure1D) -> SpectralGap:
     """The exact Poincare optimum over grid functions for `measures.generator`.
 
-    L is self-adjoint in l^2(q), q = mu.quadrature, so -q^{1/2} L q^{-1/2} is
-    symmetric with off-diagonals -sqrt(upper_i lower_{i+1}); its second
-    eigenvalue is the gap, with eigenvector v and f = v/sqrt(q).
-    Var(f)/int |f'|^2 dmu, taken with np.gradient, certifies C_P >= rayleigh."""
+    The second eigenvalue of `symmetric_generator`'s S is the gap, with
+    eigenvector v and f = v/sqrt(q), q = mu.quadrature.  Var(f)/int |f'|^2
+    dmu, taken with np.gradient, certifies C_P >= rayleigh."""
     from scipy.linalg import eigh_tridiagonal
 
-    lower, diag, upper = generator(mu)
-    off = np.sqrt(upper[:-1] * lower[1:])
-    vals, vecs = eigh_tridiagonal(-diag, -off, select="i", select_range=(1, 1))
+    vals, vecs = eigh_tridiagonal(*symmetric_generator(mu), select="i", select_range=(1, 1))
     gap = float(vals[0])
     # where q underflows to 0 the weight drops out of every integral; f is 0 there
     f = vecs[:, 0] / np.sqrt(np.where(mu.quadrature > 0, mu.quadrature, np.inf))

@@ -264,6 +264,12 @@ def generator(mu: ProbabilityMeasure1D):
     return lower, diag, upper
 
 
+def symmetric_generator(mu: ProbabilityMeasure1D):
+    """Diagonal and off-diagonal of the symmetric S = -Q^{1/2} L Q^{-1/2}, q = mu.quadrature."""
+    lower, diag, upper = generator(mu)
+    return -diag, -np.sqrt(upper[:-1] * lower[1:])
+
+
 def _gradient_stencil(grid: np.ndarray, rows: int) -> tuple:
     """np.gradient's edge-order-1 coefficients on grid, for `_gradient` on
     up to `rows` rows: (interior, dx at the first edge, dx at the last).

@@ -5,9 +5,9 @@ The flow is d/dt h = L h with L the discrete generator `measures.generator`:
 L h = (1/2) e^{2V} (e^{-2V} h')' in divergence form with harmonic-mean face
 weights and zero-flux boundaries, so it annihilates constants identically,
 conserves the mu-weighted mass exactly and is self-adjoint in l^2(mu).
-Implicit Euler is an M-matrix scheme: positivity and every Jensen-type
-monotone functional (TV, Var, Ent, I_psi, d_H, V, E) are preserved step by
-step, not just in the continuum limit.
+Implicit Euler is an M-matrix scheme, which preserves positivity and every
+Jensen-type monotone functional (TV, Var, Ent, I_psi, d_H, V, E) step by
+step; the spectral scheme runs L exactly in time.
 """
 
 from __future__ import annotations
@@ -16,17 +16,15 @@ import math
 import operator
 import os
 import sys
-import warnings
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import find_spec, module_from_spec
 from typing import Optional
 
 import numpy as np
 
-from .errors import (CFLWarning, LowerBoundViolated, NotADensity, SolverBreakdown,
-                     WrongMeasure)
+from .errors import LowerBoundViolated, NotADensity, SolverBreakdown, WrongMeasure
 from .measures import (BlockWorkspace, Functionals, ProbabilityMeasure1D, _check_density,
-                       _finite, functionals, generator, integrate)
+                       _finite, functionals, generator, integrate, symmetric_generator)
 from ._numerics import trapezoid_weights
 
 # Saved states are diagnosed in blocks of about this many grid values (256 KB
@@ -55,7 +53,7 @@ class SimConfig:
             raise ValueError(f"save_every must be an integer, got {save_every!r}") from None
         if self.save_every < 1:
             raise ValueError("save_every must be >= 1")
-        if scheme not in ("implicit_euler", "crank_nicolson"):
+        if scheme not in FLOWS:
             raise ValueError(f"unknown scheme {scheme!r}")
 
     def __eq__(self, other):
@@ -80,15 +78,12 @@ class DiagnosticsSeries(Functionals):
 
 
 def _flapack():
-    """scipy's LAPACK extension module, loaded without `scipy.linalg`.
-
-    Importing it the usual way runs the `scipy.linalg` package `__init__`,
-    which loads the whole of scipy.linalg: most of a short simulate run.  So
-    the extension file is found in scipy's linalg directory, located by
-    `find_spec` without running even the `scipy` package's own `__init__`,
-    and loaded on its own.  Its `dpttrf`/`dpttrs` are the very objects
-    `scipy.linalg.lapack` re-exports, whichever of the two loads first.  If
-    scipy or the file is not found, that import is the fallback.
+    """scipy's LAPACK extension module, loaded without `scipy.linalg`, whose
+    package `__init__` loads the whole of scipy.linalg: most of a short
+    simulate run.  The extension file is found in scipy's linalg directory,
+    located by `find_spec` without running the `scipy` package's `__init__`
+    either; its routines are the objects `scipy.linalg.lapack` re-exports.
+    If scipy or the file is not found, that import is the fallback.
     """
     module = sys.modules.get(_FLAPACK)
     if module is not None:
@@ -108,32 +103,22 @@ def _flapack():
     return module
 
 
-def _step_solver(q, upper, alpha):
-    """Factor the implicit step once and return solve(rhs, steps=1, out=None),
-    which applies (I - alpha*L)^{-1} to rhs `steps` times: alpha = dt for an
-    implicit Euler step, dt/2 for each half of a Crank-Nicolson step.
-
-    The step is solved in the mass-weighted form S x = q*rhs, q =
-    mu.quadrature, with S = Q(I - alpha*L) symmetric positive definite:
-    L is self-adjoint in l^2(q), so S has off-diagonal -c_i on the faces
-    c_i = alpha*q_i*upper_i, and its diagonal q_i + c_{i-1} + c_i makes
-    every column sum q_i, so each step conserves the mass relative to 1
-    whatever the dynamic range of h.  Where q underflows the cell carries no
-    mass, and its row would vanish: weight 1 in place of q keeps S definite
-    and leaves h there all but unchanged.  S is factored once as L D L^T
-    (LAPACK dpttrf, no pivoting) and each step is one dpttrs call.  Both
-    routines come from `_flapack`, so a run loads no `scipy.linalg` package.
-
-    solve checks rhs once, writes the weighted rhs into `out` (a new array if
-    None; a contiguous float array, rhs itself allowed), and runs the `steps`
-    dpttrs solves in place in it, weighting in place between them.  Each
-    step is the product and then the solve, as one call per step would be,
-    so the result is bit for bit that of `steps` one-step calls.
+def _step_solver(q, upper, dt):
+    """Factor the implicit Euler step once and return solve(rhs, steps=1,
+    out=None), which applies (I - dt*L)^{-1} to rhs `steps` times, in place
+    in `out` (a new array if None, rhs allowed), bit for bit as `steps`
+    one-step calls would.  Each step is one dpttrs solve of S x = q*rhs,
+    q = mu.quadrature, with S = Q(I - dt*L) symmetric positive definite and
+    factored once by dpttrf: its faces are -c_i, c_i = dt*q_i*upper_i, and
+    its diagonal q_i + c_{i-1} + c_i makes every column sum q_i, so the mass
+    is conserved relative to 1 whatever the dynamic range of h.  A cell
+    whose q underflows carries no mass and takes weight 1, which keeps S
+    definite and h there all but unchanged.
     """
     lapack = _flapack()
     dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
 
-    c = alpha * q[:-1] * upper[:-1]
+    c = dt * q[:-1] * upper[:-1]
     w = np.where(q < np.finfo(float).tiny, 1.0, q)
     d = w.copy()
     d[:-1] += c
@@ -160,73 +145,90 @@ def _step_solver(q, upper, alpha):
     return solve
 
 
+def _euler_flow(mu: ProbabilityMeasure1D, h, dt: float):
+    """fill(rows, steps): implicit Euler's states, one `solve` per save interval."""
+    solve = _step_solver(mu.quadrature, generator(mu)[2], dt)
+    done = 0
+
+    def fill(rows, steps):
+        nonlocal done
+        for row, k in zip(rows, steps):
+            if k > done:
+                solve(h, k - done, out=h)
+            done = k
+            row[:] = h
+    return fill
+
+
+def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
+    """fill(rows, steps): e^{tL} h at t = k dt exactly, h(t) = Q^{-1/2} V
+    e^{-lam t} V^T Q^{1/2} h (Karlin-McGregor), from one dstevd of S = V
+    diag(lam) V^T (O(n^2) memory, O(n^3) time), one product per block and h
+    at t = 0.  A state is clipped at 0, and raises SolverBreakdown if that
+    clips more than 1e-12 of mass; a cell whose q underflows keeps h."""
+    d, e = symmetric_generator(mu)
+    if not (_finite(d) and _finite(e)):
+        raise SolverBreakdown("the generator is not finite")
+    lam, vecs, info = _flapack().dstevd(d, e)
+    if info != 0:
+        raise SolverBreakdown(f"the generator's eigendecomposition failed (info = {info})")
+    lam[0] = 0.0    # L 1 = 0: the round-off of this eigenvalue would drift the mass
+    dead = mu.quadrature < np.finfo(float).tiny
+    root = np.sqrt(np.where(dead, 0.0, mu.quadrature))
+    coef = (root * h) @ vecs
+    inverse = np.divide(1.0, root, out=np.zeros_like(root), where=~dead)
+
+    def fill(rows, steps):
+        times = np.asarray(steps) * dt
+        np.matmul(np.exp(np.multiply.outer(-times, lam)) * coef, vecs.T, out=rows)
+        rows *= inverse
+        rows[:, dead] = h[dead]
+        rows[times == 0] = h
+        negative = -(np.minimum(rows, 0.0) @ mu.quadrature)
+        k = int(np.argmax(negative))
+        if negative[k] > 1e-12:
+            raise SolverBreakdown(f"the spectral flow at t = {times[k]:g} has negative "
+                                  f"mass {negative[k]:.2e}")
+        np.maximum(rows, 0.0, out=rows)
+    return fill
+
+
+# sim.scheme -> the maker of its fill(rows, steps)
+FLOWS = {"implicit_euler": _euler_flow, "spectral": _spectral_flow}
+
+
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record one `Functionals` every save_every steps.
 
-    One loop runs over the saves at steps 0, save_every, 2 save_every, ...,
-    n_steps, in blocks of the max(1, _BLOCK_ELEMS // n) rows of one
-    `BlockWorkspace`, allocated once per run.  Each block advances the state
-    to each of its saves and copies it into the next row, checks its last
-    state finite, and is diagnosed in one `functionals` call, which reuses
-    the workspace's scratch.  The series joins the blocks field by field, so
-    its values are those of one call per save.  When min h0 < 1/2 the
-    reversed functionals V, E are recorded for the mixture flow (1 + h_t)/2,
-    the exact flow of (1 + h0)/2; the flag `reverse_transformed` says so.
-
-    Implicit Euler runs each save interval's steps in one `solve` call, in
-    place in the clipped copy of h0.  Crank-Nicolson factors I - dt/2 L and
-    steps h = 2 (I - dt/2 L)^{-1} h - h = (I - dt/2 L)^{-1}(I + dt/2 L) h.
-    A saved state with negative values (its oscillations) is diagnosed as a
-    copy clipped at 0 and renormalised, and the first whose negative mass
-    -int min(h, 0) dmu exceeds 1e-6 warns CFLWarning.
-
-    `solve` checks its input finite, so each state of a block but the last
-    is checked by the solve that leaves it, and the last by the block check:
-    a breakdown raises SolverBreakdown, never NotADensity.  None is missed:
-    a nan or inf in a dpttrs solve spreads to every entry of its backward
-    pass (IEEE nan*0 and inf*0 are nan), and so to every later state.
+    The scheme's `FLOWS` maker fills the saves at steps 0, save_every, ...,
+    n_steps into the max(1, _BLOCK_ELEMS // n) rows of one `BlockWorkspace`,
+    a block at a time; one `functionals` call diagnoses each block after its
+    last state is checked finite (`solve` checks the others, and a nan or
+    inf spreads through a dpttrs solve).  When min h0 < 1/2 the reversed
+    functionals are those of the mixture flow (1 + h_t)/2.
     """
     # h0 clipped at 0, in a fresh array: the state buffer
     h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
     dt, n_steps = config.dt, round(config.t_end / config.dt)
-    crank = config.scheme == "crank_nicolson"
-    solve = _step_solver(mu.quadrature, generator(mu)[2], 0.5 * dt if crank else dt)
     transformed = bool(h.min() < 0.5 - 1e-12)
+    fill = FLOWS[config.scheme](mu, h, dt)
     steps = [*range(0, n_steps, config.save_every), n_steps]
     ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
     blocks, states = [], [] if keep_states else None
-    warned, done = False, 0
     for first in range(0, len(steps), len(ws.block)):
         block_steps = steps[first:first + len(ws.block)]
-        for row, k in zip(ws.block, block_steps):
-            if crank:
-                for _ in range(k - done):
-                    h = 2.0 * solve(h) - h
-            elif k > done:
-                solve(h, k - done, out=h)
-            done = k
-            if h.min() < -1e-12:
-                neg_mass = -integrate(mu, np.minimum(h, 0.0, out=row))
-                if neg_mass > 1e-6 and not warned:
-                    warnings.warn(f"{config.scheme} produced negative mass fraction "
-                                  f"{neg_mass:.2e} at t = {k * dt:g}; reduce dt", CFLWarning)
-                    warned = True
-                np.maximum(h, 0.0, out=row)
-                row /= integrate(mu, row)
-            else:
-                row[:] = h
-            if keep_states:
-                states.append(row.copy())
-        if not _finite(h):
-            raise SolverBreakdown(f"the flow's state at t = {done * dt:g} is not finite")
         ws.filled = len(block_steps)
+        fill(ws.block[:ws.filled], block_steps)
+        if not _finite(ws.block[ws.filled - 1]):
+            raise SolverBreakdown(f"the flow at t = {block_steps[-1] * dt:g} is not finite")
+        if keep_states:
+            states.extend(ws.block[:ws.filled].copy())
         blocks.append(functionals(mu, ws, psi=psi, mixture=transformed))
     times = np.asarray(steps) * dt
     series = {name: np.concatenate([getattr(b, name) for b in blocks])
               for name in Functionals.NAMES}
-    i_psi = series["i_psi"]
-    lhs = np.full_like(times, np.nan, dtype=float)
+    i_psi, lhs = series["i_psi"], np.full_like(times, np.nan, dtype=float)
     if len(times) >= 3 and psi is not None:
         lhs[1:-1] = (i_psi[2:] - i_psi[:-2]) / (times[2:] - times[:-2])
     return DiagnosticsSeries(times=times, **series, dissipation_lhs=lhs,

@@ -312,7 +312,12 @@ BAD_INPUTS = {
     "save-every-zero": ("analyze", "sim.save_every = 0", (), "save_every"),
     "t-end-not-whole-steps": ("analyze", "sim.dt = 0.1\nsim.t_end = 0.15", (),
                               "t_end = 0.15 is not a whole number of dt = 0.1 steps"),
-    "unknown-scheme": ("analyze", "sim.scheme = foo", (), "foo"),
+    "unknown-scheme": ("analyze", "sim.scheme = foo", (),
+                       "key 'sim.scheme': unknown 'foo' (implicit_euler | spectral)"),
+    # the Crank-Nicolson scheme was retired for the spectral one
+    "crank-nicolson-scheme": ("simulate", "sim.scheme = crank_nicolson", (),
+                              "key 'sim.scheme': unknown 'crank_nicolson' "
+                              "(implicit_euler | spectral)"),
     "missing-potential-table": ("analyze", "potential.family = tabulated\n"
                                            "potential.path = {tmp}/none.csv", (),
                                 "potential.path"),
@@ -563,7 +568,7 @@ def test_negative_bound_exits_3(verb, tmp_path, capsys, monkeypatch):
     assert "'poincare_l2'" in err and "-0.001 at t = " in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("verb", ["bounds", "simulate"])
+@pytest.mark.parametrize("verb", ["analyze", "bounds", "simulate"])
 def test_non_finite_start_exits_3(verb, tmp_path, capsys):
     # exp(2 (V(x) - V(x - shift))) overflows, so h0 is inf/nan, not a density
     path = write_cfg(tmp_path, SMALL_CFG + "initial.family = shifted_gaussian\n"

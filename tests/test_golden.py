@@ -102,11 +102,11 @@ CASES = {
         "orlicz": {**POWER_Q, **B_POWER, "C": "2.5"},
         "weak_logsob": {"eps": "0.2"}}), T12),
     "simulate-gauss": ("simulate", {}, ()),
-    "simulate-quartic-cn": ("simulate", {"potential.family": "power",
-                                         "potential.alpha": "4",
-                                         "initial.family": "step",
-                                         "psi.eta": "entropy",
-                                         "sim.scheme": "crank_nicolson"}, ()),
+    "simulate-quartic-spectral": ("simulate", {"potential.family": "power",
+                                               "potential.alpha": "4",
+                                               "initial.family": "step",
+                                               "psi.eta": "entropy",
+                                               "sim.scheme": "spectral"}, ()),
     "compare-calibrated": ("compare", {"envelopes": "poincare_l2, weak_poincare, "
                                                     "truncation_logsob, curvature"}, ()),
     "compare-raw": ("compare", {"envelopes": "poincare_l2, truncation_poincare, logsob",
@@ -119,10 +119,10 @@ CASES = {
                                        "initial.family": "tail_ratio",
                                        "initial.p": "1.0", "initial.cap": "20.0"}, ()),
     "compare-empty": ("compare", {"envelopes": ""}, ()),
-    "compare-entropy-cn": ("compare", {"envelopes": "logsob, truncation_poincare",
-                                       "psi.eta": "entropy",
-                                       "sim.scheme": "crank_nicolson",
-                                       "initial.family": "step"}, ("--seed", "3")),
+    "compare-entropy-spectral": ("compare", {"envelopes": "logsob, truncation_poincare",
+                                             "psi.eta": "entropy",
+                                             "sim.scheme": "spectral",
+                                             "initial.family": "step"}, ("--seed", "3")),
     "compare-psi-power": ("compare", {"envelopes": "weak_poincare, hellinger",
                                       "psi.eta": "power(1.5)", "psi.a": "2.5",
                                       "analysis.w_osc": "0.1",

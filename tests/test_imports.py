@@ -7,7 +7,8 @@ inputs (PCHIP) and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
 `scipy.linalg._flapack` on its own, without the `scipy.linalg` package.  So
 `import tvdecay.cli`, `analyze` and `bounds` load no scipy at all, and
 `simulate` and `compare` load LAPACK but neither the `scipy.linalg` package
-nor PCHIP.  The LAPACK extension is found without running scipy's own
+nor PCHIP, under either `sim.scheme`: the spectral flow's `dstevd` comes from
+the same extension.  The LAPACK extension is found without running scipy's own
 `__init__`, so it is the only scipy module they load.  The package's records
 are plain classes, so no command loads `dataclasses` either, and `json` is
 imported only by the two verbs that write JSON, analyze and compare.  Each check
@@ -32,6 +33,7 @@ initial.family = shifted_gaussian
 sim.dt = 0.01
 sim.t_end = 0.1
 sim.save_every = 5
+sim.scheme = {scheme}
 psi.eta = power(1.5)
 analysis.c_ls_override = 1.0
 analysis.capacity_rho = 2.0
@@ -68,13 +70,14 @@ print(json.dumps(seen))
 """
 
 
-def _loaded(tmp_path) -> dict:
+def _loaded(tmp_path, scheme="implicit_euler") -> dict:
     from tvdecay.cli import ENVELOPES
 
     paths = []
     for name, lines in POTENTIALS.items():
         path = tmp_path / f"{name}.cfg"
-        path.write_text(lines + SCENARIO.format(envelopes=", ".join(ENVELOPES)))
+        path.write_text(lines + SCENARIO.format(envelopes=", ".join(ENVELOPES),
+                                                scheme=scheme))
         paths.append(str(path))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
@@ -106,7 +109,8 @@ def test_json_loads_only_where_json_is_written(verbs, tmp_path):
     from tvdecay.cli import ENVELOPES
 
     path = tmp_path / "power.cfg"
-    path.write_text(POTENTIALS["power"] + SCENARIO.format(envelopes=", ".join(ENVELOPES)))
+    path.write_text(POTENTIALS["power"] + SCENARIO.format(envelopes=", ".join(ENVELOPES),
+                                                          scheme="implicit_euler"))
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     done = subprocess.run([sys.executable, "-c", JSON_CHILD, str(path), *verbs],
@@ -138,3 +142,12 @@ def test_cli_loads_no_dataclasses_and_no_scipy_package(tmp_path):
     assert seen["dataclasses"] == []
     assert seen["scipy"] == {"import": [], "analyze+bounds": [],
                              "simulate+compare": ["scipy.linalg._flapack"]}
+
+
+def test_spectral_scheme_loads_only_the_lapack_extension(tmp_path):
+    """`simulate` and `compare` under `sim.scheme = spectral` take `dstevd` from
+    scipy's LAPACK extension, loaded without the `scipy.linalg` package."""
+    seen = _loaded(tmp_path, "spectral")
+    assert seen["scipy"] == {"import": [], "analyze+bounds": [],
+                             "simulate+compare": ["scipy.linalg._flapack"]}
+    assert seen["dataclasses"] == []

@@ -11,7 +11,6 @@ import pytest
 
 import tvdecay as tv
 from tvdecay.errors import (
-    CFLWarning,
     LowerBoundViolated,
     NotADensity,
     SolverBreakdown,
@@ -112,7 +111,7 @@ class TestDissipation:
 
 def _series_equals_per_state_calls(mu, series, psi):
     """Every DiagnosticsSeries field == the one-density functionals call on
-    the saved (possibly cleaned) state, None read as nan."""
+    the saved (clipped) state, None read as nan."""
     assert len(series.states) == len(series.times)
     for k, h_k in enumerate(series.states):
         f = functionals(mu, h_k, psi, mixture=series.reverse_transformed)
@@ -132,7 +131,7 @@ class TestSeriesFromFunctionals:
     def small_measure(self):
         return tv.build_measure(tv.PotentialSpec.gaussian(), 401)
 
-    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "spectral"])
     @pytest.mark.parametrize("with_psi", [False, True])
     @pytest.mark.parametrize("start", ["step", "above_half"])
     def test_columns_match_functionals(self, small_measure, psi_quad_spliced,
@@ -165,7 +164,7 @@ class TestBlockedDiagnostics:
     @pytest.fixture(scope="class")
     def measures(self):
         return {n: tv.build_measure(tv.PotentialSpec.gaussian(), n)
-                for n in (401, 1001, 4001)}
+                for n in (401, 1001, 2001, 4001)}
 
     @pytest.fixture(scope="class")
     def psis(self, psi_quad_spliced, psi_entropy_spliced):
@@ -234,19 +233,20 @@ class TestBlockedDiagnostics:
                                       equal_nan=True), name
 
     @pytest.mark.parametrize("psi_name", ["none", "power"])
-    @pytest.mark.parametrize("n", [401, 1001, 4001])
-    def test_crank_nicolson_cleaned_saves(self, measures, psis, n, psi_name):
-        # an under-resolved spike oscillates: saves with negative values are
-        # diagnosed as a cleaned copy, whose minimum is exactly 0
+    @pytest.mark.parametrize("n", [401, 1001, 2001])
+    def test_spectral_saves_are_clipped(self, measures, psis, n, psi_name):
+        # round-off in the tails of a spike's exact flow leaves tiny negative
+        # values, which each save clips at 0, over two full blocks and a ragged one
         mu, psi = measures[n], psis[psi_name]
         h0 = np.zeros(n)
         h0[n // 2] = 1.0
         h0 = h0 / tv.integrate(mu, h0)
         n_steps = 2 * self.rows(n) + 3
-        cfg = tv.SimConfig(dt=0.05, t_end=0.05 * n_steps, scheme="crank_nicolson")
-        with pytest.warns(CFLWarning):
-            series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
+        cfg = tv.SimConfig(dt=0.05, t_end=0.05 * n_steps, scheme="spectral")
+        series = tv.evolve(mu, h0, cfg, psi=psi, keep_states=True)
         assert np.any(series.min_h[1:] == 0.0)
+        assert all(state.min() >= 0.0 for state in series.states)
+        assert np.max(np.abs(series.mass - 1.0)) < 1e-12
         _series_equals_per_state_calls(mu, series, psi)
 
     @pytest.mark.parametrize("saves_in_rows", ["two", "one_row", "exact", "ragged"])
@@ -343,45 +343,125 @@ class TestOuExactEvolve:
             prev = measured
 
 
+MEHLER_TIMES = (0.25, 0.5, 0.75, 1.0)
+STARTS = {"shifted": lambda mu: shifted_gaussian_density(mu, 0.5),
+          "step": step_density,
+          "eigen": lambda mu: eigen_perturbation(mu, 0.2)}
+
+
+def _spectral_tv(mu, h0):
+    """The spectral flow's TV at MEHLER_TIMES."""
+    return tv.evolve(mu, h0, tv.SimConfig(dt=0.25, t_end=1.0, scheme="spectral")).tv[1:]
+
+
+def _mehler_error(n, start):
+    """The largest relative error of the spectral TV against the Mehler
+    kernel's at MEHLER_TIMES, on the n-point gaussian grid."""
+    mu = tv.build_measure(tv.PotentialSpec.gaussian(), n)
+    h0 = STARTS[start](mu)
+    exact = np.array([tv.tv_distance(mu, tv.ou_exact_evolve(mu, h0, t))
+                      for t in MEHLER_TIMES])
+    return np.max(np.abs(_spectral_tv(mu, h0) / exact - 1.0))
+
+
 class TestSchemeAccuracy:
-    def test_grid_convergence_crank_nicolson(self):
-        # halving dx and dt cuts the kernel error by at least 3x
-        # (second-order scheme on a smooth shape)
-        errs = {}
-        for n, dt in ((2001, 2e-3), (4001, 1e-3)):
-            mu = tv.build_measure(tv.PotentialSpec.gaussian(), n)
-            h0 = shifted_gaussian_density(mu, 0.5)
-            cfg = tv.SimConfig(dt=dt, t_end=0.5, scheme="crank_nicolson",
-                               save_every=10 ** 9)
-            s = tv.evolve(mu, h0, cfg, keep_states=True)
-            exact = tv.ou_exact_evolve(mu, h0, 0.5)
-            errs[n] = tv.integrate(mu, np.abs(s.states[-1] - exact))
-        assert errs[2001] / errs[4001] >= 3.0
+    """The spectral scheme is exact in time: its TV differs from the Mehler
+    kernel's by the grid error alone, which is second order, and implicit
+    Euler converges to it at first order in dt."""
 
-    def test_crank_nicolson_is_second_order_in_time(self):
-        # on one grid, at a dt where implicit Euler's first-order error shows,
-        # Crank-Nicolson's TV is far closer to the Mehler kernel's
-        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 1001)
-        h0 = shifted_gaussian_density(mu, 0.5)
-        exact = np.array([tv.tv_distance(mu, tv.ou_exact_evolve(mu, h0, t))
-                          for t in (0.25, 0.5, 0.75, 1.0)])
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_spectral_tv_matches_mehler(self, start):
+        assert _mehler_error(1001, start) < 1e-4
+
+    @pytest.mark.parametrize("start", sorted(STARTS))
+    def test_spectral_grid_error_is_second_order(self, start):
+        assert _mehler_error(1001, start) >= 3.5 * _mehler_error(2001, start)
+
+    @pytest.mark.parametrize("start", ["step", "shifted"])
+    @pytest.mark.parametrize("potential", ["gaussian", "power1"])
+    def test_implicit_euler_converges_at_first_order(self, potential, start):
+        spec = {"gaussian": tv.PotentialSpec.gaussian(),
+                "power1": tv.PotentialSpec.power(1.0)}[potential]
+        mu = tv.build_measure(spec, 1001)
+        h0 = STARTS[start](mu)
+        exact = _spectral_tv(mu, h0)
         err = {}
-        for scheme in ("implicit_euler", "crank_nicolson"):
-            cfg = tv.SimConfig(dt=0.01, t_end=1.0, scheme=scheme, save_every=25)
-            err[scheme] = np.max(np.abs(tv.evolve(mu, h0, cfg).tv[1:] / exact - 1.0))
-        assert err["crank_nicolson"] < 1e-4
-        assert err["crank_nicolson"] < err["implicit_euler"] / 20
+        for dt in (1e-2, 1e-3):
+            cfg = tv.SimConfig(dt=dt, t_end=1.0, save_every=round(0.25 / dt))
+            err[dt] = np.max(np.abs(tv.evolve(mu, h0, cfg).tv[1:] / exact - 1.0))
+        assert 1e-3 < err[1e-2] < 1e-2
+        assert err[1e-3] <= 0.12 * err[1e-2]
 
-    def test_cfl_warning_crank_nicolson(self, gaussian_measure):
-        # a single-cell spike is under-resolved at this dt and oscillates
-        mu = gaussian_measure
-        h0 = np.zeros(4001)
-        h0[2000] = 1.0
-        h0 = h0 / tv.integrate(mu, h0)
-        cfg = tv.SimConfig(dt=5e-2, t_end=0.5, scheme="crank_nicolson",
-                           save_every=10)
-        with pytest.warns(CFLWarning):
-            tv.evolve(mu, h0, cfg)
+
+class TestSpectralFlow:
+    @pytest.fixture(scope="class")
+    def mu(self):
+        return tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+
+    def test_starts_at_h0_exactly(self, mu):
+        h0 = shifted_gaussian_density(mu, 0.5)
+        s = tv.evolve(mu, h0, tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"),
+                      keep_states=True)
+        assert np.array_equal(s.states[0], h0)
+        assert not np.array_equal(s.states[1], h0)
+
+    def test_equilibrium_is_fixed(self, mu):
+        cfg = tv.SimConfig(dt=0.5, t_end=50.0, scheme="spectral", save_every=10)
+        s = tv.evolve(mu, np.ones(len(mu.grid)), cfg)
+        assert np.all(s.tv < 1e-12)
+        assert np.max(np.abs(s.mass - 1.0)) < 1e-12
+
+    def test_dead_cells_keep_h0(self):
+        # V = x^2 tabulated on [-30, 30]: q underflows in both tails, where the
+        # cells carry no mass and keep their start, as under implicit Euler
+        x = np.linspace(-30.0, 30.0, 61)
+        mu = tv.build_measure(tv.PotentialSpec.tabulated(x, x**2), 401)
+        dead = mu.quadrature < np.finfo(float).tiny
+        assert np.any(dead)
+        h0 = shifted_gaussian_density(mu, 0.5)
+        s = tv.evolve(mu, h0, tv.SimConfig(dt=0.05, t_end=0.5, scheme="spectral"),
+                      keep_states=True)
+        assert all(np.array_equal(state[dead], h0[dead]) for state in s.states)
+        assert np.max(np.abs(s.mass - 1.0)) < 1e-13
+        ie = tv.evolve(mu, h0, tv.SimConfig(dt=1e-3, t_end=0.5, save_every=50))
+        np.testing.assert_allclose(s.tv, ie.tv, rtol=2e-3)
+
+    def test_negative_mass_raises(self):
+        # |x/0.5|^4 shifted by 0.7: h0 reaches 7e15 in the left tail.  Soon
+        # after t = 0 its high modes are not yet damped, and the round-off of
+        # V e^{-lam t} V^T Q^{1/2} h0 leaves more than 1e-12 of negative mass
+        mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
+        h0 = shifted_gaussian_density(mu, 0.7)
+        with pytest.raises(SolverBreakdown, match="t = 0.0001 has negative mass"):
+            tv.evolve(mu, h0, tv.SimConfig(dt=1e-4, t_end=1e-3, scheme="spectral"))
+        # by t = 0.01 they are, and the flow runs
+        s = tv.evolve(mu, h0, tv.SimConfig(dt=0.01, t_end=0.3, scheme="spectral"))
+        assert np.max(np.abs(s.mass - 1.0)) < 1e-11
+
+    def test_failed_decomposition_raises(self, mu, monkeypatch):
+        lapack = simulate._flapack()
+        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(
+            dstevd=lambda d, e: (*lapack.dstevd(d, e)[:2], 3)))
+        with pytest.raises(SolverBreakdown, match="eigendecomposition failed \\(info = 3\\)"):
+            tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
+
+    @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
+    def test_non_finite_decomposition_raises(self, mu, block_elems, monkeypatch):
+        # a nan in one eigenvector reaches every later save, and the block's
+        # check raises SolverBreakdown, never NotADensity
+        lapack = simulate._flapack()
+
+        def dstevd(d, e):
+            lam, vecs, info = lapack.dstevd(d, e)
+            vecs[len(d) // 2, 5] = np.nan
+            return lam, vecs, info
+        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(dstevd=dstevd))
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
+        with pytest.raises(SolverBreakdown, match="t = 0.1 is not finite"
+                           if block_elems == 1 else "t = 0.5 is not finite"):
+            tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
 
 
 class TestReverseDiagnostics:
@@ -502,10 +582,8 @@ class TestSaveIntervals:
         assert x is not rhs and (out is None or x is out)
 
     @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
-    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
     @pytest.mark.parametrize("bad_solve", [1, 10, 17, 31, 35])
-    def test_breakdown_inside_an_interval(self, bad_solve, scheme, block_elems,
-                                          monkeypatch):
+    def test_breakdown_inside_an_interval(self, bad_solve, block_elems, monkeypatch):
         # 35 steps saved every 10: intervals of 10, 10, 10 and 5 solves.  The
         # stand-in dpttrs plants a nan in the result of solve `bad_solve`; a
         # block of 2^14 grid values, like any block of 5 or more rows of 101,
@@ -525,16 +603,11 @@ class TestSaveIntervals:
             dpttrf=lapack.dpttrf, dpttrs=dpttrs))
         monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
-        config = tv.SimConfig(dt=0.01, t_end=0.35, scheme=scheme, save_every=10)
+        config = tv.SimConfig(dt=0.01, t_end=0.35, save_every=10)
         with pytest.raises(SolverBreakdown, match="not finite"):
             tv.evolve(mu, step_density(mu), config)
-        if scheme == "implicit_euler":
-            # raised at the save that ends the interval of the bad solve
-            assert len(calls) == min(-(-bad_solve // 10) * 10, 35)
-        else:
-            # each state is checked by the next step's solve, the last by
-            # its block's check
-            assert len(calls) == bad_solve
+        # raised at the save that ends the interval of the bad solve
+        assert len(calls) == min(-(-bad_solve // 10) * 10, 35)
 
 
 class TestStepSolver:
@@ -542,9 +615,9 @@ class TestStepSolver:
     CLI reports as exit 3, not a scipy LinAlgError or ValueError."""
 
     @pytest.mark.parametrize("q, upper", [
-        # faces c = -1 zero the first diagonal entry of Q(I - alpha*L)
+        # faces c = -1 zero the first diagonal entry of Q(I - dt*L)
         (np.ones(5), np.full(5, -2.0)),
-        # Q(I - alpha*L) = [[0, 1, 0], [1, 0, 0], [0, 0, 1]] is indefinite
+        # Q(I - dt*L) = [[0, 1, 0], [1, 0, 0], [0, 0, 1]] is indefinite
         (np.ones(3), np.array([-2.0, 0.0, 0.0]))])
     def test_singular_matrix(self, q, upper):
         with pytest.raises(SolverBreakdown, match="not positive definite"):
@@ -590,13 +663,17 @@ class TestStepSolver:
             x = solve(rhs)
         assert x.shape == (5,)
 
-    @pytest.mark.parametrize("scheme", ["implicit_euler", "crank_nicolson"])
+    @pytest.mark.parametrize("scheme", ["implicit_euler", "spectral"])
     def test_evolve_raises(self, scheme, monkeypatch):
-        # the step reads the generator's upper diagonal only
+        # the step reads the generator's upper diagonal only, and the spectral
+        # flow the symmetric form
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
         lower, diag, upper = simulate.generator(mu)
         monkeypatch.setattr(simulate, "generator",
                             lambda _: (lower, diag, np.full_like(upper, np.nan)))
+        d, e = simulate.symmetric_generator(mu)
+        monkeypatch.setattr(simulate, "symmetric_generator",
+                            lambda _: (d, np.full_like(e, np.nan)))
         with pytest.raises(SolverBreakdown):
             tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme))
 
@@ -615,11 +692,14 @@ if sys.argv[1] == "linalg-first":
 assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
 loaded = simulate._flapack()
 mu = tv.build_measure(tv.PotentialSpec.gaussian(), 201)
-series = tv.evolve(mu, tv.measures.step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1))
-assert np.all(np.diff(series.tv) <= 0)
+for scheme in ("implicit_euler", "spectral"):
+    config = tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme)
+    series = tv.evolve(mu, tv.measures.step_density(mu), config)
+    assert np.all(np.diff(series.tv) <= 0)
 assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
 from scipy.linalg import lapack
 assert loaded.dpttrf is lapack.dpttrf and loaded.dpttrs is lapack.dpttrs
+assert loaded.dstevd is lapack.dstevd
 assert sys.modules[simulate._FLAPACK] is loaded
 assert 0.9 < spectral_gap(mu).gap < 1.1
 """

@@ -4,17 +4,19 @@ Random |x/scale|^alpha potentials (1 <= alpha <= 4), given in closed form or
 as a tabulated sample, on grids of at most 401 points, started from random
 mixtures of the config's initial densities.
 Implicit Euler is an M-matrix scheme that conserves the mu-weighted mass, so
-these hold up to round-off for every such input, not just on average.
-Each step solves the symmetric positive definite Q(I - dt*L) x = q*rhs with
-LAPACK dpttrf/dpttrs, whose columns sum to q: the mass is conserved relative
-to 1 whatever max h0 is.  The step reads only the generator's `upper`, through
-the detailed balance q_i upper_i = q_{i+1} lower_{i+1}; its states agree with
-scipy's `solve_banded` on I - dt*L to round-off, and each step's residual is
-checked componentwise.
+these hold up to round-off for every such input, not just on average; the
+spectral scheme runs the same generator exactly in time, and they hold for it
+too, positivity after its clip at 0.
+Each implicit step solves the symmetric positive definite Q(I - dt*L) x =
+q*rhs with LAPACK dpttrf/dpttrs, whose columns sum to q: the mass is conserved
+relative to 1 whatever max h0 is.  The step reads only the generator's `upper`,
+through the detailed balance q_i upper_i = q_{i+1} lower_{i+1}; its states
+agree with scipy's `solve_banded` on I - dt*L to round-off, and each step's
+residual is checked componentwise.  The spectral states agree with scipy's
+dense `expm` of t*L.
 """
 
 import inspect
-import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from hypothesis.internal.conjecture import providers
 
 import tvdecay as tv
 from tvdecay.config import INITIAL
-from tvdecay.measures import generator, shifted_gaussian_density
+from tvdecay.measures import generator, shifted_gaussian_density, step_density
 from tvdecay import simulate
 from conftest import contraction_check
 
@@ -86,9 +88,9 @@ def scenarios(draw, potentials):
     return mu, h0, config
 
 
-def check_mass_positivity_and_monotone_functionals(scenario):
+def check_mass_positivity_and_monotone_functionals(scenario, scheme="implicit_euler"):
     mu, h0, config = scenario
-    s = tv.evolve(mu, h0, config)
+    s = tv.evolve(mu, h0, tv.SimConfig(**{**vars(config), "scheme": scheme}))
     steps = round(config.t_end / config.dt)
     round_off = np.finfo(float).eps * (len(mu.grid) + 8 * steps)
     assert np.max(np.abs(s.mass - 1.0)) <= round_off
@@ -97,35 +99,43 @@ def check_mass_positivity_and_monotone_functionals(scenario):
         assert np.all(np.diff(series) <= 1e-12 * (1.0 + abs(series[0])))
 
 
-def check_l1_contraction(scenario, seed):
+def check_l1_contraction(scenario, seed, scheme="implicit_euler"):
     mu, h0, config = scenario
     g0 = np.random.default_rng(seed).uniform(0.1, 2.0, mu.grid.shape)
     g0 = g0 / tv.integrate(mu, g0)
+    config = tv.SimConfig(**{**vars(config), "scheme": scheme})
     assert contraction_check(mu, h0, g0, config)["violations"] == 0
 
 
+SCHEMES = ("implicit_euler", "spectral")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
 @given(scenarios(power_potentials()))
-def test_mass_positivity_and_monotone_functionals(scenario):
-    check_mass_positivity_and_monotone_functionals(scenario)
+def test_mass_positivity_and_monotone_functionals(scheme, scenario):
+    check_mass_positivity_and_monotone_functionals(scenario, scheme)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
 @given(scenarios(power_potentials()), st.integers(0, 2**32 - 1))
-def test_l1_contraction(scenario, seed):
-    check_l1_contraction(scenario, seed)
+def test_l1_contraction(scheme, scenario, seed):
+    check_l1_contraction(scenario, seed, scheme)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
 @given(scenarios(tabulated_potentials()))
-def test_tabulated_mass_positivity_and_monotone_functionals(scenario):
-    check_mass_positivity_and_monotone_functionals(scenario)
+def test_tabulated_mass_positivity_and_monotone_functionals(scheme, scenario):
+    check_mass_positivity_and_monotone_functionals(scenario, scheme)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
 @given(scenarios(tabulated_potentials()), st.integers(0, 2**32 - 1))
-def test_tabulated_l1_contraction(scenario, seed):
-    check_l1_contraction(scenario, seed)
+def test_tabulated_l1_contraction(scheme, scenario, seed):
+    check_l1_contraction(scenario, seed, scheme)
 
 
 def test_mass_drift_at_extreme_dynamic_range():
@@ -154,18 +164,18 @@ def test_underflowing_quadrature():
 
 def banded_reference_solver(mu):
     """A stand-in for `_step_solver`: solve(rhs, steps, out) applies
-    (I - alpha*L)^{-1} to rhs `steps` times by scipy's solve_banded on the
+    (I - dt*L)^{-1} to rhs `steps` times by scipy's solve_banded on the
     (3, n) banded layout of all three of mu's generator diagonals, a pivoted
     LU factored again on every step."""
     from scipy.linalg import solve_banded
 
     lower, diag, upper = generator(mu)
 
-    def step_solver(q, upper_, alpha):
+    def step_solver(q, upper_, dt):
         ab = np.zeros((3, len(diag)))
-        ab[0, 1:] = -alpha * upper[:-1]
-        ab[1, :] = 1.0 - alpha * diag
-        ab[2, :-1] = -alpha * lower[1:]
+        ab[0, 1:] = -dt * upper[:-1]
+        ab[1, :] = 1.0 - dt * diag
+        ab[2, :-1] = -dt * lower[1:]
 
         def solve(rhs, steps=1, out=None):
             x = rhs
@@ -184,12 +194,9 @@ def check_matches_banded_reference(mu, h0, config):
     series field within 1e-10 relative, every state within 1e-12 in L1(mu).
     A field value below 1e-14, such as the TV of a start at equilibrium, is
     round-off in both runs, so that much absolute difference is allowed too."""
-    with warnings.catch_warnings():
-        # large Crank-Nicolson steps oscillate, the same way in both runs
-        warnings.simplefilter("ignore")
-        got = tv.evolve(mu, h0, config, keep_states=True)
-        with mock.patch.object(simulate, "_step_solver", banded_reference_solver(mu)):
-            want = tv.evolve(mu, h0, config, keep_states=True)
+    got = tv.evolve(mu, h0, config, keep_states=True)
+    with mock.patch.object(simulate, "_step_solver", banded_reference_solver(mu)):
+        want = tv.evolve(mu, h0, config, keep_states=True)
     for field in inspect.signature(type(got)).parameters.values():
         a, b = getattr(got, field.name), getattr(want, field.name)
         if field.name == "states":
@@ -202,12 +209,12 @@ def check_matches_banded_reference(mu, h0, config):
 STEP_SOLVER = simulate._step_solver
 
 
-def residual_checked_solver(q, upper, alpha):
+def residual_checked_solver(q, upper, dt):
     """simulate's own step solver, run one step at a time with every step
     checked componentwise: |S x - q r| <= 8 eps (|S| |x| + q |r|),
-    S = Q(I - alpha*L)."""
-    solve = STEP_SOLVER(q, upper, alpha)
-    c = alpha * q[:-1] * upper[:-1]
+    S = Q(I - dt*L)."""
+    solve = STEP_SOLVER(q, upper, dt)
+    c = dt * q[:-1] * upper[:-1]
     d = q.copy()
     d[:-1] += c
     d[1:] += c
@@ -230,7 +237,6 @@ def residual_checked_solver(q, upper, alpha):
     return checked
 
 
-SCHEMES = ("implicit_euler", "crank_nicolson")
 FIXED_POTENTIALS = {
     "gaussian": tv.PotentialSpec.gaussian(),
     "power4": tv.PotentialSpec.power(4.0),
@@ -252,30 +258,47 @@ def test_detailed_balance(name, n):
     assert np.max(np.abs(forward - backward) / forward) <= 1e-10
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", FIXED_POTENTIALS)
-def test_factored_step_matches_solve_banded(name, scheme):
+def test_factored_step_matches_solve_banded(name):
     mu = tv.build_measure(FIXED_POTENTIALS[name], 401)
-    config = tv.SimConfig(dt=0.01, t_end=0.5, scheme=scheme)
+    config = tv.SimConfig(dt=0.01, t_end=0.5)
     check_matches_banded_reference(mu, shifted_gaussian_density(mu, 0.5), config)
 
 
 @settings(PROPERTY_SETTINGS, max_examples=10)
 @given(scenarios(st.one_of(st.sampled_from(list(FIXED_POTENTIALS.values())),
-                           power_potentials(), tabulated_potentials())),
-       st.sampled_from(SCHEMES))
-def test_factored_step_matches_solve_banded_drawn(scenario, scheme):
+                           power_potentials(), tabulated_potentials())))
+def test_factored_step_matches_solve_banded_drawn(scenario):
     mu, h0, config = scenario
     # the pivoted LU's own round-off scales with max h0: its mass leaves the
     # density check's 1e-6 near max h0 ~ 1e15, so it is a reference below that
     assume(h0.max() <= 1e12)
-    check_matches_banded_reference(mu, h0, tv.SimConfig(**{**vars(config), "scheme": scheme}))
+    check_matches_banded_reference(mu, h0, config)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("name", FIXED_POTENTIALS)
-def test_step_residual(name, scheme):
+def test_step_residual(name):
     mu = tv.build_measure(FIXED_POTENTIALS[name], 401)
-    config = tv.SimConfig(dt=0.01, t_end=0.5, scheme=scheme)
+    config = tv.SimConfig(dt=0.01, t_end=0.5)
     with mock.patch.object(simulate, "_step_solver", residual_checked_solver):
         tv.evolve(mu, shifted_gaussian_density(mu, 0.5), config)
+
+
+@pytest.mark.parametrize("start", ["shifted", "step"])
+@pytest.mark.parametrize("name", FIXED_POTENTIALS)
+def test_spectral_matches_expm(name, start):
+    # e^{tL} h0 from scipy's dense scaling-and-squaring expm of 0.1 L, applied
+    # once per save
+    from scipy.linalg import expm
+
+    mu = tv.build_measure(FIXED_POTENTIALS[name], 401)
+    h0 = shifted_gaussian_density(mu, 0.5) if start == "shifted" else step_density(mu)
+    config = tv.SimConfig(dt=0.1, t_end=1.0, scheme="spectral")
+    got = tv.evolve(mu, h0, config, keep_states=True)
+    lower, diag, upper = generator(mu)
+    step = expm(0.1 * (np.diag(diag) + np.diag(upper[:-1], 1) + np.diag(lower[1:], -1)))
+    want = h0
+    for t, state in zip(got.times, got.states):
+        assert tv.integrate(mu, np.abs(state - want)) <= 1e-12, t
+        assert abs(tv.tv_distance(mu, state) - tv.tv_distance(mu, want)) <= 1e-12, t
+        want = step @ want
