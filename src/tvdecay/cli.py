@@ -333,6 +333,8 @@ def _positive_int(text: str) -> int:
     return n
 
 
+# numpy's warnings would print ahead of the one-line error (`_strict` still raises)
+@np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="tvdecay",

@@ -189,14 +189,14 @@ def spectral_gap(mu: ProbabilityMeasure1D) -> SpectralGap:
 
     The second eigenvalue of `symmetric_generator`'s S is the gap, with
     eigenvector v and f = v/sqrt(q), q = mu.quadrature.  Var(f)/int |f'|^2
-    dmu, taken with np.gradient, certifies C_P >= rayleigh."""
+    dmu, with f' = np.gradient(f, mu.dx), certifies C_P >= rayleigh."""
     from scipy.linalg import eigh_tridiagonal
 
     vals, vecs = eigh_tridiagonal(*symmetric_generator(mu), select="i", select_range=(1, 1))
     gap = float(vals[0])
     # where q underflows to 0 the weight drops out of every integral; f is 0 there
     f = vecs[:, 0] / np.sqrt(np.where(mu.quadrature > 0, mu.quadrature, np.inf))
-    fp = np.gradient(f, mu.grid)
+    fp = np.gradient(f, mu.dx)
     rayleigh = integrate(mu, (f - integrate(mu, f)) ** 2) / integrate(mu, fp * fp)
     return SpectralGap(gap=gap, C_P=1.0 / (2.0 * gap), f=f, rayleigh=rayleigh)
 

@@ -10,7 +10,6 @@ directly.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -270,54 +269,16 @@ def symmetric_generator(mu: ProbabilityMeasure1D):
     return -diag, -np.sqrt(upper[:-1] * lower[1:])
 
 
-def _gradient_stencil(grid: np.ndarray, rows: int) -> tuple:
-    """np.gradient's edge-order-1 coefficients on grid, for `_gradient` on
-    up to `rows` rows: (interior, dx at the first edge, dx at the last).
-    The interior is 2 dx where numpy finds the spacing exactly uniform, and
-    otherwise numpy's weights (a, b, c) of f[i-1], f[i] and f[i+1], each
-    tiled over the rows of a flattened (rows, n) block with 0 at the row
-    edges; a linspace grid is seldom exactly uniform."""
-    dx = np.diff(grid)
-    if (dx == dx[0]).all():
-        interior = 2.0 * dx[0]
-    else:
-        dx1, dx2 = dx[:-1], dx[1:]
-        interior = []
-        for coef in (-dx2 / (dx1 * (dx1 + dx2)), (dx2 - dx1) / (dx1 * dx2),
-                     dx1 / (dx2 * (dx1 + dx2))):
-            tiled = np.zeros((rows, len(grid)))
-            tiled[:, 1:-1] = coef
-            interior.append(tiled.reshape(-1)[1:-1])
-        interior = tuple(interior)
-    return interior, dx[0], dx[-1]
-
-
-def _gradient(f: np.ndarray, stencil: tuple, out: np.ndarray,
-              tmp: np.ndarray) -> np.ndarray:
-    """np.gradient(f, grid, axis=-1) of the rows of f, bit for bit, written
-    into out with the same operations in the same order; tmp is scratch.
-    f, out and tmp are contiguous (rows, n) arrays, and the stencil is
-    `_gradient_stencil(grid, r)` with r >= rows.
-
-    The interior runs as one 1-D loop over the flattened block.  At the
-    two entries around each row boundary it mixes neighbouring rows (each
-    non-uniform weight is 0 there); the edge formulas then overwrite both.
-    """
-    interior, dx_first, dx_last = stencil
+def _gradient(f: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """np.gradient(f, dx, axis=-1) of the contiguous (rows, n) block f, bit
+    for bit, into out.  The interior is one 1-D loop over the flattened
+    block; the edge formulas overwrite the entries where it mixes rows."""
     flat, inner = f.reshape(-1), out.reshape(-1)[1:-1]
-    if isinstance(interior, tuple):
-        a, b, c = (coef[:len(inner)] for coef in interior)
-        work = tmp.reshape(-1)[1:-1]
-        np.multiply(a, flat[:-2], out=inner)
-        inner += np.multiply(b, flat[1:-1], out=work)
-        inner += np.multiply(c, flat[2:], out=work)
-    else:
-        np.subtract(flat[2:], flat[:-2], out=inner)
-        inner /= interior
+    np.subtract(flat[2:], flat[:-2], out=inner)
+    inner /= 2.0 * dx
     np.subtract(f[:, 1], f[:, 0], out=out[:, 0])
-    out[:, 0] /= dx_first
     np.subtract(f[:, -1], f[:, -2], out=out[:, -1])
-    out[:, -1] /= dx_last
+    out[:, [0, -1]] /= dx
     return out
 
 
@@ -329,10 +290,8 @@ class BlockWorkspace:
     is held, not copied.  `functionals` reads the first `filled` rows (all
     of them at first) and writes only into the three scratch arrays and the
     bool mask, so one workspace serves every block of a run.  Every array
-    it reads or writes is contiguous and of the block's shape:
-    `quadrature` is mu.quadrature tiled over the rows, so each quadrature
-    product is one 1-D loop, and the gradient stencil, computed on first
-    read, is tiled flat over them.
+    it reads or writes is contiguous and of the block's shape, and only
+    `quadrature`, mu.quadrature over the rows, is tiled from mu.
     """
 
     def __init__(self, mu: ProbabilityMeasure1D, h):
@@ -341,15 +300,10 @@ class BlockWorkspace:
             h = _check_aligned(mu, h)[None]
         elif h.shape[1:] != mu.grid.shape:
             raise GridMismatch(f"density block has shape {h.shape}, grid {mu.grid.shape}")
-        self.grid = mu.grid
         self.block, self.filled = h, len(h)
         self.quadrature = np.tile(mu.quadrature, (len(h), 1))
         self.clipped, self.work, self.tmp = np.empty((3,) + h.shape)
         self.mask = np.empty(h.shape, dtype=bool)
-
-    @cached_property
-    def stencil(self) -> tuple:
-        return _gradient_stencil(self.grid, len(self.block))
 
 
 def _finite(x) -> bool:
@@ -386,7 +340,7 @@ class Functionals:
     """Static functionals of a density h against mu.
 
     i_psi = int psi(h) dmu and its dissipation (1/2) int psi''(h) |h'|^2 dmu
-    (h' by np.gradient on the grid) are None when no psi is given.
+    (h' = np.gradient(h, mu.dx)) are None when no psi is given.
     v_reverse and e_reverse are the reversed-role diagnostics
     Var_{g mu}(1/g) = int (1/g) dmu - 1 and int log(1/g) dmu of g = h, or of
     the mixture g = (1 + h)/2; they are only defined when g >= 1/2
@@ -416,8 +370,8 @@ class Functionals:
 
 
 def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) -> Functionals:
-    """Evaluate tv, hellinger, variance, entropy, I_psi, its dissipation and
-    the reversed pair.
+    """Evaluate every `Functionals` field of h; the dissipation's h' is
+    np.gradient(h, mu.dx), bit for bit, on the generator's one spacing.
 
     psi is a PsiProfile (or None, which nulls i_psi and dissipation only);
     mixture=True takes the reversed pair of (1 + h)/2 instead of h.
@@ -461,7 +415,7 @@ def functionals(mu: ProbabilityMeasure1D, h, psi=None, mixture: bool = False) ->
     i_psi, dissipation = np.full(rows, np.nan), np.full(rows, np.nan)
     if psi is not None:
         i_psi = integral(psi.psi(h, out=tmp, mask=mask))
-        grad = _gradient(h, ws.stencil, work, tmp)
+        grad = _gradient(h, mu.dx, work)
         p2_grad = np.multiply(psi.psi_second(h, out=tmp, mask=mask), grad, out=tmp)
         dissipation = 0.5 * integral(np.multiply(p2_grad, grad, out=tmp))
     g = np.multiply(0.5, np.add(1.0, h, out=work), out=work) if mixture else h

@@ -165,7 +165,9 @@ def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
     e^{-lam t} V^T Q^{1/2} h (Karlin-McGregor), from one dstevd of S = V
     diag(lam) V^T (O(n^2) memory, O(n^3) time), one product per block and h
     at t = 0.  A state is clipped at 0, and raises SolverBreakdown if that
-    clips more than 1e-12 of mass; a cell whose q underflows keeps h."""
+    clips more mass than max(1e-12, 16 eps ||h||_{L^2(mu)}): the q sum to 1, so
+    round-off clips at most its l^2 norm, seen up to 1.5 eps ||h|| (n <= 2001,
+    t >= 1e-8).  A cell whose q underflows keeps h."""
     d, e = symmetric_generator(mu)
     if not (_finite(d) and _finite(e)):
         raise SolverBreakdown("the generator is not finite")
@@ -177,6 +179,7 @@ def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
     root = np.sqrt(np.where(dead, 0.0, mu.quadrature))
     coef = (root * h) @ vecs
     inverse = np.divide(1.0, root, out=np.zeros_like(root), where=~dead)
+    limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(coef)))
 
     def fill(rows, steps):
         times = np.asarray(steps) * dt
@@ -186,7 +189,7 @@ def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
         rows[times == 0] = h
         negative = -(np.minimum(rows, 0.0) @ mu.quadrature)
         k = int(np.argmax(negative))
-        if negative[k] > 1e-12:
+        if negative[k] > limit:
             raise SolverBreakdown(f"the spectral flow at t = {times[k]:g} has negative "
                                   f"mass {negative[k]:.2e}")
         np.maximum(rows, 0.0, out=rows)

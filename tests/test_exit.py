@@ -117,6 +117,19 @@ class TestSubprocessExit:
         done = _cli("bounds", cfg, "--out", str(tmp_path), cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (3, "", line)
 
+    @pytest.mark.parametrize("verb", ["analyze", "bounds", "simulate"])
+    def test_overflow_prints_only_the_error_line(self, tmp_path, exits, capsys, verb):
+        # V(x - 1e300) overflows and the start is not finite: numpy's
+        # RuntimeWarnings, with their source lines, must not come first
+        cfg = _cfg(tmp_path, GAUSS.replace(
+            "initial.family = step", "initial.family = shifted_gaussian\ninitial.shift = 1e300"))
+        assert cli.main([verb, cfg, "--out", str(tmp_path)]) == 3
+        assert exits == []
+        line = capsys.readouterr().err
+        assert line == f"tvdecay: {verb}: NotADensity: h has non-finite values\n"
+        done = _cli(verb, cfg, "--out", str(tmp_path), cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (3, "", line)
+
     def test_usage_error_exits_2_with_usage(self, tmp_path):
         done = _cli("bogus", "scenario.cfg", cwd=tmp_path)
         assert done.returncode == 2 and done.stdout == ""

@@ -16,7 +16,6 @@ from tvdecay.measures import (
     BlockWorkspace,
     Functionals,
     _gradient,
-    _gradient_stencil,
     eigen_perturbation,
     functionals,
     shifted_gaussian_density,
@@ -213,7 +212,7 @@ def _reference_functionals(mu, h, psi=None, mixture=False):
     i_psi = dissipation = v_rev = e_rev = None
     if psi is not None:
         i_psi = integral(psi.psi(h))
-        grad = np.gradient(h, mu.grid)
+        grad = np.gradient(h, mu.dx)
         dissipation = 0.5 * integral(np.asarray(psi.psi_second(h), float) * grad * grad)
     g = 0.5 * (1.0 + h) if mixture else h
     if g.min() >= 0.5 - 1e-12:
@@ -334,7 +333,7 @@ def test_workspace_below_a_allocates_no_block(psi_quad_spliced):
     assert h.max() < psi_quad_spliced.a and h.min() > 0.5
     ws = BlockWorkspace(mu, h)
     for mixture in (False, True):
-        functionals(mu, ws, psi_quad_spliced, mixture=mixture)   # reads the stencil
+        functionals(mu, ws, psi_quad_spliced, mixture=mixture)   # warms psi and numpy
         tracemalloc.start()
         try:
             functionals(mu, ws, psi_quad_spliced, mixture=mixture)
@@ -345,34 +344,40 @@ def test_workspace_below_a_allocates_no_block(psi_quad_spliced):
 
 
 class TestGradientStencil:
-    """The dissipation's h' is np.gradient(h, grid, axis=-1) bit for bit, on
-    numpy's exactly-uniform branch and on its general one."""
+    """The dissipation's h' is np.gradient(h, mu.dx, axis=-1) bit for bit, on
+    the generator's one spacing, whether or not linspace made the grid exactly
+    uniform (on a grid array numpy would take its non-uniform stencil)."""
 
-    GRIDS = {
-        "gaussian-1001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 1001).grid,
-        "gaussian-4001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 4001).grid,
-        "linspace": lambda: np.linspace(-7.3, 6.1, 257),
-        "arange": lambda: np.arange(-64.0, 65.0) * 0.125,
-        "three": lambda: np.array([-1.0, 0.25, 2.0]),
-        "three-uniform": lambda: np.array([-0.5, 0.0, 0.5]),
+    MEASURES = {
+        "power4-1001": lambda: tv.build_measure(tv.PotentialSpec.power(4.0), 1001),
+        "power4-801": lambda: tv.build_measure(tv.PotentialSpec.power(4.0), 801),
+        "gaussian-1001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 1001),
+        "gaussian-4001": lambda: tv.build_measure(tv.PotentialSpec.gaussian(), 4001),
     }
-    UNIFORM = {"arange", "three-uniform"}
+    UNIFORM = {"power4-1001"}
 
     @pytest.mark.parametrize("rows", [1, 16])
-    @pytest.mark.parametrize("name", sorted(GRIDS))
+    @pytest.mark.parametrize("name", sorted(MEASURES))
     def test_equals_np_gradient(self, name, rows):
-        grid = self.GRIDS[name]()
-        dx = np.diff(grid)
-        # the branch np.gradient takes; linspace grids are not exactly uniform
-        assert bool((dx == dx[0]).all()) == (name in self.UNIFORM)
-        f = np.exp(np.random.default_rng(89).normal(size=(rows, len(grid))))
-        # a stencil tiled for exactly the rows, and one for a larger block
-        for stencil_rows in (rows, rows + 3):
-            got = _gradient(f, _gradient_stencil(grid, stencil_rows), np.empty_like(f),
-                            np.empty_like(f))
-            assert got.tobytes() == np.gradient(f, grid, axis=-1).tobytes()
-            for k in range(rows):
-                assert got[k].tobytes() == np.gradient(f[k], grid).tobytes()
+        mu = self.MEASURES[name]()
+        spacing = np.diff(mu.grid)
+        # linspace makes the grid exactly uniform only now and then
+        assert bool((spacing == spacing[0]).all()) == (name in self.UNIFORM)
+        f = np.exp(np.random.default_rng(89).normal(size=(rows, len(mu.grid))))
+        got = _gradient(f, mu.dx, np.empty_like(f))
+        assert got.tobytes() == np.gradient(f, mu.dx, axis=-1).tobytes()
+        for k in range(rows):
+            assert got[k].tobytes() == np.gradient(f[k], mu.dx).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MEASURES))
+    def test_dissipation_takes_h_prime_on_dx(self, name, psi_entropy_spliced):
+        mu = self.MEASURES[name]()
+        rng = np.random.default_rng(97)
+        block = np.array([random_density(mu, rng) for _ in range(4)])
+        got = functionals(mu, block, psi_entropy_spliced).dissipation
+        for k, h in enumerate(block):
+            want = _reference_functionals(mu, h, psi_entropy_spliced).dissipation
+            assert got[k] == functionals(mu, h, psi_entropy_spliced).dissipation == want, k
 
 
 class TestPinskerCheck:

@@ -426,17 +426,35 @@ class TestSpectralFlow:
         ie = tv.evolve(mu, h0, tv.SimConfig(dt=1e-3, t_end=0.5, save_every=50))
         np.testing.assert_allclose(s.tv, ie.tv, rtol=2e-3)
 
-    def test_negative_mass_raises(self):
-        # |x/0.5|^4 shifted by 0.7: h0 reaches 7e15 in the left tail.  Soon
-        # after t = 0 its high modes are not yet damped, and the round-off of
-        # V e^{-lam t} V^T Q^{1/2} h0 leaves more than 1e-12 of negative mass
+    @pytest.mark.parametrize("dt", [1e-2, 1e-4, 1e-6, 1e-8])
+    def test_round_off_of_a_steep_start_runs(self, dt):
+        # |x/0.5|^4 shifted by 0.7: h0 reaches 7e15 in the left tail, and
+        # ||h0||_{L^2(mu)} = 7.4e6.  Soon after t = 0 its high modes are not yet
+        # damped, and the round-off of V e^{-lam t} V^T Q^{1/2} h0 clips up to
+        # 6.8e-10 of negative mass: above 1e-12, within 16 eps ||h0|| = 2.6e-8
         mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
         h0 = shifted_gaussian_density(mu, 0.7)
-        with pytest.raises(SolverBreakdown, match="t = 0.0001 has negative mass"):
-            tv.evolve(mu, h0, tv.SimConfig(dt=1e-4, t_end=1e-3, scheme="spectral"))
-        # by t = 0.01 they are, and the flow runs
-        s = tv.evolve(mu, h0, tv.SimConfig(dt=0.01, t_end=0.3, scheme="spectral"))
-        assert np.max(np.abs(s.mass - 1.0)) < 1e-11
+        s = tv.evolve(mu, h0, tv.SimConfig(dt=dt, t_end=10 * dt, scheme="spectral"))
+        assert np.max(np.abs(s.mass - 1.0)) <= 1e-9
+
+    @pytest.mark.parametrize("fault", ["mode_flipped_on_half", "mode_growing"])
+    def test_negative_mass_raises(self, mu, fault, monkeypatch):
+        # flipping a whole eigenvector's sign leaves V e^{-lam t} V^T as it is;
+        # flipping it on half the grid, or growing one mode, leaves far more
+        # negative mass on an ordinary start (||h0|| = 1.3) than its 1e-12
+        lapack = simulate._flapack()
+
+        def dstevd(d, e):
+            lam, vecs, info = lapack.dstevd(d, e)
+            if fault == "mode_flipped_on_half":
+                vecs[:len(d) // 2, 5] *= -1.0
+            else:
+                lam[5] *= -1.0
+            return lam, vecs, info
+        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(dstevd=dstevd))
+        with pytest.raises(SolverBreakdown, match="has negative mass"):
+            tv.evolve(mu, shifted_gaussian_density(mu, 0.5),
+                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
 
     def test_failed_decomposition_raises(self, mu, monkeypatch):
         lapack = simulate._flapack()

@@ -6,7 +6,9 @@ minimizer (`_numerics.golden_min_log`), so no module imports scipy.optimize.
 scipy itself is imported only inside the functions that use it: at module
 level it would add about a quarter second to every command, `import
 tvdecay.cli` included.  Config keys are read in `config.py` alone, whose
-tables declare every key with its default and range.  Every public
+tables declare every key with its default and range.  h' is taken on the
+generator's one spacing: every np.gradient call passes a `.dx`, never a
+grid array, on which numpy runs its non-uniform stencil.  Every public
 top-level definition, and every public method of a public class, has a
 caller in the package or the benchmark, unless `UNWIRED` names it with the
 reason.
@@ -130,6 +132,36 @@ def test_key_read_checker():
                                 "y = config.get_str(cfg, 'a.c')\n")) == [
         "line 1: get_number", "line 2: config.get_str"]
     assert _key_reads(ast.parse("read_keys(cfg, 'a.', KEYS)\nget_number\n")) == []
+
+
+GRADIENTS = ("gradient", "_gradient")
+
+
+def _gradient_spacings(tree) -> list:
+    """np.gradient calls, and calls of measures' in-place copy, whose spacing
+    (the second positional argument) is not an attribute named dx."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _dotted(node.func).rpartition(".")[2] in GRADIENTS:
+            spacing = node.args[1] if len(node.args) > 1 else None
+            if not (isinstance(spacing, ast.Attribute) and spacing.attr == "dx"):
+                found.append(f"line {node.lineno}: {_dotted(node.func)}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_gradients_take_the_dx_spacing(path):
+    assert _gradient_spacings(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_gradient_spacing_checker():
+    assert _gradient_spacings(ast.parse(
+        "a = np.gradient(f, mu.grid)\nb = numpy.gradient(f)\nc = _gradient(h, grid, out)\n"
+        "d = np.gradient(f, mu.dx, axis=-1)\ne = _gradient(h, self.dx, work)\n"
+        "g = np.gradient(f, dx)\nh = gradient(f, x=mu.dx)\n")) == [
+        "line 1: np.gradient", "line 2: numpy.gradient", "line 3: _gradient",
+        "line 6: np.gradient", "line 7: gradient"]
+    assert _gradient_spacings(ast.parse("m.gradient_norm(f, grid)\nx.dx\n")) == []
 
 
 # Public definitions that no command and no benchmark workload reaches, each
