@@ -9,40 +9,18 @@ operation is named on stderr).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
-from typing import Callable, Optional
 
 import numpy as np
 
 from . import __version__
-from .config import (ANY, BETA_FORMS, PHIS, POSITIVE, Scenario, choose, load_scenario,
-                     read_form, read_keys, render_config)
-from .envelopes import (
-    DecayEnvelope,
-    envelope_curvature,
-    envelope_hellinger,
-    envelope_ipsi,
-    envelope_logsob,
-    envelope_orlicz,
-    envelope_poincare_l2,
-    envelope_restricted_logsob,
-    envelope_truncation_logsob,
-    envelope_truncation_poincare,
-    envelope_weak_logsob,
-    envelope_weak_poincare,
-)
+from .config import EnvelopeInputs, Scenario, load_scenario, render_config
 from .errors import ConfigError, TvDecayError
-from .inequalities import (
-    BetaFunction,
-    bakry_emery,
-    capacity_condition_check,
-    muckenhoupt_poincare,
-)
-from .measures import Functionals, ProbabilityMeasure1D, functionals, integrate
-from .psi import EtaProfile, build_psi_from_eta, splice_point
+from .inequalities import bakry_emery, capacity_condition_check, muckenhoupt_poincare
+from .measures import functionals
+from .psi import build_psi_from_eta, splice_point
 from .simulate import evolve
 from ._numerics import fit_log_slope
 
@@ -101,132 +79,15 @@ def analyze_scenario(scn: Scenario, mu) -> dict:
     }
 
 
-# ---------------------------------------------------------------------------
-# envelope table
-# ---------------------------------------------------------------------------
-
-class _Inputs:
-    """What the envelope builders read: mu, h0, its functionals f0, eta and the
-    analysed constants."""
-
-    def __init__(self, mu: ProbabilityMeasure1D, h0: np.ndarray, f0: Functionals,
-                 eta: EtaProfile, C_P: float, C_LS: Optional[float], rho: float,
-                 capacity: Optional[dict]):
-        self.mu, self.h0, self.f0, self.eta = mu, h0, f0, eta
-        self.C_P, self.C_LS, self.rho, self.capacity = C_P, C_LS, rho, capacity
-
-    def moment(self, phi) -> float:
-        return integrate(self.mu, self.h0 * phi(self.h0))
-
-    def c_ls(self, name: str) -> float:
-        if self.C_LS is None:
-            raise TvDecayError(f"{name} envelope needs a positive C_LS "
-                               "(rho <= 0 and no override)")
-        return self.C_LS
-
-
-class EnvelopeFamily:
-    """One row of the envelope table: `build(x, phi, beta, extras)`, the default
-    phi as (its PHIS form, {a key of that form: the family's own default}), the
-    default beta as a function of the _Inputs x, and the family's own keys with
-    (default, the open interval a set value must lie in), none by default.
-    `parse` reads exactly the envelope.<name>.* keys that these entries and the
-    selected phi and beta forms take."""
-
-    def __init__(self, build: Callable, phi: Optional[tuple] = None,
-                 beta: Optional[Callable] = None, extras: Optional[dict] = None):
-        self.build, self.phi, self.beta = build, phi, beta
-        self.extras = {} if extras is None else extras
-
-    def parse(self, cfg: dict, name: str) -> Callable:
-        """Parse the envelope.<name>.* values; returns build(_Inputs)."""
-        prefix = f"envelope.{name}."
-        phi = read_form(cfg, prefix, "phi", PHIS, *self.phi) if self.phi else None
-        beta = read_form(cfg, prefix, "beta_form", BETA_FORMS, None) if self.beta else None
-        extras = read_keys(cfg, prefix, self.extras)
-
-        def build(x: _Inputs) -> DecayEnvelope:
-            return self.build(x, phi, self.beta(x) if beta is None and self.beta
-                              else beta, extras)
-        return build
-
-
-def _ipsi(x: _Inputs, phi, beta, extras) -> DecayEnvelope:
-    c_eta = extras["C_eta"]
-    if c_eta <= 0 and x.capacity:
-        c_eta = x.capacity["C_eta_bound"]
-    if c_eta <= 0:
-        raise TvDecayError("ipsi envelope needs C_eta (config or capacity check)")
-    eta_moment = integrate(x.mu, np.asarray(x.eta.eta(x.h0), float))
-    return envelope_ipsi(c_eta, extras["M_eta"], eta_moment)
-
-
-def _curvature(x: _Inputs, phi, beta, extras) -> DecayEnvelope:
-    if x.rho is None or x.rho < 0:
-        raise TvDecayError("curvature envelope needs rho >= 0")
-    return envelope_curvature(x.rho, beta)
-
-
-# The builders look each envelope_<family> up by its module-level name when
-# they run, so rebinding that name (e.g. to wrap it) takes effect.
-ENVELOPES = {
-    "poincare_l2": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_poincare_l2(x.C_P, math.sqrt(x.f0.variance))),
-    "truncation_poincare": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_truncation_poincare(x.C_P, phi, x.moment(phi)),
-        phi=("power", {})),
-    "weak_poincare": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_weak_poincare(beta, phi, x.moment(phi)),
-        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.C_P)),
-    "orlicz": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_orlicz(beta, phi, x.moment(phi), C=o["C"]),
-        phi=("power", {"q": 3.0}), beta=lambda x: BetaFunction.constant(x.C_P),
-        extras={"C": (1.0, POSITIVE)}),
-    "logsob": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), x.f0.entropy)),
-    "truncation_logsob": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_truncation_logsob(
-            x.c_ls("truncation_logsob"), phi, x.moment(phi)),
-        phi=("logbeta", {})),
-    "weak_logsob": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
-                                                     eps=o["eps"]),
-        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.c_ls("weak_logsob")),
-        extras={"eps": (1.0 / math.e, POSITIVE)}),
-    "restricted_logsob": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
-                                                           x.moment(phi)),
-        phi=("power", {}),
-        beta=lambda x: BetaFunction.power(x.c_ls("restricted_logsob"), 1.0)),
-    "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": (0.0, ANY), "M_eta": (1.0, POSITIVE)}),
-    "hellinger": EnvelopeFamily(
-        lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi)),
-        phi=("linear", {}), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
-    "curvature": EnvelopeFamily(_curvature, beta=lambda x: BetaFunction.constant(x.C_P)),
-}
-
-
-def plan_envelopes(scn: Scenario) -> dict:
-    """name -> build(_Inputs) for every requested envelope, from its name in
-    ENVELOPES and its envelope.<name>.* values; then, as the config's last
-    reader, rejects the first set key that nothing read.  Does no numeric work."""
-    plan = {name: choose(ENVELOPES, "envelopes", name).parse(scn.config, name)
-            for name in scn.envelope_names}
-    for key in scn.config:
-        if key not in scn.config.read:
-            raise ConfigError(f"key {key!r} is unknown or unused in this scenario")
-    return plan
-
-
-def _bound_curves(scn: Scenario, plan: dict, mu, h0, constants: dict, times: np.ndarray):
-    """Build every planned envelope, calibrate it to the TV of h0 when the
+def _bound_curves(scn: Scenario, mu, h0, constants: dict, times: np.ndarray):
+    """Build every listed envelope, calibrate it to the TV of h0 when the
     scenario asks, and evaluate it over the t array; returns (envelopes, curves).
     A bound that overflows, is not finite or is below 0 at some t is a numeric
     failure."""
-    x = _Inputs(mu, h0, functionals(mu, h0), scn.eta, capacity=constants["capacity"],
-                **constants["effective"])
+    x = EnvelopeInputs(mu, h0, functionals(mu, h0), scn.eta,
+                       capacity=constants["capacity"], **constants["effective"])
     envs, curves = {}, {}
-    for name, build in plan.items():
+    for name, build in scn.envelopes.items():
         env = build(x)
         envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
         try:
@@ -262,7 +123,7 @@ def _provenance(scn: Scenario, mu, clipped_mass: float) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_analyze(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
+def cmd_analyze(scn: Scenario, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     h0, clipped_mass = scn.initial(mu)
     functionals(mu, h0)     # checks that h0 is a density, as the other commands do
@@ -270,12 +131,15 @@ def cmd_analyze(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
                                         "provenance": _provenance(scn, mu, clipped_mass)})
 
 
-def cmd_bounds(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
+def cmd_bounds(scn: Scenario, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     h0 = scn.build_initial(mu)
     constants = analyze_scenario(scn, mu)
-    ts = np.geomspace(max(scn.sim.dt, 1e-3), scn.sim.t_end, t_grid)
-    _, curves = _bound_curves(scn, plan, mu, h0, constants, ts)
+    # t_grid points in [dt, t_end], from 1e-3 when t_end is past it; one when dt = t_end
+    dt, t_end = scn.sim.dt, scn.sim.t_end
+    start = max(dt, 1e-3) if t_end > 1e-3 else dt
+    ts = np.geomspace(start, t_end, t_grid if start < t_end else 1)
+    _, curves = _bound_curves(scn, mu, h0, constants, ts)
     write_csv(out / "curves.csv", ["t"] + [f"bound_{n}" for n in curves],
               [ts, *curves.values()])
 
@@ -289,18 +153,18 @@ def _series_columns(series) -> tuple:
                                                     for c in SERIES_COLUMNS)]
 
 
-def cmd_simulate(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
+def cmd_simulate(scn: Scenario, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     series = _simulate(scn, mu, scn.build_initial(mu))
     write_csv(out / "curves.csv", *_series_columns(series))
 
 
-def cmd_compare(scn: Scenario, plan: dict, out: Path, t_grid: int) -> None:
+def cmd_compare(scn: Scenario, out: Path, t_grid: int) -> None:
     mu = scn.build_measure()
     h0, clipped_mass = scn.initial(mu)
     constants = analyze_scenario(scn, mu)
     series = _simulate(scn, mu, h0)
-    envs, curves = _bound_curves(scn, plan, mu, h0, constants, series.times)
+    envs, curves = _bound_curves(scn, mu, h0, constants, series.times)
     header, cols = _series_columns(series)
     write_csv(out / "curves.csv", header + [f"bound_{n}" for n in curves],
               cols + list(curves.values()))
@@ -354,12 +218,14 @@ def main(argv=None) -> int:
     try:
         scn = load_scenario(args.config)
         scn.seed = args.seed
-        plan = plan_envelopes(scn)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:      # e.g. --out names a file, or a path under one
+            raise ConfigError(f"--out {args.out!r}: {exc}") from None
         dispatch = {"analyze": cmd_analyze, "bounds": cmd_bounds,
                     "simulate": cmd_simulate, "compare": cmd_compare}
-        dispatch[args.command](scn, plan, out, args.t_grid)
+        dispatch[args.command](scn, out, args.t_grid)
         return 0
     except ConfigError as exc:
         print(f"tvdecay: config error: {exc}", file=sys.stderr)

@@ -10,24 +10,32 @@ value must lie in the open interval `within`, or, with TABLE, names an x,y CSV
 table.  `read_keys` reads such keys; `read_form` reads the keys of the row
 (maker, keys) that a selector such as `potential.family` names, rejects a set
 key of another row and returns the maker applied to the values.  Every read
-key joins the config's `read` set, and `cli.plan_envelopes`, the last reader,
-rejects a set key that nothing read.
+key joins the config's `read` set; `scenario_from_config` reads the listed
+envelopes' keys last and then rejects a set key that nothing read.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BadExponent, ConfigError, InadmissibleEta, InvalidSpec
+from .envelopes import (DecayEnvelope, envelope_curvature, envelope_hellinger,
+                        envelope_ipsi, envelope_logsob, envelope_orlicz,
+                        envelope_poincare_l2, envelope_restricted_logsob,
+                        envelope_truncation_logsob, envelope_truncation_poincare,
+                        envelope_weak_logsob, envelope_weak_poincare)
+from .errors import BadExponent, ConfigError, InadmissibleEta, InvalidSpec, TvDecayError
 from .inequalities import BetaFunction
 from .measures import (
+    Functionals,
     PotentialSpec,
     ProbabilityMeasure1D,
     build_measure,
     eigen_perturbation,
+    integrate,
     shifted_gaussian_density,
     step_density,
     tabulated_density,
@@ -127,12 +135,22 @@ def _get_eta(cfg) -> EtaProfile:
 
 
 def _read_table(cfg, key, default) -> np.ndarray:
-    """The two-column CSV (with a header line) named by `key`."""
+    """The x,y CSV (with a header line) named by `key`: 2 columns, at least 2
+    rows, finite cells and strictly increasing x."""
     path = get_str(cfg, key, default)
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():     # loadtxt warns on a table without rows
+            warnings.simplefilter("ignore")
+            table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
+    problem = ("needs at least 2 rows" if len(table) < 2 else
+               "needs exactly 2 columns" if table.shape[1] != 2 else
+               "has a non-finite cell" if not np.isfinite(table).all() else
+               "needs strictly increasing x" if (np.diff(table[:, 0]) <= 0).any() else None)
+    if problem:
+        raise ConfigError(f"key {key!r}: table {path!r} {problem}")
+    return table
 
 
 def read_keys(cfg, prefix: str, keys: dict, defaults: Optional[dict] = None) -> dict:
@@ -228,18 +246,121 @@ BETA_FORMS = {
 }
 
 
+class EnvelopeInputs:
+    """What the envelope builders read: mu, h0, its functionals f0, eta and the
+    analysed constants."""
+
+    def __init__(self, mu: ProbabilityMeasure1D, h0: np.ndarray, f0: Functionals,
+                 eta: EtaProfile, C_P: float, C_LS: Optional[float], rho: float,
+                 capacity: Optional[dict]):
+        self.mu, self.h0, self.f0, self.eta = mu, h0, f0, eta
+        self.C_P, self.C_LS, self.rho, self.capacity = C_P, C_LS, rho, capacity
+
+    def moment(self, phi) -> float:
+        return integrate(self.mu, self.h0 * phi(self.h0))
+
+    def c_ls(self, name: str) -> float:
+        if self.C_LS is None:
+            raise TvDecayError(f"{name} envelope needs a positive C_LS "
+                               "(rho <= 0 and no override)")
+        return self.C_LS
+
+
+class EnvelopeFamily:
+    """One row of ENVELOPES: `build(x, phi, beta, extras)`, the default phi as
+    (its PHIS form, {a key of that form: the family's own default}), the
+    default beta as a function of the EnvelopeInputs x, and the family's own
+    keys with (default, within), none by default.  `parse` reads exactly the
+    envelope.<name>.* keys that these entries and the selected phi and beta
+    forms take."""
+
+    def __init__(self, build: Callable, phi: Optional[tuple] = None,
+                 beta: Optional[Callable] = None, extras: Optional[dict] = None):
+        self.build, self.phi, self.beta = build, phi, beta
+        self.extras = {} if extras is None else extras
+
+    def parse(self, cfg: Config, name: str) -> Callable:
+        """Parse the envelope.<name>.* values; returns build(EnvelopeInputs)."""
+        prefix = f"envelope.{name}."
+        phi = read_form(cfg, prefix, "phi", PHIS, *self.phi) if self.phi else None
+        beta = read_form(cfg, prefix, "beta_form", BETA_FORMS, None) if self.beta else None
+        extras = read_keys(cfg, prefix, self.extras)
+
+        def build(x: EnvelopeInputs) -> DecayEnvelope:
+            return self.build(x, phi, self.beta(x) if beta is None and self.beta
+                              else beta, extras)
+        return build
+
+
+def _ipsi(x: EnvelopeInputs, phi, beta, extras) -> DecayEnvelope:
+    c_eta = extras["C_eta"]
+    if c_eta <= 0 and x.capacity:
+        c_eta = x.capacity["C_eta_bound"]
+    if c_eta <= 0:
+        raise TvDecayError("ipsi envelope needs C_eta (config or capacity check)")
+    eta_moment = integrate(x.mu, np.asarray(x.eta.eta(x.h0), float))
+    return envelope_ipsi(c_eta, extras["M_eta"], eta_moment)
+
+
+def _curvature(x: EnvelopeInputs, phi, beta, extras) -> DecayEnvelope:
+    if x.rho is None or x.rho < 0:
+        raise TvDecayError("curvature envelope needs rho >= 0")
+    return envelope_curvature(x.rho, beta)
+
+
+# a name listed in `envelopes` -> its row.  The builders look each
+# envelope_<family> up by its module-level name when they run, so rebinding
+# that name (e.g. to wrap it) takes effect.
+ENVELOPES = {
+    "poincare_l2": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_poincare_l2(x.C_P, math.sqrt(x.f0.variance))),
+    "truncation_poincare": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_truncation_poincare(x.C_P, phi, x.moment(phi)),
+        phi=("power", {})),
+    "weak_poincare": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_weak_poincare(beta, phi, x.moment(phi)),
+        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.C_P)),
+    "orlicz": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_orlicz(beta, phi, x.moment(phi), C=o["C"]),
+        phi=("power", {"q": 3.0}), beta=lambda x: BetaFunction.constant(x.C_P),
+        extras={"C": (1.0, POSITIVE)}),
+    "logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_logsob(x.c_ls("logsob"), x.f0.entropy)),
+    "truncation_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_truncation_logsob(
+            x.c_ls("truncation_logsob"), phi, x.moment(phi)),
+        phi=("logbeta", {})),
+    "weak_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_weak_logsob(beta, phi, x.moment(phi),
+                                                     eps=o["eps"]),
+        phi=("power", {}), beta=lambda x: BetaFunction.constant(x.c_ls("weak_logsob")),
+        extras={"eps": (1.0 / math.e, POSITIVE)}),
+    "restricted_logsob": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_restricted_logsob(x.C_P, beta, phi,
+                                                           x.moment(phi)),
+        phi=("power", {}),
+        beta=lambda x: BetaFunction.power(x.c_ls("restricted_logsob"), 1.0)),
+    "ipsi": EnvelopeFamily(_ipsi, extras={"C_eta": (0.0, ANY), "M_eta": (1.0, POSITIVE)}),
+    "hellinger": EnvelopeFamily(
+        lambda x, phi, beta, o: envelope_hellinger(beta, phi, x.moment(phi)),
+        phi=("linear", {}), beta=lambda x: BetaFunction.power(x.C_P, 1.0)),
+    "curvature": EnvelopeFamily(_curvature, beta=lambda x: BetaFunction.constant(x.C_P)),
+}
+
+
 class Scenario:
-    """A fully resolved scenario; `build_measure` materializes mu, and
-    `initial(mu)` gives h0 with the relative mass its cap removed."""
+    """A fully resolved scenario; `build_measure` materializes mu,
+    `initial(mu)` gives h0 with the relative mass its cap removed, and
+    `envelopes` maps each listed envelope, in order, to build(EnvelopeInputs)."""
 
     def __init__(self, config: Config, potential: PotentialSpec, n_points: int,
                  tail_tol: float, initial: Callable, sim: SimConfig, eta: EtaProfile,
-                 psi_a: Optional[float], envelope_names: list, calibrate: bool,
+                 psi_a: Optional[float], envelopes: dict, calibrate: bool,
                  analysis: dict, seed: int = 0):
         self.config, self.potential = config, potential
         self.n_points, self.tail_tol, self.initial = n_points, tail_tol, initial
         self.sim, self.eta, self.psi_a = sim, eta, psi_a
-        self.envelope_names, self.calibrate, self.analysis = envelope_names, calibrate, analysis
+        self.envelopes, self.calibrate, self.analysis = envelopes, calibrate, analysis
         self.seed = seed
 
     def build_measure(self) -> ProbabilityMeasure1D:
@@ -266,7 +387,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         if names.count(name) > 1:
             raise ConfigError(f"key 'envelopes': {name!r} is listed twice")
     eta = _get_eta(cfg)
-    return Scenario(
+    scn = Scenario(
         config=cfg,
         potential=potential,
         **read_keys(cfg, "grid.", GRID),
@@ -275,11 +396,16 @@ def scenario_from_config(cfg: dict) -> Scenario:
         eta=eta,
         # the splice point must exceed max(2, b), and psi(a) = (a^2 - a)/2 be finite
         psi_a=get_number(cfg, "psi.a", None, within=(max(2.0, eta.b), 1e150)),
-        envelope_names=names,
         calibrate=choose(BOOLS, "envelopes.calibrate",
                          get_str(cfg, "envelopes.calibrate", "true").lower()),
         analysis=read_keys(cfg, "analysis.", ANALYSIS),
+        envelopes={name: choose(ENVELOPES, "envelopes", name).parse(cfg, name)
+                   for name in names},
     )
+    for key in cfg:
+        if key not in cfg.read:
+            raise ConfigError(f"key {key!r} is unknown or unused in this scenario")
+    return scn
 
 
 def load_scenario(path: str) -> Scenario:

@@ -149,14 +149,14 @@ class DecayEnvelope:
     @cached_property
     def valid_from(self) -> float:
         """inf{t : raw(t) <= 2} (raw assumed non-increasing), 0 where the
-        search fails.  Probed at t = 1e-8 rather than 0 so that envelopes whose
+        search overflows.  Probed at t = 1e-8 rather than 0 so that envelopes whose
         small-t guard exceeds the maximal TV report a positive valid_from."""
         if self.raw_eval(1e-8) <= TV_MAX:
             return 0.0
         try:
             return float(invert_increasing(lambda t: -self.raw_eval(t), [-TV_MAX],
                                            1e-8, 1e4, resid_tol=1e-6)[0])
-        except Exception:
+        except OverflowError:
             return 0.0
 
 

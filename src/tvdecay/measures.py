@@ -113,8 +113,10 @@ class PotentialSpec:
 
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        if x.ndim != 1 or x.shape != v.shape or len(x) < 4:
+        if x.ndim != 1 or x.shape != v.shape:
             raise InvalidSpec("tabulated potential needs matching 1-D arrays")
+        if len(x) < 4:
+            raise InvalidSpec(f"tabulated potential needs at least 4 points, got {len(x)}")
         if not np.all(np.diff(x) > 0):
             raise InvalidSpec("tabulated x must be strictly increasing")
         if not np.all(np.isfinite(v)):

@@ -6,10 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tvdecay import cli, config, envelopes, measures, psi, simulate
-from tvdecay.cli import ENVELOPES, _bound_curves, analyze_scenario, main, plan_envelopes, write_csv
+from tvdecay import config, envelopes, measures, psi, simulate
+from tvdecay.cli import _bound_curves, analyze_scenario, main, write_csv
 from tvdecay.config import (
     BETA_FORMS,
+    ENVELOPES,
     INITIAL,
     PHIS,
     POTENTIALS,
@@ -51,7 +52,7 @@ class TestConfigParsing:
         scn2 = scenario_from_config(cfg2)
         assert scn1.potential == scn2.potential
         assert scn1.sim == scn2.sim
-        assert scn1.envelope_names == scn2.envelope_names
+        assert list(scn1.envelopes) == list(scn2.envelopes) == ["poincare_l2", "logsob"]
 
     def test_missing_key_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -60,10 +61,9 @@ class TestConfigParsing:
 
     def test_unknown_section(self):
         # no key list: a key is unknown when nothing reads it while loading
-        scn = scenario_from_config(parse_config_text("potential.family = gaussian\n"
-                                                     "bogus.key = 1"))
         with pytest.raises(ConfigError) as exc:
-            plan_envelopes(scn)
+            scenario_from_config(parse_config_text("potential.family = gaussian\n"
+                                                   "bogus.key = 1"))
         assert "'bogus.key'" in str(exc.value)
 
     def test_malformed_line(self):
@@ -253,7 +253,7 @@ class TestCompare:
         ref = load_scenario(cfg)
         assert scn.potential == ref.potential
         assert scn.sim == ref.sim
-        assert scn.envelope_names == ref.envelope_names
+        assert list(scn.envelopes) == list(ref.envelopes)
 
 
 SMALL_CFG = """
@@ -324,6 +324,42 @@ BAD_INPUTS = {
     "missing-initial-table": ("simulate", "initial.family = tabulated\n"
                                           "initial.path = {tmp}/none.csv", (),
                               "initial.path"),
+    # BAD_TABLES: 2 columns, at least 2 rows, finite cells and strictly increasing x
+    "initial-table-header-only": ("simulate", "initial.family = tabulated\n"
+                                              "initial.path = {tmp}/header-only.csv", (),
+                                  "key 'initial.path': table '{tmp}/header-only.csv' "
+                                  "needs at least 2 rows"),
+    "initial-table-one-row": ("simulate", "initial.family = tabulated\n"
+                                          "initial.path = {tmp}/one-row.csv", (),
+                              "key 'initial.path': table '{tmp}/one-row.csv' "
+                              "needs at least 2 rows"),
+    "initial-table-decreasing-x": ("compare", "initial.family = tabulated\n"
+                                              "initial.path = {tmp}/decreasing.csv", (),
+                                   "key 'initial.path': table '{tmp}/decreasing.csv' "
+                                   "needs strictly increasing x"),
+    "initial-table-repeated-x": ("simulate", "initial.family = tabulated\n"
+                                             "initial.path = {tmp}/repeated.csv", (),
+                                 "key 'initial.path': table '{tmp}/repeated.csv' "
+                                 "needs strictly increasing x"),
+    "initial-table-nan": ("analyze", "initial.family = tabulated\n"
+                                     "initial.path = {tmp}/nan.csv", (),
+                          "key 'initial.path': table '{tmp}/nan.csv' has a non-finite cell"),
+    "initial-table-three-columns": ("simulate", "initial.family = tabulated\n"
+                                                "initial.path = {tmp}/three-columns.csv", (),
+                                    "key 'initial.path': table '{tmp}/three-columns.csv' "
+                                    "needs exactly 2 columns"),
+    "potential-table-header-only": ("analyze", "potential.family = tabulated\n"
+                                               "potential.path = {tmp}/header-only.csv", (),
+                                    "key 'potential.path': table '{tmp}/header-only.csv' "
+                                    "needs at least 2 rows"),
+    "potential-table-one-row": ("analyze", "potential.family = tabulated\n"
+                                           "potential.path = {tmp}/one-row.csv", (),
+                                "key 'potential.path': table '{tmp}/one-row.csv' "
+                                "needs at least 2 rows"),
+    "potential-table-three-rows": ("bounds", "potential.family = tabulated\n"
+                                             "potential.path = {tmp}/three-rows.csv", (),
+                                   "potential.path = {tmp}/three-rows.csv: tabulated "
+                                   "potential needs at least 4 points, got 3"),
     "t-grid-zero": ("bounds", "", ("--t-grid", "0"), "--t-grid"),
     "initial-typo-analyze": ("analyze", "initial.family = shifted_gausian", (),
                              "shifted_gausian"),
@@ -432,9 +468,20 @@ BAD_INPUTS = {
 }
 
 
+# the x,y tables that BAD_INPUTS names as {tmp}/<name>.csv
+BAD_TABLES = {"header-only": "x,y\n", "one-row": "x,y\n0,1\n",
+              "decreasing": "x,y\n1,1\n0,2\n-1,1\n",
+              "repeated": "x,y\n-1,1\n0,2\n0,2\n1,1\n",
+              "nan": "x,y\n-1,1\n0,nan\n1,1\n",
+              "three-columns": "x,y,z\n-1,1,0\n0,2,0\n1,1,0\n",
+              "three-rows": "x,y\n-4,8\n0,0\n4,8\n"}
+
+
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, capsys):
     verb, lines, argv, needle = BAD_INPUTS[case]
+    for name, text in BAD_TABLES.items():
+        (tmp_path / f"{name}.csv").write_text(text)
     cfg = dict(line.split(" = ") for line in
                (SMALL_CFG + lines.format(tmp=tmp_path)).splitlines() if line)
     path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
@@ -445,7 +492,32 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2, err
     assert "Traceback" not in err
-    assert needle in err
+    assert needle.format(tmp=tmp_path) in err
+
+
+@pytest.mark.parametrize("verb", ["analyze", "bounds", "simulate", "compare"])
+@pytest.mark.parametrize("under", ["", "/sub"])
+def test_out_at_or_under_a_file_exits_2(verb, under, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    out = f"{tmp_path}/file{under}"
+    assert main([verb, write_cfg(tmp_path, SMALL_CFG), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"tvdecay: config error: --out {out!r}: ") and err.count("\n") == 1
+
+
+# (sim.t_end, rows, first t) of a bounds run at sim.dt = 1e-4 and --t-grid 4
+T_GRIDS = [("2e-3", 4, 1e-3), ("5e-4", 4, 1e-4), ("1e-4", 1, 1e-4)]
+
+
+@pytest.mark.parametrize("t_end, rows, first", T_GRIDS)
+def test_bounds_t_grid_lies_in_dt_to_t_end(t_end, rows, first, tmp_path):
+    # from 1e-3 when t_end is past it, else from dt; one row when dt = t_end
+    path = write_cfg(tmp_path, SMALL_CFG + f"sim.dt = 1e-4\nsim.t_end = {t_end}\n")
+    out = tmp_path / "out"
+    assert main(["bounds", path, "--out", str(out), "--t-grid", "4"]) == 0
+    t = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
+    assert (len(t), t[0], t[-1]) == (rows, first, float(t_end))
+    assert np.all(np.diff(t) > 0)
 
 
 def test_weak_logsob_tiny_eps_bound_is_finite(tmp_path):
@@ -561,7 +633,7 @@ def test_negative_bound_exits_3(verb, tmp_path, capsys, monkeypatch):
     def below_zero(C_P, l2_norm):
         return envelopes.DecayEnvelope("poincare_l2", {},
                                        lambda t: np.full_like(t, -1e-3))
-    monkeypatch.setattr(cli, "envelope_poincare_l2", below_zero)
+    monkeypatch.setattr(config, "envelope_poincare_l2", below_zero)
     path = write_cfg(tmp_path, SMALL_CFG)
     assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
@@ -676,9 +748,7 @@ def test_fuzz_keys_cover_every_numeric_key(tmp_path):
               for form in forms]
     read = set()
     for text in texts:
-        scn = scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n"))
-        plan_envelopes(scn)
-        read |= scn.config.read
+        read |= scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n")).config.read
     text_keys = {"potential.family", "potential.path", "initial.family", "initial.path",
                  "sim.scheme", "psi.eta", "envelopes", "envelopes.calibrate"}
     numeric = {key for key in read - text_keys
@@ -720,7 +790,7 @@ def test_every_applied_default_lies_in_its_interval(name, selector, form, monkey
     monkeypatch.setattr(config, "get_number", spy)
     text = f"envelopes = {name}\n" + (f"envelope.{name}.{selector} = {form}" if selector
                                       else "")
-    plan_envelopes(scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n")))
+    scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n"))
     outside = {key: (default, within) for key, (default, within) in applied.items()
                if default is not None and not within[0] < default < within[1]}
     assert outside == {}
@@ -777,8 +847,7 @@ def test_envelope_params_are_json():
     scn = scenario_from_config(parse_config_text(ALL_FAMILIES_CFG))
     mu = scn.build_measure()
     h0 = scn.build_initial(mu)
-    envs, _ = _bound_curves(scn, plan_envelopes(scn), mu, h0, analyze_scenario(scn, mu),
-                            np.array([0.5]))
+    envs, _ = _bound_curves(scn, mu, h0, analyze_scenario(scn, mu), np.array([0.5]))
     assert list(envs) == list(ENVELOPES)
     for env in envs.values():
         json.dumps(env.params)      # a callable in params raises TypeError
@@ -788,8 +857,8 @@ def test_bounds_searches_no_valid_from():
     # valid_from is computed on first read, and only compare reads it
     scn = scenario_from_config(parse_config_text(ALL_FAMILIES_CFG))
     mu = scn.build_measure()
-    envs, _ = _bound_curves(scn, plan_envelopes(scn), mu, scn.build_initial(mu),
-                            analyze_scenario(scn, mu), np.array([0.5]))
+    envs, _ = _bound_curves(scn, mu, scn.build_initial(mu), analyze_scenario(scn, mu),
+                            np.array([0.5]))
     assert [name for name, env in envs.items() if "valid_from" in vars(env)] == []
 
 
@@ -864,11 +933,10 @@ def test_readme_example_validates():
     example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
     example = re.sub(r"^# (\S+ *=)", r"\1", example, flags=re.M)
     assert "analysis.capacity_rho" in parse_config_text(example)
-    scn = scenario_from_config(parse_config_text(example))
-    assert list(plan_envelopes(scn)) == scn.envelope_names
+    scenario_from_config(parse_config_text(example))
     misspelt = example.replace("truncation_poincare.q ", "truncation_poincare.qq ")
     with pytest.raises(ConfigError, match="envelope.truncation_poincare.qq"):
-        plan_envelopes(scenario_from_config(parse_config_text(misspelt)))
+        scenario_from_config(parse_config_text(misspelt))
 
 
 def test_readme_names_every_key_of_the_rows():

@@ -7,14 +7,15 @@ in order, with their defaults, as they stood when the records were
 dataclasses.  `EnvelopeFamily.extras` defaulted to a fresh empty dict, which
 the constructor now makes from its default None.  `Scenario` takes its start
 as one callable, `initial`, in place of `initial_family`, `initial_params`
-and the `clipped_mass` that building the start used to set.
+and the `clipped_mass` that building the start used to set, and its
+envelopes as {name: builder}, `envelopes`, in place of `envelope_names`.
 """
 
 import inspect
 
 import pytest
 
-from tvdecay import cli, config, envelopes, inequalities, measures, psi, simulate
+from tvdecay import config, envelopes, inequalities, measures, psi, simulate
 
 REQUIRED = inspect.Parameter.empty
 FUNCTIONALS = [("tv", REQUIRED), ("hellinger", REQUIRED), ("variance", REQUIRED),
@@ -23,15 +24,15 @@ FUNCTIONALS = [("tv", REQUIRED), ("hellinger", REQUIRED), ("variance", REQUIRED)
                ("min_h", REQUIRED)]
 
 SIGNATURES = {
-    (cli, "_Inputs"): [("mu", REQUIRED), ("h0", REQUIRED), ("f0", REQUIRED),
-                       ("eta", REQUIRED), ("C_P", REQUIRED), ("C_LS", REQUIRED),
-                       ("rho", REQUIRED), ("capacity", REQUIRED)],
-    (cli, "EnvelopeFamily"): [("build", REQUIRED), ("phi", None), ("beta", None),
-                              ("extras", None)],
+    (config, "EnvelopeInputs"): [("mu", REQUIRED), ("h0", REQUIRED), ("f0", REQUIRED),
+                                 ("eta", REQUIRED), ("C_P", REQUIRED), ("C_LS", REQUIRED),
+                                 ("rho", REQUIRED), ("capacity", REQUIRED)],
+    (config, "EnvelopeFamily"): [("build", REQUIRED), ("phi", None), ("beta", None),
+                                 ("extras", None)],
     (config, "Scenario"): [("config", REQUIRED), ("potential", REQUIRED),
                            ("n_points", REQUIRED), ("tail_tol", REQUIRED),
                            ("initial", REQUIRED), ("sim", REQUIRED), ("eta", REQUIRED),
-                           ("psi_a", REQUIRED), ("envelope_names", REQUIRED),
+                           ("psi_a", REQUIRED), ("envelopes", REQUIRED),
                            ("calibrate", REQUIRED), ("analysis", REQUIRED), ("seed", 0)],
     (envelopes, "XiSpec"): [("beta", REQUIRED), ("log_numerator", 1.0), ("t_scale", 1.0)],
     (envelopes, "DecayEnvelope"): [("name", REQUIRED), ("params", REQUIRED),
@@ -85,5 +86,5 @@ def test_constructor_parameters(module, name):
 
 
 def test_envelope_family_extras_default_to_a_fresh_empty_dict():
-    one, two = cli.EnvelopeFamily(print), cli.EnvelopeFamily(print)
+    one, two = config.EnvelopeFamily(print), config.EnvelopeFamily(print)
     assert one.extras == {} and one.extras is not two.extras

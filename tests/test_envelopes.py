@@ -768,6 +768,17 @@ class TestStrictExpLog:
         with pytest.raises(OverflowError):
             env.raw_eval(np.array([1.0, 1e4]))
 
+    def test_valid_from_propagates_errors_other_than_overflow(self):
+        # only an overflow, as of the t = 1e4 probe, reads as a failed search
+        def bound(t):
+            if (t > 1.0).any():
+                raise ValueError("no bound past t = 1")
+            return np.full(t.shape, 3.0)
+        env = DecayEnvelope("raises", {}, bound)
+        assert env.raw_eval(1e-8) == 3.0
+        with pytest.raises(ValueError, match="no bound past t = 1"):
+            env.valid_from
+
 
 class TestArrayHelpers:
     def test_xi_equals_the_scalar_loop(self):

@@ -130,6 +130,19 @@ class TestSubprocessExit:
         done = _cli(verb, cfg, "--out", str(tmp_path), cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (3, "", line)
 
+    def test_table_error_prints_only_the_error_line(self, tmp_path, exits, capsys):
+        # loadtxt warns on a table without rows: the warning must not come first
+        (tmp_path / "h.csv").write_text("x,h\n")
+        cfg = _cfg(tmp_path, GAUSS.replace("initial.family = step", "initial.family = "
+                                           f"tabulated\ninitial.path = {tmp_path}/h.csv"))
+        assert cli.main(["simulate", cfg, "--out", str(tmp_path)]) == 2
+        assert exits == []
+        line = capsys.readouterr().err
+        assert line == (f"tvdecay: config error: key 'initial.path': table "
+                        f"'{tmp_path}/h.csv' needs at least 2 rows\n")
+        done = _cli("simulate", cfg, "--out", str(tmp_path), cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
+
     def test_usage_error_exits_2_with_usage(self, tmp_path):
         done = _cli("bogus", "scenario.cfg", cwd=tmp_path)
         assert done.returncode == 2 and done.stdout == ""

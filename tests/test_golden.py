@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from tvdecay.cli import ENVELOPES, main
+from tvdecay.cli import main
+from tvdecay.config import ENVELOPES
 
 GOLDEN = Path(__file__).parent / "golden"
 OUTPUTS = {"analyze": ("constants.json",), "bounds": ("curves.csv",),

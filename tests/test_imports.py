@@ -71,7 +71,7 @@ print(json.dumps(seen))
 
 
 def _loaded(tmp_path, scheme="implicit_euler") -> dict:
-    from tvdecay.cli import ENVELOPES
+    from tvdecay.config import ENVELOPES
 
     paths = []
     for name, lines in POTENTIALS.items():
@@ -106,7 +106,7 @@ for verb in verbs:
 def test_json_loads_only_where_json_is_written(verbs, tmp_path):
     """`json` is imported by `write_json`: the import, bounds and simulate
     leave it unloaded, and analyze and compare, which write JSON, load it."""
-    from tvdecay.cli import ENVELOPES
+    from tvdecay.config import ENVELOPES
 
     path = tmp_path / "power.cfg"
     path.write_text(POTENTIALS["power"] + SCENARIO.format(envelopes=", ".join(ENVELOPES),

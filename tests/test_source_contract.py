@@ -109,11 +109,11 @@ def test_scipy_checker_allows(snippet):
     assert _import_time_scipy(ast.parse(snippet)) == []
 
 
-KEY_READERS = ("get_str", "get_number")
+KEY_READERS = ("get_str", "get_number", "read_form", "read_keys")
 
 
 def _key_reads(tree) -> list:
-    """Calls of the config module's single-key readers, by any name path."""
+    """Calls of the config module's key readers, by any name path."""
     return [f"line {node.lineno}: {_dotted(node.func)}" for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and _dotted(node.func).rpartition(".")[2] in KEY_READERS]
@@ -122,16 +122,19 @@ def _key_reads(tree) -> list:
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "config.py"],
                          ids=lambda p: p.name)
 def test_keys_read_only_in_config(path):
-    # every other module goes through config.read_form and config.read_keys,
-    # so a key's default and range live in one table
+    # config.py alone reads keys, so a key's default and range live in one
+    # table and one module decides which keys a scenario reads
     assert _key_reads(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def test_key_read_checker():
     assert _key_reads(ast.parse("x = get_number(cfg, 'a.b', 1.0)\n"
-                                "y = config.get_str(cfg, 'a.c')\n")) == [
-        "line 1: get_number", "line 2: config.get_str"]
-    assert _key_reads(ast.parse("read_keys(cfg, 'a.', KEYS)\nget_number\n")) == []
+                                "y = config.get_str(cfg, 'a.c')\n"
+                                "read_keys(cfg, 'a.', KEYS)\n"
+                                "z = cfg_mod.read_form(cfg, 'e.', 'phi', PHIS)\n")) == [
+        "line 1: get_number", "line 2: config.get_str", "line 3: read_keys",
+        "line 4: cfg_mod.read_form"]
+    assert _key_reads(ast.parse("read_keys\nget_number\nkeys = read_keys_of(cfg)\n")) == []
 
 
 GRADIENTS = ("gradient", "_gradient")
