@@ -197,7 +197,7 @@ def _positive_int(text: str) -> int:
     return n
 
 
-# numpy's warnings would print ahead of the one-line error (`_strict` still raises)
+# numpy's warnings would print ahead of the one-line error (`envelopes._exp` still raises)
 @np.errstate(all="ignore")
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -233,6 +233,9 @@ def main(argv=None) -> int:
     except TvDecayError as exc:
         print(f"tvdecay: {args.command}: {type(exc).__name__}: {exc}",
               file=sys.stderr)
+        return 3
+    except MemoryError as exc:      # e.g. numpy refusing a grid of 1e12 points
+        print(f"tvdecay: {args.command}: MemoryError: {exc}", file=sys.stderr)
         return 3
 
 

@@ -135,16 +135,19 @@ def _get_eta(cfg) -> EtaProfile:
 
 
 def _read_table(cfg, key, default) -> np.ndarray:
-    """The x,y CSV (with a header line) named by `key`: 2 columns, at least 2
-    rows, finite cells and strictly increasing x."""
+    """The x,y CSV named by `key`: a header line, which is not all numbers,
+    then 2 columns, at least 2 rows, finite cells and strictly increasing x."""
     path = get_str(cfg, key, default)
     try:
         with warnings.catch_warnings():     # loadtxt warns on a table without rows
             warnings.simplefilter("ignore")
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            with open(path, encoding="utf-8") as fh:    # a cell that is no number is nan
+                header = np.genfromtxt([fh.readline()], delimiter=",")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
-    problem = ("needs at least 2 rows" if len(table) < 2 else
+    problem = ("needs a header line" if header.size and not np.isnan(header).any() else
+               "needs at least 2 rows" if len(table) < 2 else
                "needs exactly 2 columns" if table.shape[1] != 2 else
                "has a non-finite cell" if not np.isfinite(table).all() else
                "needs strictly increasing x" if (np.diff(table[:, 0]) <= 0).any() else None)

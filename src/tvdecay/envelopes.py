@@ -8,9 +8,11 @@ floats): the xi bisection, the truncation-route inversion and the curvature
 infimum over s run elementwise under masks, and a scalar t gives a float.
 Every exp and log is numpy's, which runs the same loop on one entry as on
 many, so an array evaluation is bit-identical to evaluating the bound one t
-at a time; `_exp` and `_log` raise where math.exp and math.log would.  Its
-`valid_from`, the first t at which the uncalibrated raw bound is <= 2, is
-searched for on first read; only `compare` reads it.
+at a time.  Only `_exp`, in the truncation_poincare and truncation_logsob
+arguments, raises (OverflowError, where math.exp would); every other exp
+and log argument is in range by construction.  An envelope's `valid_from`,
+the first t at which the uncalibrated raw bound is <= 2, is searched for on
+first read; only `compare` reads it.
 The universal constants the theory leaves unspecified are exposed as explicit
 parameters (default 1); `calibrate` rescales an envelope so that it equals a
 measured value at t = 0, preserving the rate content.
@@ -36,20 +38,14 @@ _CURVATURE_SCAN = 80
 _CURVATURE_BLOCK = 2 ** 17 // _CURVATURE_SCAN
 
 
-def _strict(ufunc, error, **raise_on):
-    """ufunc, raising `error` where math's function of that name does: an
-    overflow at `valid_from`'s t = 1e4 probe must fail its search."""
-    @np.errstate(**raise_on)
-    def f(x):
-        try:
-            return ufunc(x)
-        except FloatingPointError as err:
-            raise error(err) from None
-    return f
-
-
-_exp = _strict(np.exp, OverflowError, over="raise", under="ignore")
-_log = _strict(np.log, ValueError, divide="raise", invalid="raise")
+@np.errstate(over="raise", under="ignore")
+def _exp(x):
+    """np.exp, raising OverflowError where math.exp does: an overflow at
+    `valid_from`'s t = 1e4 probe must fail its search."""
+    try:
+        return np.exp(x)
+    except FloatingPointError as err:
+        raise OverflowError(err) from None
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +89,7 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
     target = k * ts.reshape(-1)
 
     def G(s):
-        return spec.beta(s) * _log(c / s)
+        return spec.beta(s) * np.log(c / s)
 
     unreached = G(np.array([s_hi])) > target
     floor = ~unreached & (G(np.array([_XI_S_FLOOR])) <= target)
@@ -101,10 +97,10 @@ def xi(spec: XiSpec, t, return_flag: bool = False):
     # bisect -G, increasing in log s; the upper end b is the conservative xi
     i = np.flatnonzero(~unreached & ~floor)
     y = target[i]
-    _, b, _ = bisect_log(lambda m: -G(_exp(m)), -y, np.full(i.size, math.log(_XI_S_FLOOR)),
+    _, b, _ = bisect_log(lambda m: -G(np.exp(m)), -y, np.full(i.size, math.log(_XI_S_FLOOR)),
                          np.full(i.size, math.log(s_hi)), 1e-12 * np.maximum(1.0, np.abs(y)),
                          5e-14)
-    val[i] = _exp(b)
+    val[i] = np.exp(b)
     if ts.ndim == 0:
         val, unreached = float(val[0]), bool(unreached[0])
     else:
@@ -162,7 +158,7 @@ class DecayEnvelope:
 
 def _exponential(name, params, a, c, b=1.0) -> DecayEnvelope:
     """The bound a e^{-t/c} b, multiplied in that order."""
-    return DecayEnvelope(name, params, lambda t: a * _exp(-t / c) * b)
+    return DecayEnvelope(name, params, lambda t: a * np.exp(-t / c) * b)
 
 
 def _moment_guard(moment):
@@ -261,7 +257,7 @@ def envelope_truncation_logsob(C_LS: float, phi: Callable, moment: float) -> Dec
     m = _moment_guard(moment)
     # log+ keeps phibar defined where the inversion bracket reaches u < 1
     return DecayEnvelope("truncation_logsob", {"C_LS": C_LS, "moment": m}, _truncation(
-        phi, m, lambda u: phi(u) * np.sqrt(np.maximum(_log(u), 0.0)),
+        phi, m, lambda u: phi(u) * np.sqrt(np.maximum(np.log(u), 0.0)),
         lambda t: m * _exp(t / C_LS), lo=1.2))
 
 
@@ -272,7 +268,7 @@ def truncation_logsob_k_optimized(C_LS: float, phi: Callable, moment: float,
     m = _moment_guard(moment)
     decay = math.exp(-t / C_LS)
     return _k_infimum(
-        lambda K: math.sqrt(2.0) * decay * np.sqrt(_log(K) + 1.0 / math.e),
+        lambda K: math.sqrt(2.0) * decay * np.sqrt(np.log(K) + 1.0 / math.e),
         phi, m, 1e300)
 
 
@@ -300,7 +296,7 @@ def gamma_inverse(beta: BetaFunction) -> Callable:
     log_g = np.log(gamma_vals)
 
     def gamma_inv(v):
-        lv = _log(np.maximum(v, 1e-300))
+        lv = np.log(np.maximum(v, 1e-300))
         u = np.where(lv >= log_g[0], u_probe[0], np.where(
             lv <= log_g[-1], u_probe[-1], np.exp(np.interp(-lv, -log_g, log_u))))
         return float(u) if u.ndim == 0 else u
@@ -321,8 +317,8 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
 
     The universal constant in front is unspecified by the theory (taken as 1;
     calibrate to pin).  gamma^{-1} is `gamma_inverse(beta_wls)`.
-    zeta is inverted on its maximal increasing prefix; past its peak the
-    bound continues flat (still a valid non-increasing bound), recorded in
+    zeta is inverted on its strict running records up to its peak; past it
+    the bound continues flat (still a valid non-increasing bound), recorded in
     params["zeta_saturated_at"].
     """
     m = _moment_guard(moment)
@@ -335,15 +331,12 @@ def envelope_restricted_logsob(C_P: float, beta_wls: BetaFunction, phi: Callable
     branch = 1 if doubling >= 1.95 else 2
 
     ug = np.geomspace(3.0, 1e6, 1200)
-    phis = phi(ug) if branch == 1 else phi(ug) * _log(ug)
-    zvals = 2.0 * _log(np.maximum(phis, 1e-300)) * gamma_inv(
+    phis = phi(ug) if branch == 1 else phi(ug) * np.log(ug)
+    zvals = 2.0 * np.log(np.maximum(phis, 1e-300)) * gamma_inv(
         math.sqrt(3.0 * C_P) * ug)
-    peak = int(np.argmax(zvals))
-    ug, zvals = ug[:peak + 1], zvals[:peak + 1]
-    on_max = zvals >= np.maximum.accumulate(zvals) - 1e-15
-    ug, zvals = ug[on_max], zvals[on_max]
-    strict = np.concatenate([[True], np.diff(zvals) > 0])
-    ug, zvals = ug[strict], zvals[strict]
+    # zeta's strict running records: increasing, and ending at its peak
+    record = zvals > np.concatenate([[-np.inf], np.maximum.accumulate(zvals)[:-1]])
+    ug, zvals = ug[record], zvals[record]
     if len(ug) < 8:
         raise GammaNotInvertible("zeta has no usable increasing range")
     z_max = float(zvals[-1])
@@ -399,7 +392,7 @@ def envelope_curvature(rho: float, beta_wp: BetaFunction) -> DecayEnvelope:
     def infimum(t):
         """inf over s of the bracket for a block of t, one scan row per t."""
         t = t[:, None]
-        growth = _exp(np.minimum(rho * t, 700.0))
+        growth = np.exp(np.minimum(rho * t, 700.0))
 
         def bracket(s):
             b = beta_wp(s)

@@ -31,7 +31,7 @@ from ._numerics import cumtrapz0, fit_loglog_slope, scan_sup
 # ---------------------------------------------------------------------------
 
 class BetaFunction:
-    """A positive, non-increasing rate function beta(s) on (s_min, s_max].
+    """A positive, non-increasing rate function beta(s) on (0, s_max].
 
     Forms: power  beta(s) = c * s^(-q)
            logpower  beta(s) = d * log(s0/s)^r   (domain s < s0)
@@ -44,11 +44,10 @@ class BetaFunction:
     """
 
     def __init__(self, form: str, params: dict,
-                 evaluate: Callable[[np.ndarray], np.ndarray], s_min: float = 0.0,
-                 s_max: float = 1.0, monotonicity_violations: int = 0):
+                 evaluate: Callable[[np.ndarray], np.ndarray], s_max: float = 1.0,
+                 monotonicity_violations: int = 0):
         self.form, self.params, self.evaluate = form, params, evaluate
-        self.s_min, self.s_max = s_min, s_max
-        self.monotonicity_violations = monotonicity_violations
+        self.s_max, self.monotonicity_violations = s_max, monotonicity_violations
 
     @staticmethod
     def power(c: float, q: float) -> "BetaFunction":
@@ -88,27 +87,24 @@ class BetaFunction:
 
         def evaluate(s):
             ls = np.log(np.clip(s, 1e-300, None))
-            lo, hi = log_s[0], log_s[-1]
-            out = np.exp(np.interp(np.clip(ls, lo, hi), log_s, log_beta))
+            out = np.exp(np.interp(ls, log_s, log_beta))
             # extrapolate left with the first log-log slope (conservative:
             # beta keeps growing as s -> 0), constant to the right
-            below = ls < lo
+            below = ls < log_s[0]
             if np.any(below):
-                slope = min((log_beta[1] - log_beta[0]) / (log_s[1] - lo), 0.0)
-                expo = np.minimum(log_beta[0] + slope * (ls - lo), 700.0)
+                slope = min((log_beta[1] - log_beta[0]) / (log_s[1] - log_s[0]), 0.0)
+                expo = np.minimum(log_beta[0] + slope * (ls - log_s[0]), 700.0)
                 out = np.where(below, np.exp(expo), out)
             return out
         return BetaFunction("tabulated", {"s": s, "beta": mono}, evaluate,
-                            s_min=float(s[0]), s_max=float(s[-1]),
-                            monotonicity_violations=violations)
+                            s_max=float(s[-1]), monotonicity_violations=violations)
 
     @staticmethod
     def affine(base: "BetaFunction", scale: float, offset: float) -> "BetaFunction":
         """scale * beta(s) + offset; stays positive and non-increasing."""
         scale, offset = float(scale), float(offset)
         return BetaFunction("affine", {"base": base.form, "scale": scale, "offset": offset},
-                            lambda s: scale * base(s) + offset,
-                            s_min=base.s_min, s_max=base.s_max)
+                            lambda s: scale * base(s) + offset, s_max=base.s_max)
 
     def __call__(self, s):
         return self.evaluate(np.asarray(s, dtype=float))

@@ -47,6 +47,8 @@ class SimConfig:
         steps = t_end / dt
         if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
             raise ValueError(f"t_end = {t_end!r} is not a whole number of dt = {dt!r} steps")
+        if steps > sys.maxsize:
+            raise ValueError(f"t_end / dt = {steps:g} steps is more than sys.maxsize")
         try:
             self.save_every = operator.index(save_every)
         except TypeError:
@@ -276,7 +278,7 @@ def ou_exact_evolve(mu: ProbabilityMeasure1D, h0, t: float) -> np.ndarray:
         out[i0:i0 + block] = kernel @ weighted
     mass = integrate(mu, out)
     if abs(mass - 1.0) > 1e-8:
-        raise NotADensity(f"kernel quadrature lost mass: int = {mass:.2e}")
+        raise NotADensity(f"kernel quadrature found mass {mass:.3g}, not 1")
     return out
 
 

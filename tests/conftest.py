@@ -1,4 +1,7 @@
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,3 +159,16 @@ def truncation_poincare_k_optimized(C_P: float, phi, moment: float, t: float) ->
     m = _moment_guard(moment)
     decay = math.exp(-t / (2.0 * C_P))
     return _k_infimum(lambda K: np.sqrt(K) * decay, phi, m, math.exp(700.0))
+
+
+def load_benchmark_module(name: str):
+    """benchmark/<name>.py, imported read-only as the module benchmark_<name>
+    once per session: registered before it runs, since its dataclasses look
+    their module up in sys.modules."""
+    key = f"benchmark_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            key, Path(__file__).parents[1] / "benchmark" / f"{name}.py")
+        sys.modules[key] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[key]

@@ -8,20 +8,13 @@ envelopes' keys last and rejects a set key that nothing read.  Such a key
 fails here, naming the workload config that must change first.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
 from tvdecay.config import parse_config_text, scenario_from_config
 from tvdecay.errors import ConfigError
+from conftest import load_benchmark_module
 
-_SPEC = importlib.util.spec_from_file_location(
-    "benchmark_workloads", Path(__file__).parents[1] / "benchmark" / "workloads.py")
-# registered before it runs: its dataclasses look their module up in sys.modules
-workloads = sys.modules[_SPEC.name] = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+workloads = load_benchmark_module("workloads")
 
 
 def _configs(name, seed, smoke):

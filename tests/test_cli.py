@@ -312,6 +312,9 @@ BAD_INPUTS = {
     "save-every-zero": ("analyze", "sim.save_every = 0", (), "save_every"),
     "t-end-not-whole-steps": ("analyze", "sim.dt = 0.1\nsim.t_end = 0.15", (),
                               "t_end = 0.15 is not a whole number of dt = 0.1 steps"),
+    # more steps than a run can count
+    "dt-too-many-steps": ("simulate", "sim.dt = 1e-300\nsim.t_end = 0.05", (),
+                          "sim: t_end / dt = 5e+298 steps is more than sys.maxsize"),
     "unknown-scheme": ("analyze", "sim.scheme = foo", (),
                        "key 'sim.scheme': unknown 'foo' (implicit_euler | spectral)"),
     # the Crank-Nicolson scheme was retired for the spectral one
@@ -356,6 +359,15 @@ BAD_INPUTS = {
                                            "potential.path = {tmp}/one-row.csv", (),
                                 "key 'potential.path': table '{tmp}/one-row.csv' "
                                 "needs at least 2 rows"),
+    # a first line of numbers only is data, not a header line
+    "initial-table-no-header": ("simulate", "initial.family = tabulated\n"
+                                            "initial.path = {tmp}/no-header.csv", (),
+                                "key 'initial.path': table '{tmp}/no-header.csv' "
+                                "needs a header line"),
+    "potential-table-no-header": ("analyze", "potential.family = tabulated\n"
+                                             "potential.path = {tmp}/no-header-v.csv", (),
+                                  "key 'potential.path': table '{tmp}/no-header-v.csv' "
+                                  "needs a header line"),
     "potential-table-three-rows": ("bounds", "potential.family = tabulated\n"
                                              "potential.path = {tmp}/three-rows.csv", (),
                                    "potential.path = {tmp}/three-rows.csv: tabulated "
@@ -474,7 +486,9 @@ BAD_TABLES = {"header-only": "x,y\n", "one-row": "x,y\n0,1\n",
               "repeated": "x,y\n-1,1\n0,2\n0,2\n1,1\n",
               "nan": "x,y\n-1,1\n0,nan\n1,1\n",
               "three-columns": "x,y,z\n-1,1,0\n0,2,0\n1,1,0\n",
-              "three-rows": "x,y\n-4,8\n0,0\n4,8\n"}
+              "three-rows": "x,y\n-4,8\n0,0\n4,8\n",
+              "no-header": "-2,0.1\n-1,0.5\n0,1\n1,0.5\n2,0.1\n",
+              "no-header-v": "-4,8\n-2,2\n0,0\n2,2\n4,8\n"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -721,9 +735,8 @@ FUZZ_KEYS.update({f"envelope.{name}.{key}@{form}": (
     for form, keys in table.items() for key in keys})
 FUZZ_VALUES = ("-1", "0", "nan", "inf", "1e300", "1e-300")
 # sim.t_end = 1e300 asks for about 1e302 solver steps and sim.dt = 1e-300 for about
-# 3e300: unbounded work, not a bad input
-FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES
-              if (k, v) not in (("sim.t_end", "1e300"), ("sim.dt", "1e-300"))]
+# 5e298: more than sys.maxsize, so both exit 2
+FUZZ_CASES = [(k, v) for k in sorted(FUZZ_KEYS) for v in FUZZ_VALUES]
 
 
 # the lines each potential family needs to load, on top of FUZZ_CFG

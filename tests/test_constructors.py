@@ -9,6 +9,7 @@ the constructor now makes from its default None.  `Scenario` takes its start
 as one callable, `initial`, in place of `initial_family`, `initial_params`
 and the `clipped_mass` that building the start used to set, and its
 envelopes as {name: builder}, `envelopes`, in place of `envelope_names`.
+`BetaFunction` lost its unread `s_min`.
 """
 
 import inspect
@@ -38,7 +39,7 @@ SIGNATURES = {
     (envelopes, "DecayEnvelope"): [("name", REQUIRED), ("params", REQUIRED),
                                    ("bound", REQUIRED), ("scale", 1.0)],
     (inequalities, "BetaFunction"): [("form", REQUIRED), ("params", REQUIRED),
-                                     ("evaluate", REQUIRED), ("s_min", 0.0), ("s_max", 1.0),
+                                     ("evaluate", REQUIRED), ("s_max", 1.0),
                                      ("monotonicity_violations", 0)],
     (inequalities, "PoincareBracket"): [("B_plus", REQUIRED), ("B_minus", REQUIRED),
                                         ("B", REQUIRED), ("C_P_interval", REQUIRED)],

@@ -8,7 +8,6 @@ from tvdecay import envelopes
 from tvdecay.envelopes import (
     _XI_S_FLOOR,
     _exp,
-    _log,
     TV_MAX,
     DecayEnvelope,
     XiSpec,
@@ -291,6 +290,20 @@ class TestWeakLogSobolev:
         assert env.calibrate(0.5).valid_from == vf
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: envelope_poincare_l2(0.0, 1.0), "C_P must be positive"),
+    (lambda: envelope_logsob(None, 0.5), "C_LS must be positive"),
+    (lambda: envelope_logsob(-1.0, 0.5), "C_LS must be positive"),
+    (lambda: envelope_ipsi(0.0, 1.0, 0.5), "C_eta must be positive"),
+    (lambda: envelope_curvature(-0.1, tv.BetaFunction.constant(1.0)),
+     "rho must be non-negative"),
+], ids=["poincare_l2-C_P-zero", "logsob-C_LS-None", "logsob-C_LS-negative",
+        "ipsi-C_eta-zero", "curvature-rho-negative"])
+def test_a_constant_out_of_range_raises(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestRestrictedLogSobolev:
     def test_gamma_round_trip(self):
         # beta = c/s: gamma(u) = c/u^2, gamma^{-1}(v) = sqrt(c/v)
@@ -311,6 +324,32 @@ class TestRestrictedLogSobolev:
         env = envelope_restricted_logsob(0.5, tv.BetaFunction.power(1.0, 1.0),
                                          phi, 1.0)
         assert env.params["branch"] == 2
+
+    def test_zeta_table_strictly_increases_through_a_dip(self, monkeypatch):
+        # a planted zeta: a ramp to its peak with, on the way, a dip of 40 ulp
+        # below its running max and then a rise to 20 ulp below it, both within
+        # 1e-15 of that max.  np.interp must still get a strictly increasing xp.
+        ug = np.geomspace(3.0, 1e6, 1200)
+        zeta = np.linspace(0.01, 0.2, 1200)
+        zeta[-100:] = zeta[-101]        # flat past the peak
+        top = zeta[600]
+        zeta[601], zeta[602] = top - 40 * np.spacing(top), top - 20 * np.spacing(top)
+        two_log_phi = 2.0 * np.log(np.sqrt(ug))
+        monkeypatch.setattr(envelopes, "gamma_inverse",
+                            lambda beta: lambda v: zeta / two_log_phi)
+        env = envelope_restricted_logsob(1.0 / 3.0, tv.BetaFunction.power(1.0, 1.0),
+                                         _phi_power(1.5), 1.0)
+        tables, interp = [], np.interp
+
+        def spy(x, xp, fp, *args, **kwargs):
+            tables.append(np.array(xp))
+            return interp(x, xp, fp, *args, **kwargs)
+        monkeypatch.setattr(np, "interp", spy)
+        env.raw_eval(np.array([0.005, top, 0.1, 0.3]))
+        [xp] = tables
+        assert (np.diff(xp) > 0).all()
+        assert np.sum(np.abs(xp - top) <= 1e-15) == 1
+        assert env.params["zeta_saturated_at"] == pytest.approx(zeta[-101], rel=1e-15)
 
     def test_monotone_with_flat_continuation(self):
         s = np.geomspace(5e-2, 0.99, 2000)
@@ -731,14 +770,12 @@ INF, NAN = float("inf"), float("nan")
 
 
 class TestStrictExpLog:
-    """numpy's exp and log, raising where math.exp and math.log raise."""
+    """numpy's exp, raising where math.exp raises."""
 
     @pytest.mark.parametrize("ours, theirs, xs", [
         (_exp, math.exp, (0.0, -0.0, 1.0, -700.0, -745.0, -746.0, -1e4, 709.78, 709.79,
                           1e4, INF, -INF, NAN)),
-        (_log, math.log, (1.0, 2.0, 5e-324, 1e308, INF, NAN, 0.0, -0.0, -5e-324, -1.0,
-                          -INF)),
-    ], ids=["exp", "log"])
+    ], ids=["exp"])
     def test_raises_exactly_where_math_raises(self, ours, theirs, xs):
         before = np.geterr()
         for x in xs:
@@ -757,7 +794,7 @@ class TestStrictExpLog:
     def test_exp_underflow_and_specials_are_exact(self):
         got = _exp(np.array([-1e4, -INF, INF, 0.0]))
         assert got.tolist() == [0.0, 0.0, INF, 1.0]
-        assert np.isnan(_exp(NAN)) and np.isnan(_log(np.array([NAN]))[0])
+        assert np.isnan(_exp(NAN))
 
     def test_overflow_reaches_the_caller(self):
         # valid_from's t = 1e4 probe overflows e^{t/2C_P}; the search reads
@@ -791,6 +828,11 @@ class TestArrayHelpers:
             s, flags = xi(spec, ts, return_flag=True)
             assert (list(zip(s.tolist(), flags.tolist()))
                     == [_xi_reference(spec, t) for t in ts.tolist()])
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
+    def test_invert_increasing_needs_0_lt_lo_lt_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="need 0 < lo < hi"):
+            invert_increasing(np.sqrt, np.array([1.0]), lo, hi)
 
     def test_invert_increasing_equals_the_scalar_loop(self):
         ys = np.concatenate([np.geomspace(1e-9, 1e9, 200), [-1.0, 0.0, 1e300]])

@@ -143,6 +143,24 @@ class TestSubprocessExit:
         done = _cli("simulate", cfg, "--out", str(tmp_path), cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
 
+    # (verb, a GAUSS line and its replacement, extra argv, exit code, stderr's start):
+    # 1e12 grid or t values are sizes numpy refuses at once, and 1e303 steps are
+    # more than a run can count
+    @pytest.mark.parametrize("verb, old, new, argv, code, start", [
+        ("analyze", "grid.n_points = 201", "grid.n_points = 1000000000000", (), 3,
+         "tvdecay: analyze: MemoryError: Unable to allocate "),
+        ("bounds", "", "", ("--t-grid", "1000000000000"), 3,
+         "tvdecay: bounds: MemoryError: Unable to allocate "),
+        ("simulate", "sim.dt = 0.01\nsim.t_end = 0.2", "sim.dt = 1e-3\nsim.t_end = 1e300", (),
+         2, "tvdecay: config error: sim: t_end / dt = 1e+303 steps is more than sys.maxsize"),
+    ], ids=["n-points", "t-grid", "t-end"])
+    def test_too_large_a_request_exits_with_one_line(self, tmp_path, verb, old, new, argv,
+                                                     code, start):
+        cfg = _cfg(tmp_path, GAUSS.replace(old, new))
+        done = _cli(verb, cfg, "--out", str(tmp_path), *argv, cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (code, ""), done.stderr
+        assert done.stderr.startswith(start) and done.stderr.count("\n") == 1
+
     def test_usage_error_exits_2_with_usage(self, tmp_path):
         done = _cli("bogus", "scenario.cfg", cwd=tmp_path)
         assert done.returncode == 2 and done.stdout == ""

@@ -52,7 +52,8 @@ class TestBetaFunction:
             BetaFunction.affine(BetaFunction.power(1.0, 1.0), 0.5, 0.2),
         ]
         for beta in betas:
-            lo = max(beta.s_min, 1e-10)
+            # a table's beta is probed from its first s
+            lo = beta.params["s"][0] if beta.form == "tabulated" else 1e-10
             pairs = rng.uniform(np.log(lo), np.log(beta.s_max), size=(1000, 2))
             s1 = np.exp(pairs.min(axis=1))
             s2 = np.exp(pairs.max(axis=1))

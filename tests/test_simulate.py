@@ -42,6 +42,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             tv.SimConfig(dt=0.1, t_end=1.0, scheme="leapfrog")
 
+    @pytest.mark.parametrize("dt, t_end", [(1e-3, 1e300), (1e-300, 0.05), (1.0, 2.0 ** 64)])
+    def test_more_steps_than_a_run_can_count(self, dt, t_end):
+        # evolve lists its save steps, which Python indexes with a C ssize_t
+        with pytest.raises(ValueError, match="steps is more than sys.maxsize"):
+            tv.SimConfig(dt=dt, t_end=t_end)
+
     @pytest.mark.parametrize("save_every", [2.5, 3.0, "3"])
     def test_non_integral_save_every(self, save_every):
         with pytest.raises(ValueError, match="save_every"):
@@ -303,6 +309,21 @@ class TestOuExactEvolve:
         h0 = step_density(exponential_measure)
         with pytest.raises(WrongMeasure):
             tv.ou_exact_evolve(exponential_measure, h0, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_needs_positive_t(self, gaussian_measure, t):
+        with pytest.raises(ValueError, match="t must be positive"):
+            tv.ou_exact_evolve(gaussian_measure, step_density(gaussian_measure), t)
+
+    def test_h0_off_the_grid(self, gaussian_measure):
+        with pytest.raises(NotADensity, match="not aligned"):
+            tv.ou_exact_evolve(gaussian_measure, np.ones(len(gaussian_measure.grid) - 1), 1.0)
+
+    def test_kernel_narrower_than_dx_reports_the_mass(self, gaussian_measure):
+        # at t = 1e-10 the kernel's width sqrt(1 - e^{-2t}) = 1.4e-5 is far below
+        # dx = 3.0e-3, so the node under its peak gives dx / sqrt(2 pi t) = 121
+        with pytest.raises(NotADensity, match=r"found mass 121, not 1$"):
+            tv.ou_exact_evolve(gaussian_measure, step_density(gaussian_measure), 1e-10)
 
     def test_long_time_equilibrium(self, gaussian_measure):
         h0 = step_density(gaussian_measure)
