@@ -17,12 +17,12 @@ import numpy as np
 
 from . import __version__
 from .config import EnvelopeInputs, Scenario, load_scenario, render_config
+from .envelopes import verdict
 from .errors import ConfigError, TvDecayError
 from .inequalities import bakry_emery, capacity_condition_check, muckenhoupt_poincare
 from .measures import functionals
 from .psi import build_psi_from_eta, splice_point
 from .simulate import evolve
-from ._numerics import fit_log_slope
 
 SERIES_COLUMNS = ("tv", "hellinger", "variance", "entropy", "i_psi",
                   "v_reverse", "e_reverse")
@@ -168,22 +168,8 @@ def cmd_compare(scn: Scenario, out: Path, t_grid: int) -> None:
     header, cols = _series_columns(series)
     write_csv(out / "curves.csv", header + [f"bound_{n}" for n in curves],
               cols + list(curves.values()))
-
-    half = series.times >= 0.5 * series.times[-1]
-    tv_slope = fit_log_slope(series.times[half],
-                             np.maximum(series.tv[half], 1e-300))
-    summary = {"envelopes": {}, "tv_fitted_slope": tv_slope}
-    for name, bound in curves.items():
-        dominated = bound >= series.tv - 1e-12
-        summary["envelopes"][name] = {
-            "domination_fraction": float(np.mean(dominated)),
-            "fitted_slope": fit_log_slope(series.times[half],
-                                          np.maximum(bound[half], 1e-300)),
-            "valid_from": envs[name].valid_from,
-            "calibration_scale": envs[name].scale,
-        }
-    summary["provenance"] = _provenance(scn, mu, clipped_mass)
-    write_json(out / "summary.json", summary)
+    write_json(out / "summary.json", {**verdict(series.times, series.tv, curves, envs),
+                                      "provenance": _provenance(scn, mu, clipped_mass)})
 
 
 # ---------------------------------------------------------------------------

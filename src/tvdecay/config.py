@@ -59,8 +59,8 @@ class Config(dict):
 
 
 def parse_config_text(text: str) -> Config:
-    """Parse flat `section.key = value` lines into an ordered Config."""
-    out = Config()
+    """Parse flat `section.key = value` lines, each key set once, into an ordered Config."""
+    out, first = Config(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,6 +70,8 @@ def parse_config_text(text: str) -> Config:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if first.setdefault(key, lineno) != lineno:
+            raise ConfigError(f"line {lineno}: key {key!r} is already set on line {first[key]}")
         out[key] = value
     return out
 
@@ -415,6 +417,6 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     return scenario_from_config(parse_config_text(text))

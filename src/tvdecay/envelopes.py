@@ -10,9 +10,8 @@ Every exp and log is numpy's, which runs the same loop on one entry as on
 many, so an array evaluation is bit-identical to evaluating the bound one t
 at a time.  Only `_exp`, in the truncation_poincare and truncation_logsob
 arguments, raises (OverflowError, where math.exp would); every other exp
-and log argument is in range by construction.  An envelope's `valid_from`,
-the first t at which the uncalibrated raw bound is <= 2, is searched for on
-first read; only `compare` reads it.
+and log argument is in range by construction.  `verdict` builds compare's
+record of each bound against the measured TV.
 The universal constants the theory leaves unspecified are exposed as explicit
 parameters (default 1); `calibrate` rescales an envelope so that it equals a
 measured value at t = 0, preserving the rate content.
@@ -21,14 +20,13 @@ measured value at t = 0, preserving the rate content.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .errors import BadExponent, GammaNotInvertible, MomentMissing
 from .inequalities import BetaFunction, beta_orlicz
-from ._numerics import bisect_log, invert_increasing, scan_min_log
+from ._numerics import bisect_log, fit_log_slope, invert_increasing, scan_min_log
 
 _XI_S_FLOOR = 1e-16
 TV_MAX = 2.0
@@ -41,7 +39,7 @@ _CURVATURE_BLOCK = 2 ** 17 // _CURVATURE_SCAN
 @np.errstate(over="raise", under="ignore")
 def _exp(x):
     """np.exp, raising OverflowError where math.exp does: an overflow at
-    `valid_from`'s t = 1e4 probe must fail its search."""
+    the valid_from search's t = 1e4 probe must fail that search."""
     try:
         return np.exp(x)
     except FloatingPointError as err:
@@ -142,18 +140,32 @@ class DecayEnvelope:
         return DecayEnvelope(self.name, {**self.params, "calibrated_to": target},
                              self.bound, self.scale * target / base)
 
-    @cached_property
-    def valid_from(self) -> float:
-        """inf{t : raw(t) <= 2} (raw assumed non-increasing), 0 where the
-        search overflows.  Probed at t = 1e-8 rather than 0 so that envelopes whose
-        small-t guard exceeds the maximal TV report a positive valid_from."""
-        if self.raw_eval(1e-8) <= TV_MAX:
-            return 0.0
-        try:
-            return float(invert_increasing(lambda t: -self.raw_eval(t), [-TV_MAX],
-                                           1e-8, 1e4, resid_tol=1e-6)[0])
-        except OverflowError:
-            return 0.0
+
+def _valid_from(env: DecayEnvelope) -> float:
+    """inf{t : raw(t) <= 2} of a non-increasing raw bound, 0 where the search overflows;
+    probed at t = 1e-8, not 0, so that a small-t guard above the maximal TV shows."""
+    if env.raw_eval(1e-8) <= TV_MAX:
+        return 0.0
+    try:
+        return float(invert_increasing(lambda t: -env.raw_eval(t), [-TV_MAX],
+                                       1e-8, 1e4, resid_tol=1e-6)[0])
+    except OverflowError:
+        return 0.0
+
+
+def verdict(times, tv, curves: dict, envelopes: dict) -> dict:
+    """compare's record of each bound curve against the TV, and the TV's own slope."""
+    half = times >= 0.5 * times[-1]
+
+    def slope(y):   # the log-slope over t >= t_end/2, y floored at 1e-300
+        return fit_log_slope(times[half], np.maximum(y[half], 1e-300))
+
+    return {"envelopes": {name: {
+        "domination_fraction": float(np.mean(bound >= tv - 1e-12)),
+        "fitted_slope": slope(bound),
+        "valid_from": _valid_from(envelopes[name]),
+        "calibration_scale": envelopes[name].scale,
+    } for name, bound in curves.items()}, "tv_fitted_slope": slope(tv)}
 
 
 def _exponential(name, params, a, c, b=1.0) -> DecayEnvelope:

@@ -42,6 +42,22 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     return str(path)
 
 
+def _key(line):
+    return line.split("#", 1)[0].partition("=")[0].strip()
+
+
+def merge_cfg(*texts):
+    """The config lines of `texts` in order, where a text that sets a key drops
+    the earlier texts' lines of it: a config sets each key once, so an override
+    replaces the line it overrides."""
+    lines = []
+    for text in texts:
+        new = [line for line in text.splitlines() if line.strip()]
+        keys = {_key(line) for line in new} - {""}
+        lines = [line for line in lines if _key(line) not in keys] + new
+    return "".join(f"{line}\n" for line in lines)
+
+
 class TestConfigParsing:
     def test_round_trip(self):
         cfg = parse_config_text(GAUSS_CFG)
@@ -53,6 +69,11 @@ class TestConfigParsing:
         assert scn1.potential == scn2.potential
         assert scn1.sim == scn2.sim
         assert list(scn1.envelopes) == list(scn2.envelopes) == ["poincare_l2", "logsob"]
+
+    def test_key_set_twice_names_both_lines(self):
+        # however it is spaced, a second line of a key would silently win
+        with pytest.raises(ConfigError, match=r"^line 3: key 'sim.dt' is already set on line 1$"):
+            parse_config_text("sim.dt=0.1\n\n  sim.dt  =  0.01 # finer\n")
 
     def test_missing_key_named(self):
         with pytest.raises(ConfigError) as exc:
@@ -477,6 +498,9 @@ BAD_INPUTS = {
     "eta-power-unclosed": ("simulate", "psi.eta = power(1.5", (), "psi.eta"),
     # after SMALL_CFG's 7 keys
     "empty-key": ("analyze", " = 3", (), "line 8: empty key"),
+    # the row's own lines, after SMALL_CFG's 6 other keys
+    "key-set-twice": ("simulate", "sim.dt = 0.1\nsim.dt = 0.01", (),
+                      "line 8: key 'sim.dt' is already set on line 7"),
 }
 
 
@@ -496,9 +520,7 @@ def test_bad_input_exits_2(case, tmp_path, capsys):
     verb, lines, argv, needle = BAD_INPUTS[case]
     for name, text in BAD_TABLES.items():
         (tmp_path / f"{name}.csv").write_text(text)
-    cfg = dict(line.split(" = ") for line in
-               (SMALL_CFG + lines.format(tmp=tmp_path)).splitlines() if line)
-    path = write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in cfg.items()))
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, lines.format(tmp=tmp_path)))
     try:
         code = main([verb, path, "--out", str(tmp_path / "out"), *argv])
     except SystemExit as exc:        # argparse rejects bad flags this way
@@ -526,7 +548,7 @@ T_GRIDS = [("2e-3", 4, 1e-3), ("5e-4", 4, 1e-4), ("1e-4", 1, 1e-4)]
 @pytest.mark.parametrize("t_end, rows, first", T_GRIDS)
 def test_bounds_t_grid_lies_in_dt_to_t_end(t_end, rows, first, tmp_path):
     # from 1e-3 when t_end is past it, else from dt; one row when dt = t_end
-    path = write_cfg(tmp_path, SMALL_CFG + f"sim.dt = 1e-4\nsim.t_end = {t_end}\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, f"sim.dt = 1e-4\nsim.t_end = {t_end}"))
     out = tmp_path / "out"
     assert main(["bounds", path, "--out", str(out), "--t-grid", "4"]) == 0
     t = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1, ndmin=2)[:, 0]
@@ -536,9 +558,9 @@ def test_bounds_t_grid_lies_in_dt_to_t_end(t_end, rows, first, tmp_path):
 
 def test_weak_logsob_tiny_eps_bound_is_finite(tmp_path):
     # the xi clock's monotonicity probe must run forward when eps < 2e-10
-    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = weak_logsob\n"
-                                           "analysis.c_ls_override = 1\n"
-                                           "envelope.weak_logsob.eps = 1e-11\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "envelopes = weak_logsob\n"
+                                                    "analysis.c_ls_override = 1\n"
+                                                    "envelope.weak_logsob.eps = 1e-11"))
     out = tmp_path / "out"
     assert main(["bounds", path, "--out", str(out), "--t-grid", "20"]) == 0
     bound = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)[:, 1]
@@ -547,22 +569,22 @@ def test_weak_logsob_tiny_eps_bound_is_finite(tmp_path):
 
 def test_weak_logsob_eps_1e_300_exits_3(tmp_path, capsys):
     # xi's bisection bracket (1e-16, eps - 1e-12] is empty
-    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = weak_logsob\n"
-                                           "analysis.c_ls_override = 1\n"
-                                           "envelope.weak_logsob.eps = 1e-300\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "envelopes = weak_logsob\n"
+                                                    "analysis.c_ls_override = 1\n"
+                                                    "envelope.weak_logsob.eps = 1e-300"))
     assert main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
     assert "BadExponent" in err and "c = 1e-300" in err and "Traceback" not in err
 
 
 # power alpha = 1 has rho <= 0, so no C_LS: the log-Sobolev default betas have no constant
-NO_C_LS_CFG = SMALL_CFG + "potential.family = power\npotential.alpha = 1\n"
+NO_C_LS_CFG = merge_cfg(SMALL_CFG, "potential.family = power\npotential.alpha = 1")
 
 
 @pytest.mark.parametrize("verb", ["bounds", "compare"])
 @pytest.mark.parametrize("name", ["weak_logsob", "restricted_logsob"])
 def test_default_beta_without_c_ls_exits_3(name, verb, tmp_path, capsys):
-    path = write_cfg(tmp_path, NO_C_LS_CFG + f"envelopes = {name}\n")
+    path = write_cfg(tmp_path, merge_cfg(NO_C_LS_CFG, f"envelopes = {name}"))
     assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
     assert f"{name} envelope needs a positive C_LS" in err and "Traceback" not in err
@@ -570,8 +592,8 @@ def test_default_beta_without_c_ls_exits_3(name, verb, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["weak_logsob", "restricted_logsob"])
 def test_explicit_beta_without_c_ls_builds(name, tmp_path):
-    path = write_cfg(tmp_path, NO_C_LS_CFG + f"envelopes = {name}\n"
-                                             f"envelope.{name}.beta_form = power\n")
+    path = write_cfg(tmp_path, merge_cfg(NO_C_LS_CFG, f"envelopes = {name}\n"
+                                                      f"envelope.{name}.beta_form = power"))
     assert main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 0
 
 
@@ -602,8 +624,8 @@ NON_FINITE_BOUNDS = {
 @pytest.mark.parametrize("verb", ["bounds", "compare"])
 @pytest.mark.parametrize("case", sorted(NON_FINITE_BOUNDS))
 def test_non_finite_bound_exits_3(case, verb, tmp_path, capsys):
-    path = write_cfg(tmp_path, SMALL_CFG + "envelopes = curvature\n"
-                                           f"envelope.curvature.{NON_FINITE_BOUNDS[case]}\n")
+    lines = f"envelopes = curvature\nenvelope.curvature.{NON_FINITE_BOUNDS[case]}"
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, lines))
     assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
     assert "'curvature'" in err and "at t = " in err and "Traceback" not in err
@@ -623,8 +645,8 @@ OVERFLOWING_BOUNDS = {
 @pytest.mark.parametrize("case", sorted(OVERFLOWING_BOUNDS))
 def test_overflowing_bound_exits_3(case, verb, tmp_path, capsys):
     lines, name = OVERFLOWING_BOUNDS[case]
-    path = write_cfg(tmp_path, SMALL_CFG + "grid.n_points = 101\n"
-                                           f"envelopes.calibrate = false\n{lines}\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "grid.n_points = 101\n"
+                                                    f"envelopes.calibrate = false\n{lines}"))
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert f"envelope {name!r}: overflow" in err and "Traceback" not in err
@@ -633,8 +655,8 @@ def test_overflowing_bound_exits_3(case, verb, tmp_path, capsys):
 @pytest.mark.parametrize("name", sorted(ENVELOPES))
 def test_large_t_end_exits_0_or_3(name, tmp_path, capsys):
     extra = "envelope.ipsi.C_eta = 1\n" if name == "ipsi" else ""
-    path = write_cfg(tmp_path, SMALL_CFG + "grid.n_points = 101\nsim.t_end = 1e5\n"
-                                           f"envelopes = {name}\n{extra}")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "grid.n_points = 101\nsim.t_end = 1e5\n"
+                                                    f"envelopes = {name}\n{extra}"))
     code = main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "50"])
     err = capsys.readouterr().err
     assert code in (0, 3), err
@@ -657,8 +679,8 @@ def test_negative_bound_exits_3(verb, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("verb", ["analyze", "bounds", "simulate"])
 def test_non_finite_start_exits_3(verb, tmp_path, capsys):
     # exp(2 (V(x) - V(x - shift))) overflows, so h0 is inf/nan, not a density
-    path = write_cfg(tmp_path, SMALL_CFG + "initial.family = shifted_gaussian\n"
-                                           "initial.shift = 1e300\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "initial.family = shifted_gaussian\n"
+                                                    "initial.shift = 1e300"))
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "NotADensity" in err and "Traceback" not in err
@@ -668,8 +690,8 @@ def test_non_finite_start_exits_3(verb, tmp_path, capsys):
 def test_massless_tabulated_start_exits_3(verb, tmp_path, capsys):
     # every command builds the start; analyze reports the mass its cap removed
     (tmp_path / "h.csv").write_text("x,h\n-4,-1\n4,-2\n")
-    path = write_cfg(tmp_path, SMALL_CFG + "initial.family = tabulated\n"
-                                           f"initial.path = {tmp_path}/h.csv\n")
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "initial.family = tabulated\n"
+                                                    f"initial.path = {tmp_path}/h.csv"))
     assert main([verb, path, "--out", str(tmp_path / "out")]) == 3
     err = capsys.readouterr().err
     assert "NotADensity" in err and "Traceback" not in err
@@ -761,7 +783,7 @@ def test_fuzz_keys_cover_every_numeric_key(tmp_path):
               for form in forms]
     read = set()
     for text in texts:
-        read |= scenario_from_config(parse_config_text(f"{FUZZ_CFG}{text}\n")).config.read
+        read |= scenario_from_config(parse_config_text(merge_cfg(FUZZ_CFG, text))).config.read
     text_keys = {"potential.family", "potential.path", "initial.family", "initial.path",
                  "sim.scheme", "psi.eta", "envelopes", "envelopes.calibrate"}
     numeric = {key for key in read - text_keys
@@ -772,7 +794,7 @@ def test_fuzz_keys_cover_every_numeric_key(tmp_path):
 @pytest.mark.parametrize("key, value", FUZZ_CASES)
 def test_config_fuzz(key, value, tmp_path, capsys):
     verb, lines = FUZZ_KEYS[key]
-    path = write_cfg(tmp_path, f"{FUZZ_CFG}{lines}\n{key.partition('@')[0]} = {value}\n")
+    path = write_cfg(tmp_path, merge_cfg(FUZZ_CFG, lines, f"{key.partition('@')[0]} = {value}"))
     argv = ("--t-grid", "5") if verb == "bounds" else ()
     code = main([verb, path, "--out", str(tmp_path / "out"), *argv])
     err = capsys.readouterr().err
@@ -822,8 +844,8 @@ FAMILY_PHI_DEFAULTS = {("orlicz", "power"): "3"}
 def test_unset_phi_key_is_its_default_set(name, form, tmp_path):
     key, default = PHI_DEFAULTS[form]
     default = FAMILY_PHI_DEFAULTS.get((name, form), default)
-    base = (f"{SMALL_CFG}sim.t_end = 5\ninitial.family = shifted_gaussian\n"
-            f"envelopes = {name}\nenvelope.{name}.phi = {form}\n")
+    base = merge_cfg(SMALL_CFG, "sim.t_end = 5\ninitial.family = shifted_gaussian\n"
+                     f"envelopes = {name}\nenvelope.{name}.phi = {form}")
     curves = []
     for value in (None, default, "2.5"):
         out = tmp_path / f"out{len(curves)}"
@@ -835,13 +857,13 @@ def test_unset_phi_key_is_its_default_set(name, form, tmp_path):
     assert curves[0] != curves[2]     # the key moves the bound
 
 
-ALL_FAMILIES_CFG = SMALL_CFG + f"""
+ALL_FAMILIES_CFG = merge_cfg(SMALL_CFG, f"""
 initial.family = shifted_gaussian
 envelopes = {", ".join(ENVELOPES)}
 psi.eta = power(1.5)
 analysis.capacity_rho = 2.0
 analysis.capacity_f_const = 2.0
-"""
+""")
 
 
 def test_write_csv_formats_each_value_to_17_digits(tmp_path):
@@ -866,13 +888,16 @@ def test_envelope_params_are_json():
         json.dumps(env.params)      # a callable in params raises TypeError
 
 
-def test_bounds_searches_no_valid_from():
-    # valid_from is computed on first read, and only compare reads it
-    scn = scenario_from_config(parse_config_text(ALL_FAMILIES_CFG))
-    mu = scn.build_measure()
-    envs, _ = _bound_curves(scn, mu, scn.build_initial(mu), analyze_scenario(scn, mu),
-                            np.array([0.5]))
-    assert [name for name, env in envs.items() if "valid_from" in vars(env)] == []
+def test_bounds_searches_no_valid_from(tmp_path, monkeypatch):
+    # only compare's verdict runs the valid_from search, once per envelope
+    calls, search = [], envelopes._valid_from
+    monkeypatch.setattr(envelopes, "_valid_from",
+                        lambda env: calls.append(env.name) or search(env))
+    cfg = write_cfg(tmp_path, ALL_FAMILIES_CFG)
+    assert main(["bounds", cfg, "--out", str(tmp_path / "bounds"), "--t-grid", "3"]) == 0
+    assert calls == []
+    assert main(["compare", cfg, "--out", str(tmp_path / "compare")]) == 0
+    assert calls == list(ENVELOPES)     # the spy sees compare's searches
 
 
 @pytest.mark.parametrize("verb", ["bounds", "compare"])
@@ -925,7 +950,7 @@ def test_rebound_names_are_called(tmp_path, monkeypatch):
     assert main(["bounds", write_cfg(tmp_path, ALL_FAMILIES_CFG), "--out", out,
                  "--t-grid", "3"]) == 0
     for family, lines in INITIAL_CFG.items():
-        text = SMALL_CFG + f"initial.family = {family}\n" + lines.format(tmp=tmp_path)
+        text = merge_cfg(SMALL_CFG, f"initial.family = {family}\n" + lines.format(tmp=tmp_path))
         assert main(["simulate", write_cfg(tmp_path, text), "--out", out]) == 0, family
     assert called == {attr for _, attr in targets}
 

@@ -8,6 +8,7 @@ from tvdecay import envelopes
 from tvdecay.envelopes import (
     _XI_S_FLOOR,
     _exp,
+    _valid_from,
     TV_MAX,
     DecayEnvelope,
     XiSpec,
@@ -25,9 +26,11 @@ from tvdecay.envelopes import (
     gamma_inverse,
     hellinger_eval,
     truncation_logsob_k_optimized,
+    verdict,
     xi,
 )
 from tvdecay.errors import BadExponent, MomentMissing
+from tvdecay.measures import step_density
 from tvdecay.inequalities import beta_orlicz
 from tvdecay.psi import build_psi_from_eta, eta_power, pinsker_constant
 from tvdecay._numerics import (fit_log_slope, fit_loglog_slope, golden_min_log,
@@ -45,7 +48,7 @@ def _phi_logbeta(b):
 
 
 def _assert_monotone(env, t_lo=1e-3, t_hi=50.0, n=200):
-    ts = np.geomspace(max(t_lo, env.valid_from + 1e-9), t_hi, n)
+    ts = np.geomspace(max(t_lo, _valid_from(env) + 1e-9), t_hi, n)
     vals = np.array([env.eval(t) for t in ts])
     assert np.all(np.diff(vals) <= 1e-12 + 1e-9 * vals[:-1]), env.name
 
@@ -277,17 +280,17 @@ class TestWeakLogSobolev:
         env = envelope_weak_logsob(tv.BetaFunction.constant(1.0),
                                    _phi_power(2.0), 5.0)
         assert env.raw_eval(1e-8) > 2.0
-        assert env.valid_from > 0.0
-        assert env.raw_eval(env.valid_from * 1.01) <= 2.0 + 1e-5
+        vf = _valid_from(env)
+        assert vf > 0.0
+        assert env.raw_eval(vf * 1.01) <= 2.0 + 1e-5
 
-    def test_valid_from_searched_on_first_read(self):
+    def test_calibration_leaves_valid_from_unchanged(self):
         env = envelope_weak_logsob(tv.BetaFunction.constant(1.0),
                                    _phi_power(2.0), 5.0)
-        assert "valid_from" not in vars(env)
-        vf = env.valid_from
-        assert vars(env)["valid_from"] == vf > 0.0
+        calibrated = env.calibrate(0.5)
+        assert calibrated.scale != env.scale
         # calibration rescales eval but not the raw bound valid_from is taken of
-        assert env.calibrate(0.5).valid_from == vf
+        assert _valid_from(calibrated) == _valid_from(env) > 0.0
 
 
 @pytest.mark.parametrize("build, message", [
@@ -523,7 +526,33 @@ class TestCalibration:
         ]
         for env in envs:
             assert env.eval(1e-6) <= 2.0
-            assert env.eval(env.valid_from + 1e-6) <= 2.0
+            assert env.eval(_valid_from(env) + 1e-6) <= 2.0
+
+
+class TestVerdict:
+    @pytest.fixture(scope="class")
+    def flow(self):
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+        return tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=2.0))
+
+    def test_domination_allows_1e_12_below_the_tv(self, flow):
+        curves = {"half": 0.5 * flow.tv, "below": flow.tv - 2e-12,
+                  "within": flow.tv - 5e-13}
+        env = envelope_poincare_l2(0.5, 1.0)
+        record = verdict(flow.times, flow.tv, curves, dict.fromkeys(curves, env))
+        assert {name: rec["domination_fraction"] for name, rec in
+                record["envelopes"].items()} == {"half": 0.0, "below": 0.0, "within": 1.0}
+
+    def test_fields_of_the_record(self, flow):
+        env = envelope_weak_logsob(tv.BetaFunction.constant(1.0), _phi_power(2.0),
+                                   5.0).calibrate(0.5)
+        record = verdict(flow.times, flow.tv, {"w": 0.5 * flow.tv}, {"w": env})
+        half = flow.times >= 1.0
+        slope = fit_log_slope(flow.times[half], flow.tv[half])
+        assert record["tv_fitted_slope"] == slope
+        assert record["envelopes"]["w"] == {
+            "domination_fraction": 0.0, "fitted_slope": pytest.approx(slope, rel=1e-9),
+            "valid_from": _valid_from(env), "calibration_scale": env.scale}
 
 
 class TestInverseResiduals:
@@ -814,7 +843,7 @@ class TestStrictExpLog:
         env = DecayEnvelope("raises", {}, bound)
         assert env.raw_eval(1e-8) == 3.0
         with pytest.raises(ValueError, match="no bound past t = 1"):
-            env.valid_from
+            _valid_from(env)
 
 
 class TestArrayHelpers:

@@ -130,6 +130,19 @@ class TestSubprocessExit:
         done = _cli(verb, cfg, "--out", str(tmp_path), cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (3, "", line)
 
+    def test_non_utf8_config_exits_2_with_one_line(self, tmp_path, exits, capsys):
+        # a Latin-1 byte in a comment is a config error, not a UnicodeDecodeError
+        path = tmp_path / "scenario.cfg"
+        path.write_bytes(GAUSS.encode() + b"# \xff\n")
+        assert cli.main(["analyze", str(path), "--out", str(tmp_path)]) == 2
+        assert exits == []
+        line = capsys.readouterr().err
+        assert line == (f"tvdecay: config error: cannot read config '{path}': 'utf-8' codec "
+                        f"can't decode byte 0xff in position {len(GAUSS) + 2}: invalid start "
+                        "byte\n")
+        done = _cli("analyze", str(path), "--out", str(tmp_path), cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", line)
+
     def test_table_error_prints_only_the_error_line(self, tmp_path, exits, capsys):
         # loadtxt warns on a table without rows: the warning must not come first
         (tmp_path / "h.csv").write_text("x,h\n")
