@@ -144,7 +144,7 @@ def _read_table(cfg, key, default) -> np.ndarray:
         with warnings.catch_warnings():     # loadtxt warns on a table without rows
             warnings.simplefilter("ignore")
             table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            with open(path, encoding="utf-8") as fh:    # a cell that is no number is nan
+            with open(path, encoding="utf-8-sig") as fh:    # a cell that is no number is nan
                 header = np.genfromtxt([fh.readline()], delimiter=",")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"key {key!r}: cannot read table {path!r}: {exc}") from exc
@@ -415,7 +415,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

@@ -82,10 +82,9 @@ class LowerBoundViolated(TvDecayError):
 
 
 class SolverBreakdown(TvDecayError):
-    """The step matrix Q(I - dt*L) or the generator is not finite or the matrix
-    not positive definite, a right-hand side or state is not finite, a solve
-    or eigendecomposition fails, or a spectral state's negative mass exceeds
-    max(1e-12, 16 eps ||h0||_{L2(mu)})."""
+    """The step matrix Q(I - dt*L) is not finite or not positive definite, a
+    right-hand side or state is not finite, a solve fails, or a spectral
+    state's negative mass exceeds max(1e-12, 16 eps ||h0||_{L2(mu)})."""
 
 
 class ConfigError(TvDecayError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import LowerBoundViolated, NotADensity, SolverBreakdown, WrongMeasure
 from .measures import (BlockWorkspace, Functionals, ProbabilityMeasure1D, _check_density,
-                       _finite, functionals, generator, integrate, symmetric_generator)
+                       _finite, functionals, generator, integrate)
 from ._numerics import trapezoid_weights
 
 # Saved states are diagnosed in blocks of about this many grid values (256 KB
@@ -112,10 +112,10 @@ def _step_solver(q, upper, dt):
     one-step calls would.  Each step is one dpttrs solve of S x = q*rhs,
     q = mu.quadrature, with S = Q(I - dt*L) symmetric positive definite and
     factored once by dpttrf: its faces are -c_i, c_i = dt*q_i*upper_i, and
-    its diagonal q_i + c_{i-1} + c_i makes every column sum q_i, so the mass
-    is conserved relative to 1 whatever the dynamic range of h.  A cell
-    whose q underflows carries no mass and takes weight 1, which keeps S
-    definite and h there all but unchanged.
+    its diagonal q_i + c_{i-1} + c_i makes every column sum q_i up to about
+    eps*dt*upper_i relative, the mass a step may move (2.8e-14 on a steep
+    tabulated grid, n = 314, dt = 0.06).  A cell whose q underflows carries no
+    mass and takes weight 1, which keeps S definite and h there all but unchanged.
     """
     lapack = _flapack()
     dpttrf, dpttrs = lapack.dpttrf, lapack.dpttrs
@@ -162,39 +162,40 @@ def _euler_flow(mu: ProbabilityMeasure1D, h, dt: float):
     return fill
 
 
+# e^{-x} on [0, inf) to 4e-15 as sum_k c_k T_k(2/(1 + x/10) - 1) at 41 Chebyshev points:
+# one real pole (Saff, Schonhage & Varga, Numer. Math. 25 (1976)), sum |c_k| = 1.0016
+_THETA = np.pi * (np.arange(41) + 0.5) / 41
+_EXP_CHEB = np.cos(np.outer(np.arange(41), _THETA)) @ np.exp(10 - 20 / (np.cos(_THETA) + 1)) / 20.5
+_EXP_CHEB[0] /= 2
+
+
 def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
-    """fill(rows, steps): e^{tL} h at t = k dt exactly, h(t) = Q^{-1/2} V
-    e^{-lam t} V^T Q^{1/2} h (Karlin-McGregor), from one dstevd of S = V
-    diag(lam) V^T (O(n^2) memory, O(n^3) time), one product per block and h
-    at t = 0.  A state is clipped at 0, and raises SolverBreakdown if that
-    clips more mass than max(1e-12, 16 eps ||h||_{L^2(mu)}): the q sum to 1, so
-    round-off clips at most its l^2 norm, seen up to 1.5 eps ||h|| (n <= 2001,
-    t >= 1e-8).  A cell whose q underflows keeps h."""
-    d, e = symmetric_generator(mu)
-    if not (_finite(d) and _finite(e)):
-        raise SolverBreakdown("the generator is not finite")
-    lam, vecs, info = _flapack().dstevd(d, e)
-    if info != 0:
-        raise SolverBreakdown(f"the generator's eigendecomposition failed (info = {info})")
-    lam[0] = 0.0    # L 1 = 0: the round-off of this eigenvalue would drift the mass
-    dead = mu.quadrature < np.finfo(float).tiny
-    root = np.sqrt(np.where(dead, 0.0, mu.quadrature))
-    coef = (root * h) @ vecs
-    inverse = np.divide(1.0, root, out=np.zeros_like(root), where=~dead)
-    limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(coef)))
+    """fill(rows, steps): e^{tL} h at t = k dt, exact in time to round-off, as
+    the series `_EXP_CHEB` in Y = 2V - I, V = (I - (t/10) L)^{-1}, summed by
+    Clenshaw's recurrence on one `_step_solver` and rescaled to h's mass; h at
+    t = 0.  A state is clipped at 0, and raises SolverBreakdown if that clips
+    more than max(1e-12, 16 eps ||h||_{L^2(mu)}).  A cell whose q underflows keeps h."""
+    q, upper = mu.quadrature, generator(mu)[2]
+    mass, dead = q @ h, q < np.finfo(float).tiny
+    limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
 
     def fill(rows, steps):
-        times = np.asarray(steps) * dt
-        np.matmul(np.exp(np.multiply.outer(-times, lam)) * coef, vecs.T, out=rows)
-        rows *= inverse
-        rows[:, dead] = h[dead]
-        rows[times == 0] = h
-        negative = -(np.minimum(rows, 0.0) @ mu.quadrature)
-        k = int(np.argmax(negative))
-        if negative[k] > limit:
-            raise SolverBreakdown(f"the spectral flow at t = {times[k]:g} has negative "
-                                  f"mass {negative[k]:.2e}")
-        np.maximum(rows, 0.0, out=rows)
+        for row, t in zip(rows, np.asarray(steps) * dt):
+            solve = _step_solver(q, upper, t / 10)
+            b1, b2 = _EXP_CHEB[-1] * h, 0.0    # b_k = c_k h + 2 Y b_{k+1} - b_{k+2}
+            for c in _EXP_CHEB[-2:0:-1]:
+                b1, b2 = c * h + 4.0 * solve(b1) - 2.0 * b1 - b2, b1
+            row[:] = _EXP_CHEB[0] * h + 2.0 * solve(b1) - b1 - b2
+            row *= mass / (q @ row)     # the solves' round-off moves the mass
+            if not _finite(row):
+                raise SolverBreakdown(f"the spectral flow at t = {t:g} is not finite")
+            row[dead] = h[dead]
+            negative = -(np.minimum(row, 0.0) @ q)
+            if negative > limit:
+                raise SolverBreakdown(f"the spectral flow at t = {t:g} has negative "
+                                      f"mass {negative:.2e}")
+            np.maximum(row, 0.0, out=row)
+        rows[np.asarray(steps) == 0] = h
     return fill
 
 
@@ -209,8 +210,8 @@ def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
     The scheme's `FLOWS` maker fills the saves at steps 0, save_every, ...,
     n_steps into the max(1, _BLOCK_ELEMS // n) rows of one `BlockWorkspace`,
     a block at a time; one `functionals` call diagnoses each block after its
-    last state is checked finite (`solve` checks the others, and a nan or
-    inf spreads through a dpttrs solve).  When min h0 < 1/2 the reversed
+    last state is checked finite (the spectral flow checks each state, and a
+    nan or inf spreads through `solve`).  When min h0 < 1/2 the reversed
     functionals are those of the mixture flow (1 + h_t)/2.
     """
     # h0 clipped at 0, in a fresh array: the state buffer

@@ -96,6 +96,22 @@ class TestConfigParsing:
         cfg = parse_config_text("# comment\n\npotential.family = gaussian # inline\n")
         assert cfg["potential.family"] == "gaussian"
 
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, tmp_path):
+        # some editors start a UTF-8 file with a byte-order mark
+        text = b"potential.family = gaussian\ngrid.n_points = 101\n"
+        paths = {}
+        for name, head in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+            out = tmp_path / name
+            out.mkdir()
+            paths[name] = out / "scenario.cfg"
+            paths[name].write_bytes(head + text)
+            assert main(["analyze", str(paths[name]), "--out", str(out)]) == 0
+        marked, plain = (load_scenario(str(paths[name])) for name in ("marked", "plain"))
+        assert marked.config == plain.config
+        assert marked.potential == plain.potential and marked.n_points == plain.n_points
+        assert ((tmp_path / "marked" / "constants.json").read_bytes()
+                == (tmp_path / "plain" / "constants.json").read_bytes())
+
 
 class TestAnalyze:
     def test_gaussian_constants(self, tmp_path):
@@ -385,6 +401,11 @@ BAD_INPUTS = {
                                             "initial.path = {tmp}/no-header.csv", (),
                                 "key 'initial.path': table '{tmp}/no-header.csv' "
                                 "needs a header line"),
+    # a byte-order mark does not make such a first line a header line
+    "initial-table-no-header-bom": ("simulate", "initial.family = tabulated\n"
+                                                "initial.path = {tmp}/no-header-bom.csv", (),
+                                    "key 'initial.path': table '{tmp}/no-header-bom.csv' "
+                                    "needs a header line"),
     "potential-table-no-header": ("analyze", "potential.family = tabulated\n"
                                              "potential.path = {tmp}/no-header-v.csv", (),
                                   "key 'potential.path': table '{tmp}/no-header-v.csv' "
@@ -512,14 +533,15 @@ BAD_TABLES = {"header-only": "x,y\n", "one-row": "x,y\n0,1\n",
               "three-columns": "x,y,z\n-1,1,0\n0,2,0\n1,1,0\n",
               "three-rows": "x,y\n-4,8\n0,0\n4,8\n",
               "no-header": "-2,0.1\n-1,0.5\n0,1\n1,0.5\n2,0.1\n",
-              "no-header-v": "-4,8\n-2,2\n0,0\n2,2\n4,8\n"}
+              "no-header-v": "-4,8\n-2,2\n0,0\n2,2\n4,8\n",
+              "no-header-bom": "\ufeff-2,0.1\n-1,0.5\n0,1\n1,0.5\n2,0.1\n"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_2(case, tmp_path, capsys):
     verb, lines, argv, needle = BAD_INPUTS[case]
     for name, text in BAD_TABLES.items():
-        (tmp_path / f"{name}.csv").write_text(text)
+        (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
     path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, lines.format(tmp=tmp_path)))
     try:
         code = main([verb, path, "--out", str(tmp_path / "out"), *argv])

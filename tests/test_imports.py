@@ -7,13 +7,13 @@ inputs (PCHIP) and `spectral_gap`.  `evolve` loads scipy's LAPACK extension
 `scipy.linalg._flapack` on its own, without the `scipy.linalg` package.  So
 `import tvdecay.cli`, `analyze` and `bounds` load no scipy at all, and
 `simulate` and `compare` load LAPACK but neither the `scipy.linalg` package
-nor PCHIP, under either `sim.scheme`: the spectral flow's `dstevd` comes from
-the same extension.  The LAPACK extension is found without running scipy's own
-`__init__`, so it is the only scipy module they load.  The package's records
-are plain classes, so no command loads `dataclasses` either, and `json` is
-imported only by the two verbs that write JSON, analyze and compare.  Each check
-runs in a fresh interpreter, since the test process itself has imported
-scipy long before.
+nor PCHIP, under either `sim.scheme`: the spectral flow runs on implicit
+Euler's own `dpttrf`/`dpttrs` solver.  The LAPACK extension is found without
+running scipy's own `__init__`, so it is the only scipy module they load.  The
+package's records are plain classes, so no command loads `dataclasses` either,
+and `json` is imported only by the two verbs that write JSON, analyze and
+compare.  Each check runs in a fresh interpreter, since the test process
+itself has imported scipy long before.
 """
 
 import json
@@ -145,8 +145,9 @@ def test_cli_loads_no_dataclasses_and_no_scipy_package(tmp_path):
 
 
 def test_spectral_scheme_loads_only_the_lapack_extension(tmp_path):
-    """`simulate` and `compare` under `sim.scheme = spectral` take `dstevd` from
-    scipy's LAPACK extension, loaded without the `scipy.linalg` package."""
+    """`simulate` and `compare` under `sim.scheme = spectral` take `dpttrf` and
+    `dpttrs` from scipy's LAPACK extension, loaded without the `scipy.linalg`
+    package."""
     seen = _loaded(tmp_path, "spectral")
     assert seen["scipy"] == {"import": [], "analyze+bounds": [],
                              "simulate+compare": ["scipy.linalg._flapack"]}

@@ -451,56 +451,64 @@ class TestSpectralFlow:
     def test_round_off_of_a_steep_start_runs(self, dt):
         # |x/0.5|^4 shifted by 0.7: h0 reaches 7e15 in the left tail, and
         # ||h0||_{L^2(mu)} = 7.4e6.  Soon after t = 0 its high modes are not yet
-        # damped, and the round-off of V e^{-lam t} V^T Q^{1/2} h0 clips up to
-        # 6.8e-10 of negative mass: above 1e-12, within 16 eps ||h0|| = 2.6e-8
+        # damped, and the round-off of the series clips at most 1.5e-16 of
+        # negative mass: the limit, 16 eps ||h0|| = 2.6e-8, is far above it
         mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
         h0 = shifted_gaussian_density(mu, 0.7)
         s = tv.evolve(mu, h0, tv.SimConfig(dt=dt, t_end=10 * dt, scheme="spectral"))
         assert np.max(np.abs(s.mass - 1.0)) <= 1e-9
 
-    @pytest.mark.parametrize("fault", ["mode_flipped_on_half", "mode_growing"])
-    def test_negative_mass_raises(self, mu, fault, monkeypatch):
-        # flipping a whole eigenvector's sign leaves V e^{-lam t} V^T as it is;
-        # flipping it on half the grid, or growing one mode, leaves far more
-        # negative mass on an ordinary start (||h0|| = 1.3) than its 1e-12
-        lapack = simulate._flapack()
+    def test_mass_is_restored_at_large_t(self):
+        # at t/10 = 100 the step's columns sum to q only within eps*dt*upper,
+        # and the 40 solves of a save would drift the mass by 1.4e-9
+        mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
+        s = tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=10.0, t_end=1000.0, scheme="spectral"))
+        assert np.max(np.abs(s.mass - 1.0)) <= 1e-12
+        assert s.tv[-1] <= 1e-12
 
-        def dstevd(d, e):
-            lam, vecs, info = lapack.dstevd(d, e)
-            if fault == "mode_flipped_on_half":
-                vecs[:len(d) // 2, 5] *= -1.0
-            else:
-                lam[5] *= -1.0
-            return lam, vecs, info
-        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(dstevd=dstevd))
+    @pytest.mark.parametrize("fault", ["argument_reflected", "top_term_grown"])
+    def test_negative_mass_raises(self, mu, fault, monkeypatch):
+        # the series in -Y (c_k -> (-1)^k c_k) is far from positive; growing
+        # its last term by 1e-3 leaves 2.6e-11 of negative mass on an ordinary
+        # start (||h0|| = 1.3), still above its limit of 1e-12
+        chebyshev = simulate._EXP_CHEB.copy()
+        if fault == "argument_reflected":
+            chebyshev *= (-1.0) ** np.arange(len(chebyshev))
+        else:
+            chebyshev[-1] += 1e-3
+        monkeypatch.setattr(simulate, "_EXP_CHEB", chebyshev)
         with pytest.raises(SolverBreakdown, match="has negative mass"):
             tv.evolve(mu, shifted_gaussian_density(mu, 0.5),
                       tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
 
-    def test_failed_decomposition_raises(self, mu, monkeypatch):
-        lapack = simulate._flapack()
-        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(
-            dstevd=lambda d, e: (*lapack.dstevd(d, e)[:2], 3)))
-        with pytest.raises(SolverBreakdown, match="eigendecomposition failed \\(info = 3\\)"):
-            tv.evolve(mu, step_density(mu),
-                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
-
+    @pytest.mark.parametrize("solve", ["first", "last"])
     @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
-    def test_non_finite_decomposition_raises(self, mu, block_elems, monkeypatch):
-        # a nan in one eigenvector reaches every later save, and the block's
-        # check raises SolverBreakdown, never NotADensity
-        lapack = simulate._flapack()
+    def test_non_finite_solve_raises(self, mu, block_elems, solve, monkeypatch):
+        # a nan from one solve of the t = 0.3 save: the next solve's check, or
+        # after the last solve the save's own, raises SolverBreakdown, never
+        # NotADensity, even when the save is not the last of its block
+        bad = 1 if solve == "first" else len(simulate._EXP_CHEB) - 1
+        calls = []
+        step_solver = simulate._step_solver
 
-        def dstevd(d, e):
-            lam, vecs, info = lapack.dstevd(d, e)
-            vecs[len(d) // 2, 5] = np.nan
-            return lam, vecs, info
-        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(dstevd=dstevd))
+        def planted(q, upper, dt):
+            inner, saved = step_solver(q, upper, dt), len(calls)
+
+            def solve_with_nan(rhs, steps=1, out=None):
+                calls.append(dt)
+                x = inner(rhs, steps, out)
+                if dt == pytest.approx(0.03) and len(calls) - saved == bad:
+                    x[len(x) // 2] = np.nan
+                return x
+            return solve_with_nan
+        monkeypatch.setattr(simulate, "_step_solver", planted)
         monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
-        with pytest.raises(SolverBreakdown, match="t = 0.1 is not finite"
-                           if block_elems == 1 else "t = 0.5 is not finite"):
+        with pytest.raises(SolverBreakdown, match="right-hand side is not finite"
+                           if solve == "first" else "t = 0.3 is not finite"):
             tv.evolve(mu, step_density(mu),
                       tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
+        assert calls[-1] == pytest.approx(0.03)
 
 
 class TestReverseDiagnostics:
@@ -704,15 +712,12 @@ class TestStepSolver:
 
     @pytest.mark.parametrize("scheme", ["implicit_euler", "spectral"])
     def test_evolve_raises(self, scheme, monkeypatch):
-        # the step reads the generator's upper diagonal only, and the spectral
-        # flow the symmetric form
+        # both schemes factor the step, which reads the generator's upper
+        # diagonal only
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
         lower, diag, upper = simulate.generator(mu)
         monkeypatch.setattr(simulate, "generator",
                             lambda _: (lower, diag, np.full_like(upper, np.nan)))
-        d, e = simulate.symmetric_generator(mu)
-        monkeypatch.setattr(simulate, "symmetric_generator",
-                            lambda _: (d, np.full_like(e, np.nan)))
         with pytest.raises(SolverBreakdown):
             tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=0.1, scheme=scheme))
 
@@ -738,7 +743,6 @@ for scheme in ("implicit_euler", "spectral"):
 assert ("scipy.linalg" in sys.modules) == (sys.argv[1] == "linalg-first")
 from scipy.linalg import lapack
 assert loaded.dpttrf is lapack.dpttrf and loaded.dpttrs is lapack.dpttrs
-assert loaded.dstevd is lapack.dstevd
 assert sys.modules[simulate._FLAPACK] is loaded
 assert 0.9 < spectral_gap(mu).gap < 1.1
 """
