@@ -7,7 +7,10 @@ weights and zero-flux boundaries, so it annihilates constants identically,
 conserves the mu-weighted mass exactly and is self-adjoint in l^2(mu).
 Implicit Euler is an M-matrix scheme, which preserves positivity and every
 Jensen-type monotone functional (TV, Var, Ent, I_psi, d_H, V, E) step by
-step; the spectral scheme runs L exactly in time.
+step.  That holds exactly across save gaps of at most 64 steps, which run
+every step; a longer gap is crossed in 40 solves by a Chebyshev series in the
+step's resolvent, whose states are implicit Euler's to round-off, clipped at
+0.  The spectral scheme runs L exactly in time by the same kind of series.
 """
 
 from __future__ import annotations
@@ -31,6 +34,14 @@ from ._numerics import trapezoid_weights
 # per array of the block workspace).  On a warm save-every-step evolve at
 # n = 1001 (power1 and gaussian, 2 CPUs), 2^15 was the fastest of 2^12 ... 2^17.
 _BLOCK_ELEMS = 2 ** 15
+
+# Implicit Euler crosses a save gap of more than this many steps with its
+# 40-solve series.  A term of the series is a solve and four vector passes, so
+# one gap costs as much as 58-59 direct steps at n = 4001, 63-73 at 2001,
+# 74-85 at 1001 and 98-118 at 401 (2 CPUs, one BLAS thread): above 64 steps the
+# series is faster from the default n = 4001 up, and the default gap of 50 steps
+# stays direct.
+_SERIES_GAP = 64
 
 # scipy's f2py LAPACK wrappers, which `scipy.linalg.lapack` re-exports.
 _FLAPACK = "scipy.linalg._flapack"
@@ -135,7 +146,7 @@ def _step_solver(q, upper, dt):
     def solve(rhs, steps=1, out=None):
         if not _finite(rhs):
             raise SolverBreakdown("the implicit step right-hand side is not finite")
-        x = np.multiply(w, rhs, out=out)
+        x = np.multiply(w if steps else 1.0, rhs, out=out)    # 0 steps: a copy of rhs
         for step in range(steps):
             if step:
                 x *= w
@@ -147,54 +158,101 @@ def _step_solver(q, upper, dt):
     return solve
 
 
+_THETA = np.pi * (np.arange(41) + 0.5) / 41
+
+
+def _cheb_table(f):
+    """c_0 ... c_40 of the series sum_k c_k T_k(2/(1 + x/10) - 1) that
+    interpolates f(x), x in [0, inf), at the 41 Chebyshev points `_THETA`."""
+    c = np.cos(np.outer(np.arange(41), _THETA)) @ f(20 / (np.cos(_THETA) + 1) - 10) / 20.5
+    c[0] /= 2
+    return c
+
+
+# e^{-x} on [0, inf) to 4e-15: one real pole (Saff, Schonhage & Varga, Numer.
+# Math. 25 (1976)), sum |c_k| = 1.0016.  It is the k -> inf limit of implicit
+# Euler's (1 + x/k)^{-k}, whose tables are as accurate (3e-15 for k = 41 ... 10^6)
+_EXP_CHEB = _cheb_table(lambda x: np.exp(-x))
+
+
+def _cheb_apply(mu: ProbabilityMeasure1D, h, name: str):
+    """apply(table, solve, row, t): the `name` flow's state at t, row =
+    sum_k table[k] T_k(Y) h with Y = 2V - I and V = (I - s L)^{-1} the
+    `_step_solver` `solve` at some s, summed by Clenshaw's recurrence in 40
+    solves and rescaled to h's mass, h as it is at the call.  The state is
+    clipped at 0, and raises SolverBreakdown if that clips more than
+    max(1e-12, 16 eps ||h0||_{L^2(mu)}), h0 the flow's start: h as it is
+    here.  A cell whose q underflows keeps h."""
+    q = mu.quadrature
+    dead = q < np.finfo(float).tiny
+    limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
+
+    def apply(table, solve, row, t):
+        mass = q @ h
+        # b_k = c_k h + 2 Y b_{k+1} - b_{k+2} = ((c_k h + 4 V b_{k+1}) - 2 b_{k+1}) - b_{k+2},
+        # rounded in that order, in three rotating buffers and a scratch one
+        b0, b1, b2, tmp = np.empty_like(h), table[-1] * h, np.zeros_like(h), np.empty_like(h)
+        for c in table[-2:0:-1]:
+            b0 = solve(b1, out=b0)
+            b0 *= 4.0
+            b0 += np.multiply(c, h, out=tmp)
+            b0 -= np.multiply(2.0, b1, out=tmp)
+            b0 -= b2
+            b0, b1, b2 = b2, b0, b1
+        solve(b1, out=row)
+        row *= 2.0
+        row += np.multiply(table[0], h, out=tmp)
+        row -= b1
+        row -= b2
+        row *= mass / (q @ row)     # the solves' round-off moves the mass
+        if not _finite(row):
+            raise SolverBreakdown(f"the {name} flow at t = {t:g} is not finite")
+        row[dead] = h[dead]
+        negative = -(np.minimum(row, 0.0) @ q)
+        if negative > limit:
+            raise SolverBreakdown(f"the {name} flow at t = {t:g} has negative "
+                                  f"mass {negative:.2e}")
+        np.maximum(row, 0.0, out=row)
+    return apply
+
+
 def _euler_flow(mu: ProbabilityMeasure1D, h, dt: float):
-    """fill(rows, steps): implicit Euler's states, one `solve` per save interval."""
-    solve = _step_solver(mu.quadrature, generator(mu)[2], dt)
-    done = 0
+    """fill(rows, steps): implicit Euler's states.  A save gap of at most
+    `_SERIES_GAP` steps is one `solve` call that runs its steps.  A longer gap
+    of k steps applies (I - dt L)^{-k} to the previous save in 40 solves, not
+    k: as the series of (1 + x/k)^{-k} (`_cheb_apply`), whose x = k dt lambda
+    for an eigenvalue -lambda of L, on a `_step_solver` factored at k dt / 10
+    once per distinct gap."""
+    q, upper = mu.quadrature, generator(mu)[2]
+    solve, series = _step_solver(q, upper, dt), _cheb_apply(mu, h, "implicit Euler")
+    gaps, done = {}, 0
 
     def fill(rows, steps):
         nonlocal done
         for row, k in zip(rows, steps):
-            if k > done:
-                solve(h, k - done, out=h)
-            done = k
-            row[:] = h
+            gap, done = k - done, k
+            if gap <= _SERIES_GAP:
+                solve(h, gap, out=h)
+                row[:] = h
+                continue
+            if gap not in gaps:
+                gaps[gap] = (_cheb_table(lambda x: np.exp(-gap * np.log1p(x / gap))),
+                             _step_solver(q, upper, gap * dt / 10))
+            series(*gaps[gap], row, k * dt)
+            h[:] = row
     return fill
-
-
-# e^{-x} on [0, inf) to 4e-15 as sum_k c_k T_k(2/(1 + x/10) - 1) at 41 Chebyshev points:
-# one real pole (Saff, Schonhage & Varga, Numer. Math. 25 (1976)), sum |c_k| = 1.0016
-_THETA = np.pi * (np.arange(41) + 0.5) / 41
-_EXP_CHEB = np.cos(np.outer(np.arange(41), _THETA)) @ np.exp(10 - 20 / (np.cos(_THETA) + 1)) / 20.5
-_EXP_CHEB[0] /= 2
 
 
 def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
     """fill(rows, steps): e^{tL} h at t = k dt, exact in time to round-off, as
-    the series `_EXP_CHEB` in Y = 2V - I, V = (I - (t/10) L)^{-1}, summed by
-    Clenshaw's recurrence on one `_step_solver` and rescaled to h's mass; h at
-    t = 0.  A state is clipped at 0, and raises SolverBreakdown if that clips
-    more than max(1e-12, 16 eps ||h||_{L^2(mu)}).  A cell whose q underflows keeps h."""
+    the series `_EXP_CHEB` (`_cheb_apply`) on a `_step_solver` factored at t/10
+    per save, from h; h itself at t = 0."""
     q, upper = mu.quadrature, generator(mu)[2]
-    mass, dead = q @ h, q < np.finfo(float).tiny
-    limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
+    series = _cheb_apply(mu, h, "spectral")
 
     def fill(rows, steps):
         for row, t in zip(rows, np.asarray(steps) * dt):
-            solve = _step_solver(q, upper, t / 10)
-            b1, b2 = _EXP_CHEB[-1] * h, 0.0    # b_k = c_k h + 2 Y b_{k+1} - b_{k+2}
-            for c in _EXP_CHEB[-2:0:-1]:
-                b1, b2 = c * h + 4.0 * solve(b1) - 2.0 * b1 - b2, b1
-            row[:] = _EXP_CHEB[0] * h + 2.0 * solve(b1) - b1 - b2
-            row *= mass / (q @ row)     # the solves' round-off moves the mass
-            if not _finite(row):
-                raise SolverBreakdown(f"the spectral flow at t = {t:g} is not finite")
-            row[dead] = h[dead]
-            negative = -(np.minimum(row, 0.0) @ q)
-            if negative > limit:
-                raise SolverBreakdown(f"the spectral flow at t = {t:g} has negative "
-                                      f"mass {negative:.2e}")
-            np.maximum(row, 0.0, out=row)
+            series(_EXP_CHEB, _step_solver(q, upper, t / 10), row, t)
         rows[np.asarray(steps) == 0] = h
     return fill
 

@@ -581,8 +581,10 @@ class TestContraction:
 
 
 class TestSaveIntervals:
-    """Implicit Euler advances from save to save in one `solve` call, in
-    place, with the same arithmetic as one call per step."""
+    """Implicit Euler advances across a save gap of at most 64 steps
+    (`simulate._SERIES_GAP`) in one `solve` call, in place, with the same
+    arithmetic as one call per step.  A longer gap takes the 40-solve series
+    (TestLongSaveGaps)."""
 
     N_STEPS = 22
 
@@ -602,6 +604,21 @@ class TestSaveIntervals:
         for state, k in zip(got.states, saved):
             assert np.array_equal(state, each.states[k])
 
+    @pytest.mark.parametrize("every", [64, 65])
+    def test_a_gap_of_64_steps_is_the_last_taken_step_by_step(self, every):
+        mu = tv.build_measure(tv.PotentialSpec.power(4.0), 401)
+        h0 = shifted_gaussian_density(mu, 0.5)
+
+        def run(save_every):
+            config = tv.SimConfig(dt=0.01, t_end=0.01 * 2 * every, save_every=save_every)
+            return tv.evolve(mu, h0, config, keep_states=True)
+        got, each = run(every), run(1)
+        assert np.array_equal(got.times, each.times[::every])
+        same = [np.array_equal(state, each.states[k])
+                for state, k in zip(got.states, range(0, 2 * every + 1, every))]
+        assert simulate._SERIES_GAP == 64
+        assert same == [True, every == 64, every == 64]
+
     @staticmethod
     def _solver_and_rhs():
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 401)
@@ -618,6 +635,15 @@ class TestSaveIntervals:
         buffer = rhs.copy()
         assert solve(buffer, steps, out=buffer) is buffer
         assert np.array_equal(buffer, want)
+
+    @pytest.mark.parametrize("into", ["none", "other", "rhs"])
+    def test_zero_steps_copy_rhs(self, into):
+        solve, rhs = self._solver_and_rhs()
+        kept = rhs.copy()
+        out = {"none": None, "other": np.empty_like(rhs), "rhs": rhs}[into]
+        x = solve(rhs, 0, out=out)
+        assert np.array_equal(x, kept) and np.array_equal(rhs, kept)
+        assert x is not rhs if out is None else x is out
 
     @pytest.mark.parametrize("into", ["none", "other"])
     def test_rhs_unchanged(self, into):
@@ -655,6 +681,110 @@ class TestSaveIntervals:
             tv.evolve(mu, step_density(mu), config)
         # raised at the save that ends the interval of the bad solve
         assert len(calls) == min(-(-bad_solve // 10) * 10, 35)
+
+
+class TestLongSaveGaps:
+    """Implicit Euler crosses a save gap of k > 64 steps as the 41-term series
+    of (1 + x/k)^{-k} on one `_step_solver` at k dt / 10, from the previous
+    save.  Its states are those of k direct steps to round-off: each step of
+    the direct run may add about eps to the relative L^2(mu) difference, most
+    of it the direct run's own mass drift, so the bound is 8 eps per step
+    (the worst read 3.1e-16 per step, and 8.3e-13 after 3000 steps).  Each gap
+    is rescaled to the previous save's mass and clipped at 0."""
+
+    POTENTIALS = {
+        "gaussian": tv.PotentialSpec.gaussian(),
+        "power1": tv.PotentialSpec.power(1.0),
+        "power4": tv.PotentialSpec.power(4.0),
+        "tabulated": tv.PotentialSpec.tabulated(
+            np.linspace(-25.0 ** 0.25, 25.0 ** 0.25, 40),
+            np.linspace(-25.0 ** 0.25, 25.0 ** 0.25, 40) ** 4),
+    }
+
+    @pytest.fixture(scope="class")
+    def measures(self):
+        return {}
+
+    def measure(self, measures, name, n):
+        if (name, n) not in measures:
+            measures[name, n] = tv.build_measure(self.POTENTIALS[name], n)
+        return measures[name, n]
+
+    @pytest.mark.parametrize("gap", [65, 80, 100, 1000])
+    @pytest.mark.parametrize("start", ["shifted", "step"])
+    @pytest.mark.parametrize("n", [401, 1001])
+    @pytest.mark.parametrize("name", list(POTENTIALS))
+    def test_states_are_those_of_every_step(self, measures, name, n, start, gap):
+        mu = self.measure(measures, name, n)
+        q, dt = mu.quadrature, 1e-3
+        h0 = shifted_gaussian_density(mu, 0.5) if start == "shifted" else step_density(mu)
+        config = tv.SimConfig(dt=dt, t_end=3 * gap * dt, save_every=gap)
+        got = tv.evolve(mu, h0, config, keep_states=True)
+        assert len(got.states) == 4
+        solve = _step_solver(q, simulate.generator(mu)[2], dt)
+        want = h0
+        for k, (before, state) in enumerate(zip(got.states, got.states[1:]), 1):
+            want = solve(want, gap)
+            error = math.sqrt(q @ (state - want) ** 2 / (q @ want ** 2))
+            assert error <= 8 * np.finfo(float).eps * k * gap, (k, error)
+            assert abs(q @ state - q @ before) <= 1e-15 * (q @ before)
+            assert state.min() >= 0.0
+
+    def test_one_factor_per_distinct_gap(self, monkeypatch):
+        # 430 steps saved every 100: four gaps of 100 and a last one of 30,
+        # which runs its steps on the dt factor; 470 steps end on a gap of 70
+        factored = []
+        step_solver = simulate._step_solver
+
+        def recorder(q, upper, dt):
+            factored.append(dt)
+            return step_solver(q, upper, dt)
+        monkeypatch.setattr(simulate, "_step_solver", recorder)
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
+        tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=4.3, save_every=100))
+        assert factored == [0.01, pytest.approx(0.1)]
+        factored.clear()
+        tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=4.7, save_every=100))
+        assert factored == [0.01, pytest.approx(0.1), pytest.approx(0.07)]
+
+    @pytest.mark.parametrize("fault", ["argument_reflected", "top_term_grown"])
+    def test_negative_mass_raises(self, fault, monkeypatch):
+        # the spectral flow's planted series (TestSpectralFlow), here in the
+        # gap tables, which are built when a gap first needs one.  From a step
+        # start the grown top term leaves 2.9e-7 of negative mass at t = 0.1
+        cheb_table = simulate._cheb_table
+
+        def planted(f):
+            table = cheb_table(f)
+            if fault == "argument_reflected":
+                return table * (-1.0) ** np.arange(len(table))
+            table[-1] += 1e-3
+            return table
+        monkeypatch.setattr(simulate, "_cheb_table", planted)
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+        with pytest.raises(SolverBreakdown,
+                           match="implicit Euler flow at t = 0.1 has negative mass"):
+            tv.evolve(mu, step_density(mu), tv.SimConfig(dt=1e-3, t_end=0.2, save_every=100))
+
+    def test_non_finite_solve_raises(self, monkeypatch):
+        # a nan from the last series solve of the second gap: the state's own
+        # check raises SolverBreakdown, not NotADensity
+        lapack = simulate._flapack()
+        calls = []
+
+        def dpttrs(d, e, b, overwrite_b=0):
+            x, info = lapack.dpttrs(d, e, b, overwrite_b=overwrite_b)
+            calls.append(len(x))
+            if len(calls) == 80:
+                x[len(x) // 2] = np.nan
+            return x, info
+
+        monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(
+            dpttrf=lapack.dpttrf, dpttrs=dpttrs))
+        mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
+        with pytest.raises(SolverBreakdown, match="implicit Euler flow at t = 2 is not finite"):
+            tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=3.0, save_every=100))
+        assert len(calls) == 80
 
 
 class TestStepSolver:

@@ -138,6 +138,28 @@ def test_tabulated_l1_contraction(scheme, scenario, seed):
     check_l1_contraction(scenario, seed, scheme)
 
 
+def one_save_gap(scenario):
+    """The scenario saved only at t_end: one gap of 3 to 300 steps, which
+    implicit Euler crosses with its 40-solve series when it is over 64."""
+    mu, h0, config = scenario
+    steps = round(config.t_end / config.dt)
+    return mu, h0, tv.SimConfig(**{**vars(config), "save_every": steps})
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(power_potentials()), st.integers(0, 2**32 - 1))
+def test_one_save_gap(scenario, seed):
+    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario))
+    check_l1_contraction(one_save_gap(scenario), seed)
+
+
+@PROPERTY_SETTINGS
+@given(scenarios(tabulated_potentials()), st.integers(0, 2**32 - 1))
+def test_tabulated_one_save_gap(scenario, seed):
+    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario))
+    check_l1_contraction(one_save_gap(scenario), seed)
+
+
 def test_mass_drift_at_extreme_dynamic_range():
     # |x/0.5|^4 shifted by 0.7: h0 reaches 7e15 in the left tail
     mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
