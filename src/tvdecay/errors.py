@@ -83,7 +83,7 @@ class LowerBoundViolated(TvDecayError):
 
 class SolverBreakdown(TvDecayError):
     """The step matrix Q(I - dt*L) is not finite or not positive definite, a
-    right-hand side or state is not finite, a solve fails, or a spectral
+    right-hand side or state is not finite, a solve fails, or a series
     state's negative mass exceeds max(1e-12, 16 eps ||h0||_{L2(mu)})."""
 
 

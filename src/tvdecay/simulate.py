@@ -8,9 +8,11 @@ conserves the mu-weighted mass exactly and is self-adjoint in l^2(mu).
 Implicit Euler is an M-matrix scheme, which preserves positivity and every
 Jensen-type monotone functional (TV, Var, Ent, I_psi, d_H, V, E) step by
 step.  That holds exactly across save gaps of at most 64 steps, which run
-every step; a longer gap is crossed in 40 solves by a Chebyshev series in the
-step's resolvent, whose states are implicit Euler's to round-off, clipped at
-0.  The spectral scheme runs L exactly in time by the same kind of series.
+every step; a longer gap is crossed from the previous save in 40 solves by a
+Chebyshev series in the step's resolvent, whose states are implicit Euler's to
+round-off, clipped at 0.  The spectral scheme crosses every save gap with the
+same series of e^{-x}: it runs L exactly in time, to a round-off that adds up
+over the gaps, within 8 eps ||h0||_{L^2(mu)} per gap.
 """
 
 from __future__ import annotations
@@ -169,114 +171,89 @@ def _cheb_table(f):
     return c
 
 
-# e^{-x} on [0, inf) to 4e-15: one real pole (Saff, Schonhage & Varga, Numer.
-# Math. 25 (1976)), sum |c_k| = 1.0016.  It is the k -> inf limit of implicit
-# Euler's (1 + x/k)^{-k}, whose tables are as accurate (3e-15 for k = 41 ... 10^6)
-_EXP_CHEB = _cheb_table(lambda x: np.exp(-x))
+# sim.scheme -> (its name in messages, the longest save gap run step by step,
+# k -> the f_k(x) whose series crosses a longer gap of k steps).  Implicit
+# Euler's k steps are (1 + x/k)^{-k}, whose k -> inf limit e^{-x} is the exact
+# flow; on [0, inf) both tables are within 4e-15 of f (Saff, Schonhage & Varga,
+# Numer. Math. 25 (1976): one real pole), with sum |c_k| <= 1.0016.
+FLOWS = {"implicit_euler": ("implicit Euler", _SERIES_GAP,
+                            lambda k: lambda x: np.exp(-k * np.log1p(x / k))),
+         "spectral": ("spectral", 0, lambda k: lambda x: np.exp(-x))}
 
 
-def _cheb_apply(mu: ProbabilityMeasure1D, h, name: str):
-    """apply(table, solve, row, t): the `name` flow's state at t, row =
-    sum_k table[k] T_k(Y) h with Y = 2V - I and V = (I - s L)^{-1} the
-    `_step_solver` `solve` at some s, summed by Clenshaw's recurrence in 40
-    solves and rescaled to h's mass, h as it is at the call.  The state is
-    clipped at 0, and raises SolverBreakdown if that clips more than
-    max(1e-12, 16 eps ||h0||_{L^2(mu)}), h0 the flow's start: h as it is
-    here.  A cell whose q underflows keeps h."""
-    q = mu.quadrature
+def _flow(mu: ProbabilityMeasure1D, h, dt: float, name: str, direct: int, f):
+    """fill(rows, steps): the states of a `FLOWS` row at the given steps, from
+    h, which holds the last state made.  A save gap of at most `direct` steps
+    is one `solve` call that runs its steps (a gap of 0 copies h).  A longer
+    gap of k steps is sum_j c_j T_j(Y) h, c the `_cheb_table` of f_k and
+    Y = 2V - I, V = (I - (k dt/10) L)^{-1} a `_step_solver` factored once per
+    distinct gap, so x = k dt lambda for an eigenvalue -lambda of L.  Clenshaw's
+    recurrence sums it in 40 solves; the state is rescaled to h's mass, checked
+    finite, and clipped at 0, raising SolverBreakdown if that clips more than
+    max(1e-12, 16 eps ||h0||_{L^2(mu)}), h0 the start.  A cell whose q
+    underflows keeps h."""
+    q, upper = mu.quadrature, generator(mu)[2]
     dead = q < np.finfo(float).tiny
     limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
-
-    def apply(table, solve, row, t):
-        mass = q @ h
-        # b_k = c_k h + 2 Y b_{k+1} - b_{k+2} = ((c_k h + 4 V b_{k+1}) - 2 b_{k+1}) - b_{k+2},
-        # rounded in that order, in three rotating buffers and a scratch one
-        b0, b1, b2, tmp = np.empty_like(h), table[-1] * h, np.zeros_like(h), np.empty_like(h)
-        for c in table[-2:0:-1]:
-            b0 = solve(b1, out=b0)
-            b0 *= 4.0
-            b0 += np.multiply(c, h, out=tmp)
-            b0 -= np.multiply(2.0, b1, out=tmp)
-            b0 -= b2
-            b0, b1, b2 = b2, b0, b1
-        solve(b1, out=row)
-        row *= 2.0
-        row += np.multiply(table[0], h, out=tmp)
-        row -= b1
-        row -= b2
-        row *= mass / (q @ row)     # the solves' round-off moves the mass
-        if not _finite(row):
-            raise SolverBreakdown(f"the {name} flow at t = {t:g} is not finite")
-        row[dead] = h[dead]
-        negative = -(np.minimum(row, 0.0) @ q)
-        if negative > limit:
-            raise SolverBreakdown(f"the {name} flow at t = {t:g} has negative "
-                                  f"mass {negative:.2e}")
-        np.maximum(row, 0.0, out=row)
-    return apply
-
-
-def _euler_flow(mu: ProbabilityMeasure1D, h, dt: float):
-    """fill(rows, steps): implicit Euler's states.  A save gap of at most
-    `_SERIES_GAP` steps is one `solve` call that runs its steps.  A longer gap
-    of k steps applies (I - dt L)^{-k} to the previous save in 40 solves, not
-    k: as the series of (1 + x/k)^{-k} (`_cheb_apply`), whose x = k dt lambda
-    for an eigenvalue -lambda of L, on a `_step_solver` factored at k dt / 10
-    once per distinct gap."""
-    q, upper = mu.quadrature, generator(mu)[2]
-    solve, series = _step_solver(q, upper, dt), _cheb_apply(mu, h, "implicit Euler")
-    gaps, done = {}, 0
+    solve, gaps, done = _step_solver(q, upper, dt), {}, 0
 
     def fill(rows, steps):
         nonlocal done
         for row, k in zip(rows, steps):
             gap, done = k - done, k
-            if gap <= _SERIES_GAP:
+            if gap <= direct:
                 solve(h, gap, out=h)
                 row[:] = h
                 continue
             if gap not in gaps:
-                gaps[gap] = (_cheb_table(lambda x: np.exp(-gap * np.log1p(x / gap))),
-                             _step_solver(q, upper, gap * dt / 10))
-            series(*gaps[gap], row, k * dt)
+                gaps[gap] = _cheb_table(f(gap)), _step_solver(q, upper, gap * dt / 10)
+            table, resolvent = gaps[gap]
+            mass, t = q @ h, k * dt
+            # b_j = c_j h + 2 Y b_{j+1} - b_{j+2} = ((c_j h + 4 V b_{j+1}) - 2 b_{j+1}) - b_{j+2},
+            # rounded in that order, in three rotating buffers and a scratch one
+            b0, b1, b2, tmp = np.empty_like(h), table[-1] * h, np.zeros_like(h), np.empty_like(h)
+            for c in table[-2:0:-1]:
+                b0 = resolvent(b1, out=b0)
+                b0 *= 4.0
+                b0 += np.multiply(c, h, out=tmp)
+                b0 -= np.multiply(2.0, b1, out=tmp)
+                b0 -= b2
+                b0, b1, b2 = b2, b0, b1
+            resolvent(b1, out=row)
+            row *= 2.0
+            row += np.multiply(table[0], h, out=tmp)
+            row -= b1
+            row -= b2
+            row *= mass / (q @ row)     # the solves' round-off moves the mass
+            if not _finite(row):
+                raise SolverBreakdown(f"the {name} flow at t = {t:g} is not finite")
+            row[dead] = h[dead]
+            negative = -(np.minimum(row, 0.0) @ q)
+            if negative > limit:
+                raise SolverBreakdown(f"the {name} flow at t = {t:g} has negative "
+                                      f"mass {negative:.2e}")
+            np.maximum(row, 0.0, out=row)
             h[:] = row
     return fill
-
-
-def _spectral_flow(mu: ProbabilityMeasure1D, h, dt: float):
-    """fill(rows, steps): e^{tL} h at t = k dt, exact in time to round-off, as
-    the series `_EXP_CHEB` (`_cheb_apply`) on a `_step_solver` factored at t/10
-    per save, from h; h itself at t = 0."""
-    q, upper = mu.quadrature, generator(mu)[2]
-    series = _cheb_apply(mu, h, "spectral")
-
-    def fill(rows, steps):
-        for row, t in zip(rows, np.asarray(steps) * dt):
-            series(_EXP_CHEB, _step_solver(q, upper, t / 10), row, t)
-        rows[np.asarray(steps) == 0] = h
-    return fill
-
-
-# sim.scheme -> the maker of its fill(rows, steps)
-FLOWS = {"implicit_euler": _euler_flow, "spectral": _spectral_flow}
 
 
 def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
            psi=None, keep_states: bool = False) -> DiagnosticsSeries:
     """Run the flow from h0 and record one `Functionals` every save_every steps.
 
-    The scheme's `FLOWS` maker fills the saves at steps 0, save_every, ...,
-    n_steps into the max(1, _BLOCK_ELEMS // n) rows of one `BlockWorkspace`,
-    a block at a time; one `functionals` call diagnoses each block after its
-    last state is checked finite (the spectral flow checks each state, and a
-    nan or inf spreads through `solve`).  When min h0 < 1/2 the reversed
-    functionals are those of the mixture flow (1 + h_t)/2.
+    `_flow` on the scheme's `FLOWS` row fills the saves at steps 0,
+    save_every, ..., n_steps into the max(1, _BLOCK_ELEMS // n) rows of one
+    `BlockWorkspace`, a block at a time; one `functionals` call diagnoses each
+    block after its last state is checked finite (each series state is
+    checked as it is made, and a nan or inf spreads through `solve`).  When
+    min h0 < 1/2 the reversed functionals are those of the mixture flow
+    (1 + h_t)/2.
     """
     # h0 clipped at 0, in a fresh array: the state buffer
     h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
     dt, n_steps = config.dt, round(config.t_end / config.dt)
     transformed = bool(h.min() < 0.5 - 1e-12)
-    fill = FLOWS[config.scheme](mu, h, dt)
+    fill = _flow(mu, h, dt, *FLOWS[config.scheme])
     steps = [*range(0, n_steps, config.save_every), n_steps]
     ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
     blocks, states = [], [] if keep_states else None

@@ -458,57 +458,37 @@ class TestSpectralFlow:
         s = tv.evolve(mu, h0, tv.SimConfig(dt=dt, t_end=10 * dt, scheme="spectral"))
         assert np.max(np.abs(s.mass - 1.0)) <= 1e-9
 
-    def test_mass_is_restored_at_large_t(self):
-        # at t/10 = 100 the step's columns sum to q only within eps*dt*upper,
-        # and the 40 solves of a save would drift the mass by 1.4e-9
+    @pytest.mark.parametrize("every", [1, 100])
+    def test_mass_is_restored_at_large_t(self, every):
+        # a gap of k steps factors the step at k dt/10, whose columns sum to q
+        # only within eps*(k dt/10)*upper.  Without the rescale the mass
+        # would drift by 9.0e-10 in one gap of 100 steps (k dt/10 = 100), and
+        # by 5.8e-10 over 100 gaps of one step
         mu = tv.build_measure(tv.PotentialSpec.power(4.0, 0.5), 1001)
-        s = tv.evolve(mu, step_density(mu),
-                      tv.SimConfig(dt=10.0, t_end=1000.0, scheme="spectral"))
+        s = tv.evolve(mu, step_density(mu), tv.SimConfig(dt=10.0, t_end=1000.0,
+                                                         scheme="spectral", save_every=every))
         assert np.max(np.abs(s.mass - 1.0)) <= 1e-12
         assert s.tv[-1] <= 1e-12
 
-    @pytest.mark.parametrize("fault", ["argument_reflected", "top_term_grown"])
-    def test_negative_mass_raises(self, mu, fault, monkeypatch):
-        # the series in -Y (c_k -> (-1)^k c_k) is far from positive; growing
-        # its last term by 1e-3 leaves 2.6e-11 of negative mass on an ordinary
-        # start (||h0|| = 1.3), still above its limit of 1e-12
-        chebyshev = simulate._EXP_CHEB.copy()
-        if fault == "argument_reflected":
-            chebyshev *= (-1.0) ** np.arange(len(chebyshev))
-        else:
-            chebyshev[-1] += 1e-3
-        monkeypatch.setattr(simulate, "_EXP_CHEB", chebyshev)
-        with pytest.raises(SolverBreakdown, match="has negative mass"):
-            tv.evolve(mu, shifted_gaussian_density(mu, 0.5),
-                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
-
-    @pytest.mark.parametrize("solve", ["first", "last"])
-    @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
-    def test_non_finite_solve_raises(self, mu, block_elems, solve, monkeypatch):
-        # a nan from one solve of the t = 0.3 save: the next solve's check, or
-        # after the last solve the save's own, raises SolverBreakdown, never
-        # NotADensity, even when the save is not the last of its block
-        bad = 1 if solve == "first" else len(simulate._EXP_CHEB) - 1
-        calls = []
-        step_solver = simulate._step_solver
-
-        def planted(q, upper, dt):
-            inner, saved = step_solver(q, upper, dt), len(calls)
-
-            def solve_with_nan(rhs, steps=1, out=None):
-                calls.append(dt)
-                x = inner(rhs, steps, out)
-                if dt == pytest.approx(0.03) and len(calls) - saved == bad:
-                    x[len(x) // 2] = np.nan
-                return x
-            return solve_with_nan
-        monkeypatch.setattr(simulate, "_step_solver", planted)
-        monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
-        with pytest.raises(SolverBreakdown, match="right-hand side is not finite"
-                           if solve == "first" else "t = 0.3 is not finite"):
-            tv.evolve(mu, step_density(mu),
-                      tv.SimConfig(dt=0.1, t_end=0.5, scheme="spectral"))
-        assert calls[-1] == pytest.approx(0.03)
+    @pytest.mark.parametrize("start", ["shifted", "step"])
+    @pytest.mark.parametrize("n", [401, 1001])
+    @pytest.mark.parametrize("name", ["gaussian", "power1", "power4"])
+    def test_saves_every_step_agree_with_one_gap(self, name, n, start):
+        # each save is the series from the previous one, so the round-off of
+        # 1000 gaps adds up: it stays within 8 eps ||h0||_{L^2(mu)} per gap
+        # of the one gap of 1000 steps from h0
+        spec = {"gaussian": tv.PotentialSpec.gaussian(), "power1": tv.PotentialSpec.power(1.0),
+                "power4": tv.PotentialSpec.power(4.0)}[name]
+        mu = tv.build_measure(spec, n)
+        q, k = mu.quadrature, 1000
+        h0 = shifted_gaussian_density(mu, 0.5) if start == "shifted" else step_density(mu)
+        each, one = (tv.evolve(mu, h0, tv.SimConfig(dt=1e-3, t_end=1.0, scheme="spectral",
+                                                    save_every=every), keep_states=True)
+                     for every in (1, k))
+        assert len(each.states) == k + 1 and len(one.states) == 2
+        error = math.sqrt(q @ (each.states[-1] - one.states[-1]) ** 2)
+        assert error <= 8 * np.finfo(float).eps * k * math.sqrt(q @ h0 ** 2), error
+        assert abs(each.tv[-1] - one.tv[-1]) <= 1e-12
 
 
 class TestReverseDiagnostics:
@@ -684,13 +664,15 @@ class TestSaveIntervals:
 
 
 class TestLongSaveGaps:
-    """Implicit Euler crosses a save gap of k > 64 steps as the 41-term series
-    of (1 + x/k)^{-k} on one `_step_solver` at k dt / 10, from the previous
-    save.  Its states are those of k direct steps to round-off: each step of
-    the direct run may add about eps to the relative L^2(mu) difference, most
-    of it the direct run's own mass drift, so the bound is 8 eps per step
-    (the worst read 3.1e-16 per step, and 8.3e-13 after 3000 steps).  Each gap
-    is rescaled to the previous save's mass and clipped at 0."""
+    """Both schemes cross a save gap of k steps, k > 64 under implicit Euler
+    and k > 0 under the spectral scheme, as the 41-term series of their
+    `simulate.FLOWS` row's f_k on one `_step_solver` at k dt / 10, from the
+    previous save.  Implicit Euler's series states are those of k direct steps
+    to round-off: each step of the direct run may add about eps to the
+    relative L^2(mu) difference, most of it the direct run's own mass drift,
+    so the bound is 8 eps per step (the worst read 3.1e-16 per step, and
+    8.3e-13 after 3000 steps).  Each gap is rescaled to the previous save's
+    mass and clipped at 0."""
 
     POTENTIALS = {
         "gaussian": tv.PotentialSpec.gaussian(),
@@ -730,9 +712,12 @@ class TestLongSaveGaps:
             assert abs(q @ state - q @ before) <= 1e-15 * (q @ before)
             assert state.min() >= 0.0
 
-    def test_one_factor_per_distinct_gap(self, monkeypatch):
+    @pytest.mark.parametrize("scheme, last", [("implicit_euler", []),
+                                              ("spectral", [pytest.approx(0.03)])])
+    def test_one_factor_per_distinct_gap(self, scheme, last, monkeypatch):
         # 430 steps saved every 100: four gaps of 100 and a last one of 30,
-        # which runs its steps on the dt factor; 470 steps end on a gap of 70
+        # which implicit Euler runs step by step on the dt factor; 470 steps
+        # end on a gap of 70, which both schemes cross with the series
         factored = []
         step_solver = simulate._step_solver
 
@@ -741,17 +726,19 @@ class TestLongSaveGaps:
             return step_solver(q, upper, dt)
         monkeypatch.setattr(simulate, "_step_solver", recorder)
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
-        tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=4.3, save_every=100))
-        assert factored == [0.01, pytest.approx(0.1)]
-        factored.clear()
-        tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=4.7, save_every=100))
-        assert factored == [0.01, pytest.approx(0.1), pytest.approx(0.07)]
+        for t_end, gaps in [(4.3, last), (4.7, [pytest.approx(0.07)])]:
+            factored.clear()
+            tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=0.01, t_end=t_end, save_every=100, scheme=scheme))
+            assert factored == [0.01, pytest.approx(0.1), *gaps]
 
     @pytest.mark.parametrize("fault", ["argument_reflected", "top_term_grown"])
-    def test_negative_mass_raises(self, fault, monkeypatch):
-        # the spectral flow's planted series (TestSpectralFlow), here in the
-        # gap tables, which are built when a gap first needs one.  From a step
-        # start the grown top term leaves 2.9e-7 of negative mass at t = 0.1
+    @pytest.mark.parametrize("scheme", list(simulate.FLOWS))
+    def test_negative_mass_raises(self, scheme, fault, monkeypatch):
+        # the series in -Y (c_k -> (-1)^k c_k) is far from positive; growing
+        # its last term by 1e-3 leaves 2.9e-7 of negative mass at t = 0.1 on a
+        # step start under implicit Euler, far above its limit of 1e-12.  The
+        # tables are built when a gap first needs one
         cheb_table = simulate._cheb_table
 
         def planted(f):
@@ -762,29 +749,54 @@ class TestLongSaveGaps:
             return table
         monkeypatch.setattr(simulate, "_cheb_table", planted)
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 401)
+        name = simulate.FLOWS[scheme][0]
         with pytest.raises(SolverBreakdown,
-                           match="implicit Euler flow at t = 0.1 has negative mass"):
-            tv.evolve(mu, step_density(mu), tv.SimConfig(dt=1e-3, t_end=0.2, save_every=100))
+                           match=f"the {name} flow at t = 0.1 has negative mass"):
+            tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=1e-3, t_end=0.2, save_every=100, scheme=scheme))
 
-    def test_non_finite_solve_raises(self, monkeypatch):
-        # a nan from the last series solve of the second gap: the state's own
-        # check raises SolverBreakdown, not NotADensity
+    @pytest.mark.parametrize("solve", ["first", "last"])
+    @pytest.mark.parametrize("block_elems", [2 ** 14, 1])
+    @pytest.mark.parametrize("scheme", list(simulate.FLOWS))
+    def test_non_finite_solve_raises(self, scheme, block_elems, solve, monkeypatch):
+        # a nan from the first or the last series solve of the second gap (the
+        # solves 41 and 80 of the run): the next solve's check, or after the
+        # last solve the state's own, raises SolverBreakdown, never
+        # NotADensity, even when the save is not the last of its block
         lapack = simulate._flapack()
-        calls = []
+        calls, bad = [], 41 if solve == "first" else 80
 
         def dpttrs(d, e, b, overwrite_b=0):
             x, info = lapack.dpttrs(d, e, b, overwrite_b=overwrite_b)
             calls.append(len(x))
-            if len(calls) == 80:
+            if len(calls) == bad:
                 x[len(x) // 2] = np.nan
             return x, info
 
         monkeypatch.setattr(simulate, "_flapack", lambda: SimpleNamespace(
             dpttrf=lapack.dpttrf, dpttrs=dpttrs))
+        monkeypatch.setattr(simulate, "_BLOCK_ELEMS", block_elems)
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
-        with pytest.raises(SolverBreakdown, match="implicit Euler flow at t = 2 is not finite"):
-            tv.evolve(mu, step_density(mu), tv.SimConfig(dt=0.01, t_end=3.0, save_every=100))
-        assert len(calls) == 80
+        name = simulate.FLOWS[scheme][0]
+        with pytest.raises(SolverBreakdown, match="right-hand side is not finite"
+                           if solve == "first" else f"the {name} flow at t = 2 is not finite"):
+            tv.evolve(mu, step_density(mu),
+                      tv.SimConfig(dt=0.01, t_end=3.0, save_every=100, scheme=scheme))
+        assert len(calls) == bad
+
+
+class TestSeriesTables:
+    @pytest.mark.parametrize("scheme, k", [("spectral", 1), ("implicit_euler", 65),
+                                           ("implicit_euler", 100), ("implicit_euler", 10 ** 3),
+                                           ("implicit_euler", 10 ** 6)])
+    def test_series_is_within_4e_15_of_f(self, scheme, k):
+        # the 41-term series that crosses a gap of k steps against the f_k it
+        # interpolates, on a log grid of x = k dt lambda up to 1e8 (3.8e-15 for
+        # e^{-x}, 3.1e-15 ... 4.0e-15 for implicit Euler's (1 + x/k)^{-k})
+        f = simulate.FLOWS[scheme][2](k)
+        x = np.concatenate([[0.0], np.logspace(-8, 8, 1601)])
+        series = np.polynomial.chebyshev.chebval(2 / (1 + x / 10) - 1, simulate._cheb_table(f))
+        assert np.max(np.abs(series - f(x))) <= 4e-15
 
 
 class TestStepSolver:

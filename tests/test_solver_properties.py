@@ -138,26 +138,32 @@ def test_tabulated_l1_contraction(scheme, scenario, seed):
     check_l1_contraction(scenario, seed, scheme)
 
 
-def one_save_gap(scenario):
-    """The scenario saved only at t_end: one gap of 3 to 300 steps, which
-    implicit Euler crosses with its 40-solve series when it is over 64."""
+def one_save_gap(scenario, gap):
+    """The scenario's run to t_end in `gap` steps, saved only at t_end: one gap
+    of more than `_SERIES_GAP` steps, which both schemes cross with their
+    40-solve series."""
     mu, h0, config = scenario
-    steps = round(config.t_end / config.dt)
-    return mu, h0, tv.SimConfig(**{**vars(config), "save_every": steps})
+    return mu, h0, tv.SimConfig(**{**vars(config), "dt": config.t_end / gap,
+                                   "save_every": gap})
 
 
+GAPS = st.integers(simulate._SERIES_GAP + 1, 300)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
-@given(scenarios(power_potentials()), st.integers(0, 2**32 - 1))
-def test_one_save_gap(scenario, seed):
-    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario))
-    check_l1_contraction(one_save_gap(scenario), seed)
+@given(scenarios(power_potentials()), GAPS, st.integers(0, 2**32 - 1))
+def test_one_save_gap(scheme, scenario, gap, seed):
+    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario, gap), scheme)
+    check_l1_contraction(one_save_gap(scenario, gap), seed, scheme)
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
 @PROPERTY_SETTINGS
-@given(scenarios(tabulated_potentials()), st.integers(0, 2**32 - 1))
-def test_tabulated_one_save_gap(scenario, seed):
-    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario))
-    check_l1_contraction(one_save_gap(scenario), seed)
+@given(scenarios(tabulated_potentials()), GAPS, st.integers(0, 2**32 - 1))
+def test_tabulated_one_save_gap(scheme, scenario, gap, seed):
+    check_mass_positivity_and_monotone_functionals(one_save_gap(scenario, gap), scheme)
+    check_l1_contraction(one_save_gap(scenario, gap), seed, scheme)
 
 
 def test_mass_drift_at_extreme_dynamic_range():
