@@ -156,6 +156,7 @@ def _valid_from(env: DecayEnvelope) -> float:
 def verdict(times, tv, curves: dict, envelopes: dict) -> dict:
     """compare's record of each bound curve against the TV, and the TV's own slope."""
     half = times >= 0.5 * times[-1]
+    half[-2:] = True    # two unknowns need at least two saves
 
     def slope(y):   # the log-slope over t >= t_end/2, y floored at 1e-300
         return fit_log_slope(times[half], np.maximum(y[half], 1e-300))

@@ -181,45 +181,65 @@ FLOWS = {"implicit_euler": ("implicit Euler", _SERIES_GAP,
          "spectral": ("spectral", 0, lambda k: lambda x: np.exp(-x))}
 
 
-def _flow(mu: ProbabilityMeasure1D, h, dt: float, name: str, direct: int, f):
-    """fill(rows, steps): the states of a `FLOWS` row at the given steps, from
-    h, which holds the last state made.  A save gap of at most `direct` steps
-    is one `solve` call that runs its steps (a gap of 0 copies h).  A longer
-    gap of k steps is sum_j c_j T_j(Y) h, c the `_cheb_table` of f_k and
-    Y = 2V - I, V = (I - (k dt/10) L)^{-1} a `_step_solver` factored once per
-    distinct gap, so x = k dt lambda for an eigenvalue -lambda of L.  Clenshaw's
-    recurrence sums it in 40 solves; the state is rescaled to h's mass, checked
-    finite, and clipped at 0, raising SolverBreakdown if that clips more than
-    max(1e-12, 16 eps ||h0||_{L^2(mu)}), h0 the start.  A cell whose q
-    underflows keeps h."""
+def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
+           psi=None, keep_states: bool = False) -> DiagnosticsSeries:
+    """Run the scheme's `FLOWS` row from h0 and record one `Functionals` at
+    steps 0, save_every, ..., n_steps.
+
+    Each save is made from the last: a gap of 0 steps copies it, and a gap of
+    at most the row's direct length is one `solve` that runs its steps.  A
+    longer gap of k steps is sum_j c_j T_j(Y) h, c the `_cheb_table` of f_k
+    and Y = 2V - I, V = (I - (k dt/10) L)^{-1}, so x = k dt lambda for an
+    eigenvalue -lambda of L.  Clenshaw's recurrence sums it in 40 solves; the
+    state is rescaled to h's mass, checked finite and clipped at 0, raising
+    SolverBreakdown if that clips more than max(1e-12, 16 eps ||h0||_{L^2(mu)}),
+    and a cell whose q underflows keeps h.  Each step length is factored
+    once, when a gap first solves with it, and each table made once per gap
+    length.  The saves fill the rows of one `BlockWorkspace`; one
+    `functionals` call diagnoses each block once its last state is checked
+    finite (a nan or inf spreads through `solve`).  When min h0 < 1/2 the
+    reversed functionals are those of the mixture flow (1 + h_t)/2.
+    """
+    # h0 clipped at 0, in a fresh array: the state buffer
+    h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
+    dt, n_steps = config.dt, round(config.t_end / config.dt)
+    name, direct, f = FLOWS[config.scheme]
     q, upper = mu.quadrature, generator(mu)[2]
     dead = q < np.finfo(float).tiny
     limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
-    solve, gaps, done = _step_solver(q, upper, dt), {}, 0
-
-    def fill(rows, steps):
-        nonlocal done
-        for row, k in zip(rows, steps):
+    transformed = bool(h.min() < 0.5 - 1e-12)
+    steps = [*range(0, n_steps, config.save_every), n_steps]
+    ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
+    blocks, states, solvers, tables, done = [], [] if keep_states else None, {}, {}, 0
+    for first in range(0, len(steps), len(ws.block)):
+        block_steps = steps[first:first + len(ws.block)]
+        ws.filled = len(block_steps)
+        for row, k in zip(ws.block, block_steps):
             gap, done = k - done, k
-            if gap <= direct:
-                solve(h, gap, out=h)
+            if not gap:
                 row[:] = h
                 continue
-            if gap not in gaps:
-                gaps[gap] = _cheb_table(f(gap)), _step_solver(q, upper, gap * dt / 10)
-            table, resolvent = gaps[gap]
-            mass, t = q @ h, k * dt
+            step = dt if gap <= direct else gap * dt / 10
+            if step not in solvers:
+                solvers[step] = _step_solver(q, upper, step)
+            solve = solvers[step]
+            if gap <= direct:
+                row[:] = solve(h, gap, out=h)
+                continue
+            if gap not in tables:
+                tables[gap] = _cheb_table(f(gap))
+            table, mass, t = tables[gap], q @ h, k * dt
             # b_j = c_j h + 2 Y b_{j+1} - b_{j+2} = ((c_j h + 4 V b_{j+1}) - 2 b_{j+1}) - b_{j+2},
             # rounded in that order, in three rotating buffers and a scratch one
             b0, b1, b2, tmp = np.empty_like(h), table[-1] * h, np.zeros_like(h), np.empty_like(h)
             for c in table[-2:0:-1]:
-                b0 = resolvent(b1, out=b0)
+                b0 = solve(b1, out=b0)
                 b0 *= 4.0
                 b0 += np.multiply(c, h, out=tmp)
                 b0 -= np.multiply(2.0, b1, out=tmp)
                 b0 -= b2
                 b0, b1, b2 = b2, b0, b1
-            resolvent(b1, out=row)
+            solve(b1, out=row)
             row *= 2.0
             row += np.multiply(table[0], h, out=tmp)
             row -= b1
@@ -234,41 +254,14 @@ def _flow(mu: ProbabilityMeasure1D, h, dt: float, name: str, direct: int, f):
                                       f"mass {negative:.2e}")
             np.maximum(row, 0.0, out=row)
             h[:] = row
-    return fill
-
-
-def evolve(mu: ProbabilityMeasure1D, h0, config: SimConfig,
-           psi=None, keep_states: bool = False) -> DiagnosticsSeries:
-    """Run the flow from h0 and record one `Functionals` every save_every steps.
-
-    `_flow` on the scheme's `FLOWS` row fills the saves at steps 0,
-    save_every, ..., n_steps into the max(1, _BLOCK_ELEMS // n) rows of one
-    `BlockWorkspace`, a block at a time; one `functionals` call diagnoses each
-    block after its last state is checked finite (each series state is
-    checked as it is made, and a nan or inf spreads through `solve`).  When
-    min h0 < 1/2 the reversed functionals are those of the mixture flow
-    (1 + h_t)/2.
-    """
-    # h0 clipped at 0, in a fresh array: the state buffer
-    h = _check_density(mu, BlockWorkspace(mu, h0))[0][0]
-    dt, n_steps = config.dt, round(config.t_end / config.dt)
-    transformed = bool(h.min() < 0.5 - 1e-12)
-    fill = _flow(mu, h, dt, *FLOWS[config.scheme])
-    steps = [*range(0, n_steps, config.save_every), n_steps]
-    ws = BlockWorkspace(mu, np.empty((max(1, _BLOCK_ELEMS // len(h)), len(h))))
-    blocks, states = [], [] if keep_states else None
-    for first in range(0, len(steps), len(ws.block)):
-        block_steps = steps[first:first + len(ws.block)]
-        ws.filled = len(block_steps)
-        fill(ws.block[:ws.filled], block_steps)
         if not _finite(ws.block[ws.filled - 1]):
             raise SolverBreakdown(f"the flow at t = {block_steps[-1] * dt:g} is not finite")
         if keep_states:
             states.extend(ws.block[:ws.filled].copy())
         blocks.append(functionals(mu, ws, psi=psi, mixture=transformed))
     times = np.asarray(steps) * dt
-    series = {name: np.concatenate([getattr(b, name) for b in blocks])
-              for name in Functionals.NAMES}
+    series = {field: np.concatenate([getattr(b, field) for b in blocks])
+              for field in Functionals.NAMES}
     i_psi, lhs = series["i_psi"], np.full_like(times, np.nan, dtype=float)
     if len(times) >= 3 and psi is not None:
         lhs[1:-1] = (i_psi[2:] - i_psi[:-2]) / (times[2:] - times[:-2])

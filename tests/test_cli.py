@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -232,6 +233,22 @@ class TestCompare:
         assert main(["compare", bad_cfg, "--out", str(out_bad)]) == 0
         bad = json.loads((out_bad / "summary.json").read_text())
         assert bad["envelopes"]["poincare_l2"]["domination_fraction"] < 1.0
+
+    def test_slope_of_a_run_saved_at_its_ends(self, tmp_path):
+        # 100 steps saved every 1000: the saves at t = 0 and t = 1 alone, and
+        # the slopes fit both (one save at t >= t_end/2 gave log(TV(1))/2)
+        text = ("potential.family = gaussian\ngrid.n_points = 201\n"
+                "initial.family = shifted_gaussian\nsim.dt = 0.01\nsim.t_end = 1.0\n"
+                "sim.save_every = 1000\nenvelopes = poincare_l2\n")
+        assert main(["compare", write_cfg(tmp_path, text), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        data = np.loadtxt(str(tmp_path / "curves.csv"), delimiter=",", skiprows=1)
+        assert np.array_equal(data[:, 0], [0.0, 1.0])
+        tv_slope, bound_slope = (math.log(col[1] / col[0]) for col in (data[:, 1], data[:, -1]))
+        assert tv_slope == pytest.approx(-0.975, abs=1e-3)
+        assert summary["tv_fitted_slope"] == pytest.approx(tv_slope, rel=1e-9)
+        assert summary["envelopes"]["poincare_l2"]["fitted_slope"] == pytest.approx(
+            bound_slope, rel=1e-9)
 
     def test_empty_envelope_list(self, tmp_path):
         text = GAUSS_CFG.replace("envelopes = poincare_l2, logsob", "envelopes =")

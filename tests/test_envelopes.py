@@ -554,6 +554,19 @@ class TestVerdict:
             "domination_fraction": 0.0, "fitted_slope": pytest.approx(slope, rel=1e-9),
             "valid_from": _valid_from(env), "calibration_scale": env.scale}
 
+    @pytest.mark.parametrize("times", [[0.0, 1.0], [0.0, 0.3, 1.0], [0.0, 0.2, 0.4, 1.0]])
+    def test_slopes_fit_at_least_the_last_two_saves(self, times):
+        # one save at t >= t_end/2 is one equation in two unknowns, whose
+        # minimum-norm answer log(y) t / (1 + t^2) is no slope: the fit takes
+        # the last two saves, on which e^{-0.975 t} and the Poincare bound
+        # e^{-t} have the log-slopes -0.975 and -1
+        times = np.array(times)
+        flow_tv = 0.5525 * np.exp(-0.975 * times)
+        env = envelope_poincare_l2(0.5, 1.0)
+        record = verdict(times, flow_tv, {"p": env.raw_eval(times)}, {"p": env})
+        assert record["tv_fitted_slope"] == pytest.approx(-0.975, rel=1e-12)
+        assert record["envelopes"]["p"]["fitted_slope"] == pytest.approx(-1.0, rel=1e-12)
+
 
 class TestInverseResiduals:
     def test_randomized_forward_residuals(self):

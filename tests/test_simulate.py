@@ -712,25 +712,96 @@ class TestLongSaveGaps:
             assert abs(q @ state - q @ before) <= 1e-15 * (q @ before)
             assert state.min() >= 0.0
 
-    @pytest.mark.parametrize("scheme, last", [("implicit_euler", []),
-                                              ("spectral", [pytest.approx(0.03)])])
-    def test_one_factor_per_distinct_gap(self, scheme, last, monkeypatch):
-        # 430 steps saved every 100: four gaps of 100 and a last one of 30,
-        # which implicit Euler runs step by step on the dt factor; 470 steps
-        # end on a gap of 70, which both schemes cross with the series
+    @staticmethod
+    def factored(monkeypatch, scheme, t_end, save_every):
+        """The step lengths that a run at dt = 0.01 factors, in the order it
+        factors them."""
         factored = []
         step_solver = simulate._step_solver
 
-        def recorder(q, upper, dt):
-            factored.append(dt)
-            return step_solver(q, upper, dt)
+        def recorder(q, upper, step):
+            factored.append(step)
+            return step_solver(q, upper, step)
         monkeypatch.setattr(simulate, "_step_solver", recorder)
         mu = tv.build_measure(tv.PotentialSpec.gaussian(), 101)
-        for t_end, gaps in [(4.3, last), (4.7, [pytest.approx(0.07)])]:
-            factored.clear()
-            tv.evolve(mu, step_density(mu),
-                      tv.SimConfig(dt=0.01, t_end=t_end, save_every=100, scheme=scheme))
-            assert factored == [0.01, pytest.approx(0.1), *gaps]
+        tv.evolve(mu, step_density(mu),
+                  tv.SimConfig(dt=0.01, t_end=t_end, save_every=save_every, scheme=scheme))
+        return factored
+
+    @pytest.mark.parametrize("scheme, last", [("implicit_euler", 0.01),
+                                              ("spectral", pytest.approx(0.03))])
+    def test_one_factor_per_distinct_gap(self, scheme, last, monkeypatch):
+        # 430 steps saved every 100: four gaps of 100 and a last one of 30,
+        # which implicit Euler runs step by step on the dt factor; 470 steps
+        # end on a gap of 70, which both schemes cross with the series.  Each
+        # step length is factored when a gap first solves with it
+        for t_end, gap in [(4.3, last), (4.7, pytest.approx(0.07))]:
+            assert self.factored(monkeypatch, scheme, t_end, 100) == [
+                pytest.approx(0.1), gap]
+
+    @pytest.mark.parametrize("scheme, every, t_end, want", [
+        ("spectral", 1, 0.05, [0.001]),
+        ("spectral", 3, 0.1, [0.003, 0.001]),
+        ("spectral", 100, 3.0, [0.1]),
+        ("implicit_euler", 65, 1.95, [0.065])])
+    def test_dt_is_factored_only_for_a_gap_that_steps_with_it(self, scheme, every, t_end,
+                                                             want, monkeypatch):
+        # a series gap of k steps solves with the step at k dt/10 alone, so a
+        # spectral run, and an implicit Euler run whose gaps all exceed 64
+        # steps, never factor dt = 0.01
+        factored = self.factored(monkeypatch, scheme, t_end, every)
+        assert factored == [pytest.approx(step) for step in want]
+        assert 0.01 not in factored
+
+    @staticmethod
+    def series_reference(mu, h, dt, n_steps, every, scheme):
+        """The saved states of a run, each gap crossed on its own factor: the
+        direct steps, or the series summed in `evolve`'s order of rounding."""
+        _, direct, f = simulate.FLOWS[scheme]
+        q, upper = mu.quadrature, simulate.generator(mu)[2]
+        h, states = h.copy(), [h.copy()]
+        limit = max(1e-12, 16.0 * np.finfo(float).eps * float(np.linalg.norm(np.sqrt(q) * h)))
+        steps = [*range(0, n_steps, every), n_steps]
+        for gap in np.diff(steps):
+            if gap <= direct:
+                h = _step_solver(q, upper, dt)(h, gap)
+                states.append(h.copy())
+                continue
+            table, solve = simulate._cheb_table(f(gap)), _step_solver(q, upper, gap * dt / 10)
+            b1, b2, tmp = table[-1] * h, np.zeros_like(h), np.empty_like(h)
+            for c in table[-2:0:-1]:
+                b0 = solve(b1) * 4.0
+                b0 += np.multiply(c, h, out=tmp)
+                b0 -= np.multiply(2.0, b1, out=tmp)
+                b0 -= b2
+                b1, b2 = b0, b1
+            row = solve(b1) * 2.0
+            row += np.multiply(table[0], h, out=tmp)
+            row -= b1
+            row -= b2
+            row *= (q @ h) / (q @ row)
+            row[q < np.finfo(float).tiny] = h[q < np.finfo(float).tiny]
+            assert -(np.minimum(row, 0.0) @ q) <= limit
+            h = np.maximum(row, 0.0)
+            states.append(h.copy())
+        return states
+
+    @pytest.mark.parametrize("every", [100, 65, 64, 50, 1])
+    @pytest.mark.parametrize("scheme", list(simulate.FLOWS))
+    def test_states_are_bitwise_those_of_one_factor_per_gap(self, gaussian_measure, scheme,
+                                                           every):
+        # an `ou_longrun`-shaped run (n = 4001, dt = 2e-4, step start): the
+        # cached factors and tables give each save the same bits as a run
+        # that factors every gap afresh
+        mu, dt = gaussian_measure, 2e-4
+        n_steps = 130 if every == 1 else 300
+        h0 = step_density(mu)
+        got = tv.evolve(mu, h0, tv.SimConfig(dt=dt, t_end=dt * n_steps, save_every=every,
+                                             scheme=scheme), keep_states=True)
+        want = self.series_reference(mu, h0, dt, n_steps, every, scheme)
+        assert len(got.states) == len(want)
+        for state, expected in zip(got.states, want):
+            assert np.array_equal(state, expected)
 
     @pytest.mark.parametrize("fault", ["argument_reflected", "top_term_grown"])
     @pytest.mark.parametrize("scheme", list(simulate.FLOWS))

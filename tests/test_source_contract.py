@@ -11,10 +11,13 @@ generator's one spacing: every np.gradient call passes a `.dx`, never a
 grid array, on which numpy runs its non-uniform stencil.  Every public
 top-level definition, and every public method of a public class, has a
 caller in the package or the benchmark, unless `UNWIRED` names it with the
-reason.
+reason.  A test that skips without a module it `pytest.importorskip`s names
+it in pyproject's `test` extra, unless the standard library holds it.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -233,3 +236,29 @@ def test_caller_check_ignores_own_body_and_imports():
     cls = tree.body[2]
     defined = {node: node.name for node in (tree.body[1], cls, *cls.body)}
     assert _referenced(tree, defined) & {"f", "C", "g", "k"} == {"C", "k"}
+
+
+def _skipped_imports(tree) -> set:
+    """The top-level modules that a file loads with pytest.importorskip."""
+    return {node.args[0].value.partition(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _dotted(node.func) == "pytest.importorskip"
+            and node.args and isinstance(node.args[0], ast.Constant)}
+
+
+def test_skipped_imports_are_in_the_test_extra():
+    # tomllib is standard from Python 3.11 on; requires-python reaches back to 3.10
+    tests = sorted((ROOT / "tests").glob("*.py"))
+    skipped = set().union(*(_skipped_imports(ast.parse(p.read_text(), filename=str(p)))
+                            for p in tests))
+    third_party = skipped - set(sys.stdlib_module_names) - {"tomllib"}
+    extra = re.search(r"^test = (\[.*\])$", (ROOT / "pyproject.toml").read_text(), re.M)
+    named = {re.match(r"[\w.-]+", req).group(0).lower().replace("-", "_")
+             for req in ast.literal_eval(extra.group(1))}
+    assert "mpmath" in third_party
+    assert third_party - named == set()
+
+
+def test_skipped_import_finder():
+    tree = ast.parse('a = pytest.importorskip("x.y")\nb = importorskip("z")\n'
+                     'c = pytest.importorskip(name)\n')
+    assert _skipped_imports(tree) == {"x"}
