@@ -2,7 +2,8 @@
 
 Everything here is plumbing; the mathematical content lives in the public
 modules that call these helpers.  The searches take arrays, one independent
-search per entry, and return only the values their callers read.
+search per entry; `invert_increasing` is the one monotone inverse, which the
+xi clock and every truncation route call.
 """
 
 from __future__ import annotations
@@ -26,32 +27,6 @@ def cumtrapz0(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bisect_log(f, y, a, b, tol, width):
-    """Halve the log-argument brackets [a, b], one per target y, until
-    |f(m) - y| <= tol at the midpoint m (a hit, which sets b = m) or
-    b - a <= width, at most 300 times.  f maps an array of log-arguments to
-    values increasing in them and is called on the entries still searching,
-    each dropped as it stops.  Returns the final (a, b, hit) arrays."""
-    hit = np.zeros(y.shape, dtype=bool)
-    a, b = a.copy(), b.copy()
-    i, ai, bi = np.arange(y.size), a, b
-    for _ in range(300):
-        if not i.size:
-            break
-        m = 0.5 * (ai + bi)
-        fm = f(m)
-        h = np.abs(fm - y) <= tol
-        up = ~h & (fm < y)
-        ai, bi = np.where(up, m, ai), np.where(up, bi, m)
-        done = h | (bi - ai <= width)
-        if done.any():
-            j = i[done]
-            a[j], b[j], hit[j] = ai[done], bi[done], h[done]
-            i, ai, bi, y, tol = (v[~done] for v in (i, ai, bi, y, tol))
-    a[i], b[i] = ai, bi
-    return a, b, hit
-
-
 def invert_increasing(fn, y, lo, hi, *, resid_tol=1e-9):
     """Solve fn(u) = y for an increasing fn by bisection in log-u space.
 
@@ -59,9 +34,10 @@ def invert_increasing(fn, y, lo, hi, *, resid_tol=1e-9):
     1-D arrays of the entries still searching, so it must act elementwise.
     Each entry's bracket [lo, hi] (both > 0) is first expanded by factors of
     8, at most 400 times each way, when y falls outside [fn(lo), fn(hi)].
-    Terminates when the relative residual |fn(u) - y| <= resid_tol *
-    max(|y|, tiny) or the bracket width drops below 1e-13 relatively; an
-    entry out of reach even after expansion gets the nearer end.
+    The bisection returns the midpoint u at which the relative residual
+    |fn(u) - y| <= resid_tol * max(|y|, tiny) first holds, or the middle of
+    the bracket once it is 1e-13 wide relatively, after at most 300 halvings;
+    an entry out of reach even after expansion gets the nearer end.
     """
     if not (lo > 0 and hi > lo):
         raise ValueError("need 0 < lo < hi")
@@ -83,14 +59,25 @@ def invert_increasing(fn, y, lo, hi, *, resid_tol=1e-9):
         lo[i], flo[i] = hi[i], fhi[i]
         hi[i] *= 8.0
         fhi[i] = fn(hi[i])
-    # out of reach: the nearer end; else bisect: m on a hit (b = m), else the
-    # midpoint
+    # out of reach: the nearer end; else bisect log u, dropping each entry as
+    # it stops: at m on a hit (b = m), else at the bracket's middle
     u = np.where(np.abs(flo - ys) < np.abs(fhi - ys), lo, hi)
     i = np.flatnonzero(~((flo > ys) | (fhi < ys)))
-    yi = ys[i]
-    a, b, hit = bisect_log(lambda m: fn(np.exp(m)), yi, np.log(lo[i]), np.log(hi[i]),
-                           resid_tol * np.maximum(np.abs(yi), 1e-300), 1e-13)
-    u[i] = np.exp(np.where(hit, b, 0.5 * (a + b)))
+    a, b, yi = np.log(lo[i]), np.log(hi[i]), ys[i]
+    tol = resid_tol * np.maximum(np.abs(yi), 1e-300)
+    for _ in range(300):
+        if not i.size:
+            break
+        m = 0.5 * (a + b)
+        fm = fn(np.exp(m))
+        hit = np.abs(fm - yi) <= tol
+        up = ~hit & (fm < yi)
+        a, b = np.where(up, m, a), np.where(up, b, m)
+        done = hit | (b - a <= 1e-13)
+        if done.any():
+            u[i[done]] = np.exp(np.where(hit, b, 0.5 * (a + b))[done])
+            i, a, b, yi, tol = (v[~done] for v in (i, a, b, yi, tol))
+    u[i] = np.exp(0.5 * (a + b))
     return u.reshape(y.shape)
 
 

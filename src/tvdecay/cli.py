@@ -92,7 +92,7 @@ def _bound_curves(scn: Scenario, mu, h0, constants: dict, times: np.ndarray):
         envs[name] = env.calibrate(x.f0.tv) if scn.calibrate else env
         try:
             curves[name] = bound = np.array(envs[name].eval(times))
-        except (OverflowError, ValueError) as exc:
+        except OverflowError as exc:
             raise TvDecayError(f"envelope {name!r}: {exc} on t in "
                                f"[{times[0]:g}, {times[-1]:g}]") from None
         bad = ~np.isfinite(bound) | (bound < 0)

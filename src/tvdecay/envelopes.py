@@ -4,7 +4,7 @@ Every envelope is an upper bound on ||P_t^* h mu - mu||_TV (or on one of the
 auxiliary functionals noted in its docstring), clipped at the maximal total
 variation 2.  `eval` and `raw_eval` take a whole array of t and evaluate the
 bound over it in one pass (`raw_eval` returns an array, `eval` a list of
-floats): the xi bisection, the truncation-route inversion and the curvature
+floats): the xi inversion, the truncation-route inversion and the curvature
 infimum over s run elementwise under masks, and a scalar t gives a float.
 Every exp and log is numpy's, which runs the same loop on one entry as on
 many, so an array evaluation is bit-identical to evaluating the bound one t
@@ -26,9 +26,8 @@ import numpy as np
 
 from .errors import BadExponent, GammaNotInvertible, MomentMissing
 from .inequalities import BetaFunction, beta_orlicz
-from ._numerics import bisect_log, fit_log_slope, invert_increasing, scan_min_log
+from ._numerics import fit_log_slope, invert_increasing, scan_min_log
 
-_XI_S_FLOOR = 1e-16
 TV_MAX = 2.0
 # The curvature scan takes 80 s values per t, in blocks of t values sized to
 # about 2^17 scan values (1 MB per block temporary) whatever the t array.
@@ -56,16 +55,16 @@ class XiSpec:
     log_numerator c and t_scale k cover all the paper's clocks: (c=1, k=1)
     for weak Poincare, (c=eps, k=2) for weak log-Sobolev, (c=1, k=4) for
     Hellinger, (c=1, k=1/2) for the weak I_psi and Moser-Trudinger forms.
-    BadExponent when xi's bracket top min(c, 1, s_max) - 1e-12 is not above
-    _XI_S_FLOOR, or when beta(s) log(c/s) rises on a forward probe to min(c, s_max)/2.
+    BadExponent when xi's bracket top min(c, 1, s_max) - 1e-12 is not positive,
+    or when beta(s) log(c/s) rises on a forward probe to min(c, s_max)/2.
     """
 
     def __init__(self, beta: BetaFunction, log_numerator: float = 1.0, t_scale: float = 1.0):
         self.beta, self.log_numerator, self.t_scale = beta, log_numerator, t_scale
         c, m = log_numerator, min(log_numerator, beta.s_max)
         clock = f"xi clock (beta {beta.form}, c = {c:g}, k = {t_scale:g})"
-        if min(m, 1.0) - 1e-12 <= _XI_S_FLOOR:
-            raise BadExponent(f"{clock}: min(c, 1, s_max) - 1e-12 must exceed {_XI_S_FLOOR:g}")
+        if min(m, 1.0) - 1e-12 <= 0:
+            raise BadExponent(f"{clock}: min(c, 1, s_max) - 1e-12 must be positive")
         s = np.geomspace(1e-10 if m > 2e-10 else m * 1e-6, m * 0.5, 64)
         vals = beta(s) * np.log(c / s)
         if np.any(np.diff(vals) > 1e-6 * np.abs(vals[:-1]) + 1e-300):
@@ -73,32 +72,32 @@ class XiSpec:
 
 
 def xi(spec: XiSpec, t, return_flag: bool = False):
-    """Evaluate xi(t) by bisection, elementwise over an array of t (a float
-    for a scalar t); returns the upper bracket end (safe side).
+    """Evaluate xi(t) elementwise over an array of t (a float for a scalar t)
+    as c e^{-v}, where v = log(c/s) solves H(v) = beta(c e^{-v}) v = k t, H
+    increasing, by `invert_increasing` from v = log(c/s_hi), s_hi = min(c, 1,
+    s_max) - 1e-12: to a residual |H(v) - k t| <= 1e-12 k t, or to a bracket
+    1e-13 wide in log v.  Past v = 745, xi underflows to 0.
 
-    Where even the top of the bracket fails the inequality, the domain max is
-    returned with the `unreached` flag set (no exception).
+    Where even s_hi fails the inequality, s_hi is returned with the
+    `unreached` flag set (no exception).
     """
     ts = np.asarray(t, dtype=float)
     if np.any(ts <= 0):
         raise ValueError("xi needs t > 0")
     c, k = spec.log_numerator, spec.t_scale
     s_hi = min(c, 1.0, spec.beta.s_max) - 1e-12
+    v_lo = math.log(c / s_hi)
     target = k * ts.reshape(-1)
 
-    def G(s):
-        return spec.beta(s) * np.log(c / s)
+    @np.errstate(divide="ignore", over="ignore")
+    def H(v):   # beta may overflow to inf where c e^{-v} is tiny or 0
+        return spec.beta(c * np.exp(-v)) * v
 
-    unreached = G(np.array([s_hi])) > target
-    floor = ~unreached & (G(np.array([_XI_S_FLOOR])) <= target)
-    val = np.where(unreached, s_hi, _XI_S_FLOOR)
-    # bisect -G, increasing in log s; the upper end b is the conservative xi
-    i = np.flatnonzero(~unreached & ~floor)
-    y = target[i]
-    _, b, _ = bisect_log(lambda m: -G(np.exp(m)), -y, np.full(i.size, math.log(_XI_S_FLOOR)),
-                         np.full(i.size, math.log(s_hi)), 1e-12 * np.maximum(1.0, np.abs(y)),
-                         5e-14)
-    val[i] = np.exp(b)
+    unreached = H(np.array([v_lo])) > target
+    val = np.full(target.shape, s_hi)
+    i = np.flatnonzero(~unreached)
+    val[i] = c * np.exp(-invert_increasing(H, target[i], v_lo, 2.0 * v_lo + 1.0,
+                                           resid_tol=1e-12))
     if ts.ndim == 0:
         val, unreached = float(val[0]), bool(unreached[0])
     else:
@@ -188,8 +187,11 @@ def _truncation(phi, m, g, arg, lo=1e-6):
 
 def _from_t0(route):
     """An xi clock starts at t = 0+: the route where t > 0, the maximal TV
-    elsewhere."""
+    elsewhere.  Where the clock has underflowed to 0, a truncation route's
+    argument is +inf and its inversion returns the top of its grown bracket,
+    so numpy's divide, overflow and inf - inf warnings are silenced."""
 
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def bound(t):
         out = np.full(t.shape, TV_MAX)
         pos = t > 0

@@ -12,7 +12,7 @@ class InvalidSpec(TvDecayError):
 
 
 class NonIntegrablePotential(TvDecayError):
-    """exp(-2V) fails the tail test even at the domain-expansion cap."""
+    """exp(-2V) fails the tail test at every finite |x| the truncation reaches."""
 
 
 class GridMismatch(TvDecayError):
@@ -54,7 +54,8 @@ class DivergentSup(TvDecayError):
 class BadExponent(TvDecayError):
     """A beta function's parameters or values, the drift-tail p and d_p, a
     capacity-check parameter (rho, the splice point a), or an xi clock (beta(s)
-    log(c/s) rising on its probe, or an empty bisection bracket) are out of range."""
+    log(c/s) rising on its probe, or a bracket top that is not positive) are out
+    of range."""
 
 
 class DivergentCcap(TvDecayError):

@@ -25,7 +25,6 @@ from ._numerics import cumtrapz0, trapezoid_weights
 # A GridFunction is a plain float array aligned with a measure's grid.
 GridFunction = np.ndarray
 
-_EXPANSION_CAP = 200.0
 _MASS_TOL = 1e-6
 
 
@@ -164,9 +163,9 @@ def _truncation_bounds(spec: PotentialSpec, tail_tol: float):
         L = max(1.0, abs(x_peak) + 1.0)
         while not ok(x_peak + sign * L):
             L *= 1.25
-            if L > _EXPANSION_CAP:
+            if not math.isfinite(L):
                 raise NonIntegrablePotential(
-                    f"tail test exp(-2V) <= {tail_tol:g}*peak still fails at |x|={_EXPANSION_CAP}")
+                    f"tail test exp(-2V) <= {tail_tol:g}*peak fails at every finite |x|")
         # pull the bound back in for a tight domain
         lo, hi = L / 1.25, L
         for _ in range(40):
@@ -184,8 +183,9 @@ def build_measure(spec: PotentialSpec, n_points: int = 4001,
     """Build mu ~ exp(-2V)/Z on a uniform grid truncated by the tail test.
 
     The truncation bounds are expanded (symmetrically about the potential
-    minimum, cap |x| = 200) until exp(-2V) <= tail_tol * peak at both ends,
-    then the density is normalized by composite trapezoid quadrature.
+    minimum, by factors of 1.25 while finite) until exp(-2V) <= tail_tol * peak
+    at both ends, then the density is normalized by composite trapezoid
+    quadrature.
     """
     if n_points < 101:
         raise InvalidSpec("n_points must be at least 101")

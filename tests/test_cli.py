@@ -607,13 +607,36 @@ def test_weak_logsob_tiny_eps_bound_is_finite(tmp_path):
 
 
 def test_weak_logsob_eps_1e_300_exits_3(tmp_path, capsys):
-    # xi's bisection bracket (1e-16, eps - 1e-12] is empty
+    # xi's bracket top eps - 1e-12 is not positive
     path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "envelopes = weak_logsob\n"
                                                     "analysis.c_ls_override = 1\n"
                                                     "envelope.weak_logsob.eps = 1e-300"))
     assert main(["bounds", path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 3
     err = capsys.readouterr().err
     assert "BadExponent" in err and "c = 1e-300" in err and "Traceback" not in err
+
+
+def test_xi_clock_bounds_decay_to_t_1000(tmp_path):
+    # the clock xi(t) = e^{-t/C_P} and its orlicz and weak log-Sobolev forms
+    # fall far below 1e-16 by t = 1000, and each bound keeps falling with them
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "grid.n_points = 101\nsim.t_end = 1000\n"
+                                                    "envelopes = weak_poincare, weak_logsob, "
+                                                    "orlicz\nenvelopes.calibrate = false"))
+    out = tmp_path / "out"
+    assert main(["bounds", path, "--out", str(out), "--t-grid", "12"]) == 0
+    curves = np.loadtxt(out / "curves.csv", delimiter=",", skiprows=1)
+    assert curves[-1, 0] == 1000.0
+    for col in curves[:, 1:].T:
+        below = col[np.argmax(col < envelopes.TV_MAX):]
+        assert col[-1] < envelopes.TV_MAX and np.all(np.diff(below) < 0)
+
+
+@pytest.mark.parametrize("verb", ["analyze", "bounds", "compare"])
+def test_power_half_builds_at_the_default_tail_tol(verb, tmp_path):
+    # exp(-2 |x|^0.5) meets the default tail test 1e-16 only at |x| = 339.3
+    path = write_cfg(tmp_path, merge_cfg(SMALL_CFG, "potential.family = power\n"
+                                                    "potential.alpha = 0.5"))
+    assert main([verb, path, "--out", str(tmp_path / "out"), "--t-grid", "5"]) == 0
 
 
 # power alpha = 1 has rho <= 0, so no C_LS: the log-Sobolev default betas have no constant

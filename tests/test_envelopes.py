@@ -6,7 +6,6 @@ import pytest
 import tvdecay as tv
 from tvdecay import envelopes
 from tvdecay.envelopes import (
-    _XI_S_FLOOR,
     _exp,
     _valid_from,
     TV_MAX,
@@ -84,6 +83,16 @@ class TestXi:
         spec = XiSpec(beta=tv.BetaFunction.power(1.0, 2.0))
         val, unreached = xi(spec, 1e-12, return_flag=True)
         assert unreached and val == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("C, c, k", [(1.0, 1.0, 1.0), (3.0, 1.0 / math.e, 2.0),
+                                         (0.25, 1.0, 4.0)])
+    def test_constant_beta_log_xi_to_700(self, C, c, k):
+        # beta = C: log xi = log c - k t / C, to the 1e-12 residual of v = k t / C,
+        # far past e^{-36.8} = 1e-16
+        v = np.geomspace(1e-2, 700.0, 400)
+        s = xi(XiSpec(beta=tv.BetaFunction.constant(C), log_numerator=c, t_scale=k),
+               v * C / k)
+        assert np.all(np.abs(np.log(s) - (math.log(c) - v)) <= 1e-12 * v)
 
     def test_clock_scaling(self):
         base = XiSpec(beta=tv.BetaFunction.constant(1.0), t_scale=1.0)
@@ -502,8 +511,9 @@ class TestXiSpecValidation:
 
     @pytest.mark.parametrize("c", [1e-13, 1e-300])
     def test_empty_bracket_named(self, c):
-        # xi bisects s on (1e-16, min(c, 1, s_max) - 1e-12], empty for these c
-        with pytest.raises(BadExponent, match=f"c = {c:g}"):
+        # xi's bracket top min(c, 1, s_max) - 1e-12 is not positive for these c
+        with pytest.raises(BadExponent, match=f"c = {c:g}.*: min\\(c, 1, s_max\\) "
+                                              "- 1e-12 must be positive$"):
             XiSpec(tv.BetaFunction.constant(1.0), c, 2.0)
 
 
@@ -613,7 +623,7 @@ class TestInverseResiduals:
 def _one_of_each_family() -> dict:
     """An envelope of every family (curvature also at rho = 0), with clocks and
     phis whose bounds are vacuous at small t and decay over ARRAY_TS; the
-    orlicz clock reaches the xi floor there."""
+    orlicz clock falls below 1e-16 there."""
     power = tv.BetaFunction.power
     return {
         "poincare_l2": envelope_poincare_l2(0.5, 1.3),
@@ -669,7 +679,9 @@ class TestArrayEvaluation:
         for name in ("truncation_poincare", "truncation_logsob", *XI_CLOCKS):
             vals = np.array(envs[name].eval(ARRAY_TS))
             assert (vals == TV_MAX).any() and (vals < 1.0).any(), name
-        assert envs["orlicz"].raw_eval(500.0) == 1.5 * math.sqrt(_XI_S_FLOOR)
+        # the orlicz bound 1.5 sqrt(xi) keeps falling once xi is below 1e-16
+        tail = envs["orlicz"].raw_eval(ARRAY_TS[ARRAY_TS >= 100.0])
+        assert np.all(np.diff(tail) < 0) and tail[-1] < 1.5e-8
 
     @pytest.mark.parametrize("name", XI_CLOCKS)
     def test_xi_clock_is_max_tv_at_t_le_0(self, name):
@@ -689,10 +701,10 @@ class TestArrayEvaluation:
         assert s.tolist() == [v for v, _ in one]
         assert flags.tolist() == [f for _, f in one]
         assert flags.any() and not flags.all()
-        assert ((s > _XI_S_FLOOR) & ~flags).any()
+        assert np.all(np.diff(s[~flags]) < 0)
         if spec.beta.form == "constant":
-            # beta = 1: xi reaches the floor once t >= log(1e16)
-            assert (s == _XI_S_FLOOR).any()
+            # beta = 1: xi = e^{-t} keeps falling past 1e-16 at t = log(1e16)
+            assert s[-1] == pytest.approx(math.exp(-100.0), rel=1e-9)
 
     def test_xi_rejects_t_le_0_anywhere_in_the_array(self):
         with pytest.raises(ValueError):
@@ -707,35 +719,21 @@ class TestArrayEvaluation:
 
 
 def _xi_reference(spec, t):
-    """(xi(t), unreached) at one t by the scalar bisection, with numpy's exp
-    and log on floats: the loop the array version must reproduce bit for
-    bit."""
+    """(xi(t), unreached) at one t by the scalar inversion loop: v solving
+    beta(c e^{-v}) v = k t from v = log(c/s_hi), with numpy's exp and log on
+    floats, and xi = c e^{-v}; the loop the array version must reproduce bit
+    for bit."""
     c, k = spec.log_numerator, spec.t_scale
     s_hi = min(c, 1.0, spec.beta.s_max) - 1e-12
-    target = k * t
+    v_lo = math.log(c / s_hi)
 
-    def G(s):
-        return float(spec.beta(np.asarray(s)) * np.log(c / s))
+    def H(v):
+        return float(spec.beta(c * np.exp(-np.asarray(v))) * v)
 
-    if G(s_hi) > target:
+    if H(v_lo) > k * t:
         return s_hi, True
-    if G(_XI_S_FLOOR) <= target:
-        return _XI_S_FLOOR, False
-    a, b = math.log(_XI_S_FLOOR), math.log(s_hi)
-    scale = max(1.0, abs(target))
-    for _ in range(300):
-        m = 0.5 * (a + b)
-        gm = G(np.exp(m))
-        if abs(gm - target) <= 1e-12 * scale:
-            b = m
-            break
-        if gm > target:
-            a = m
-        else:
-            b = m
-        if b - a <= 5e-14:
-            break
-    return float(np.exp(b)), False
+    v = _invert_reference(H, k * t, v_lo, 2.0 * v_lo + 1.0, resid_tol=1e-12)
+    return float(c * np.exp(-v)), False
 
 
 def _invert_reference(fn, y, lo, hi, rel_tol=1e-13, resid_tol=1e-9):

@@ -78,6 +78,15 @@ class TestBuildMeasure:
         with pytest.raises(NonIntegrablePotential):
             tv.build_measure(flat, 501)
 
+    def test_truncation_grows_past_200_while_finite(self):
+        # exp(-2 |x|^0.5) <= 1e-16 needs |x| >= (log(1e16) / 2)^2 = 339.32; |x|^0.001
+        # stays below 2.1 at every finite x
+        mu = tv.build_measure(tv.PotentialSpec.power(0.5), 201)
+        assert mu.grid[-1] == -mu.grid[0] == pytest.approx((8.0 * math.log(10.0)) ** 2,
+                                                         rel=1e-10)
+        with pytest.raises(NonIntegrablePotential, match="every finite"):
+            tv.build_measure(tv.PotentialSpec.power(1e-3), 201)
+
     def test_invalid_spec(self):
         with pytest.raises(InvalidSpec):
             tv.build_measure(tv.PotentialSpec.gaussian(), 51)
